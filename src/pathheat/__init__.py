@@ -13,9 +13,8 @@ flow property and finite-dimensional cross-checks.
 from .errors import (ContractError, ConvergenceError, DomainError, InputError,
                      NumericError, ResolutionError, ToleranceError)
 from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
-                    brownian_extension, extend_with_increments, path_distance,
-                    read_path_csv, simulate_semimartingale, stop_path,
-                    write_path_csv)
+                    brownian_increments, euler_paths, extend_with_increments,
+                    path_distance, read_path_csv, stop_path, write_path_csv)
 from .regularization import (BracketEstimate, IntegrandFn, forward_integral,
                              forward_integral_limit, mutual_bracket)
 from .fourier import (FourierBasis, fejer_coefficient, fejer_mean,
@@ -25,7 +24,7 @@ from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
                         cylinder_pathwise_derivs, eval_cylinder,
                         fd_pathwise_derivs, make_cylinder_lift)
 from .quadrature import QuadratureConfig
-from .gauge import (GaugeAnchor, GaugeDiagnostics, calibrate_alpha,
+from .gauge import (GaugeDiagnostics, calibrate_alpha,
                     curvature_profile, floored_norm_profile,
                     horizontal_kernel, horizontal_smoothed_distance,
                     mean_gaussian_norm, normal_density, perturbation_sum,
@@ -35,7 +34,8 @@ from .varprinciple import (SearchSpace, VPResult, smooth_variational_principle,
 from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      TerminalFunctional, build_terminal, candidate_solution,
                      finite_dim_solution, flow_residual, pde_residual,
-                     running_max_exact_solution, viscosity_spotcheck)
+                     running_max_exact_solution, sample_increments,
+                     viscosity_spotcheck)
 from .ito import ItoReport, delayed_lift, ito_verify, with_fd_derivatives
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import argparse
 import csv
 import hashlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,12 +27,14 @@ from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, mc_convergence_rows,
                           tn_convergence_rows)
 from .gauge import calibrate_alpha
-from .grids import GridPath, PathPoint, TimeGrid, read_path_csv
+from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
+                    extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
 from .quadrature import QuadratureConfig
 from .sampling import random_pairs
 from .solver import (MCConfig, build_terminal, candidate_solution,
                      pde_residual, terminal_names)
+from .streams import sample_stream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
 __all__ = ["ExperimentConfig", "main"]
@@ -48,17 +50,14 @@ class ExperimentConfig:
     steps: int = 1000
     terminal: str = "running_max"
     n_samples: int = 10_000
-    n_inner: int = 1000
     z_rule: str = "auto"
     z_nodes: int = 21
     z_samples: int = 100_000
     s_nodes: int = 3  # Gauss-Legendre nodes per s-rule panel
     s_max: float = 40.0
-    eps: float = 0.1
     delta: tuple[float, ...] = (0.1, 0.05, 0.025)
     lam: float = 0.5
     out: Path = Path(".")
-    extra: dict = field(default_factory=dict)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.horizon, self.steps)
@@ -74,9 +73,10 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-_FLOAT_KEYS = {"horizon", "eps", "lam", "s_max"}
-_INT_KEYS = {"seed", "d", "steps", "n_samples", "n_inner", "z_nodes",
-             "z_samples", "s_nodes"}
+_FLOAT_KEYS = {"horizon", "lam", "s_max"}
+_INT_KEYS = {"seed", "d", "steps", "n_samples", "z_nodes", "z_samples",
+             "s_nodes"}
+_STR_KEYS = {"terminal", "z_rule"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -97,8 +97,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         raw.update(_parse_config_file(args.config))
     for key in ("seed", "d", "steps", "horizon", "terminal", "n_samples",
-                "n_inner", "z_rule", "z_nodes", "z_samples", "s_nodes",
-                "s_max", "eps", "lam", "delta"):
+                "z_rule", "z_nodes", "z_samples", "s_nodes", "s_max", "lam",
+                "delta"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             raw[key] = val
@@ -106,7 +106,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise InputError("a master seed is mandatory: pass --seed or set seed= "
                          "in the config file")
     kwargs = {}
-    extra = {}
     for key, value in raw.items():
         if key in _INT_KEYS:
             kwargs[key] = int(value)
@@ -117,11 +116,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                 kwargs[key] = tuple(float(v) for v in value.split(","))
             else:
                 kwargs[key] = tuple(value)
-        elif key in ("terminal", "z_rule"):
+        elif key in _STR_KEYS:
             kwargs[key] = str(value)
         else:
-            extra[key] = value
-    cfg = ExperimentConfig(out=Path(args.out), extra=extra, **kwargs)
+            raise InputError(f"unknown config key {key!r}")
+    cfg = ExperimentConfig(out=Path(args.out), **kwargs)
     cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg
 
@@ -174,7 +173,8 @@ def _cmd_pde_check(cfg: ExperimentConfig, args) -> int:
         "cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
     sink = _CsvSink(cfg, "pde_check.csv",
                     ["spec", "sample", "t", "residual", "pass"])
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = sample_stream(cfg.seed, 0)
+    zero = GridPath.zero(grid)
     ok = True
     for name in names:
         xi = build_terminal(name.strip(), grid)
@@ -182,9 +182,8 @@ def _cmd_pde_check(cfg: ExperimentConfig, args) -> int:
             raise InputError(f"{name} is not a cylinder functional")
         for s in range(args.n_points):
             t = grid.node(int(rng.integers(0, grid.steps)))
-            dw = rng.standard_normal((grid.steps, 1)) * np.sqrt(grid.dt)
-            x = GridPath(grid, np.vstack([np.zeros((1, 1)),
-                                          np.cumsum(dw, axis=0)]))
+            x = GridPath(grid, extend_with_increments(
+                0.0, zero, brownian_increments(grid, 0, 1, rng)))
             res = pde_residual(xi.cylinder, t, x, quad)
             good = abs(res) <= args.tol
             ok = ok and good
@@ -248,8 +247,7 @@ def _cmd_vp_run(cfg: ExperimentConfig, args) -> int:
         grid = TimeGrid(cfg.horizon, min(cfg.steps, 128))
         pts = brownian_search_space(grid, args.n_points, cfg.seed).points
     space = SearchSpace(pts)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    coeffs = rng.standard_normal(3)
+    coeffs = sample_stream(cfg.seed, 0).standard_normal(3)
 
     def G(p: PathPoint) -> float:
         v = p.present_value()[0]
@@ -369,7 +367,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="grid steps M")
     p.add_argument("--terminal", help=f"terminal functional ({', '.join(terminal_names())})")
     p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--n-inner", type=int, dest="n_inner")
     p.add_argument("--z-rule", dest="z_rule",
                    choices=["auto", "exact", "gauss-hermite", "monte-carlo"])
     p.add_argument("--z-nodes", type=int, dest="z_nodes")
@@ -379,7 +376,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "rule; one panel per grid step between the point and "
                         "its anchor")
     p.add_argument("--s-max", type=float, dest="s_max")
-    p.add_argument("--eps", type=float)
     p.add_argument("--lam", type=float)
     p.add_argument("--delta", help="comma-separated perturbation weights")
 

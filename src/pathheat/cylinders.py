@@ -11,7 +11,7 @@ ordinary derivatives in y (vertical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,17 +119,16 @@ class CylinderApproximation:
     order: int
 
 
-def cylinder_approx(xi: Callable[[GridPath], float], n: int,
-                    grid: TimeGrid, dimension: int = 1,
-                    xi_batch: Optional[Callable[[np.ndarray, TimeGrid], np.ndarray]] = None
-                    ) -> CylinderApproximation:
+def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: int,
+                    grid: TimeGrid, dimension: int = 1) -> CylinderApproximation:
     """Approximate a path functional by xi(fejer_smooth(x, n)).
 
+    ``xi_batch`` evaluates xi on path values (k, M+1, d), returning (k,).
     The returned spec uses weight 1 for the terminal-value coordinate and the
     zero-mean basis primitives for the others; its g reconstructs the smoothed
     path on ``grid`` from the coordinate vector, so evaluating the spec on the
-    coordinates of x reproduces xi(fejer_smooth(x, n)) exactly.  ``xi_batch``
-    (values (k, M+1, d) -> (k,)) enables vectorized g evaluation.
+    coordinates of x reproduces xi(fejer_smooth(x, n)) exactly.  The scalar g
+    is the batch evaluation of one path.
     """
     if n < 0:
         raise DomainError("approximation order must be >= 0")
@@ -144,16 +143,13 @@ def cylinder_approx(xi: Callable[[GridPath], float], n: int,
         cols.append(-weights[l] * (basis_value(l, T, nodes) - basis_value(l, T, 0.0)))
     synth = np.stack(cols)                           # (2n+1, M+1)
 
-    def g(z: np.ndarray) -> float:
-        zb = np.asarray(z, float).reshape(2 * n + 1, dimension)
-        return float(xi(GridPath(grid, synth.T @ zb)))
+    def g_batch(zs: np.ndarray) -> np.ndarray:
+        zb = np.asarray(zs, float).reshape(len(zs), 2 * n + 1, dimension)
+        paths = np.einsum("lm,kld->kmd", synth, zb)
+        return np.asarray(xi_batch(paths, grid), float)
 
-    g_batch = None
-    if xi_batch is not None:
-        def g_batch(zs: np.ndarray) -> np.ndarray:
-            zb = np.asarray(zs, float).reshape(len(zs), 2 * n + 1, dimension)
-            paths = np.einsum("lm,kld->kmd", synth, zb)
-            return np.asarray(xi_batch(paths, grid), float)
+    def g(z: np.ndarray) -> float:
+        return float(g_batch(np.asarray(z, float)[None])[0])
 
     psi = [IntegrandFn.constant(1.0).fn]
     for l in range(1, 2 * n + 1):
@@ -161,7 +157,7 @@ def cylinder_approx(xi: Callable[[GridPath], float], n: int,
     spec = CylinderSpec(g=g, psi=psi, g_batch=g_batch, name=f"fejer{n}")
 
     def evaluate(x: GridPath) -> float:
-        return float(xi(fejer_smooth(x, n)))
+        return float(xi_batch(fejer_smooth(x, n).values[None], grid)[0])
 
     return CylinderApproximation(spec=spec, evaluate=evaluate, order=n)
 

@@ -16,7 +16,6 @@ escape branch and is reported as such, consistent with the theory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,14 +24,14 @@ import numpy as np
 from .cylinders import cylinder_approx, cylinder_coordinates
 from .errors import InputError
 from .fourier import fejer_coefficient, fejer_coefficient_quadrature, fejer_smooth
-from .gauge import (HORIZONTAL_BOUND, SATURATED_HESS_BOUND, perturbation_bounds)
-from .grids import GridPath, PathPoint, TimeGrid
+from .gauge import perturbation_bounds
+from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
+                    extend_with_increments)
 from .ito import SEMIMARTINGALE_PRESETS, ito_verify
 from .quadrature import QuadratureConfig
-from .sampling import random_path
 from .solver import (MCConfig, build_terminal, candidate_solution,
                      finite_dim_solution)
-from .streams import substream
+from .streams import StreamKind, substream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
 __all__ = [
@@ -45,24 +44,20 @@ __all__ = [
     "dt_convergence_rows",
 ]
 
-_SPACE_STREAM = 21
-
 
 def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int,
                           times: Optional[list[float]] = None,
                           amplitude: float = 1.0) -> SearchSpace:
     """Search space of scaled Brownian paths pinned at zero, with point times
     drawn from ``times`` (default: quarter nodes of the horizon)."""
-    rng = substream(seed, _SPACE_STREAM, 0)
+    rng = substream(seed, StreamKind.SEARCH_SPACE, 0)
     if times is None:
         times = [0.25 * grid.horizon, 0.5 * grid.horizon, 0.75 * grid.horizon]
-    pts = []
-    for i in range(n_paths):
-        dw = rng.standard_normal((grid.steps, 1)) * math.sqrt(grid.dt)
-        vals = np.vstack([np.zeros((1, 1)), np.cumsum(dw, axis=0)]) * amplitude
-        t = times[i % len(times)]
-        pts.append(PathPoint(t, GridPath(grid, vals)))
-    return SearchSpace(tuple(pts))
+    vals = extend_with_increments(0.0, GridPath.zero(grid),
+                                  brownian_increments(grid, 0, 1, rng, n=n_paths))
+    vals *= amplitude
+    return SearchSpace(tuple(PathPoint(times[i % len(times)], GridPath(grid, v))
+                             for i, v in enumerate(vals)))
 
 
 _FINITE_SPACE_CAVEAT = (
@@ -167,7 +162,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
     xi = build_terminal(terminal, grid)
 
     # Step I: cylindrical smoothing of the terminal condition.
-    approx = cylinder_approx(xi.fn, order, grid, dimension=1, xi_batch=xi.batch)
+    approx = cylinder_approx(xi.batch, order, grid, dimension=1)
     spec_n = approx.spec
     n_coords = 2 * order + 1
     factor_config = QuadratureConfig(z_rule="monte-carlo", z_samples=z_samples,

@@ -57,16 +57,6 @@ def basis_primitive(l: int, horizon: float, t) -> np.ndarray:
     return -amp * np.cos(w * t) if l % 2 == 1 else amp * np.sin(w * t)
 
 
-def _basis_derivative(l: int, horizon: float, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if l == 0:
-        return np.zeros_like(t)
-    m = (l + 1) // 2
-    w = 2.0 * m * np.pi / horizon
-    amp = np.sqrt(2.0 / horizon) * w
-    return amp * (np.cos(w * t) if l % 2 == 1 else -np.sin(w * t))
-
-
 @dataclass(frozen=True)
 class FourierBasis:
     """One basis element together with its primitive."""

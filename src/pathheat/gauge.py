@@ -54,7 +54,6 @@ from .quadrature import (QuadratureConfig, composite_legendre_rule,
 
 __all__ = [
     "QuadratureConfig",
-    "GaugeAnchor",
     "GaugeDiagnostics",
     "normal_density",
     "mean_gaussian_norm",
@@ -64,7 +63,6 @@ __all__ = [
     "horizontal_kernel_mass",
     "SmoothedDistance",
     "vertical_smoothed_distance",
-    "stopped_distance",
     "horizontal_smoothed_distance",
     "smooth_gauge",
     "GaugeResult",
@@ -80,8 +78,6 @@ __all__ = [
     "SATURATED_HESS_BOUND",
     "perturbation_bounds",
 ]
-
-GaugeAnchor = PathPoint
 
 # Uniform derivative bounds of the smoothing stages (dimension-free).
 VERTICAL_GRAD_BOUND = 1.0
@@ -274,12 +270,6 @@ class _AnchorContext:
         self.single = self.kt >= self.k0
         self.t0 = grid.node(self.k0)
 
-    def stopped_distance(self) -> float:
-        """Plain stopped-path sup distance D between (t, x) and the anchor."""
-        if self.single:
-            return self.base
-        return max(self.base, float(self.prefix_add[-1]))
-
     def _locate(self, t_primes: np.ndarray):
         """Prefix floors, partial candidates, and first whole-node offsets
         at the shifted times t' >= t."""
@@ -363,11 +353,6 @@ def vertical_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
     if not np.isfinite(v[0]):
         raise NumericError("mollified distance integral diverged")
     return SmoothedDistance(value=float(v[0]), gradient=g[0], hessian=h[0])
-
-
-def stopped_distance(anchor: PathPoint, point: PathPoint) -> float:
-    """||x(. ^ t) - x0(. ^ t0)||_inf, the raw quantity being smoothed."""
-    return stopped_sup_distance(point, anchor)
 
 
 def _s_rule(ctx: _AnchorContext, tau: float, config: QuadratureConfig):
@@ -578,15 +563,16 @@ class GaugeDiagnostics:
 
 def lower_bound_ratio(anchor: PathPoint, point: PathPoint,
                       config: QuadratureConfig = QuadratureConfig()
-                      ) -> tuple[float, float]:
-    """(distance D, mollified value / min(D^{d+1}, D)); ratio inf calibrates alpha."""
+                      ) -> tuple[float, float, float]:
+    """(distance D, mollified value, value / min(D^{d+1}, D)); a ratio of inf
+    (D = 0) does not constrain alpha."""
     d = point.path.dimension
     val = vertical_smoothed_distance(anchor, point.t, point.path,
                                      point.present_value(), config).value
     dist = stopped_sup_distance(point, anchor)
     if dist < 1e-9:
-        return dist, np.inf
-    return dist, val / min(dist ** (d + 1), dist)
+        return dist, val, np.inf
+    return dist, val, val / min(dist ** (d + 1), dist)
 
 
 def calibrate_alpha(dimension: int, samples, config: QuadratureConfig = QuadratureConfig(),
@@ -602,9 +588,7 @@ def calibrate_alpha(dimension: int, samples, config: QuadratureConfig = Quadratu
     count = 0
     czeta = mean_gaussian_norm(dimension)
     for anchor, point in samples:
-        dist, ratio = lower_bound_ratio(anchor, point, config)
-        val = vertical_smoothed_distance(anchor, point.t, point.path,
-                                         point.present_value(), config).value
+        dist, val, ratio = lower_bound_ratio(anchor, point, config)
         if np.isfinite(ratio):
             ratio_min = min(ratio_min, ratio)
         item3 = max(item3, (dist - val) / czeta)

@@ -11,14 +11,12 @@ of stopped representatives is decidable.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .streams import sample_stream
 
 __all__ = [
     "TimeGrid",
@@ -27,11 +25,9 @@ __all__ = [
     "SemimartingaleSpec",
     "stop_path",
     "path_distance",
-    "brownian_extension",
-    "extend_with_increments",
     "brownian_increments",
-    "simulate_semimartingale",
-    "simulate_semimartingale_ensemble",
+    "extend_with_increments",
+    "euler_paths",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -209,38 +205,42 @@ def path_distance(p: PathPoint, q: PathPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def brownian_increments(grid: TimeGrid, k_from: int, dimension: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increments for nodes k_from+1 .. M, shape (M-k_from, d)."""
-    n = grid.steps - k_from
-    return rng.standard_normal((n, dimension)) * np.sqrt(grid.dt)
+                        rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Gaussian increments for nodes k_from+1 .. M, shape (M-k_from, d).
+
+    With ``n``, shape (n, M-k_from, d): n paths drawn one after another from
+    ``rng``, bit for bit the same as n consecutive single draws.
+    """
+    shape = (grid.steps - k_from, dimension)
+    if n is not None:
+        shape = (n, *shape)
+    return rng.standard_normal(shape) * np.sqrt(grid.dt)
 
 
-def extend_with_increments(t: float, x: GridPath, dW: np.ndarray) -> GridPath:
-    """Deterministic Brownian extension of ``x`` after ``t`` driven by ``dW``.
+def extend_with_increments(t: float, x: GridPath, dW: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Values of the extension of ``x`` after ``t`` driven by ``dW``.
 
-    The result equals x on [0, t] and x(t) + cumulative-sum(dW) after; feeding
-    the tail of the same driving increments from a later time reproduces the
-    same sample (the flow identity of the extension).
+    ``dW`` has shape (..., M-k, d) with k the node of t; the result, shape
+    (..., M+1, d), equals x on [0, t] and x(t) + cumulative-sum(dW) after.
+    A Brownian path from zero is an extension of :meth:`GridPath.zero`.
+    Feeding the tail of the same increments from a later time reproduces
+    the same sample (the flow identity of the extension).  ``out`` may hold
+    the increments in its tail, ``dW = out[..., k+1:, :]``; the extension is
+    then built in place.
     """
     k = x.grid.index_of(t)
-    need = x.grid.steps - k
+    need = (x.grid.steps - k, x.dimension)
     dW = np.asarray(dW, float)
-    if dW.ndim == 1:
-        dW = dW[:, None]
-    if dW.shape != (need, x.dimension):
-        raise DomainError(f"increments shape {dW.shape} != {(need, x.dimension)}")
-    vals = x.values.copy()
-    if need:
-        vals[k + 1:] = vals[k] + np.cumsum(dW, axis=0)
-    return GridPath(x.grid, vals)
-
-
-def brownian_extension(t: float, x: GridPath, seed: int, stream_index: int = 0) -> GridPath:
-    """One sample of the Brownian extension of ``x`` from time ``t``."""
-    k = x.grid.index_of(t)
-    rng = sample_stream(seed, stream_index)
-    dW = brownian_increments(x.grid, k, x.dimension, rng)
-    return extend_with_increments(t, x, dW)
+    if dW.shape[-2:] != need:
+        raise DomainError(f"increments shape {dW.shape} does not end in {need}")
+    if out is None:
+        out = np.empty(dW.shape[:-2] + (x.grid.steps + 1, x.dimension))
+    out[..., : k + 1, :] = x.values[: k + 1]
+    tail = out[..., k + 1:, :]
+    np.cumsum(dW, axis=-2, out=tail)
+    tail += x.values[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,39 +265,23 @@ class SemimartingaleSpec:
         return self.initial.size
 
 
-def _euler_step(spec: SemimartingaleSpec, t: float, state: np.ndarray,
-                dW: np.ndarray, dt: float) -> np.ndarray:
-    mu = np.asarray(spec.drift(t, state), float)
-    sig = np.asarray(spec.volatility(t, state), float)
-    out = state + mu * dt + np.einsum("...ij,...j->...i", sig, dW)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"non-finite state after Euler step at t={t}")
-    return out
-
-
-def simulate_semimartingale(spec: SemimartingaleSpec, grid: TimeGrid,
-                            seed: int, stream_index: int = 0) -> GridPath:
-    """Single Euler-Maruyama sample path; reproducible under a fixed seed."""
-    rng = sample_stream(seed, stream_index)
-    dW = brownian_increments(grid, 0, spec.dimension, rng)
-    vals = np.empty((grid.steps + 1, spec.dimension))
-    vals[0] = spec.initial
-    for k in range(grid.steps):
-        vals[k + 1] = _euler_step(spec, grid.node(k), vals[k], dW[k], grid.dt)
-    return GridPath(grid, vals)
-
-
-def simulate_semimartingale_ensemble(spec: SemimartingaleSpec, grid: TimeGrid,
-                                     n_samples: int, seed: int) -> np.ndarray:
-    """Euler ensemble, shape (n, M+1, d); sample i uses stream i."""
+def euler_paths(spec: SemimartingaleSpec, grid: TimeGrid, dW: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama paths from ``spec.initial`` driven by increments ``dW``
+    of shape (..., M, d); returns values of shape (..., M+1, d)."""
     d = spec.dimension
-    dW = np.empty((n_samples, grid.steps, d))
-    for i in range(n_samples):
-        dW[i] = brownian_increments(grid, 0, d, sample_stream(seed, i))
-    vals = np.empty((n_samples, grid.steps + 1, d))
-    vals[:, 0] = spec.initial
+    if dW.shape[-2:] != (grid.steps, d):
+        raise DomainError(f"increments shape {dW.shape} does not end in {(grid.steps, d)}")
+    vals = np.empty(dW.shape[:-2] + (grid.steps + 1, d))
+    vals[..., 0, :] = spec.initial
     for k in range(grid.steps):
-        vals[:, k + 1] = _euler_step(spec, grid.node(k), vals[:, k], dW[:, k], grid.dt)
+        t = grid.node(k)
+        state = vals[..., k, :]
+        mu = np.asarray(spec.drift(t, state), float)
+        sig = np.asarray(spec.volatility(t, state), float)
+        vals[..., k + 1, :] = (state + mu * grid.dt
+                               + np.einsum("...ij,...j->...i", sig, dW[..., k, :]))
+        if not np.all(np.isfinite(vals[..., k + 1, :])):
+            raise NumericError(f"non-finite state after Euler step at t={t}")
     return vals
 
 
@@ -325,8 +309,6 @@ def read_path_csv(source) -> GridPath:
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             return read_path_csv(fh)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     header = source.readline().strip().split(",")
     if header[0] != "t":
         raise DomainError("path CSV must start with a 't' column")

@@ -21,10 +21,9 @@ import numpy as np
 
 from .cylinders import LiftedFunctional, fd_pathwise_derivs
 from .errors import ContractError, DomainError, ResolutionError
-from .grids import (GridPath, SemimartingaleSpec, TimeGrid,
-                    simulate_semimartingale_ensemble, stop_path)
+from .grids import GridPath, SemimartingaleSpec, TimeGrid, euler_paths, stop_path
 from .regularization import mutual_bracket
-from .solver import MCConfig, MCEstimate
+from .solver import MCConfig, MCEstimate, sample_increments
 
 __all__ = ["ItoReport", "ito_verify", "delayed_lift", "with_fd_derivatives",
            "brownian_spec", "ou_spec", "SEMIMARTINGALE_PRESETS"]
@@ -105,7 +104,8 @@ def ito_verify(u: LiftedFunctional, spec: SemimartingaleSpec, grid: TimeGrid,
     """
     if profiles is None and not u.has_derivatives():
         raise ContractError("lift lacks derivative evaluators; see with_fd_derivatives")
-    vals = simulate_semimartingale_ensemble(spec, grid, cfg.n_samples, cfg.seed)
+    vals = euler_paths(spec, grid, sample_increments(
+        grid, 0, spec.dimension, cfg.seed, np.arange(cfg.n_samples)))
     n, m1, d = vals.shape
     nodes = grid.nodes()
     db = _bracket_increments(spec, grid, vals, bracket, bracket_eps)

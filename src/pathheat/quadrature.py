@@ -18,6 +18,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
+from .streams import sample_stream
 
 __all__ = [
     "QuadratureConfig",
@@ -33,8 +34,11 @@ __all__ = [
 class QuadratureConfig:
     """Rules for Gaussian (z) integrals and the time-kernel (s) integral.
 
-    ``z_rule``: "auto" picks the exact piecewise rule in dimension 1,
-    tensor Gauss-Hermite up to dimension 3, antithetic Monte Carlo beyond.
+    ``z_rule``: "auto" picks the exact piecewise rule in dimension 1 (the
+    gauge only), then tensor Gauss-Hermite up to a caller's limit and
+    antithetic Monte Carlo beyond it.  The limit is dimension 2 for the
+    gauge (``gauge._GAUGE_GH_MAX_DIM``) and 3 for the factor solution of the
+    solver.
     The s-integral is composite Gauss-Legendre in the substituted variable
     u = sqrt(s), which removes the kernel's square-root kink.  Its panels end
     at the grid nodes between t and the anchor time t0, where the integrand
@@ -95,8 +99,7 @@ def monte_carlo_gaussian_rule(dimension: int, samples: int,
                               seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-seed antithetic normal sample as a symmetric positive rule."""
     half = max(samples // 2, 1)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((half, dimension))
+    z = sample_stream(seed, 0).standard_normal((half, dimension))
     z = np.concatenate([z, -z], axis=0)
     w = np.full(z.shape[0], 1.0 / z.shape[0])
     return z, w

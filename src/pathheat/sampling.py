@@ -11,22 +11,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .grids import GridPath, PathPoint, TimeGrid
-from .streams import substream
+from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
+                    extend_with_increments)
+from .streams import StreamKind, substream
 
 __all__ = ["random_path", "random_pairs", "random_lift_points"]
-
-_KIND_PATHS = 11
-_KIND_PAIRS = 12
 
 
 def random_path(grid: TimeGrid, dimension: int, rng: np.random.Generator,
                 amplitude: float = 1.0) -> GridPath:
     kind = rng.integers(0, 4)
+    zero = GridPath.zero(grid, dimension)
     if kind == 0:  # scaled Brownian from zero
-        dw = rng.standard_normal((grid.steps, dimension)) * np.sqrt(grid.dt)
-        vals = np.vstack([np.zeros((1, dimension)), np.cumsum(dw, axis=0)])
-        return GridPath(grid, amplitude * vals)
+        dw = brownian_increments(grid, 0, dimension, rng)
+        return GridPath(grid, amplitude * extend_with_increments(0.0, zero, dw))
     if kind == 1:  # constant
         return GridPath.constant(grid, amplitude * rng.standard_normal(dimension))
     if kind == 2:  # low-frequency smooth path
@@ -37,16 +35,15 @@ def random_path(grid: TimeGrid, dimension: int, rng: np.random.Generator,
                 + coef[2] * (t * t)[:, None])
         return GridPath(grid, vals)
     # Brownian with drift
-    dw = rng.standard_normal((grid.steps, dimension)) * np.sqrt(grid.dt)
+    dw = brownian_increments(grid, 0, dimension, rng)
     drift = rng.standard_normal(dimension) * grid.dt
-    vals = np.vstack([np.zeros((1, dimension)), np.cumsum(dw + drift, axis=0)])
-    return GridPath(grid, amplitude * vals)
+    return GridPath(grid, amplitude * extend_with_increments(0.0, zero, dw + drift))
 
 
 def random_pairs(grid: TimeGrid, dimension: int, n: int, seed: int,
                  amplitude: float = 1.0) -> Iterator[tuple[PathPoint, PathPoint]]:
     """(anchor, point) pairs covering rough/smooth and near/far geometry."""
-    rng = substream(seed, _KIND_PAIRS, 0)
+    rng = substream(seed, StreamKind.PAIRS, 0)
     for _ in range(n):
         anchor_path = random_path(grid, dimension, rng, amplitude)
         t0 = grid.node(int(rng.integers(0, grid.steps + 1)))
@@ -72,7 +69,7 @@ def random_lift_points(grid: TimeGrid, dimension: int, n: int, seed: int,
                        jump_scale: float = 1.0
                        ) -> Iterator[tuple[PathPoint, float, GridPath, np.ndarray]]:
     """(anchor, t, x, y) tuples with y off the path for derivative audits."""
-    rng = substream(seed, _KIND_PATHS, 0)
+    rng = substream(seed, StreamKind.LIFT_POINTS, 0)
     for anchor, point in random_pairs(grid, dimension, n, seed + 1, amplitude):
         y = point.present_value() + jump_scale * rng.standard_normal(dimension)
         yield anchor, point.t, point.path, y

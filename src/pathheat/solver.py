@@ -13,25 +13,26 @@ analytic pathwise derivatives for operator residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
 
 from .cylinders import (CylinderSpec, LiftedFunctional,
-                        cylinder_pathwise_derivs, eval_cylinder,
-                        make_cylinder_lift)
+                        cylinder_pathwise_derivs, make_cylinder_lift)
 from .errors import ContractError, DomainError, InputError, NumericError
-from .grids import GridPath, PathPoint, TimeGrid
+from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
+                    extend_with_increments)
 from .quadrature import QuadratureConfig, gaussian_rule, legendre_rule
-from .streams import sample_stream, substream
+from .streams import StreamKind, sample_stream, substream
 from .varprinciple import SearchSpace
 
 __all__ = [
     "TerminalFunctional",
     "MCConfig",
     "MCEstimate",
+    "sample_increments",
     "candidate_solution",
     "running_max_exact_solution",
     "flow_residual",
@@ -46,10 +47,6 @@ __all__ = [
     "terminal_names",
 ]
 
-_INNER_STREAM_KIND = 3
-_BRIDGE_STREAM_KIND = 5
-
-
 @dataclass(frozen=True)
 class TerminalFunctional:
     """Terminal condition xi acting on grid paths.
@@ -61,15 +58,17 @@ class TerminalFunctional:
     """
 
     name: str
-    fn: Callable[[GridPath], float]
-    batch: Optional[Callable[[np.ndarray, TimeGrid], np.ndarray]] = None
+    batch: Callable[[np.ndarray, TimeGrid], np.ndarray]
     bound: Optional[float] = None
     cylinder: Optional[CylinderSpec] = None
 
     def evaluate_batch(self, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(values, grid), float)
-        return np.array([self.fn(GridPath(grid, v)) for v in values])
+        return np.asarray(self.batch(values, grid), float)
+
+
+# Samples per chunk of candidate_solution; even, so that an antithetic pair
+# never straddles two chunks.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,13 @@ class MCConfig:
     n_samples: int
     seed: int
     antithetic: bool = False
-    chunk_size: int = 4096
 
     def __post_init__(self):
         if self.n_samples < 2:
             raise DomainError("need at least 2 Monte-Carlo samples")
-        if self.antithetic and self.n_samples % 2:
-            raise DomainError("antithetic sampling needs an even sample count")
+        if self.antithetic and (self.n_samples % 2 or self.n_samples < 4):
+            raise DomainError("antithetic sampling needs an even sample count "
+                              "of at least 4 (two pairs)")
 
 
 @dataclass(frozen=True)
@@ -113,26 +112,30 @@ class MCEstimate:
                           n_samples=n, seed=parts[0].seed)
 
 
-def _extension_chunk(t_index: int, x: GridPath, idx: np.ndarray, seed: int,
-                     antithetic: bool) -> np.ndarray:
-    """Brownian extensions for the sample indices ``idx``, shape (n, M+1, d)."""
-    grid, d = x.grid, x.dimension
-    n_rem = grid.steps - t_index
-    out = np.empty((idx.size, grid.steps + 1, d))
-    out[:, : t_index + 1] = x.values[: t_index + 1]
-    if n_rem == 0:
+def sample_increments(grid: TimeGrid, k: int, d: int, seed: int, idx,
+                      antithetic: bool = False,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Brownian increments after node k for the sample indices ``idx``,
+    shape (len(idx), M-k, d).
+
+    Sample i draws from stream i, so a sample is a pure function of
+    (seed, i) whatever the partition of the indices.  Under ``antithetic``
+    the pair 2j, 2j+1 opens stream j once and the odd member mirrors it.
+    ``out`` receives the increments in place.
+    """
+    idx = np.asarray(idx, dtype=np.int64).tolist()
+    if out is None:
+        out = np.empty((len(idx), grid.steps - k, d))
+    if out.shape[1] == 0:
         return out
-    sqdt = math.sqrt(grid.dt)
     for row, i in enumerate(idx):
-        if antithetic:
-            rng = sample_stream(seed, int(i) // 2)
-            dw = rng.standard_normal((n_rem, d)) * sqdt
-            if int(i) % 2:
-                dw = -dw
-        else:
-            rng = sample_stream(seed, int(i))
-            dw = rng.standard_normal((n_rem, d)) * sqdt
-        out[row, t_index + 1:] = x.values[t_index] + np.cumsum(dw, axis=0)
+        if antithetic and i % 2 and row and idx[row - 1] == i - 1:
+            np.negative(out[row - 1], out=out[row])
+            continue
+        sample_stream(seed, i // 2 if antithetic else i).standard_normal(out=out[row])
+        if antithetic and i % 2:
+            np.negative(out[row], out=out[row])
+    out *= math.sqrt(grid.dt)
     return out
 
 
@@ -141,20 +144,28 @@ def candidate_solution(xi: TerminalFunctional, t: float, x: GridPath,
     """Monte-Carlo mean of xi over Brownian extensions from (t, x).
 
     Sample i is a pure function of (seed, i); partitioning an ensemble by
-    sample index cannot change the result.
+    sample index cannot change the result.  Under antithetic sampling the
+    standard error is that of the pair means.
     """
     grid = x.grid
     k = grid.index_of(t)
     total = np.empty(cfg.n_samples)
-    for lo in range(0, cfg.n_samples, cfg.chunk_size):
-        idx = np.arange(lo, min(lo + cfg.chunk_size, cfg.n_samples))
-        vals = _extension_chunk(k, x, idx, cfg.seed, cfg.antithetic)
+    buf = np.empty((min(_CHUNK, cfg.n_samples), grid.steps + 1, x.dimension))
+    for lo in range(0, cfg.n_samples, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, cfg.n_samples))
+        vals = buf[: idx.size]
+        sample_increments(grid, k, x.dimension, cfg.seed, idx, cfg.antithetic,
+                          out=vals[:, k + 1:])
+        extend_with_increments(t, x, vals[:, k + 1:], out=vals)
         out = xi.evaluate_batch(vals, grid)
         if not np.all(np.isfinite(out)):
             bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
             raise NumericError(f"terminal functional non-finite at sample {bad}")
         total[idx] = out
     est = MCEstimate.from_samples(total, cfg.seed)
+    if cfg.antithetic:
+        pairs = total.reshape(-1, 2).mean(axis=1)
+        est = replace(est, stderr=float(np.std(pairs, ddof=1) / math.sqrt(pairs.size)))
     if xi.bound is not None and abs(est.mean) > xi.bound + 1e-12:
         raise NumericError("mean escaped the declared bound of the functional")
     return est
@@ -172,19 +183,16 @@ def running_max_exact_solution(t: float, x: GridPath, cfg: MCConfig) -> MCEstima
         raise DomainError("the exact running-max estimator is one-dimensional")
     grid = x.grid
     k = grid.index_of(t)
-    n_rem = grid.steps - k
     past_max = float(np.max(x.values[: k + 1, 0]))
-    if n_rem == 0:
+    if k == grid.steps:
         return MCEstimate(mean=past_max, stderr=0.0,
                           n_samples=cfg.n_samples, seed=cfg.seed)
-    sqdt = math.sqrt(grid.dt)
-    x_t = float(x.values[k, 0])
     samples = np.empty(cfg.n_samples)
     for i in range(cfg.n_samples):
-        rng = substream(cfg.seed, _BRIDGE_STREAM_KIND, i)
-        dw = rng.standard_normal(n_rem) * sqdt
-        u = rng.random(n_rem)
-        nodes = x_t + np.concatenate([[0.0], np.cumsum(dw)])
+        rng = substream(cfg.seed, StreamKind.BRIDGE, i)
+        dw = brownian_increments(grid, k, 1, rng)
+        u = rng.random(grid.steps - k)
+        nodes = extend_with_increments(t, x, dw)[k:, 0]
         a, b = nodes[:-1], nodes[1:]
         cell_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * grid.dt * np.log(u)))
         samples[i] = max(past_max, float(np.max(cell_max)))
@@ -210,26 +218,17 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
     if kp == k:
         return MCEstimate(mean=0.0, stderr=0.0, n_samples=cfg.n_samples,
                           seed=cfg.seed)
-    n_rem_outer = grid.steps - k
-    n_rem_inner = grid.steps - kp
-    sqdt = math.sqrt(grid.dt)
     d = x.dimension
     diffs = np.empty(cfg.n_samples)
-    inner_buf = np.empty((n_inner, grid.steps + 1, d))
     for i in range(cfg.n_samples):
-        rng = sample_stream(cfg.seed, i)
-        dw = rng.standard_normal((n_rem_outer, d)) * sqdt
-        outer_vals = np.concatenate(
-            [x.values[: k + 1],
-             x.values[k] + np.cumsum(dw, axis=0)], axis=0)
-        xi_outer = float(xi.evaluate_batch(outer_vals[None], grid)[0])
-        inner_buf[:, : kp + 1] = outer_vals[: kp + 1]
-        if n_rem_inner:
-            irng = substream(cfg.seed, _INNER_STREAM_KIND, i)
-            idw = irng.standard_normal((n_inner, n_rem_inner, d)) * sqdt
-            inner_buf[:, kp + 1:] = outer_vals[kp] + np.cumsum(idw, axis=1)
-        inner_vals = xi.evaluate_batch(inner_buf, grid)
-        diffs[i] = xi_outer - float(np.mean(inner_vals))
+        outer = extend_with_increments(
+            t, x, sample_increments(grid, k, d, cfg.seed, [i]))
+        xi_outer = float(xi.evaluate_batch(outer, grid)[0])
+        inner_dw = brownian_increments(grid, kp, d,
+                                       substream(cfg.seed, StreamKind.FLOW_INNER, i),
+                                       n=n_inner)
+        inner = extend_with_increments(t_prime, GridPath(grid, outer[0]), inner_dw)
+        diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
     return MCEstimate.from_samples(diffs, cfg.seed)
 
 
@@ -288,10 +287,6 @@ def _factor_matrix(spec: CylinderSpec, t: float, horizon: float,
         raise NumericError("pair-integral covariance is not positive semidefinite")
     root = vec @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
     return np.kron(root, np.eye(dimension))
-
-
-def _rule_for(spec_dim: int, config: QuadratureConfig):
-    return gaussian_rule(config, spec_dim, allow_exact=False, gh_max_dim=3)
 
 
 def _expect(spec: CylinderSpec, z: np.ndarray, shift: np.ndarray,
@@ -353,7 +348,7 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
                     np.asarray(spec.hessian(z), float), 0.0
             return g0, None, None, 0.0
         a = _factor_matrix(spec, tt, horizon, dimension)
-        u, w = _rule_for(m, config)
+        u, w = gaussian_rule(config, m, allow_exact=False, gh_max_dim=3)
         return _expect(spec, z, u @ a.T, w, want_derivs, mc_rule)
 
     value, grad, hess, stderr = value_at(t, derivatives)
@@ -479,9 +474,7 @@ def _cylinder_batch(spec: CylinderSpec, grid: TimeGrid):
         mids = (x[:, :-1] + x[:, 1:]) / 2.0
         zs = np.stack([ends[l] * x[:, -1] - mids @ mids_w[l]
                        for l in range(spec.n_factors)], axis=1)
-        if spec.g_batch is not None:
-            return np.asarray(spec.g_batch(zs), float)
-        return np.array([float(spec.g(z)) for z in zs])
+        return np.asarray(spec.g_batch(zs), float)
 
     return batch
 
@@ -552,21 +545,15 @@ def terminal_names() -> list[str]:
 def build_terminal(name: str, grid: TimeGrid) -> TerminalFunctional:
     """Look up a terminal functional by registry name (scalar paths)."""
     if name == "terminal_value":
-        return TerminalFunctional(
-            name=name, fn=lambda x: float(x.values[-1, 0]),
-            batch=lambda v, g: v[:, -1, 0])
+        return TerminalFunctional(name=name, batch=lambda v, g: v[:, -1, 0])
     if name == "terminal_square":
-        return TerminalFunctional(
-            name=name, fn=lambda x: float(x.values[-1, 0] ** 2),
-            batch=lambda v, g: v[:, -1, 0] ** 2)
+        return TerminalFunctional(name=name, batch=lambda v, g: v[:, -1, 0] ** 2)
     if name == "running_max":
         return TerminalFunctional(
-            name=name, fn=lambda x: float(np.max(x.values[:, 0])),
-            batch=lambda v, g: np.max(v[:, :, 0], axis=1))
+            name=name, batch=lambda v, g: np.max(v[:, :, 0], axis=1))
     if name in _CYLINDER_BUILDERS:
         spec = _CYLINDER_BUILDERS[name](grid.horizon)
-        return TerminalFunctional(
-            name=name, fn=lambda x: eval_cylinder(spec, x),
-            batch=_cylinder_batch(spec, grid), cylinder=spec)
+        return TerminalFunctional(name=name, batch=_cylinder_batch(spec, grid),
+                                  cylinder=spec)
     raise InputError(f"unknown terminal functional {name!r}; "
                      f"known: {', '.join(terminal_names())}")

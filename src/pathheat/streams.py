@@ -1,4 +1,4 @@
-"""Counter-based random streams.
+"""Counter-based random streams and the registry of stream kinds.
 
 Every Monte-Carlo sample in this package draws from its own Philox stream,
 keyed by the master seed with the sample index placed in the upper half of
@@ -6,28 +6,68 @@ the 256-bit counter.  Streams are therefore a pure function of
 ``(master_seed, index)``: an ensemble partitioned across workers by sample
 index reproduces the single-threaded result bit for bit, whatever the
 partition.
+
+Stream families (``kind``), all keyed by the master seed:
+
+* kind 0, :func:`sample_stream` (seed, i): Monte-Carlo sample i of
+  ``solver.sample_increments``, hence of ``candidate_solution``, the outer
+  samples of ``flow_residual`` and the Euler ensemble of ``ito_verify``
+  (an antithetic pair 2j, 2j+1 shares stream j).
+* :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
+  inner restarts of ``flow_residual`` (FLOW_INNER), the bridge maxima of
+  ``running_max_exact_solution`` (BRIDGE), the jump draws of
+  ``sampling.random_lift_points`` (LIFT_POINTS), ``sampling.random_pairs``
+  (PAIRS) and ``experiments.brownian_search_space`` (SEARCH_SPACE).
+
+Stream (seed, 0) is also used whole by three callers that need one
+generator per seed: the path draws of ``pathheat pde-check``, the objective
+coefficients of ``pathheat vp-run`` and ``quadrature.monte_carlo_gaussian_rule``
+(keyed by ``z_seed``).  It is the same stream as Monte-Carlo sample 0 under
+that seed; giving these callers kinds of their own would change their
+outputs.
 """
 
 from __future__ import annotations
 
+from enum import IntEnum, unique
+
 import numpy as np
 
-__all__ = ["sample_stream", "substream"]
+from .errors import DomainError
+
+__all__ = ["StreamKind", "sample_stream", "substream"]
 
 # Each stream owns a disjoint 2^128 counter block.
 _BLOCK_SHIFT = 128
+_SEED_LIMIT = 1 << 128
+
+
+@unique
+class StreamKind(IntEnum):
+    """Stream families disjoint from the plain sample streams (kind 0)."""
+
+    FLOW_INNER = 3
+    BRIDGE = 5
+    LIFT_POINTS = 11
+    PAIRS = 12
+    SEARCH_SPACE = 21
 
 
 def sample_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Return the generator for sample ``index`` under ``master_seed``."""
+    """Return the generator for sample ``index`` under ``master_seed``.
+
+    The seed is the 128-bit Philox key and must lie in [0, 2^128).
+    """
+    seed = int(master_seed)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise DomainError(f"seed {master_seed} outside [0, 2^128)")
     if index < 0:
         raise ValueError("stream index must be nonnegative")
-    bg = np.random.Philox(key=int(master_seed) & ((1 << 128) - 1),
-                          counter=index << _BLOCK_SHIFT)
+    bg = np.random.Philox(key=seed, counter=index << _BLOCK_SHIFT)
     return np.random.Generator(bg)
 
 
-def substream(master_seed: int, kind: int, index: int) -> np.random.Generator:
+def substream(master_seed: int, kind: StreamKind, index: int) -> np.random.Generator:
     """A stream family disjoint from :func:`sample_stream` (e.g. inner loops).
 
     ``kind`` selects the family; index blocks within a family do not overlap
@@ -36,4 +76,4 @@ def substream(master_seed: int, kind: int, index: int) -> np.random.Generator:
     """
     if kind <= 0:
         raise ValueError("kind must be positive (0 is the plain sample family)")
-    return sample_stream(master_seed, (kind << 56) + index)
+    return sample_stream(master_seed, (int(kind) << 56) + index)

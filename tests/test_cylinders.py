@@ -47,34 +47,34 @@ class TestEvalCylinder:
 
 class TestCylinderApprox:
     def test_terminal_value_exact_every_order(self, grid100):
-        xi = lambda x: float(x.values[-1, 0])
+        xi = lambda v, g: v[:, -1, 0]
         x = make_brownian(grid100, seed=5)
+        exact = float(x.values[-1, 0])
         for n in (0, 3, 9):
             ca = cylinder_approx(xi, n, grid100)
-            assert ca.evaluate(x) == pytest.approx(xi(x), abs=1e-10)
+            assert ca.evaluate(x) == pytest.approx(exact, abs=1e-10)
             z = cylinder_coordinates(ca.spec, 1.0, x)
-            assert ca.spec.g(z) == pytest.approx(xi(x), abs=1e-8)
+            assert ca.spec.g(z) == pytest.approx(exact, abs=1e-8)
 
     def test_constant_functional(self, grid100):
-        ca = cylinder_approx(lambda x: -2.0, 4, grid100)
+        ca = cylinder_approx(lambda v, g: np.full(len(v), -2.0), 4, grid100)
         x = make_brownian(grid100, seed=6)
         assert ca.evaluate(x) == -2.0
         assert ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)) == -2.0
 
     def test_g_of_coordinates_equals_smoothed_evaluation(self, grid100):
-        xi = lambda x: float(np.max(x.values[:, 0]))
+        xi = lambda v, g: np.max(v[:, :, 0], axis=1)
         ca = cylinder_approx(xi, 6, grid100)
         x = make_brownian(grid100, seed=8, start=0.0)
-        direct = xi(fejer_smooth(x, 6))
+        direct = float(np.max(fejer_smooth(x, 6).values[:, 0]))
         via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x))
         assert via_g == pytest.approx(direct, abs=1e-8)
 
     def test_lipschitz_transfer_for_sup(self):
         grid = TimeGrid(1.0, 2000)
         x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t))
-        xi = lambda p: float(np.max(p.values[:, 0]))
-        ca = cylinder_approx(xi, 64, grid)
-        gap = abs(ca.evaluate(x) - xi(x))
+        ca = cylinder_approx(lambda v, g: np.max(v[:, :, 0], axis=1), 64, grid)
+        gap = abs(ca.evaluate(x) - float(np.max(x.values[:, 0])))
         sup_gap = np.max(np.abs(fejer_smooth(x, 64).values - x.values))
         assert gap <= sup_gap <= 0.05
 

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from pathheat.errors import DomainError
 from pathheat.grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
-                            brownian_extension, extend_with_increments,
-                            brownian_increments, path_distance, read_path_csv,
-                            simulate_semimartingale,
-                            simulate_semimartingale_ensemble, stop_path,
-                            write_path_csv)
+                            brownian_increments, euler_paths,
+                            extend_with_increments, path_distance,
+                            read_path_csv, stop_path, write_path_csv)
+from pathheat.solver import sample_increments
 from pathheat.streams import sample_stream
 
 from conftest import make_brownian
@@ -89,14 +88,26 @@ class TestPathDistance:
             path_distance(a, b)
 
 
+def extension_sample(t, x, seed, stream_index=0):
+    """Sample ``stream_index`` of the Brownian extension of x from t."""
+    k = x.grid.index_of(t)
+    dw = sample_increments(x.grid, k, x.dimension, seed, [stream_index])
+    return GridPath(x.grid, extend_with_increments(t, x, dw)[0])
+
+
+def euler_sample(spec, grid, seed, stream_index=0):
+    return euler_paths(spec, grid, sample_increments(
+        grid, 0, spec.dimension, seed, [stream_index]))[0]
+
+
 class TestBrownianExtension:
     def test_past_preserved_exactly(self, sine_path):
-        w = brownian_extension(0.37, sine_path, seed=4)
+        w = extension_sample(0.37, sine_path, seed=4)
         k = sine_path.grid.index_of(0.37)
         assert np.array_equal(w.values[: k + 1], sine_path.values[: k + 1])
 
     def test_extension_at_horizon_is_identity(self, sine_path):
-        w = brownian_extension(1.0, sine_path, seed=4)
+        w = extension_sample(1.0, sine_path, seed=4)
         assert np.array_equal(w.values, sine_path.values)
 
     def test_marginal_variance(self, grid100):
@@ -104,9 +115,8 @@ class TestBrownianExtension:
         x = GridPath.zero(grid100)
         n = 10_000
         t, s_idx = 0.3, 80
-        vals = np.array([
-            brownian_extension(t, x, seed=77, stream_index=i).values[s_idx, 0]
-            for i in range(n)])
+        dw = sample_increments(grid100, grid100.index_of(t), 1, 77, np.arange(n))
+        vals = extend_with_increments(t, x, dw)[:, s_idx, 0]
         target = grid100.node(s_idx) - t
         var = np.var(vals, ddof=1)
         stderr = var * math.sqrt(2.0 / (n - 1))
@@ -119,9 +129,15 @@ class TestBrownianExtension:
         k, kp = 20, 60
         rng = sample_stream(123, 0)
         dw = brownian_increments(grid100, k, 1, rng)
-        w = extend_with_increments(grid100.node(k), x, dw)
+        w = GridPath(grid100, extend_with_increments(grid100.node(k), x, dw))
         w2 = extend_with_increments(grid100.node(kp), w, dw[kp - k:])
-        assert np.allclose(w.values, w2.values, atol=1e-14)
+        assert np.allclose(w.values, w2, atol=1e-14)
+
+    def test_batched_draw_equals_consecutive_draws(self, grid64):
+        batch = brownian_increments(grid64, 10, 2, sample_stream(8, 0), n=3)
+        rng = sample_stream(8, 0)
+        singles = [brownian_increments(grid64, 10, 2, rng) for _ in range(3)]
+        assert np.array_equal(batch, np.stack(singles))
 
     def test_nonanticipative_in_input(self, grid100):
         # two inputs agreeing up to t give identical samples
@@ -129,8 +145,8 @@ class TestBrownianExtension:
         y_vals = x.values.copy()
         y_vals[61:] += 5.0
         y = GridPath(grid100, y_vals)
-        wx = brownian_extension(0.6, x, seed=5)
-        wy = brownian_extension(0.6, y, seed=5)
+        wx = extension_sample(0.6, x, seed=5)
+        wy = extension_sample(0.6, y, seed=5)
         assert np.array_equal(wx.values, wy.values)
 
 
@@ -140,23 +156,24 @@ class TestSemimartingale:
             drift=lambda t, s: np.full_like(s, 0.8),
             volatility=lambda t, s: np.zeros((1, 1)),
             initial=np.array([0.2]))
-        x = simulate_semimartingale(spec, grid100, seed=0)
-        assert np.allclose(x.values[:, 0], 0.2 + 0.8 * grid100.nodes())
+        x = euler_sample(spec, grid100, seed=0)
+        assert np.allclose(x[:, 0], 0.2 + 0.8 * grid100.nodes())
 
     def test_constant_when_frozen(self, grid100):
         spec = SemimartingaleSpec(
             drift=lambda t, s: np.zeros_like(s),
             volatility=lambda t, s: np.zeros((1, 1)),
             initial=np.array([1.5]))
-        x = simulate_semimartingale(spec, grid100, seed=0)
-        assert np.allclose(x.values, 1.5)
+        x = euler_sample(spec, grid100, seed=0)
+        assert np.allclose(x, 1.5)
 
     def test_brownian_terminal_variance(self, grid100):
         spec = SemimartingaleSpec(
             drift=lambda t, s: np.zeros_like(s),
             volatility=lambda t, s: np.eye(1),
             initial=np.array([0.0]))
-        vals = simulate_semimartingale_ensemble(spec, grid100, 10_000, seed=3)
+        vals = euler_paths(spec, grid100,
+                           sample_increments(grid100, 0, 1, 3, np.arange(10_000)))
         term = vals[:, -1, 0]
         var = np.var(term, ddof=1)
         stderr = var * math.sqrt(2.0 / (len(term) - 1))
@@ -167,11 +184,11 @@ class TestSemimartingale:
             drift=lambda t, s: -s,
             volatility=lambda t, s: np.eye(1),
             initial=np.array([0.3]))
-        ens = simulate_semimartingale_ensemble(spec, grid64, 8, seed=11)
+        ens = euler_paths(spec, grid64, sample_increments(grid64, 0, 1, 11, np.arange(8)))
         # sample i alone must equal row i of the ensemble, bit for bit
         for i in (0, 3, 7):
-            single = simulate_semimartingale(spec, grid64, seed=11, stream_index=i)
-            assert np.array_equal(single.values, ens[i])
+            single = euler_sample(spec, grid64, seed=11, stream_index=i)
+            assert np.array_equal(single, ens[i])
 
 
 class TestCsvRoundTrip:
