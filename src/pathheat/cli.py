@@ -6,7 +6,8 @@ Configuration is a flat key=value text file; command-line flags override
 file values.  Every CSV starts with a comment line carrying the hash of the
 effective configuration and the master seed, so any output is reproducible
 bit for bit from (config, seed).  The process exits 0 exactly when every
-assertion configured for the subcommand passes.
+assertion configured for the subcommand passes, 1 when one fails, and 2 on
+bad input, which :func:`run` reports as one ``pathheat: error:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .audit import derivative_bound_audit, sandwich_audit
-from .errors import InputError
+from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, mc_convergence_rows,
                           tn_convergence_rows)
@@ -37,7 +38,7 @@ from .solver import (MCConfig, build_terminal, candidate_solution,
 from .streams import sample_stream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["ExperimentConfig", "main", "run"]
 
 
 @dataclass
@@ -450,5 +451,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     return args.func(cfg, args)
 
 
+def run(argv: Optional[list[str]] = None) -> int:
+    """Console entry point: :func:`main`, with an :class:`InputError` or
+    :class:`DomainError` reported as one line on stderr and exit status 2
+    instead of a traceback."""
+    try:
+        return main(argv)
+    except (InputError, DomainError) as exc:
+        print(f"pathheat: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

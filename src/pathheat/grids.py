@@ -24,7 +24,9 @@ __all__ = [
     "PathPoint",
     "SemimartingaleSpec",
     "stop_path",
+    "stack_points",
     "path_distance",
+    "path_distances",
     "brownian_increments",
     "extend_with_increments",
     "euler_paths",
@@ -169,25 +171,53 @@ def _check_compatible(x: GridPath, y: GridPath) -> None:
         raise DomainError("paths live on different grids")
 
 
+def _stopped_values(values: np.ndarray, k) -> np.ndarray:
+    """The stopped representative x(. ^ t_k) at the nodes: values[min(j, k)]
+    for j = 0..M.
+
+    ``values`` has shape (..., M+1, d) and the node index ``k`` is an int or
+    an integer array over the leading axes.  This is the one stopping rule
+    behind :func:`stop_path` and the pseudometric.
+    """
+    idx = np.minimum(np.arange(values.shape[-2]), np.expand_dims(k, -1))
+    return np.take_along_axis(values, idx[..., None], axis=-2)
+
+
 def stop_path(x: GridPath, t: float) -> GridPath:
     """Freeze ``x`` at (the node nearest to) ``t``: equal on [0,t], constant after."""
     k = x.grid.index_of(t)
     if k == x.grid.steps:
         return x
-    vals = x.values.copy()
-    vals[k + 1:] = vals[k]
-    return GridPath(x.grid, vals)
+    return GridPath(x.grid, _stopped_values(x.values, k))
+
+
+def stack_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """Times, shape (n,), and stopped representatives, shape (n, M+1, d), of
+    a nonempty sequence of points on one grid and in one dimension."""
+    first = points[0].path
+    for p in points:
+        _check_compatible(first, p.path)
+    times = np.array([p.t for p in points])
+    values = np.stack([p.path.values for p in points])
+    return times, _stopped_values(values, np.array([p.node_index for p in points]))
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.max(np.linalg.norm(a - b, axis=-1), axis=-1)
+
+
+def path_distances(times: np.ndarray, stopped: np.ndarray, t: float,
+                   x_stopped: np.ndarray) -> np.ndarray:
+    """The pseudometric from many points to one, |t_i - t| + max_k ||x_i(t_k
+    ^ t_i) - x(t_k ^ t)||, for ``times`` and ``stopped`` as returned by
+    :func:`stack_points` and one point's time and stopped values."""
+    return np.abs(times - t) + _sup_gap(stopped, x_stopped)
 
 
 def stopped_sup_distance(p: PathPoint, q: PathPoint) -> float:
     """sup-norm distance between the stopped representatives of two points."""
-    _check_compatible(p.path, q.path)
-    kp, kq = p.node_index, q.node_index
-    vp, vq = p.path.values, q.path.values
-    n = vp.shape[0]
-    ap = np.where(np.arange(n)[:, None] <= kp, vp, vp[kp])
-    aq = np.where(np.arange(n)[:, None] <= kq, vq, vq[kq])
-    return float(np.max(np.linalg.norm(ap - aq, axis=1)))
+    _, stopped = stack_points((p, q))
+    return float(_sup_gap(stopped[0], stopped[1]))
 
 
 def path_distance(p: PathPoint, q: PathPoint) -> float:
@@ -197,7 +227,8 @@ def path_distance(p: PathPoint, q: PathPoint) -> float:
     (snapped) times coincide; it does not separate paths that differ only
     after their stopping times.
     """
-    return abs(p.t - q.t) + stopped_sup_distance(p, q)
+    times, stopped = stack_points((p, q))
+    return float(path_distances(times[0], stopped[0], times[1], stopped[1]))
 
 
 # ---------------------------------------------------------------------------

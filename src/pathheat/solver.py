@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 
 from .cylinders import (CylinderSpec, LiftedFunctional,
                         cylinder_pathwise_derivs, make_cylinder_lift)
@@ -263,6 +262,10 @@ def _pair_integrals(spec: CylinderSpec, t: float, horizon: float) -> np.ndarray:
         out[:] = 0.0
         return out
     if n <= 4:
+        # imported here: scipy.integrate adds about 0.2 s to every start of
+        # the package, and only these small specs use it
+        from scipy.integrate import quad as _adaptive_quad
+
         for i in range(n):
             for j in range(i, n):
                 val, _ = _adaptive_quad(

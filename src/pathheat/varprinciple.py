@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
 from .gauge import QuadratureConfig, smooth_gauge, perturbation_sum, PerturbationResult
-from .grids import PathPoint, path_distance
+from .grids import PathPoint, path_distance, path_distances, stack_points
 
 __all__ = ["SearchSpace", "VPResult", "smooth_variational_principle",
            "verify_gauge_axioms", "GaugeAxiomRow"]
@@ -30,22 +30,31 @@ STRICTNESS_FLOOR = 1e-12
 @dataclass(frozen=True)
 class SearchSpace:
     """Finite list of path points on one grid, deduplicated under the
-    pseudometric (points at zero distance are interchangeable)."""
+    pseudometric (points at zero distance are interchangeable).
+
+    Dedupe contract: a point is dropped exactly when its pseudometric
+    distance to a point already kept is 0.0 in floating point, that is, the
+    same snapped time and identical stopped values.  A path that differs
+    from a kept one only after its stopping time is dropped; the same path
+    at another time is kept.  The first occurrence is kept and the kept
+    points stay in input order.  The stopped representatives of all points
+    are stacked once, O(n (M+1) d) memory, and each point is compared with
+    the whole kept set in one array expression.  Empty input and points on
+    different grids or of different dimensions raise :class:`DomainError`.
+    """
 
     points: tuple[PathPoint, ...]
 
     def __post_init__(self):
         if not self.points:
             raise DomainError("search space must be nonempty")
-        grid = self.points[0].path.grid
-        for p in self.points:
-            if p.path.grid != grid:
-                raise DomainError("all search-space points must share a grid")
-        kept: list[PathPoint] = []
-        for p in self.points:
-            if all(path_distance(p, q) > 0.0 for q in kept):
-                kept.append(p)
-        object.__setattr__(self, "points", tuple(kept))
+        times, stopped = stack_points(self.points)
+        kept: list[int] = []
+        for i in range(len(self.points)):
+            if np.all(path_distances(times[kept], stopped[kept], times[i],
+                                     stopped[i]) > 0.0):
+                kept.append(i)
+        object.__setattr__(self, "points", tuple(self.points[i] for i in kept))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -216,14 +225,15 @@ def verify_gauge_axioms(space: SearchSpace,
     """
     pts = space.points
     n = len(pts)
+    times, stopped = stack_points(pts)
+    dist = np.stack([path_distances(times, stopped, times[i], stopped[i])
+                     for i in range(n)])
     gauge = np.zeros((n, n))
-    dist = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             gauge[i, j] = smooth_gauge(pts[i], pts[j], config).value
-            dist[i, j] = path_distance(pts[i], pts[j])
     rows = []
     for eps in eps_grid:
         mask = dist >= eps

@@ -1,0 +1,148 @@
+import numpy as np
+import pytest
+
+from conftest import make_brownian
+from pathheat.errors import DomainError
+from pathheat.experiments import brownian_search_space
+from pathheat.gauge import smooth_gauge
+from pathheat.grids import (GridPath, PathPoint, TimeGrid, path_distance,
+                            path_distances, stack_points, stop_path)
+from pathheat.quadrature import QuadratureConfig
+from pathheat.varprinciple import SearchSpace, verify_gauge_axioms
+
+
+def reference_distance(p, q):
+    """The pseudometric written out pair by pair, with the stopped
+    representatives built by ``np.where`` instead of the shared kernel."""
+    def stopped(point):
+        v, k = point.path.values, point.node_index
+        return np.where(np.arange(v.shape[0])[:, None] <= k, v, v[k])
+
+    gap = float(np.max(np.linalg.norm(stopped(p) - stopped(q), axis=1)))
+    return abs(p.t - q.t) + gap
+
+
+def reference_dedupe(points):
+    """The scalar greedy dedupe: keep a point unless it is at distance zero
+    from a point kept before it."""
+    kept = []
+    for p in points:
+        if all(reference_distance(p, q) > 0.0 for q in kept):
+            kept.append(p)
+    return kept
+
+
+def same_points(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def mixed_points(grid, dimension):
+    """Points with every kind of (near) duplicate the dedupe must decide."""
+    x = make_brownian(grid, seed=1, dimension=dimension)
+    y = make_brownian(grid, seed=2, dimension=dimension)
+    k = grid.index_of(0.5)
+    future = y.values.copy()
+    future[:k + 1] = x.values[:k + 1]            # x up to 0.5, y after
+    nudged = x.values.copy()
+    nudged[k // 2] += 1e-12                      # differs before 0.5
+    late = x.values.copy()
+    late[k + 1:] += 1e-12                        # differs only after 0.5
+    return [
+        PathPoint(0.5, x),
+        PathPoint(0.5, y),
+        PathPoint(0.5, x),                       # exact copy: dropped
+        PathPoint(0.5, GridPath(grid, x.values.copy())),  # equal copy: dropped
+        PathPoint(0.5, GridPath(grid, future)),  # same prefix: dropped
+        PathPoint(0.5, stop_path(x, 0.5)),       # stopped copy: dropped
+        PathPoint(0.75, x),                      # same path, other time: kept
+        PathPoint(0.25, x),                      # kept
+        PathPoint(0.25, GridPath(grid, future)),  # same prefix to 0.25: dropped
+        PathPoint(0.5, GridPath(grid, nudged)),  # kept
+        PathPoint(0.5, GridPath(grid, late)),    # dropped
+        PathPoint(0.0, y),                       # kept
+        PathPoint(0.0, GridPath.zero(grid, dimension)),  # same start 0: dropped
+        PathPoint(1.0, y),                       # kept
+        PathPoint(1.0, GridPath(grid, y.values.copy())),  # dropped
+    ]
+
+
+class TestSearchSpaceDedupe:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_matches_scalar_greedy_reference(self, grid64, dimension):
+        pts = mixed_points(grid64, dimension)
+        space = SearchSpace(tuple(pts))
+        want = reference_dedupe(pts)
+        assert same_points(space.points, want)
+        assert len(space) == 7
+        assert [p.t for p in space] == [0.5, 0.5, 0.75, 0.25, 0.5, 0.0, 1.0]
+
+    @pytest.mark.parametrize("perm_seed", [0, 1, 2])
+    def test_reordered_input_keeps_first_occurrence(self, grid64, perm_seed):
+        pts = mixed_points(grid64, 1)
+        order = np.random.default_rng(perm_seed).permutation(len(pts))
+        shuffled = [pts[i] for i in order]
+        space = SearchSpace(tuple(shuffled))
+        assert same_points(space.points, reference_dedupe(shuffled))
+        assert len(space) == 7
+
+    def test_brownian_space_with_planted_duplicates(self):
+        grid = TimeGrid(1.0, 32)
+        base = list(brownian_search_space(grid, 40, seed=5).points)
+        pts = base + [base[3], base[17], PathPoint(base[8].t, base[8].stopped())]
+        space = SearchSpace(tuple(pts))
+        assert same_points(space.points, reference_dedupe(pts))
+        assert same_points(space.points, base)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            SearchSpace(())
+
+    def test_grid_mismatch_rejected(self, grid64, grid100):
+        pts = (PathPoint(0.5, GridPath.zero(grid64)),
+               PathPoint(0.5, GridPath.zero(grid100)))
+        with pytest.raises(DomainError):
+            SearchSpace(pts)
+
+    def test_dimension_mismatch_rejected(self, grid64):
+        pts = (PathPoint(0.5, GridPath.zero(grid64, 1)),
+               PathPoint(0.5, GridPath.zero(grid64, 2)))
+        with pytest.raises(DomainError):
+            SearchSpace(pts)
+
+
+class TestPseudometricKernel:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_rows_equal_scalar_matrix_bit_for_bit(self, grid64, dimension):
+        pts = [PathPoint(t, make_brownian(grid64, seed=s, dimension=dimension))
+               for s, t in enumerate([0.0, 0.2, 0.5, 0.5, 0.9, 1.0])]
+        times, stopped = stack_points(pts)
+        for i, p in enumerate(pts):
+            row = path_distances(times, stopped, times[i], stopped[i])
+            want = [reference_distance(p, q) for q in pts]
+            assert row.tolist() == want
+            assert [path_distance(p, q) for q in pts] == want
+
+
+class TestGaugeAxioms:
+    def test_rows_match_scalar_reference_and_hold(self):
+        grid = TimeGrid(1.0, 32)
+        config = QuadratureConfig()
+        space = brownian_search_space(grid, 12, seed=7)
+        pts = space.points
+        n = len(pts)
+        dist = np.array([[reference_distance(p, q) for q in pts] for p in pts])
+        gauge = np.array([[0.0 if i == j else smooth_gauge(p, q, config).value
+                           for j, q in enumerate(pts)]
+                          for i, p in enumerate(pts)])
+        # thresholds at observed distances, so that one ulp flips a count
+        off = np.sort(dist[~np.eye(n, dtype=bool)])
+        eps_grid = (0.5, 0.2, 0.1, float(off[len(off) // 3]),
+                    float(off[len(off) // 2]), float(off[-1]))
+        rows = verify_gauge_axioms(space, config, eps_grid)
+        assert [r.eps for r in rows] == list(eps_grid)
+        for row in rows:
+            mask = dist >= row.eps
+            assert row.violating_pairs == int(np.sum(mask))
+            assert row.eta == float(np.min(gauge[mask]))
+            assert row.ok
+        assert rows[-1].violating_pairs == 2
