@@ -20,9 +20,8 @@ from .regularization import (BracketEstimate, IntegrandFn, forward_integral,
 from .fourier import (FourierBasis, fejer_coefficient, fejer_mean,
                       fejer_smooth, terminal_ramp)
 from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
-                        consistency_check, cylinder_approx,
-                        cylinder_pathwise_derivs, eval_cylinder,
-                        fd_pathwise_derivs, make_cylinder_lift)
+                        consistency_check, cylinder_approx, eval_cylinder,
+                        fd_pathwise_derivs)
 from .quadrature import QuadratureConfig
 from .gauge import (GaugeDiagnostics, calibrate_alpha,
                     curvature_profile, floored_norm_profile,
@@ -33,9 +32,9 @@ from .varprinciple import (SearchSpace, VPResult, smooth_variational_principle,
                            verify_gauge_axioms)
 from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      TerminalFunctional, build_terminal, candidate_solution,
-                     finite_dim_solution, flow_residual, pde_residual,
-                     running_max_exact_solution, sample_increments,
-                     viscosity_spotcheck)
-from .ito import ItoReport, delayed_lift, ito_verify, with_fd_derivatives
+                     cylinder_pathwise_derivs, finite_dim_solution,
+                     flow_residual, pde_residual, running_max_exact_solution,
+                     sample_increments)
+from .ito import ItoReport, ito_verify, with_fd_derivatives
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import derivative_bound_audit, sandwich_audit
+from .audit import derivative_bound_audit, sandwich_audit, validate_alpha
 from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, mc_convergence_rows,
@@ -203,8 +203,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
         diag = calibrate_alpha(cfg.d,
                                random_pairs(grid, cfg.d, args.n_tuples,
                                             cfg.seed + 2), quad, seed=cfg.seed + 2)
-        checks += sandwich_audit(cfg.d, grid, args.n_tuples, cfg.seed + 3, quad,
-                                 alpha=diag)[-2:]
+        checks += validate_alpha(diag, grid, args.n_tuples, cfg.seed + 3, quad)
         print(f"calibrated alpha_{cfg.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
     sink = _CsvSink(cfg, "gauge_check.csv",

@@ -3,10 +3,13 @@
 A cylinder functional evaluates a smooth g on a vector of forward integrals
 of the path against fixed weight functions; it is the class for which the
 candidate solution of the path-dependent heat equation reduces to a
-finite-dimensional problem.  Lifted maps add a free "present value" argument
-y that models a jump of size y - x(t) at the current time; pathwise
-derivatives are the time derivative with the past frozen (horizontal) and
-ordinary derivatives in y (vertical).
+finite-dimensional problem (solved, with its analytic pathwise derivatives,
+in :mod:`pathheat.solver`).  Lifted maps add a free "present value"
+argument y that models a jump of size y - x(t) at the current time;
+pathwise derivatives are the time derivative with the past frozen
+(horizontal) and ordinary derivatives in y (vertical).  This module holds
+the coordinates, the weight matrix, the Fejer approximation of a generic
+functional in cylinder form, and finite-difference derivatives of any lift.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ __all__ = [
     "cylinder_sigma",
     "cylinder_approx",
     "CylinderApproximation",
-    "cylinder_pathwise_derivs",
-    "make_cylinder_lift",
     "fd_pathwise_derivs",
     "consistency_check",
     "ConsistencyReport",
@@ -302,57 +303,3 @@ def consistency_check(lift1: LiftedFunctional, lift2: LiftedFunctional,
     return ConsistencyReport(precondition_ok=precondition_ok, value_gap=value_gap,
                              horizontal_gap=hg, vertical_gap=vg, vertical2_gap=v2g,
                              n_samples=len(samples))
-
-
-# ---------------------------------------------------------------------------
-# Analytic pathwise derivatives of cylinder functionals via a factor engine
-# ---------------------------------------------------------------------------
-
-def cylinder_pathwise_derivs(spec: CylinderSpec, engine, t: float,
-                             x: GridPath) -> PathwiseDerivs:
-    """Pathwise derivatives of the smoothed cylinder solution at (t, x).
-
-    ``engine(t, z)`` must return an object with ``value``, ``time_derivative``,
-    ``gradient`` and ``hessian`` attributes for the finite-dimensional factor
-    problem (see :func:`pathheat.solver.finite_dim_solution`).  The chain rule
-    through the stacked weight matrix gives
-
-        horizontal = d/dt factor,   vertical = sigma^T grad,
-        vertical2  = sigma^T hess sigma.
-    """
-    if t >= x.horizon:
-        raise DomainError("horizontal derivative needs t < horizon")
-    z = cylinder_coordinates(spec, t, x)
-    sol = engine(t, z)
-    sigma = cylinder_sigma(spec, t, x.dimension)
-    vertical = sigma.T @ np.asarray(sol.gradient, float)
-    vertical2 = sigma.T @ np.asarray(sol.hessian, float) @ sigma
-    return PathwiseDerivs(horizontal=float(sol.time_derivative),
-                          vertical=vertical, vertical2=vertical2)
-
-
-def make_cylinder_lift(spec: CylinderSpec, engine, name: str = "") -> LiftedFunctional:
-    """Lift of the smoothed cylinder solution, with analytic derivatives."""
-
-    def _z(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
-        z = cylinder_coordinates(spec, t, x)
-        jump = np.atleast_1d(np.asarray(y, float)) - x.value_at(t)
-        return z + cylinder_sigma(spec, t, x.dimension) @ jump
-
-    def evaluate(t: float, x: GridPath, y: np.ndarray) -> float:
-        return float(engine(t, _z(t, x, y)).value)
-
-    def horizontal(t: float, x: GridPath) -> float:
-        return float(engine(t, cylinder_coordinates(spec, t, x)).time_derivative)
-
-    def vertical(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
-        sigma = cylinder_sigma(spec, t, x.dimension)
-        return sigma.T @ np.asarray(engine(t, _z(t, x, y)).gradient, float)
-
-    def vertical2(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
-        sigma = cylinder_sigma(spec, t, x.dimension)
-        return sigma.T @ np.asarray(engine(t, _z(t, x, y)).hessian, float) @ sigma
-
-    return LiftedFunctional(evaluate=evaluate, horizontal=horizontal,
-                            vertical=vertical, vertical2=vertical2,
-                            name=name or f"cyl:{spec.name}")

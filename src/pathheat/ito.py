@@ -1,5 +1,5 @@
 """Numerical verification of the pathwise change-of-variable (Ito) formula
-along simulated continuous semimartingales, plus delayed-freeze lifts.
+along simulated continuous semimartingales.
 
 Per sample path the verifier compares u(t, X) - u(0, X) with the sum of the
 time integral of the horizontal derivative (trapezoid), left-point Riemann
@@ -25,7 +25,7 @@ from .grids import GridPath, SemimartingaleSpec, TimeGrid, euler_paths, stop_pat
 from .regularization import mutual_bracket
 from .solver import MCConfig, MCEstimate, sample_increments
 
-__all__ = ["ItoReport", "ito_verify", "delayed_lift", "with_fd_derivatives",
+__all__ = ["ItoReport", "ito_verify", "with_fd_derivatives",
            "brownian_spec", "ou_spec", "SEMIMARTINGALE_PRESETS"]
 
 
@@ -190,38 +190,6 @@ def with_fd_derivatives(u: LiftedFunctional, delta: Optional[float] = None,
     return LiftedFunctional(evaluate=u.evaluate, horizontal=horizontal,
                             vertical=vertical, vertical2=vertical2,
                             name=u.name + "+fd")
-
-
-def delayed_lift(u: LiftedFunctional, delta0: float) -> LiftedFunctional:
-    """Evaluate ``u`` on the path frozen at (t - delta0) v 0.
-
-    The freeze makes the map strictly non-anticipative: advancing time by up
-    to delta0 with the path held cannot change what the underlying map sees.
-    Derivatives are those of ``u`` at the frozen path.  ``delta0`` is snapped
-    to a whole number of grid steps so the freeze is exact; composing two
-    delays freezes at the earlier cutoff, i.e. delays combine by maximum.
-    """
-
-    def snap(x: GridPath, t: float) -> GridPath:
-        k = int(round(delta0 / x.grid.dt))
-        if k < 1:
-            raise ResolutionError(f"delay {delta0} below grid step {x.grid.dt}")
-        cutoff = max(t - k * x.grid.dt, 0.0)
-        return stop_path(x, cutoff)
-
-    evaluate = lambda t, x, y: u.evaluate(t, snap(x, t), y)
-    horizontal = None
-    vertical = None
-    vertical2 = None
-    if u.horizontal is not None:
-        horizontal = lambda t, x: u.horizontal(t, snap(x, t))
-    if u.vertical is not None:
-        vertical = lambda t, x, y: u.vertical(t, snap(x, t), y)
-    if u.vertical2 is not None:
-        vertical2 = lambda t, x, y: u.vertical2(t, snap(x, t), y)
-    return LiftedFunctional(evaluate=evaluate, horizontal=horizontal,
-                            vertical=vertical, vertical2=vertical2,
-                            name=f"{u.name}@delay{delta0:g}")
 
 
 # ---------------------------------------------------------------------------

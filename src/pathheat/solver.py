@@ -1,13 +1,17 @@
 """Monte-Carlo candidate solution of the path-dependent heat equation, the
-flow (tower) identity residual, the finite-dimensional factor solution for
-cylinder terminal conditions, and pointwise operator checks.
+flow (tower) identity residual, and the finite-dimensional factor solution
+for cylinder terminal conditions with its pathwise derivatives.
 
 The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t.  For cylinder
-functionals the same value has an exact finite-dimensional representation
-through a Gaussian with covariance built from the weight functions; the two
-routes cross-validate each other, and the finite-dimensional route supplies
-analytic pathwise derivatives for operator residuals.
+functionals the same value is a finite-dimensional Gaussian average of g
+at the coordinates z(t, x) (:func:`finite_dim_solution`, one average per
+call); the two routes cross-validate each other.  The pathwise derivatives
+of the cylinder solution follow by the chain rule through the weight
+matrix: the vertical ones from the gradient and Hessian of the average, the
+horizontal one from a difference quotient of values in time
+(:func:`cylinder_pathwise_derivs`, :func:`pde_residual`,
+:func:`solution_lift`).
 """
 
 from __future__ import annotations
@@ -18,14 +22,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cylinders import (CylinderSpec, LiftedFunctional,
-                        cylinder_pathwise_derivs, make_cylinder_lift)
+from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
+                        cylinder_coordinates, cylinder_sigma)
 from .errors import ContractError, DomainError, InputError, NumericError
-from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
-                    extend_with_increments)
+from .grids import GridPath, TimeGrid, brownian_increments, extend_with_increments
 from .quadrature import QuadratureConfig, gaussian_rule, legendre_rule
 from .streams import StreamKind, sample_stream, substream
-from .varprinciple import SearchSpace
 
 __all__ = [
     "TerminalFunctional",
@@ -37,11 +39,9 @@ __all__ = [
     "flow_residual",
     "FiniteDimSolution",
     "finite_dim_solution",
-    "make_factor_engine",
-    "solution_lift",
+    "cylinder_pathwise_derivs",
     "pde_residual",
-    "viscosity_spotcheck",
-    "SpotcheckReport",
+    "solution_lift",
     "build_terminal",
     "terminal_names",
 ]
@@ -237,13 +237,13 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
 
 @dataclass(frozen=True)
 class FiniteDimSolution:
-    """Value and derivatives of the factor problem at (t, z).
+    """Value of the factor problem at (t, z), with its gradient and Hessian
+    in z when they were asked for.
 
     ``value_stderr`` is populated when the Gaussian rule is Monte Carlo.
     """
 
     value: float
-    time_derivative: float
     gradient: Optional[np.ndarray]
     hessian: Optional[np.ndarray]
     value_stderr: float = 0.0
@@ -292,164 +292,142 @@ def _factor_matrix(spec: CylinderSpec, t: float, horizon: float,
     return np.kron(root, np.eye(dimension))
 
 
-def _expect(spec: CylinderSpec, z: np.ndarray, shift: np.ndarray,
-            weights: np.ndarray, want_derivs: bool, mc_rule: bool):
+def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
+                        config: QuadratureConfig = QuadratureConfig(),
+                        dimension: int = 1, derivatives: bool = True,
+                        horizon: float = 1.0) -> FiniteDimSolution:
+    """Heat-semigroup value of the factor problem at (t, z), 0 <= t <= T.
+
+    One Gaussian average per call: g over z + A(t) U with U standard normal,
+    where A(t) A(t)^T is the covariance of the remaining weight integrals;
+    Gauss-Hermite tensor rule up to 3 total dimensions, fixed-seed
+    antithetic Monte Carlo above.  At t = T the Gaussian degenerates and the
+    value is g(z) exactly.  ``derivatives`` adds the gradient and Hessian in
+    z, averaged over the same nodes; the time derivative is not computed
+    here (see :func:`cylinder_pathwise_derivs`).
+    """
+    z = np.asarray(z, float)
+    if not 0.0 <= t <= horizon + 1e-12:
+        raise DomainError(f"time {t} outside [0, {horizon}]")
+    m = z.size
+    if m != dimension * spec.n_factors:
+        raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
+    if derivatives and (spec.gradient is None or spec.hessian is None):
+        raise ContractError(
+            f"cylinder spec {spec.name!r} lacks gradient/hessian evaluators")
+
+    if t >= horizon:
+        shift, weights = np.zeros((1, m)), np.ones(1)
+    else:
+        u, weights = gaussian_rule(config, m, allow_exact=False, gh_max_dim=3)
+        shift = u @ _factor_matrix(spec, t, horizon, dimension).T
     pts = z[None, :] + shift
     if spec.g_batch is not None:
         gv = np.asarray(spec.g_batch(pts), float)
     else:
         gv = np.array([float(spec.g(p)) for p in pts])
-    value = float(weights @ gv)
     stderr = 0.0
+    mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
     if mc_rule and gv.size > 1:
         stderr = float(np.std(gv, ddof=1) / math.sqrt(gv.size))
     grad = hess = None
-    if want_derivs:
-        if spec.gradient is None or spec.hessian is None:
-            raise ContractError(
-                f"cylinder spec {spec.name!r} lacks gradient/hessian evaluators")
-        grad = np.zeros(z.size)
-        hess = np.zeros((z.size, z.size))
+    if derivatives:
+        grad = np.zeros(m)
+        hess = np.zeros((m, m))
         for w, p in zip(weights, pts):
             grad += w * np.asarray(spec.gradient(p), float)
             hess += w * np.asarray(spec.hessian(p), float)
-    return value, grad, hess, stderr
+    return FiniteDimSolution(value=float(weights @ gv), gradient=grad,
+                             hessian=hess, value_stderr=stderr)
 
 
-def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
-                        config: QuadratureConfig = QuadratureConfig(),
-                        dimension: int = 1, derivatives: bool = True,
-                        time_step: Optional[float] = None,
-                        horizon: float = 1.0) -> FiniteDimSolution:
-    """Heat-semigroup value of the factor problem at (t, z).
+def _time_quotient(spec: CylinderSpec, t: float, z: np.ndarray,
+                   config: QuadratureConfig, dimension: int,
+                   horizon: float) -> float:
+    """d/dt of the factor value at fixed z, for 0 <= t < T.
 
-    Averages g over z + A(t) U with U standard normal, where A(t) A(t)^T is
-    the covariance of the remaining weight integrals; Gauss-Hermite tensor
-    rule up to 3 total dimensions, fixed-seed antithetic Monte Carlo above.
-    At t = T the Gaussian degenerates and the value is g(z) exactly.  The
-    time derivative is a central finite difference of the value: it is
-    computed independently of the spatial derivatives, so operator residuals
-    built from this object genuinely test the heat equation.
+    A difference quotient of value-only averages with h = 1e-5 T: central
+    where [t - h, t + h] lies in [0, T], forward where t - h < 0 and
+    second-order backward where t + h > T.
     """
-    z = np.asarray(z, float)
-    if t > horizon + 1e-12:
-        raise DomainError("t beyond horizon")
-    m = z.size
-    if m != dimension * spec.n_factors:
-        raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
-
-    mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
-
-    def value_at(tt: float, want_derivs: bool):
-        if tt >= horizon:
-            g0 = float(spec.g(z))
-            if want_derivs:
-                if spec.gradient is None or spec.hessian is None:
-                    raise ContractError(
-                        f"cylinder spec {spec.name!r} lacks gradient/hessian evaluators")
-                return g0, np.asarray(spec.gradient(z), float), \
-                    np.asarray(spec.hessian(z), float), 0.0
-            return g0, None, None, 0.0
-        a = _factor_matrix(spec, tt, horizon, dimension)
-        u, w = gaussian_rule(config, m, allow_exact=False, gh_max_dim=3)
-        return _expect(spec, z, u @ a.T, w, want_derivs, mc_rule)
-
-    value, grad, hess, stderr = value_at(t, derivatives)
     if t >= horizon:
-        return FiniteDimSolution(value=value, time_derivative=math.nan,
-                                 gradient=grad, hessian=hess, value_stderr=stderr)
-    h = time_step if time_step is not None else 1e-5 * horizon
-    if t + h <= horizon:
-        vp = value_at(t + h, False)[0]
-        vm = value_at(t - h, False)[0] if t - h >= 0 else value
-        dt_est = (vp - vm) / (2 * h) if t - h >= 0 else (vp - value) / h
-    else:
-        vm1 = value_at(t - h, False)[0]
-        vm2 = value_at(t - 2 * h, False)[0]
-        dt_est = (3.0 * value - 4.0 * vm1 + vm2) / (2 * h)
-    return FiniteDimSolution(value=value, time_derivative=float(dt_est),
-                             gradient=grad, hessian=hess, value_stderr=stderr)
+        raise DomainError("horizontal derivative needs t < horizon")
+
+    def value(tt: float) -> float:
+        return finite_dim_solution(spec, tt, z, config, dimension,
+                                   derivatives=False, horizon=horizon).value
+
+    h = 1e-5 * horizon
+    if t + h > horizon:
+        return (3.0 * value(t) - 4.0 * value(t - h) + value(t - 2 * h)) / (2 * h)
+    if t - h < 0:
+        return (value(t + h) - value(t)) / h
+    return (value(t + h) - value(t - h)) / (2 * h)
 
 
-def make_factor_engine(spec: CylinderSpec, config: QuadratureConfig = QuadratureConfig(),
-                       dimension: int = 1, horizon: float = 1.0,
-                       derivatives: bool = True):
-    """Engine callable (t, z) -> FiniteDimSolution for the derivative chain."""
+def cylinder_pathwise_derivs(spec: CylinderSpec, t: float, x: GridPath,
+                             config: QuadratureConfig = QuadratureConfig()
+                             ) -> PathwiseDerivs:
+    """Pathwise derivatives of the cylinder solution at (t, x), t < T.
 
-    def engine(t: float, z: np.ndarray) -> FiniteDimSolution:
-        return finite_dim_solution(spec, t, z, config, dimension=dimension,
-                                   derivatives=derivatives, horizon=horizon)
+    The chain rule through the stacked weight matrix sigma gives
 
-    return engine
+        horizontal = d/dt factor,   vertical = sigma^T grad,
+        vertical2  = sigma^T hess sigma.
+
+    The horizontal derivative is a difference quotient of factor values in
+    time, computed independently of the spatial derivatives, so a residual
+    built from these derivatives genuinely tests the heat equation.
+    """
+    z = cylinder_coordinates(spec, t, x)
+    horizontal = _time_quotient(spec, t, z, config, x.dimension, x.horizon)
+    sol = finite_dim_solution(spec, t, z, config, dimension=x.dimension,
+                              horizon=x.horizon)
+    sigma = cylinder_sigma(spec, t, x.dimension)
+    return PathwiseDerivs(horizontal=horizontal, vertical=sigma.T @ sol.gradient,
+                          vertical2=sigma.T @ sol.hessian @ sigma)
 
 
 def pde_residual(spec: CylinderSpec, t: float, x: GridPath,
                  config: QuadratureConfig = QuadratureConfig()) -> float:
-    """Heat-operator residual of the cylinder solution at (t, x); ~0 when the
-    factor solution solves its finite-dimensional equation."""
-    if t >= x.horizon:
-        raise DomainError("residual needs t < horizon")
-    engine = make_factor_engine(spec, config, dimension=x.dimension,
-                                horizon=x.horizon)
-    derivs = cylinder_pathwise_derivs(spec, engine, t, x)
-    return derivs.heat_operator()
+    """Heat-operator residual of the cylinder solution at (t, x), t < T;
+    ~0 when the factor solution solves its finite-dimensional equation."""
+    return cylinder_pathwise_derivs(spec, t, x, config).heat_operator()
 
 
 def solution_lift(spec: CylinderSpec, config: QuadratureConfig = QuadratureConfig(),
                   dimension: int = 1, horizon: float = 1.0) -> LiftedFunctional:
-    """The smoothed cylinder solution as a lifted map with derivatives."""
-    engine = make_factor_engine(spec, config, dimension=dimension, horizon=horizon)
-    return make_cylinder_lift(spec, engine)
+    """The cylinder solution as a lifted map u(t, x, y) with derivatives.
 
-
-# ---------------------------------------------------------------------------
-# Viscosity-inequality spot checks
-# ---------------------------------------------------------------------------
-
-_SPOTCHECK_CAVEAT = (
-    "extremum certified only over the supplied finite space; the defining "
-    "tangency condition quantifies over the whole path space and is strictly "
-    "stronger")
-
-
-@dataclass
-class SpotcheckReport:
-    mode: str
-    certified: bool
-    extremum_gap: float
-    operator_value: float
-    satisfied: Optional[bool]
-    caveat: str = _SPOTCHECK_CAVEAT
-
-
-def viscosity_spotcheck(u: Callable[[PathPoint], float], phi: LiftedFunctional,
-                        point: PathPoint, mode: str, space: SearchSpace,
-                        cert_tol: float = 1e-9,
-                        sign_tol: float = 1e-8) -> SpotcheckReport:
-    """Check the sub/supersolution inequality of the heat equation at a
-    candidate extremum of u - phi over a finite space.
-
-    ``mode`` is "sub" (max, operator value <= 0 required) or "super" (min,
-    >= 0).  If the extremum certificate fails over the space, no sign is
-    asserted and the report says so.
+    The present value y moves the coordinates by sigma(t) (y - x(t)), a
+    jump at the current time; at y = x(t) the derivatives are those of
+    :func:`cylinder_pathwise_derivs`.  The value is one value-only average.
     """
-    if mode not in ("sub", "super"):
-        raise InputError("mode must be 'sub' or 'super'")
-    gap_vals = [u(p) - phi.restrict(p.t, p.path) for p in space]
-    here = u(point) - phi.restrict(point.t, point.path)
-    if mode == "sub":
-        gap = here - max(gap_vals)
-    else:
-        gap = min(gap_vals) - here
-    certified = gap >= -cert_tol
-    derivs = phi.derivs(point.t, point.path)
-    value = -derivs.horizontal - 0.5 * float(np.trace(derivs.vertical2))
-    if not certified:
-        return SpotcheckReport(mode=mode, certified=False, extremum_gap=gap,
-                               operator_value=value, satisfied=None)
-    ok = value <= sign_tol if mode == "sub" else value >= -sign_tol
-    return SpotcheckReport(mode=mode, certified=True, extremum_gap=gap,
-                           operator_value=value, satisfied=bool(ok))
+
+    def solve(t: float, x: GridPath, y: np.ndarray, derivatives: bool):
+        jump = np.atleast_1d(np.asarray(y, float)) - x.value_at(t)
+        z = (cylinder_coordinates(spec, t, x)
+             + cylinder_sigma(spec, t, x.dimension) @ jump)
+        return finite_dim_solution(spec, t, z, config, dimension=dimension,
+                                   derivatives=derivatives, horizon=horizon)
+
+    def evaluate(t: float, x: GridPath, y: np.ndarray) -> float:
+        return solve(t, x, y, False).value
+
+    def horizontal(t: float, x: GridPath) -> float:
+        return _time_quotient(spec, t, cylinder_coordinates(spec, t, x),
+                              config, dimension, horizon)
+
+    def vertical(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
+        return cylinder_sigma(spec, t, x.dimension).T @ solve(t, x, y, True).gradient
+
+    def vertical2(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
+        sigma = cylinder_sigma(spec, t, x.dimension)
+        return sigma.T @ solve(t, x, y, True).hessian @ sigma
+
+    return LiftedFunctional(evaluate=evaluate, horizontal=horizontal,
+                            vertical=vertical, vertical2=vertical2,
+                            name=f"cyl:{spec.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import make_brownian
+from pathheat.cylinders import (PathwiseDerivs, cylinder_approx,
+                                cylinder_coordinates, cylinder_sigma,
+                                fd_pathwise_derivs)
 from pathheat.errors import DomainError
 from pathheat.grids import GridPath, TimeGrid, brownian_increments
+from pathheat.quadrature import QuadratureConfig
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
-                             candidate_solution, flow_residual,
-                             running_max_exact_solution, sample_increments)
+                             candidate_solution, cylinder_pathwise_derivs,
+                             finite_dim_solution, flow_residual, pde_residual,
+                             running_max_exact_solution, sample_increments,
+                             solution_lift)
 from pathheat.streams import StreamKind, sample_stream, substream
+
+CYLINDERS = ["cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
 
 
 class TestStreams:
@@ -103,3 +113,116 @@ class TestEstimators:
         est = running_max_exact_solution(0.0, GridPath.zero(grid),
                                          MCConfig(n_samples=4000, seed=2))
         assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4 * est.stderr
+
+
+def _residual_reference(spec, t, x, config):
+    """The heat-operator residual as the engine-based code computed it: the
+    value at t from the derivative call, then a central difference in time
+    (h = 1e-5 T), forward where t - h < 0 and second-order backward where
+    t + h > T."""
+    z = cylinder_coordinates(spec, t, x)
+
+    def solve(tt, derivatives):
+        return finite_dim_solution(spec, tt, z, config, dimension=x.dimension,
+                                   derivatives=derivatives, horizon=x.horizon)
+
+    sol = solve(t, True)
+    h = 1e-5 * x.horizon
+    if t + h <= x.horizon:
+        vp = solve(t + h, False).value
+        if t - h >= 0:
+            dt_est = (vp - solve(t - h, False).value) / (2 * h)
+        else:
+            dt_est = (vp - sol.value) / h
+    else:
+        vm1 = solve(t - h, False).value
+        vm2 = solve(t - 2 * h, False).value
+        dt_est = (3.0 * sol.value - 4.0 * vm1 + vm2) / (2 * h)
+    sigma = cylinder_sigma(spec, t, x.dimension)
+    return PathwiseDerivs(horizontal=float(dt_est),
+                          vertical=sigma.T @ sol.gradient,
+                          vertical2=sigma.T @ sol.hessian @ sigma).heat_operator()
+
+
+class TestFactorSolution:
+    @pytest.mark.parametrize("name", CYLINDERS)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7])
+    def test_matches_monte_carlo_solution(self, name, t):
+        grid = TimeGrid(1.0, 200)
+        x = make_brownian(grid, seed=11)
+        xi = build_terminal(name, grid)
+        sol = finite_dim_solution(xi.cylinder, t,
+                                  cylinder_coordinates(xi.cylinder, t, x),
+                                  derivatives=False)
+        est = candidate_solution(xi, t, x, MCConfig(n_samples=20_000, seed=5))
+        assert est.stderr > 0
+        assert abs(sol.value - est.mean) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("name", CYLINDERS + ["fejer"])
+    def test_value_only_equals_value_with_derivatives(self, name):
+        grid = TimeGrid(1.0, 50)
+        x = make_brownian(grid, seed=2)
+        config = QuadratureConfig()
+        if name == "fejer":
+            # the Monte-Carlo rule of comparison-demo; a Fejer spec has no
+            # derivative evaluators, so zero ones stand in for the full call
+            spec = replace(cylinder_approx(build_terminal("running_max", grid).batch,
+                                           3, grid).spec,
+                           gradient=lambda z: np.zeros(z.size),
+                           hessian=lambda z: np.zeros((z.size, z.size)))
+            config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
+        else:
+            spec = build_terminal(name, grid).cylinder
+        for t in (0.0, 0.3, 1.0 - 1e-5, 1.0):
+            z = cylinder_coordinates(spec, t, x)
+            full = finite_dim_solution(spec, t, z, config)
+            value_only = finite_dim_solution(spec, t, z, config, derivatives=False)
+            assert value_only.value == full.value
+            assert value_only.value_stderr == full.value_stderr
+            assert value_only.gradient is None and value_only.hessian is None
+            assert full.gradient.shape == (z.size,)
+            assert full.hessian.shape == (z.size, z.size)
+
+    @pytest.mark.parametrize("name", CYLINDERS)
+    def test_pde_residual_equals_reference_difference(self, name):
+        grid = TimeGrid(1.0, 100)
+        x = make_brownian(grid, seed=7)
+        spec = build_terminal(name, grid).cylinder
+        config = QuadratureConfig()
+        # t = 0 takes the forward form, the last times the backward one
+        for t in (0.0, 0.37, 1.0 - grid.dt, 1.0 - 1e-5, 1.0 - 4e-6):
+            res = pde_residual(spec, t, x, config)
+            assert res == _residual_reference(spec, t, x, config)
+            assert abs(res) < 1e-3
+
+    @pytest.mark.parametrize("name", ["cyl:exponential", "cyl:trig2"])
+    def test_solution_lift_derivatives_match_finite_differences(self, name):
+        grid = TimeGrid(1.0, 100)
+        x = make_brownian(grid, seed=9)
+        spec = build_terminal(name, grid).cylinder
+        lift = solution_lift(spec)
+        for t in (0.3, 0.6):
+            exact = cylinder_pathwise_derivs(spec, t, x)
+            at_path = lift.derivs(t, x)
+            assert at_path.horizontal == exact.horizontal
+            assert np.array_equal(at_path.vertical, exact.vertical)
+            assert np.array_equal(at_path.vertical2, exact.vertical2)
+            y = x.value_at(t) + 0.2
+            fd = fd_pathwise_derivs(lift, t, x, y=y)
+            shifted = lift.derivs(t, x, y)
+            assert fd.horizontal == pytest.approx(exact.horizontal, abs=1e-3)
+            assert np.allclose(fd.vertical, shifted.vertical, atol=1e-6)
+            assert np.allclose(fd.vertical2, shifted.vertical2, atol=1e-5)
+
+    def test_time_outside_horizon_rejected(self):
+        spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
+        z = np.array([0.3, -0.2])
+        for t in (-1e-3, -1e-13, 1.5):
+            with pytest.raises(DomainError):
+                finite_dim_solution(spec, t, z)
+
+    def test_derivatives_need_t_before_horizon(self):
+        grid = TimeGrid(1.0, 10)
+        spec = build_terminal("cyl:quadratic", grid).cylinder
+        with pytest.raises(DomainError):
+            pde_residual(spec, 1.0, make_brownian(grid, seed=1))
