@@ -97,7 +97,11 @@ def gauss_hermite_rule(dimension: int, nodes: int) -> tuple[np.ndarray, np.ndarr
 @lru_cache(maxsize=32)
 def monte_carlo_gaussian_rule(dimension: int, samples: int,
                               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-seed antithetic normal sample as a symmetric positive rule."""
+    """Fixed-seed antithetic normal sample as a symmetric positive rule.
+
+    The nodes are z followed by -z: row i and row i + samples // 2 form an
+    antithetic pair.
+    """
     half = max(samples // 2, 1)
     z = sample_stream(seed, 0).standard_normal((half, dimension))
     z = np.concatenate([z, -z], axis=0)

@@ -240,7 +240,8 @@ class FiniteDimSolution:
     """Value of the factor problem at (t, z), with its gradient and Hessian
     in z when they were asked for.
 
-    ``value_stderr`` is populated when the Gaussian rule is Monte Carlo.
+    ``value_stderr`` is populated when the Gaussian rule is Monte Carlo;
+    it is the standard error of the means of the rule's antithetic pairs.
     """
 
     value: float
@@ -312,6 +313,10 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
     m = z.size
     if m != dimension * spec.n_factors:
         raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
+    mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
+    if mc_rule and config.z_samples < 4:
+        raise DomainError("the Monte-Carlo z-rule needs z_samples >= 4 "
+                          "(two antithetic pairs)")
     if derivatives and (spec.gradient is None or spec.hessian is None):
         raise ContractError(
             f"cylinder spec {spec.name!r} lacks gradient/hessian evaluators")
@@ -327,9 +332,11 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
     else:
         gv = np.array([float(spec.g(p)) for p in pts])
     stderr = 0.0
-    mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
     if mc_rule and gv.size > 1:
-        stderr = float(np.std(gv, ddof=1) / math.sqrt(gv.size))
+        # the rule's second half mirrors its first (z, -z), so the pair
+        # means are the independent samples
+        pairs = gv.reshape(2, -1).mean(axis=0)
+        stderr = float(np.std(pairs, ddof=1) / math.sqrt(pairs.size))
     grad = hess = None
     if derivatives:
         grad = np.zeros(m)

@@ -214,6 +214,34 @@ class TestFactorSolution:
             assert np.allclose(fd.vertical, shifted.vertical, atol=1e-6)
             assert np.allclose(fd.vertical2, shifted.vertical2, atol=1e-5)
 
+    def test_monte_carlo_stderr_from_pair_means(self):
+        # g is linear in z, so every antithetic pair averages to g(z)
+        spec = build_terminal("cyl:linear", TimeGrid(1.0, 10)).cylinder
+        config = QuadratureConfig(z_rule="monte-carlo", z_samples=1000, z_seed=4)
+        sol = finite_dim_solution(spec, 0.2, np.array([0.3]), config)
+        assert sol.value == pytest.approx(0.3, abs=1e-14)
+        assert sol.value_stderr < 1e-15
+
+    def test_monte_carlo_stderr_covers_error(self):
+        # over many rule seeds the errors, in units of the reported stderr,
+        # must have unit spread; the Gauss-Hermite value is the reference
+        spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
+        z = np.array([0.7, -0.4])
+        exact = finite_dim_solution(spec, 0.3, z, derivatives=False).value
+        scores = []
+        for seed in range(200):
+            config = QuadratureConfig(z_rule="monte-carlo", z_samples=200,
+                                      z_seed=seed)
+            sol = finite_dim_solution(spec, 0.3, z, config, derivatives=False)
+            scores.append((sol.value - exact) / sol.value_stderr)
+        assert 0.9 < np.std(scores) < 1.15
+
+    def test_monte_carlo_rule_needs_two_pairs(self):
+        spec = build_terminal("cyl:linear", TimeGrid(1.0, 10)).cylinder
+        with pytest.raises(DomainError, match="two antithetic pairs"):
+            finite_dim_solution(spec, 0.2, np.array([0.3]),
+                                QuadratureConfig(z_rule="monte-carlo", z_samples=3))
+
     def test_time_outside_horizon_rejected(self):
         spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
         z = np.array([0.3, -0.2])
