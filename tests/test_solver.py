@@ -116,10 +116,10 @@ class TestEstimators:
 
 
 def _residual_reference(spec, t, x, config):
-    """The heat-operator residual as the engine-based code computed it: the
-    value at t from the derivative call, then a central difference in time
+    """Reference heat-operator residual, written out step by step: the value
+    at t from the derivative call, then a central difference in time
     (h = 1e-5 T), forward where t - h < 0 and second-order backward where
-    t + h > T."""
+    t + h > T, with the branches tested in the opposite order."""
     z = cylinder_coordinates(spec, t, x)
 
     def solve(tt, derivatives):
