@@ -1,13 +1,15 @@
-"""Command-line front end: experiment configuration, CSV emission, and the
-subcommands solve, pde-check, gauge-check, ito-check, vp-run, approx,
-comparison-demo, and converge.
+"""Command-line front end: CSV emission and the subcommands solve, pde-check,
+gauge-check, ito-check, vp-run, approx, comparison-demo, and converge.
 
-Configuration is a flat key=value text file; command-line flags override
-file values.  Every CSV starts with a comment line carrying the hash of the
-effective configuration and the master seed, so any output is reproducible
-bit for bit from (config, seed).  The process exits 0 exactly when every
-assertion configured for the subcommand passes, 1 when one fails, and 2 on
-bad input, which :func:`run` reports as one ``pathheat: error:`` line.
+Each subcommand accepts only the settings it reads, as flags or as keys of
+a flat key=value config file that the flags override.  gauge-check and
+vp-run take at most 128 grid steps, comparison-demo 200, and default to the
+cap.  Every CSV starts with a comment line carrying the master seed and a
+hash of the subcommand and all parsed arguments but ``--out`` and
+``--config``, so any output is reproducible bit for bit from (config, seed).
+The process exits 0 exactly when every assertion configured for the
+subcommand passes, 1 when one fails, and 2 on bad input, which :func:`run`
+reports as one ``pathheat: error:`` line.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -38,50 +39,57 @@ from .solver import (MCConfig, build_terminal, candidate_solution,
 from .streams import sample_stream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
-__all__ = ["ExperimentConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat experiment settings; every run must carry an explicit seed."""
-
-    seed: int
-    d: int = 1
-    horizon: float = 1.0
-    steps: int = 1000
-    terminal: str = "running_max"
-    n_samples: int = 10_000
-    z_rule: str = "auto"
-    z_nodes: int = 21
-    z_samples: int = 100_000
-    s_nodes: int = 3  # Gauss-Legendre nodes per s-rule panel
-    s_max: float = 40.0
-    delta: tuple[float, ...] = (0.1, 0.05, 0.025)
-    lam: float = 0.5
-    out: Path = Path(".")
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.horizon, self.steps)
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(z_rule=self.z_rule, z_nodes=self.z_nodes,
-                                z_samples=self.z_samples, s_max=self.s_max,
-                                s_nodes=self.s_nodes)
-
-    def content_hash(self) -> str:
-        keys = sorted(self.__dict__)
-        blob = ";".join(f"{k}={self.__dict__[k]}" for k in keys if k != "out")
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
-_FLOAT_KEYS = {"horizon", "lam", "s_max"}
-_INT_KEYS = {"seed", "d", "steps", "n_samples", "z_nodes", "z_samples",
-             "s_nodes"}
-_STR_KEYS = {"terminal", "z_rule"}
+# Every shared setting, once: config key -> argparse keywords of its flag.
+_SETTINGS = {
+    "d": dict(type=int, default=1, help="path dimension"),
+    "horizon": dict(type=float, default=1.0, help="time horizon T"),
+    "steps": dict(type=int, default=1000, help="grid steps M"),
+    "terminal": dict(default="running_max", help="terminal functional "
+                     f"({', '.join(terminal_names())})"),
+    "n_samples": dict(type=int, default=10_000),
+    "z_rule": dict(default=QuadratureConfig.z_rule,
+                   choices=["auto", "exact", "gauss-hermite", "monte-carlo"]),
+    "z_nodes": dict(type=int, default=QuadratureConfig.z_nodes),
+    "z_samples": dict(type=int, default=QuadratureConfig.z_samples),
+    "s_nodes": dict(type=int, default=QuadratureConfig.s_nodes,
+                    help="Gauss-Legendre nodes per panel of the time-smoothing "
+                         "rule; one panel per grid step between the point and "
+                         "its anchor"),
+    "s_max": dict(type=float, default=QuadratureConfig.s_max),
+    "lam": dict(type=float, default=0.5),
+    "delta": dict(type=_floats, default=(0.1, 0.05, 0.025),
+                  help="comma-separated perturbation weights"),
+}
+
+_Z = ("z_rule", "z_nodes", "z_samples")
+_S = ("s_nodes", "s_max")
+
+# The settings each subcommand reads; it accepts no others.
+_READS = {
+    "solve": ("d", "horizon", "steps", "terminal", "n_samples"),
+    "pde-check": ("horizon", "steps", *_Z),
+    "gauge-check": ("d", "horizon", "steps", *_Z, *_S),
+    "ito-check": ("horizon",),
+    "vp-run": ("horizon", "steps", *_Z, *_S),
+    "approx": ("horizon", "steps"),
+    "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta", *_Z, *_S),
+    "converge": ("horizon", "steps", "terminal"),
+}
+
+# The largest grid these subcommands accept, which is also their default.
+_STEP_CAPS = {"gauge-check": 128, "vp-run": 128, "comparison-demo": 200}
 
 
-def _parse_config_file(path: str) -> dict:
-    out = {}
+def _config_argv(command: str, path: str) -> list[str]:
+    """The settings of a config file as ``--flag=value`` arguments."""
+    argv = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,48 +97,30 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise InputError(f"config line without '=': {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = value
-    return out
+        if key != "seed" and key not in _READS[command]:
+            raise InputError(f"config key {key!r} is not a setting of {command}")
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        raw.update(_parse_config_file(args.config))
-    for key in ("seed", "d", "steps", "horizon", "terminal", "n_samples",
-                "z_rule", "z_nodes", "z_samples", "s_nodes", "s_max", "lam",
-                "delta"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            raw[key] = val
-    if "seed" not in raw:
-        raise InputError("a master seed is mandatory: pass --seed or set seed= "
-                         "in the config file")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key == "delta":
-            if isinstance(value, str):
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-            else:
-                kwargs[key] = tuple(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = str(value)
-        else:
-            raise InputError(f"unknown config key {key!r}")
-    cfg = ExperimentConfig(out=Path(args.out), **kwargs)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg
+def _config_hash(args: argparse.Namespace) -> str:
+    items = sorted((k, v) for k, v in vars(args).items()
+                   if k not in ("out", "config", "func"))
+    blob = ";".join(f"{k}={v}" for k, v in items)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _quadrature(args: argparse.Namespace) -> QuadratureConfig:
+    """The z- and s-rule settings the subcommand reads, defaults for the rest."""
+    return QuadratureConfig(**{k: v for k, v in vars(args).items()
+                               if k in _Z + _S})
 
 
 class _CsvSink:
-    def __init__(self, cfg: ExperimentConfig, name: str, header: list[str]):
-        self.path = cfg.out / name
+    def __init__(self, args: argparse.Namespace, name: str, header: list[str]):
+        self.path = Path(args.out) / name
         self.fh = open(self.path, "w", newline="")
-        self.fh.write(f"# config_hash={cfg.content_hash()} seed={cfg.seed}\n")
+        self.fh.write(f"# config_hash={_config_hash(args)} seed={args.seed}\n")
         self.writer = csv.writer(self.fh)
         self.writer.writerow(header)
 
@@ -146,35 +136,35 @@ class _CsvSink:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(cfg: ExperimentConfig, args) -> int:
-    grid = cfg.grid()
+def _cmd_solve(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
     if args.path:
         x = read_path_csv(args.path)
         grid = x.grid
     else:
-        x = GridPath.zero(grid, cfg.d)
-    xi = build_terminal(cfg.terminal, grid)
+        x = GridPath.zero(grid, args.d)
+    xi = build_terminal(args.terminal, grid)
     est = candidate_solution(xi, args.t, x,
-                             MCConfig(n_samples=cfg.n_samples, seed=cfg.seed,
+                             MCConfig(n_samples=args.n_samples, seed=args.seed,
                                       antithetic=args.antithetic))
-    print(f"{cfg.terminal} at t={args.t:g}: {est.mean:.6f} +/- {est.stderr:.6f} "
+    print(f"{args.terminal} at t={args.t:g}: {est.mean:.6f} +/- {est.stderr:.6f} "
           f"(n={est.n_samples})")
-    sink = _CsvSink(cfg, "solve.csv",
+    sink = _CsvSink(args, "solve.csv",
                     ["terminal", "t", "mean", "stderr", "n_samples"])
-    sink.row([cfg.terminal, args.t, f"{est.mean:.17g}", f"{est.stderr:.17g}",
+    sink.row([args.terminal, args.t, f"{est.mean:.17g}", f"{est.stderr:.17g}",
               est.n_samples])
     sink.close()
     return 0
 
 
-def _cmd_pde_check(cfg: ExperimentConfig, args) -> int:
-    grid = cfg.grid()
-    quad = cfg.quadrature()
+def _cmd_pde_check(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
+    quad = _quadrature(args)
     names = args.spec.split(",") if args.spec else [
         "cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
-    sink = _CsvSink(cfg, "pde_check.csv",
+    sink = _CsvSink(args, "pde_check.csv",
                     ["spec", "sample", "t", "residual", "pass"])
-    rng = sample_stream(cfg.seed, 0)
+    rng = sample_stream(args.seed, 0)
     zero = GridPath.zero(grid)
     ok = True
     for name in names:
@@ -194,19 +184,19 @@ def _cmd_pde_check(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
-    grid = TimeGrid(cfg.horizon, min(cfg.steps, 128))
-    quad = cfg.quadrature()
-    checks = derivative_bound_audit(cfg.d, grid, args.n_tuples, cfg.seed, quad)
-    checks += sandwich_audit(cfg.d, grid, args.n_tuples, cfg.seed + 1, quad)
+def _cmd_gauge_check(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
+    quad = _quadrature(args)
+    checks = derivative_bound_audit(args.d, grid, args.n_tuples, args.seed, quad)
+    checks += sandwich_audit(args.d, grid, args.n_tuples, args.seed + 1, quad)
     if args.calibrate:
-        diag = calibrate_alpha(cfg.d,
-                               random_pairs(grid, cfg.d, args.n_tuples,
-                                            cfg.seed + 2), quad, seed=cfg.seed + 2)
-        checks += validate_alpha(diag, grid, args.n_tuples, cfg.seed + 3, quad)
-        print(f"calibrated alpha_{cfg.d} = {diag.alpha:.6g} "
+        diag = calibrate_alpha(
+            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2),
+            quad, seed=args.seed + 2)
+        checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3, quad)
+        print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
-    sink = _CsvSink(cfg, "gauge_check.csv",
+    sink = _CsvSink(args, "gauge_check.csv",
                     ["bound", "constant", "observed_max", "tolerance", "status"])
     ok = True
     for c in checks:
@@ -217,12 +207,12 @@ def _cmd_gauge_check(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_ito_check(cfg: ExperimentConfig, args) -> int:
-    rows = dt_convergence_rows(cfg.horizon, cfg.seed, n_samples=args.n_paths,
+def _cmd_ito_check(args) -> int:
+    rows = dt_convergence_rows(args.horizon, args.seed, n_samples=args.n_paths,
                                exponents=tuple(int(e) for e in
                                                args.exponents.split(",")),
                                preset=args.preset)
-    sink = _CsvSink(cfg, "ito_check.csv",
+    sink = _CsvSink(args, "ito_check.csv",
                     ["dt", "mean_abs_residual", "stderr", "slope"])
     for row in rows:
         sink.row([f"{row['dt']:.6g}", f"{row['mean_abs_residual']:.6e}",
@@ -234,8 +224,8 @@ def _cmd_ito_check(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_vp_run(cfg: ExperimentConfig, args) -> int:
-    quad = cfg.quadrature()
+def _cmd_vp_run(args) -> int:
+    quad = _quadrature(args)
     if args.paths:
         data = read_path_csv(args.paths)
         grid = data.grid
@@ -244,10 +234,10 @@ def _cmd_vp_run(cfg: ExperimentConfig, args) -> int:
         pts = tuple(PathPoint(t, data.component(i))
                     for i in range(data.dimension) for t in times)
     else:
-        grid = TimeGrid(cfg.horizon, min(cfg.steps, 128))
-        pts = brownian_search_space(grid, args.n_points, cfg.seed).points
+        grid = TimeGrid(args.horizon, args.steps)
+        pts = brownian_search_space(grid, args.n_points, args.seed).points
     space = SearchSpace(pts)
-    coeffs = sample_stream(cfg.seed, 0).standard_normal(3)
+    coeffs = sample_stream(args.seed, 0).standard_normal(3)
 
     def G(p: PathPoint) -> float:
         v = p.present_value()[0]
@@ -257,7 +247,7 @@ def _cmd_vp_run(cfg: ExperimentConfig, args) -> int:
     start = space.points[int(np.argmin(values))]
     eps = max(max(values) - G(start), 1e-9) * 1.001
     res = smooth_variational_principle(G, eps, args.vp_delta, start, space, quad)
-    sink = _CsvSink(cfg, "vp_run.csv",
+    sink = _CsvSink(args, "vp_run.csv",
                     ["record", "index", "value", "bound", "ok"])
     for r in res.item_i:
         sink.row(["item_i", r.index, f"{r.gauge_limit_to_anchor:.6e}",
@@ -275,11 +265,11 @@ def _cmd_vp_run(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_approx(cfg: ExperimentConfig, args) -> int:
-    grid = cfg.grid()
+def _cmd_approx(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
     rows = tn_convergence_rows(grid, orders=tuple(int(n) for n in
                                                   args.orders.split(",")))
-    sink = _CsvSink(cfg, "approx.csv", ["order", "sup_error", "coefficient_gap"])
+    sink = _CsvSink(args, "approx.csv", ["order", "sup_error", "coefficient_gap"])
     for row in rows:
         sink.row([row["order"], f"{row['sup_error']:.6e}",
                   f"{row['coefficient_gap']:.6e}"])
@@ -290,14 +280,14 @@ def _cmd_approx(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_comparison(cfg: ExperimentConfig, args) -> int:
-    grid = TimeGrid(cfg.horizon, min(cfg.steps, 200))
-    report = comparison_demo(grid, cfg.seed, terminal=cfg.terminal,
+def _cmd_comparison(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
+    report = comparison_demo(grid, args.seed, terminal=args.terminal,
                              order=args.order, n_paths=args.n_points,
-                             n_mc=args.n_mc, lam=cfg.lam, deltas=cfg.delta,
-                             mode=args.mode, gauge_config=cfg.quadrature(),
+                             n_mc=args.n_mc, lam=args.lam, deltas=args.delta,
+                             mode=args.mode, gauge_config=_quadrature(args),
                              progress=print)
-    sink = _CsvSink(cfg, "comparison_demo.csv",
+    sink = _CsvSink(args, "comparison_demo.csv",
                     ["delta", "limit_time", "interior", "chain_left",
                      "chain_mid", "chain_right", "phi_at_limit", "operator_phi",
                      "items_ok", "exact_link_ok", "operator_ok",
@@ -317,12 +307,12 @@ def _cmd_comparison(cfg: ExperimentConfig, args) -> int:
     return 0 if report.verdict == "consistent" and report.rhs_monotone else 1
 
 
-def _cmd_converge(cfg: ExperimentConfig, args) -> int:
-    grid = cfg.grid()
+def _cmd_converge(args) -> int:
+    grid = TimeGrid(args.horizon, args.steps)
     ok = True
     if args.study in ("tn", "all"):
         rows = tn_convergence_rows(grid)
-        sink = _CsvSink(cfg, "converge_tn.csv",
+        sink = _CsvSink(args, "converge_tn.csv",
                         ["order", "sup_error", "coefficient_gap", "pass"])
         errs = [r["sup_error"] for r in rows]
         mono = all(b < a for a, b in zip(errs, errs[1:]))
@@ -332,8 +322,8 @@ def _cmd_converge(cfg: ExperimentConfig, args) -> int:
                       f"{r['coefficient_gap']:.6e}", mono])
         sink.close()
     if args.study in ("mc", "all"):
-        rows = mc_convergence_rows(grid, cfg.seed, terminal=cfg.terminal)
-        sink = _CsvSink(cfg, "converge_mc.csv",
+        rows = mc_convergence_rows(grid, args.seed, terminal=args.terminal)
+        sink = _CsvSink(args, "converge_mc.csv",
                         ["n_samples", "mean", "stderr", "pass"])
         errs = [r["stderr"] for r in rows]
         mono = all(b < a for a, b in zip(errs, errs[1:]))
@@ -343,8 +333,8 @@ def _cmd_converge(cfg: ExperimentConfig, args) -> int:
                       mono])
         sink.close()
     if args.study in ("dt", "all"):
-        rows = dt_convergence_rows(cfg.horizon, cfg.seed)
-        sink = _CsvSink(cfg, "converge_dt.csv",
+        rows = dt_convergence_rows(args.horizon, args.seed)
+        sink = _CsvSink(args, "converge_dt.csv",
                         ["dt", "mean_abs_residual", "stderr", "slope", "pass"])
         good = rows[0]["slope"] >= 0.4
         ok = ok and good
@@ -358,26 +348,21 @@ def _cmd_converge(cfg: ExperimentConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Subparser with --config, --seed, --out and the settings ``name`` reads."""
+    # no abbreviations: vp-run would take --d for --delta-weight
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--seed", type=int, help="master seed (mandatory here or in config)")
     p.add_argument("--out", default=".", help="output directory for CSV files")
-    p.add_argument("--d", type=int, help="path dimension")
-    p.add_argument("--horizon", type=float, help="time horizon T")
-    p.add_argument("--steps", type=int, help="grid steps M")
-    p.add_argument("--terminal", help=f"terminal functional ({', '.join(terminal_names())})")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--z-rule", dest="z_rule",
-                   choices=["auto", "exact", "gauss-hermite", "monte-carlo"])
-    p.add_argument("--z-nodes", type=int, dest="z_nodes")
-    p.add_argument("--z-samples", type=int, dest="z_samples")
-    p.add_argument("--s-nodes", type=int, dest="s_nodes",
-                   help="Gauss-Legendre nodes per panel of the time-smoothing "
-                        "rule; one panel per grid step between the point and "
-                        "its anchor")
-    p.add_argument("--s-max", type=float, dest="s_max")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--delta", help="comma-separated perturbation weights")
+    for key in _READS[name]:
+        spec = _SETTINGS[key]
+        if key == "steps" and name in _STEP_CAPS:
+            spec = dict(spec, default=_STEP_CAPS[name],
+                        help=f"grid steps M, at most {_STEP_CAPS[name]}")
+        p.add_argument("--" + key.replace("_", "-"), **spec)
+    p.set_defaults(func=func)
+    return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -386,68 +371,72 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Desk-scale laboratory for the path-dependent heat equation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="Monte-Carlo solution value at (t, path)")
-    _add_common(p)
+    p = _add_command(sub, "solve", _cmd_solve,
+                     "Monte-Carlo solution value at (t, path)")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--path", help="CSV file with the initial path")
     p.add_argument("--antithetic", action="store_true")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("pde-check", help="heat-operator residuals for cylinder specs")
-    _add_common(p)
+    p = _add_command(sub, "pde-check", _cmd_pde_check,
+                     "heat-operator residuals for cylinder specs")
     p.add_argument("--spec", help="comma-separated cylinder spec names")
     p.add_argument("--n-points", type=int, default=20, dest="n_points")
     p.add_argument("--tol", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_pde_check)
 
-    p = sub.add_parser("gauge-check", help="derivative-bound and sandwich audits")
-    _add_common(p)
+    p = _add_command(sub, "gauge-check", _cmd_gauge_check,
+                     "derivative-bound and sandwich audits")
     p.add_argument("--n-tuples", type=int, default=200, dest="n_tuples")
     p.add_argument("--calibrate", action="store_true",
                    help="also calibrate and validate the lower-bound constant")
-    p.set_defaults(func=_cmd_gauge_check)
 
-    p = sub.add_parser("ito-check", help="pathwise-formula residual sweep")
-    _add_common(p)
+    p = _add_command(sub, "ito-check", _cmd_ito_check,
+                     "pathwise-formula residual sweep")
     p.add_argument("--preset", default="brownian",
                    choices=sorted(SEMIMARTINGALE_PRESETS))
     p.add_argument("--n-paths", type=int, default=256, dest="n_paths")
     p.add_argument("--exponents", default="6,7,8,9,10",
                    help="grid sizes 2^e in the dt sweep")
     p.add_argument("--min-slope", type=float, default=0.4, dest="min_slope")
-    p.set_defaults(func=_cmd_ito_check)
 
-    p = sub.add_parser("vp-run", help="smooth variational principle on a finite space")
-    _add_common(p)
+    p = _add_command(sub, "vp-run", _cmd_vp_run,
+                     "smooth variational principle on a finite space")
     p.add_argument("--paths", help="CSV path dictionary (columns are paths)")
     p.add_argument("--times", help="comma-separated evaluation times")
     p.add_argument("--n-points", type=int, default=100, dest="n_points")
     p.add_argument("--delta-weight", type=float, default=0.05, dest="vp_delta")
-    p.set_defaults(func=_cmd_vp_run)
 
-    p = sub.add_parser("approx", help="Fejer reconstruction error sweep")
-    _add_common(p)
+    p = _add_command(sub, "approx", _cmd_approx, "Fejer reconstruction error sweep")
     p.add_argument("--orders", default="4,8,16,32,64,128")
     p.add_argument("--tol", type=float, default=0.05)
-    p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("comparison-demo", help="comparison-theorem pipeline")
-    _add_common(p)
+    p = _add_command(sub, "comparison-demo", _cmd_comparison,
+                     "comparison-theorem pipeline")
     p.add_argument("--mode", default="candidate",
                    choices=["candidate", "subsolution"])
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--n-points", type=int, default=200, dest="n_points")
     p.add_argument("--n-mc", type=int, default=2000, dest="n_mc")
-    p.set_defaults(func=_cmd_comparison)
 
-    p = sub.add_parser("converge", help="convergence sweeps with trend checks")
-    _add_common(p)
+    p = _add_command(sub, "converge", _cmd_converge,
+                     "convergence sweeps with trend checks")
     p.add_argument("--study", default="all", choices=["tn", "mc", "dt", "all"])
-    p.set_defaults(func=_cmd_converge)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
-    return args.func(cfg, args)
+    if args.config:
+        # argv[0] is the subcommand; the file's settings go before the
+        # flags, so that a flag overrides the file
+        args = parser.parse_args(
+            argv[:1] + _config_argv(args.command, args.config) + argv[1:])
+    if args.seed is None:
+        raise InputError("a master seed is mandatory: pass --seed or set seed= "
+                         "in the config file")
+    cap = _STEP_CAPS.get(args.command)
+    if cap is not None and args.steps > cap:
+        raise InputError(f"{args.command} runs on at most {cap} grid steps, "
+                         f"not {args.steps}")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return args.func(args)
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -270,6 +270,8 @@ def dt_convergence_rows(horizon: float, seed: int, n_samples: int = 256,
     grid resolutions, with the fitted log-log slope in each row."""
     from .cylinders import LiftedFunctional  # local: avoids an import cycle
 
+    if len(exponents) < 2:
+        raise InputError("fitting a slope needs at least two exponents")
     lift = LiftedFunctional(
         evaluate=lambda t, x, y: float(np.sum(np.atleast_1d(y) ** 2)),
         horizontal=lambda t, x: 0.0,

@@ -38,7 +38,8 @@ class QuadratureConfig:
     gauge only), then tensor Gauss-Hermite up to a caller's limit and
     antithetic Monte Carlo beyond it.  The limit is dimension 2 for the
     gauge (``gauge._GAUGE_GH_MAX_DIM``) and 3 for the factor solution of the
-    solver.
+    solver.  A forced "exact" raises where no exact rule exists, and
+    ``z_samples`` counts antithetic pairs twice, so it is even and >= 4.
     The s-integral is composite Gauss-Legendre in the substituted variable
     u = sqrt(s), which removes the kernel's square-root kink.  Its panels end
     at the grid nodes between t and the anchor time t0, where the integrand
@@ -60,14 +61,19 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.s_max < 20.0:
             raise DomainError("s_max must be >= 20 (kernel tail certification)")
-        if min(self.z_nodes, self.z_samples, self.s_nodes) <= 0:
-            raise DomainError("node/sample counts must be positive")
+        if min(self.z_nodes, self.s_nodes) <= 0:
+            raise DomainError("node counts must be positive")
+        _antithetic_half(self.z_samples)
 
     def resolve_z(self, dimension: int, allow_exact: bool = True,
                   gh_max_dim: int = 3) -> str:
+        exact = dimension == 1 and allow_exact
+        if self.z_rule == "exact" and not exact:
+            raise DomainError(f"z_rule 'exact' has no evaluator here (dimension "
+                              f"{dimension}); it serves only 1-d gauge integrals")
         if self.z_rule != "auto":
             return self.z_rule
-        if dimension == 1 and allow_exact:
+        if exact:
             return "exact"
         if dimension <= gh_max_dim:
             return "gauss-hermite"
@@ -94,6 +100,13 @@ def gauss_hermite_rule(dimension: int, nodes: int) -> tuple[np.ndarray, np.ndarr
     return z, wt
 
 
+def _antithetic_half(samples: int) -> int:
+    if samples < 4 or samples % 2:
+        raise DomainError(f"z_samples={samples}: the Monte-Carlo z-rule needs "
+                          "an even count of at least 4 (two antithetic pairs)")
+    return samples // 2
+
+
 @lru_cache(maxsize=32)
 def monte_carlo_gaussian_rule(dimension: int, samples: int,
                               seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +115,7 @@ def monte_carlo_gaussian_rule(dimension: int, samples: int,
     The nodes are z followed by -z: row i and row i + samples // 2 form an
     antithetic pair.
     """
-    half = max(samples // 2, 1)
+    half = _antithetic_half(samples)
     z = sample_stream(seed, 0).standard_normal((half, dimension))
     z = np.concatenate([z, -z], axis=0)
     w = np.full(z.shape[0], 1.0 / z.shape[0])
@@ -114,8 +127,6 @@ def gaussian_rule(config: QuadratureConfig, dimension: int,
     """Resolve the configured rule; None signals the exact 1-d evaluation."""
     kind = config.resolve_z(dimension, allow_exact, gh_max_dim)
     if kind == "exact":
-        if dimension != 1:
-            raise DomainError("the exact z-rule is one-dimensional")
         return None
     if kind == "gauss-hermite":
         return gauss_hermite_rule(dimension, config.z_nodes)

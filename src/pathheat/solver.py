@@ -314,9 +314,6 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
     if m != dimension * spec.n_factors:
         raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
     mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
-    if mc_rule and config.z_samples < 4:
-        raise DomainError("the Monte-Carlo z-rule needs z_samples >= 4 "
-                          "(two antithetic pairs)")
     if derivatives and (spec.gradient is None or spec.hessian is None):
         raise ContractError(
             f"cylinder spec {spec.name!r} lacks gradient/hessian evaluators")

@@ -35,6 +35,98 @@ class TestConfig:
         assert (tmp_path / "solve.csv").read_text().count("\n") == 3
 
 
+# The shared settings each subcommand reads, and a valid value of each.
+# A subcommand accepts no other shared setting, as a flag or a config key.
+Z = ("z_rule", "z_nodes", "z_samples")
+S = ("s_nodes", "s_max")
+READS = {
+    "solve": {"d", "horizon", "steps", "terminal", "n_samples"},
+    "pde-check": {"horizon", "steps", *Z},
+    "gauge-check": {"d", "horizon", "steps", *Z, *S},
+    "ito-check": {"horizon"},
+    "vp-run": {"horizon", "steps", *Z, *S},
+    "approx": {"horizon", "steps"},
+    "comparison-demo": {"horizon", "steps", "terminal", "lam", "delta", *Z, *S},
+    "converge": {"horizon", "steps", "terminal"},
+}
+VALUES = {"d": "1", "horizon": "1.0", "steps": "8", "terminal": "running_max",
+          "n_samples": "16", "z_rule": "auto", "z_nodes": "5",
+          "z_samples": "8", "s_nodes": "3", "s_max": "40", "lam": "0.5",
+          "delta": "0.1,0.05"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_the_settings_read(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        shared = {_flag(k) for k in VALUES}
+        assert listed & shared == {_flag(k) for k in READS[command]}
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_other_flags_rejected(self, command, tmp_path):
+        for key in sorted(VALUES.keys() - READS[command]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--seed", "1", _flag(key), VALUES[key],
+                          "--out", str(tmp_path)])
+            assert exc.value.code == 2, key
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_other_config_keys_rejected(self, command, tmp_path):
+        for key in sorted(VALUES.keys() - READS[command]):
+            cfg = _write(tmp_path, f"seed = 1\n{key} = {VALUES[key]}\n")
+            with pytest.raises(InputError, match=f"'{key}'"):
+                cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("command,cap", [
+        ("gauge-check", 128), ("vp-run", 128), ("comparison-demo", 200)])
+    def test_steps_above_cap_rejected(self, command, cap, tmp_path):
+        with pytest.raises(InputError, match=f"at most {cap} grid steps"):
+            cli.main([command, "--seed", "1", "--steps", str(cap + 1),
+                      "--out", str(tmp_path)])
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "seed = 3\nsteps = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def _hash_line(tmp_path, argv):
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    cli.run(argv + ["--out", str(out)])
+    (csv_file,) = out.glob("*.csv")
+    return csv_file.read_text().splitlines()[0]
+
+
+class TestConfigHash:
+    def test_mode_changes_hash(self, tmp_path):
+        argv = ["comparison-demo", "--seed", "1", "--steps", "50", "--order",
+                "8", "--n-points", "5", "--n-mc", "100", "--mode"]
+        assert (_hash_line(tmp_path, argv + ["candidate"])
+                != _hash_line(tmp_path, argv + ["subsolution"]))
+
+    def test_command_option_changes_hash(self, tmp_path):
+        argv = ["gauge-check", "--seed", "1", "--steps", "16", "--n-tuples"]
+        assert (_hash_line(tmp_path, argv + ["4"])
+                != _hash_line(tmp_path, argv + ["5"]))
+
+    def test_flag_and_config_key_hash_alike(self, tmp_path):
+        # and a flag overrides the file
+        cfg = _write(tmp_path, "steps = 4\nn_samples = 16\n")
+        by_file = _hash_line(tmp_path, ["solve", "--seed", "1", "--config", cfg,
+                                        "--steps", "8"])
+        by_flag = _hash_line(tmp_path, ["solve", "--seed", "1", "--steps", "8",
+                                        "--n-samples", "16"])
+        assert by_file == by_flag
+
+
 class TestSeedContract:
     @pytest.mark.parametrize("argv", [
         ["solve", "--steps", "8", "--n-samples", "4"],
@@ -65,6 +157,17 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("pathheat: error: ") and "'eps'" in err
         assert err.count("\n") == 1
+
+    def test_forced_exact_rule_in_factor_integral_exits_2(self, tmp_path):
+        argv = ["pde-check", "--seed", "1", "--steps", "16", "--n-points", "2",
+                "--z-rule", "exact", "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+
+    def test_slope_from_one_grid_exits_2(self, tmp_path, capsys):
+        argv = ["ito-check", "--seed", "1", "--n-paths", "16", "--exponents",
+                "5", "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert "at least two" in capsys.readouterr().err
 
     def test_failed_check_still_exits_1(self, tmp_path):
         argv = ["approx", "--seed", "1", "--steps", "64", "--orders", "4,8",

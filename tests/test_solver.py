@@ -10,7 +10,7 @@ from pathheat.cylinders import (PathwiseDerivs, cylinder_approx,
                                 fd_pathwise_derivs)
 from pathheat.errors import DomainError
 from pathheat.grids import GridPath, TimeGrid, brownian_increments
-from pathheat.quadrature import QuadratureConfig
+from pathheat.quadrature import QuadratureConfig, monte_carlo_gaussian_rule
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, cylinder_pathwise_derivs,
                              finite_dim_solution, flow_residual, pde_residual,
@@ -241,6 +241,21 @@ class TestFactorSolution:
         with pytest.raises(DomainError, match="two antithetic pairs"):
             finite_dim_solution(spec, 0.2, np.array([0.3]),
                                 QuadratureConfig(z_rule="monte-carlo", z_samples=3))
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_monte_carlo_count_is_even_and_two_pairs(self, samples):
+        with pytest.raises(DomainError, match="two antithetic pairs"):
+            QuadratureConfig(z_samples=samples)
+        with pytest.raises(DomainError, match="two antithetic pairs"):
+            monte_carlo_gaussian_rule(1, samples, 0)
+        assert monte_carlo_gaussian_rule(1, 4, 0)[0].shape == (4, 1)
+
+    def test_forced_exact_rule_only_where_allowed(self):
+        config = QuadratureConfig(z_rule="exact")
+        assert config.resolve_z(1) == "exact"
+        for dimension, allow_exact in [(2, True), (1, False)]:
+            with pytest.raises(DomainError, match="'exact'"):
+                config.resolve_z(dimension, allow_exact)
 
     def test_time_outside_horizon_rejected(self):
         spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
