@@ -35,6 +35,6 @@ from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      cylinder_pathwise_derivs, finite_dim_solution,
                      flow_residual, pde_residual, running_max_exact_solution,
                      sample_increments)
-from .ito import ItoReport, ito_verify, with_fd_derivatives
+from .ito import ito_verify
 
 __version__ = "0.1.0"

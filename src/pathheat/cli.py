@@ -46,6 +46,10 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 # Every shared setting, once: config key -> argparse keywords of its flag.
 _SETTINGS = {
     "d": dict(type=int, default=1, help="path dimension"),
@@ -89,8 +93,13 @@ _STEP_CAPS = {"gauge-check": 128, "vp-run": 128, "comparison-demo": 200}
 
 def _config_argv(command: str, path: str) -> list[str]:
     """The settings of a config file as ``--flag=value`` arguments."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror or exc}") from None
     argv = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -209,9 +218,7 @@ def _cmd_gauge_check(args) -> int:
 
 def _cmd_ito_check(args) -> int:
     rows = dt_convergence_rows(args.horizon, args.seed, n_samples=args.n_paths,
-                               exponents=tuple(int(e) for e in
-                                               args.exponents.split(",")),
-                               preset=args.preset)
+                               exponents=args.exponents, preset=args.preset)
     sink = _CsvSink(args, "ito_check.csv",
                     ["dt", "mean_abs_residual", "stderr", "slope"])
     for row in rows:
@@ -267,8 +274,7 @@ def _cmd_vp_run(args) -> int:
 
 def _cmd_approx(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
-    rows = tn_convergence_rows(grid, orders=tuple(int(n) for n in
-                                                  args.orders.split(",")))
+    rows = tn_convergence_rows(grid, orders=args.orders)
     sink = _CsvSink(args, "approx.csv", ["order", "sup_error", "coefficient_gap"])
     for row in rows:
         sink.row([row["order"], f"{row['sup_error']:.6e}",
@@ -394,8 +400,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--preset", default="brownian",
                    choices=sorted(SEMIMARTINGALE_PRESETS))
     p.add_argument("--n-paths", type=int, default=256, dest="n_paths")
-    p.add_argument("--exponents", default="6,7,8,9,10",
-                   help="grid sizes 2^e in the dt sweep")
+    p.add_argument("--exponents", type=_ints, default=(6, 7, 8, 9, 10),
+                   help="comma-separated grid sizes 2^e in the dt sweep")
     p.add_argument("--min-slope", type=float, default=0.4, dest="min_slope")
 
     p = _add_command(sub, "vp-run", _cmd_vp_run,
@@ -406,7 +412,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--delta-weight", type=float, default=0.05, dest="vp_delta")
 
     p = _add_command(sub, "approx", _cmd_approx, "Fejer reconstruction error sweep")
-    p.add_argument("--orders", default="4,8,16,32,64,128")
+    p.add_argument("--orders", type=_ints, default=(4, 8, 16, 32, 64, 128),
+                   help="comma-separated Fejer orders")
     p.add_argument("--tol", type=float, default=0.05)
 
     p = _add_command(sub, "comparison-demo", _cmd_comparison,

@@ -268,37 +268,25 @@ def dt_convergence_rows(horizon: float, seed: int, n_samples: int = 256,
                         exponents=(6, 7, 8, 9, 10), preset: str = "brownian"):
     """Terminal residual of the pathwise formula for the square lift across
     grid resolutions, with the fitted log-log slope in each row."""
-    from .cylinders import LiftedFunctional  # local: avoids an import cycle
-
     if len(exponents) < 2:
         raise InputError("fitting a slope needs at least two exponents")
-    lift = LiftedFunctional(
-        evaluate=lambda t, x, y: float(np.sum(np.atleast_1d(y) ** 2)),
-        horizontal=lambda t, x: 0.0,
-        vertical=lambda t, x, y: 2.0 * np.atleast_1d(y),
-        vertical2=lambda t, x, y: 2.0 * np.eye(np.atleast_1d(y).size),
-        name="square")
 
-    def profiles(path: GridPath):
-        v = path.values
-        m1 = v.shape[0]
-        u = np.sum(v * v, axis=1)
-        h = np.zeros(m1)
-        v1 = 2.0 * v
-        v2 = np.broadcast_to(2.0 * np.eye(v.shape[1]), (m1, v.shape[1], v.shape[1]))
-        return u, h, v1, v2
+    def profiles(values: np.ndarray):
+        n, m1, d = values.shape
+        return (np.sum(values * values, axis=2), np.zeros((n, m1)),
+                2.0 * values, np.broadcast_to(2.0 * np.eye(d), (n, m1, d, d)))
 
     spec = SEMIMARTINGALE_PRESETS[preset]()
     rows = []
     dts, errs = [], []
     for e in exponents:
         grid = TimeGrid(horizon, 2**e)
-        rep = ito_verify(lift, spec, grid, MCConfig(n_samples=n_samples, seed=seed),
-                         bracket="model", profiles=profiles)
+        est = ito_verify(profiles, spec, grid,
+                         MCConfig(n_samples=n_samples, seed=seed))
         dts.append(grid.dt)
-        errs.append(rep.residual_terminal.mean)
-        rows.append({"dt": grid.dt, "mean_abs_residual": rep.residual_terminal.mean,
-                     "stderr": rep.residual_terminal.stderr})
+        errs.append(est.mean)
+        rows.append({"dt": grid.dt, "mean_abs_residual": est.mean,
+                     "stderr": est.stderr})
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     for row in rows:
         row["slope"] = slope

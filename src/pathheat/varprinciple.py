@@ -148,10 +148,7 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
         if iterations > MAX_ITERATIONS:
             raise ConvergenceError(f"no fixed point after {MAX_ITERATIONS} steps")
         nxt = int(np.argmax(perturbed))
-        if nxt == current and iterations > 1:
-            break
-        if nxt == current and len(anchor_indices) == 1 and iterations == 1:
-            # start is already the perturbed maximizer
+        if nxt == current:
             break
         current = nxt
         anchor_indices.append(current)
@@ -173,13 +170,11 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
     for w, col in zip(weights, columns):
         phi_vals += w * col
 
-    item_i = []
-    for i, idx in enumerate(anchor_indices):
-        fwd = smooth_gauge(limit, pts[idx], config).value
-        rev = smooth_gauge(pts[idx], limit, config).value
-        item_i.append(ItemRecord(index=i, gauge_limit_to_anchor=fwd,
-                                 gauge_anchor_to_limit=rev,
-                                 bound=eps / (2.0 ** i * delta)))
+    # the limit is the last anchor, so both gauge orders are column entries
+    item_i = [ItemRecord(index=i, gauge_limit_to_anchor=float(col[limit_idx]),
+                         gauge_anchor_to_limit=float(columns[-1][idx]),
+                         bound=eps / (2.0 ** i * delta))
+              for i, (idx, col) in enumerate(zip(anchor_indices, columns))]
 
     item_ii_lhs = float(values[start_idx])
     item_ii_rhs = float(values[limit_idx] - delta * phi_vals[limit_idx])

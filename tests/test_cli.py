@@ -169,6 +169,24 @@ class TestEntryPoint:
         assert cli.run(argv) == 2
         assert "at least two" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        argv = ["solve", "--seed", "1", "--config", missing, "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pathheat: error: ") and repr(missing) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--seed", "1", "--orders", "4,x"],
+        ["ito-check", "--seed", "1", "--exponents", "5,,6"],
+    ])
+    def test_bad_integer_list_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"{argv[3]}: invalid _ints value" in capsys.readouterr().err
+
     def test_failed_check_still_exits_1(self, tmp_path):
         argv = ["approx", "--seed", "1", "--steps", "64", "--orders", "4,8",
                 "--tol", "1e-9", "--out", str(tmp_path)]

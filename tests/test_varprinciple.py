@@ -8,7 +8,8 @@ from pathheat.gauge import smooth_gauge
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, path_distance,
                             path_distances, stack_points, stop_path)
 from pathheat.quadrature import QuadratureConfig
-from pathheat.varprinciple import SearchSpace, verify_gauge_axioms
+from pathheat.varprinciple import (SearchSpace, smooth_variational_principle,
+                                   verify_gauge_axioms)
 
 
 def reference_distance(p, q):
@@ -146,3 +147,39 @@ class TestGaugeAxioms:
             assert row.eta == float(np.min(gauge[mask]))
             assert row.ok
         assert rows[-1].violating_pairs == 2
+
+
+class TestVariationalPrinciple:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0.05, 2.0])
+    def test_item_i_equals_direct_gauges(self, seed, delta):
+        grid = TimeGrid(1.0, 32)
+        config = QuadratureConfig()
+        space = brownian_search_space(grid, 16, seed=seed)
+        coeffs = np.random.default_rng(seed).standard_normal(2)
+
+        def G(p):
+            v = p.present_value()[0]
+            return float(coeffs[0] * v + coeffs[1] * v * v)
+
+        values = [G(p) for p in space]
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = smooth_variational_principle(G, eps, delta, start, space, config)
+        assert res.anchor_indices[-1] == res.limit_index
+        assert len(res.item_i) == len(res.anchors) == res.iterations == 2
+        for r, a in zip(res.item_i, res.anchors):
+            assert r.gauge_limit_to_anchor == smooth_gauge(res.limit, a, config).value
+            assert r.gauge_anchor_to_limit == smooth_gauge(a, res.limit, config).value
+
+    def test_start_at_the_maximizer_stops_at_once(self):
+        grid = TimeGrid(1.0, 32)
+        space = brownian_search_space(grid, 8, seed=4)
+        start = space.points[3]
+
+        def G(p):
+            return 1.0 if p is start else 0.0
+
+        res = smooth_variational_principle(G, 1.0, 0.05, start, space)
+        assert res.iterations == 1 and res.anchor_indices == [3]
+        assert res.limit_index == 3 and res.all_items_ok()
