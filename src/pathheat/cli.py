@@ -193,6 +193,11 @@ def _cmd_pde_check(args) -> int:
     return 0 if ok else 1
 
 
+# Factor by which gauge-check's calibrated alpha shrinks the empirical
+# infimum ratio; fixed, whatever the calibration sample size.
+_ALPHA_SHRINK = 0.9
+
+
 def _cmd_gauge_check(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
     quad = _quadrature(args)
@@ -201,7 +206,7 @@ def _cmd_gauge_check(args) -> int:
     if args.calibrate:
         diag = calibrate_alpha(
             args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2),
-            quad, seed=args.seed + 2)
+            quad, shrink=_ALPHA_SHRINK, seed=args.seed + 2)
         checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3, quad)
         print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
@@ -212,7 +217,14 @@ def _cmd_gauge_check(args) -> int:
         ok = ok and c.passed
         sink.row(c.csv_row())
     sink.close()
-    print("gauge-check:", "pass" if ok else "FAIL")
+    failed = [c.name for c in checks
+              if c.name.startswith("calibrated") and not c.passed]
+    note = (f" ({', '.join(failed)}: alpha_{args.d} was calibrated on "
+            f"{diag.n_samples} pairs, and calibrate_alpha shrinks their "
+            f"infimum ratio by a fixed {_ALPHA_SHRINK:g}, which does not "
+            "cover small samples)"
+            if failed else "")
+    print("gauge-check:", ("pass" if ok else "FAIL") + note)
     return 0 if ok else 1
 
 
@@ -354,10 +366,26 @@ def _cmd_converge(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+_SOLVE_DESCRIPTION = (
+    "Monte-Carlo solution value at (t, path), with control variates.  With "
+    "B = X_T - x(t) the Brownian increment of the extension, the controls "
+    "are B_j, of mean 0, and B_j^+, of mean sqrt((T - t)/(2 pi)), for each "
+    "path component j.  Their least-squares coefficients are fitted on the "
+    "samples themselves, which biases the mean by O(1/n); the reported "
+    "stderr is sqrt(RSS/(n - p)/n) with p = 1 + 2d fitted coefficients, so "
+    "n must exceed p (at least 4 samples at d = 1).  The residual sum of "
+    "squares RSS is floored at its rounding level, 64 eps times the sum of "
+    "the squared samples.  Under --antithetic, B cancels inside "
+    "each pair: the fit runs on the n/2 pair means with the pair means of "
+    "B_j^+ as the only controls, p = 1 + d.  At t = T nothing is fitted.")
+
+
+def _add_command(sub, name: str, func, help: str,
+                 description: Optional[str] = None) -> argparse.ArgumentParser:
     """Subparser with --config, --seed, --out and the settings ``name`` reads."""
     # no abbreviations: vp-run would take --d for --delta-weight
-    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p = sub.add_parser(name, help=help, description=description,
+                       allow_abbrev=False)
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--seed", type=int, help="master seed (mandatory here or in config)")
     p.add_argument("--out", default=".", help="output directory for CSV files")
@@ -378,7 +406,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "solve", _cmd_solve,
-                     "Monte-Carlo solution value at (t, path)")
+                     "Monte-Carlo solution value at (t, path)",
+                     description=_SOLVE_DESCRIPTION)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--path", help="CSV file with the initial path")
     p.add_argument("--antithetic", action="store_true")

@@ -268,8 +268,8 @@ def dt_convergence_rows(horizon: float, seed: int, n_samples: int = 256,
                         exponents=(6, 7, 8, 9, 10), preset: str = "brownian"):
     """Terminal residual of the pathwise formula for the square lift across
     grid resolutions, with the fitted log-log slope in each row."""
-    if len(exponents) < 2:
-        raise InputError("fitting a slope needs at least two exponents")
+    if len(set(exponents)) < 2:
+        raise InputError("fitting a slope needs at least two distinct exponents")
 
     def profiles(values: np.ndarray):
         n, m1, d = values.shape

@@ -3,7 +3,9 @@ flow (tower) identity residual, and the finite-dimensional factor solution
 for cylinder terminal conditions with its pathwise derivatives.
 
 The candidate solution at (t, x) is the expectation of the terminal
-functional over Brownian extensions of x from time t.  For cylinder
+functional over Brownian extensions of x from time t, estimated by Monte
+Carlo with the extension's increment and its positive part as control
+variates (:func:`candidate_solution`).  For cylinder
 functionals the same value is a finite-dimensional Gaussian average of g
 at the coordinates z(t, x) (:func:`finite_dim_solution`, one average per
 call); the two routes cross-validate each other.  The pathwise derivatives
@@ -17,7 +19,7 @@ horizontal one from a difference quotient of values in time
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,6 +71,10 @@ class TerminalFunctional:
 # never straddles two chunks.
 _CHUNK = 4096
 
+# Floor of the residual sum of squares of candidate_solution's fit, per unit
+# of sum(y^2): the rounding level of a difference of sums of y^2.
+_RSS_FLOOR = 64 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -86,6 +92,20 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """Monte-Carlo mean with its standard error.
+
+    :meth:`from_samples` gives the plain sample mean, and :meth:`merge`
+    pools such plain estimates.  :func:`candidate_solution` instead returns
+    a control-variate estimate: the intercept of a least-squares fit of the
+    samples on the controls B_j = X_T - x(t), with known mean 0, and B_j^+,
+    with known mean sqrt((T - t) / (2 pi)), per path component j.  That
+    in-sample fit biases the mean by O(1/n); its stderr is
+    sqrt(RSS / (n - p) / n) with p = 1 + 2d fitted coefficients, floored at
+    the rounding level of RSS.  Under antithetic sampling n counts samples
+    but the fit runs on the n/2 pair means, with the pair means of B_j^+
+    as the only controls (B cancels inside a pair) and p = 1 + d.
+    """
+
     mean: float
     stderr: float
     n_samples: int
@@ -138,33 +158,95 @@ def sample_increments(grid: TimeGrid, k: int, d: int, seed: int, idx,
     return out
 
 
+def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, column means and centred cross products of the rows of z."""
+    mean = z.mean(axis=0)
+    dz = z - mean
+    return z.shape[0], mean, dz.T @ dz
+
+
+def _pool(a, b):
+    """Moments of the union of two row sets from the moments of each
+    (Chan, Golub & LeVeque's pairwise update)."""
+    if a is None:
+        return b
+    (na, ma, ca), (nb, mb, cb) = a, b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
+
+
 def candidate_solution(xi: TerminalFunctional, t: float, x: GridPath,
                        cfg: MCConfig) -> MCEstimate:
-    """Monte-Carlo mean of xi over Brownian extensions from (t, x).
+    """Control-variate Monte-Carlo mean of xi over Brownian extensions from
+    (t, x).
 
-    Sample i is a pure function of (seed, i); partitioning an ensemble by
-    sample index cannot change the result.  Under antithetic sampling the
-    standard error is that of the pair means.
+    Let B = X_T - x(t) be the increment of the extension.  For every
+    terminal and start path, each component j has E B_j = 0 and
+    E B_j^+ = sqrt((T - t) / (2 pi)), so the 2d controls B_j and B_j^+ are
+    regressed out of the samples by least squares; the estimate is the fitted
+    intercept at the known control means.  Fitting the coefficients on the
+    samples themselves biases the mean by O(1/n), far below the O(1/sqrt n)
+    standard error.  The stderr is sqrt(RSS / (n - p) / n), with RSS the
+    residual sum of squares and p = 1 + 2d fitted coefficients, so n must
+    exceed p.  Under antithetic sampling B cancels inside each pair: the
+    units are the n/2 pair means, the d controls are the pair means of
+    B_j^+ (that is |B_j| / 2), and p = 1 + d.  At t = T there is no control
+    and the estimate is the plain mean.
+
+    RSS is a difference of sums and is known only to about eps * sum(y^2)
+    of the fitted units y; it is floored at ``_RSS_FLOOR`` * sum(y^2), so
+    that an exactly linear terminal, whose residual is pure rounding, still
+    reports an error bar covering its rounding error.
+
+    The fit is built from centred moments pooled chunk by chunk, so it is a
+    function of the sample set alone, whatever the chunk size; sample i is a
+    pure function of (seed, i).
     """
     grid = x.grid
     k = grid.index_of(t)
-    total = np.empty(cfg.n_samples)
-    buf = np.empty((min(_CHUNK, cfg.n_samples), grid.steps + 1, x.dimension))
-    for lo in range(0, cfg.n_samples, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, cfg.n_samples))
+    d = x.dimension
+    n = cfg.n_samples
+    units = n // 2 if cfg.antithetic else n
+    n_controls = 0 if k == grid.steps else (d if cfg.antithetic else 2 * d)
+    p = 1 + n_controls
+    if units <= p:
+        least = 2 * (p + 1) if cfg.antithetic else p + 1
+        raise DomainError(f"the control-variate fit of {p} coefficients needs "
+                          f"at least {least} samples at d = {d}, not {n}")
+    positive_mean = math.sqrt((grid.steps - k) * grid.dt / (2.0 * math.pi))
+    means = [positive_mean] * d if cfg.antithetic else [0.0] * d + [positive_mean] * d
+    control_means = np.array(means)[:n_controls]
+    x_t = x.values[k]
+    moments = None
+    buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
+    for lo in range(0, n, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, n))
         vals = buf[: idx.size]
-        sample_increments(grid, k, x.dimension, cfg.seed, idx, cfg.antithetic,
+        sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic,
                           out=vals[:, k + 1:])
         extend_with_increments(t, x, vals[:, k + 1:], out=vals)
         out = xi.evaluate_batch(vals, grid)
         if not np.all(np.isfinite(out)):
             bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
             raise NumericError(f"terminal functional non-finite at sample {bad}")
-        total[idx] = out
-    est = MCEstimate.from_samples(total, cfg.seed)
-    if cfg.antithetic:
-        pairs = total.reshape(-1, 2).mean(axis=1)
-        est = replace(est, stderr=float(np.std(pairs, ddof=1) / math.sqrt(pairs.size)))
+        b = vals[:, -1] - x_t
+        if cfg.antithetic:
+            cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
+                    out.reshape(-1, 2).mean(axis=1)[:, None]]
+        else:
+            cols = [b, np.maximum(b, 0.0), out[:, None]]
+        # the controls, then the fitted unit; at t = T the controls are
+        # identically zero and are left out
+        z = np.concatenate(cols, axis=1)[:, -1 - n_controls:]
+        moments = _pool(moments, _moments(z))
+    _, mean, cross = moments
+    ybar, syy = mean[-1], cross[-1, -1]
+    beta = np.linalg.lstsq(cross[:-1, :-1], cross[:-1, -1], rcond=None)[0]
+    rss = max(syy - cross[:-1, -1] @ beta, _RSS_FLOOR * (syy + units * ybar**2))
+    est = MCEstimate(mean=float(ybar - beta @ (mean[:-1] - control_means)),
+                     stderr=float(math.sqrt(rss / (units - p) / units)),
+                     n_samples=n, seed=cfg.seed)
     if xi.bound is not None and abs(est.mean) > xi.bound + 1e-12:
         raise NumericError("mean escaped the declared bound of the functional")
     return est

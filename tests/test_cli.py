@@ -169,6 +169,31 @@ class TestEntryPoint:
         assert cli.run(argv) == 2
         assert "at least two" in capsys.readouterr().err
 
+    def test_slope_from_one_distinct_grid_exits_2(self, tmp_path, capsys):
+        argv = ["ito-check", "--seed", "1", "--n-paths", "16", "--exponents",
+                "5,5", "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert "two distinct exponents" in capsys.readouterr().err
+        assert not (tmp_path / "ito_check.csv").exists()
+
+    def test_no_residual_degree_of_freedom_exits_2(self, tmp_path, capsys):
+        argv = ["solve", "--seed", "1", "--steps", "8", "--n-samples", "3",
+                "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert "at least 4 samples" in capsys.readouterr().err
+
+    def test_calibration_failure_names_sample_size(self, tmp_path, capsys):
+        # 20 calibration pairs are too few for the fixed shrink of alpha
+        argv = ["gauge-check", "--seed", "4", "--d", "1", "--n-tuples", "20",
+                "--calibrate", "--out", str(tmp_path)]
+        assert cli.run(argv) == 1
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("gauge-check: FAIL (calibrated_lower")
+        assert "calibrated on 20 pairs" in line and "fixed 0.9" in line
+        rows = (tmp_path / "gauge_check.csv").read_text().splitlines()
+        assert any(r.startswith("calibrated_lower,") and r.endswith(",FAIL")
+                   for r in rows)
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
         argv = ["solve", "--seed", "1", "--config", missing, "--out", str(tmp_path)]

@@ -9,8 +9,10 @@ from pathheat.cylinders import (PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fd_pathwise_derivs)
 from pathheat.errors import DomainError
-from pathheat.grids import GridPath, TimeGrid, brownian_increments
+from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
+                            extend_with_increments)
 from pathheat.quadrature import QuadratureConfig, monte_carlo_gaussian_rule
+from pathheat import solver
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, cylinder_pathwise_derivs,
                              finite_dim_solution, flow_residual, pde_residual,
@@ -113,6 +115,117 @@ class TestEstimators:
         est = running_max_exact_solution(0.0, GridPath.zero(grid),
                                          MCConfig(n_samples=4000, seed=2))
         assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4 * est.stderr
+
+
+def _lstsq_fit(xi, t, x, cfg):
+    """The control-variate fit of candidate_solution, done at once on the
+    whole design matrix: (intercept, stderr, fitted units y)."""
+    grid = x.grid
+    k = grid.index_of(t)
+    d = x.dimension
+    dw = sample_increments(grid, k, d, cfg.seed, np.arange(cfg.n_samples),
+                           cfg.antithetic)
+    vals = extend_with_increments(t, x, dw)
+    y = xi.evaluate_batch(vals, grid)
+    b = vals[:, -1] - x.values[k]
+    bp = np.maximum(b, 0.0) - math.sqrt((grid.horizon - grid.node(k)) / (2 * math.pi))
+    if cfg.antithetic:
+        # B cancels inside a pair: only the pair means of B^+ are controls
+        y = y.reshape(-1, 2).mean(axis=1)
+        controls = bp.reshape(-1, 2, d).mean(axis=1)
+    else:
+        controls = np.column_stack([b, bp])
+    design = np.column_stack([np.ones(y.size), controls])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ coef
+    n, p = design.shape
+    return coef[0], math.sqrt(resid @ resid / (n - p) / n), y
+
+
+def _spitzer(steps):
+    """E max_k S_k of the Gaussian walk on the unit grid (Spitzer)."""
+    dt = 1.0 / steps
+    return math.fsum(math.sqrt(dt / (2 * math.pi * k)) for k in range(1, steps + 1))
+
+
+class TestControlVariates:
+    # 3 chunks and a partial one; an antithetic count must be even
+    @pytest.mark.parametrize("antithetic,n", [(False, 3 * solver._CHUNK + 17),
+                                              (True, 3 * solver._CHUNK + 18)])
+    def test_chunked_fit_equals_one_lstsq(self, antithetic, n, monkeypatch):
+        grid = TimeGrid(1.0, 16)
+        x = make_brownian(grid, seed=3)
+        xi = build_terminal("running_max", grid)
+        cfg = MCConfig(n_samples=n, seed=4, antithetic=antithetic)
+        mean, stderr, _ = _lstsq_fit(xi, 0.25, x, cfg)
+        est = candidate_solution(xi, 0.25, x, cfg)
+        assert est.mean == pytest.approx(mean, abs=1e-12)
+        assert est.stderr == pytest.approx(stderr, abs=1e-12)
+        monkeypatch.setattr(solver, "_CHUNK", 1000)
+        rechunked = candidate_solution(xi, 0.25, x, cfg)
+        assert rechunked.mean == pytest.approx(est.mean, abs=1e-12)
+        assert rechunked.stderr == pytest.approx(est.stderr, abs=1e-12)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_linear_terminal_is_exact(self, antithetic):
+        grid = TimeGrid(1.0, 100)
+        xi = build_terminal("terminal_value", grid)
+        cfg = MCConfig(n_samples=1000, seed=1, antithetic=antithetic)
+        x = GridPath.zero(grid)
+        est = candidate_solution(xi, 0.0, x, cfg)
+        _, _, y = _lstsq_fit(xi, 0.0, x, cfg)
+        p = 2 if antithetic else 3
+        floor = math.sqrt(solver._RSS_FLOOR * (y @ y) / (y.size - p) / y.size)
+        assert abs(est.mean) < 1e-15
+        assert est.stderr <= floor
+
+    def test_stderr_covers_error(self):
+        # errors against Spitzer's exact grid value, in units of the
+        # reported stderr, must have unit spread and no visible bias; a
+        # wrong degrees-of-freedom count or a biased in-sample fit shows
+        grid = TimeGrid(1.0, 50)
+        xi = build_terminal("running_max", grid)
+        exact = _spitzer(grid.steps)
+        scores = []
+        for seed in range(200):
+            est = candidate_solution(xi, 0.0, GridPath.zero(grid),
+                                     MCConfig(n_samples=400, seed=seed))
+            scores.append((est.mean - exact) / est.stderr)
+        assert 0.9 < np.std(scores) < 1.15
+        assert abs(np.mean(scores)) < 0.15
+
+    def test_antithetic_fit_leaves_out_b(self):
+        # at d = 2 the antithetic fit has 1 + 2 coefficients, not 1 + 4; at
+        # 20 pairs the degrees of freedom alone move the stderr by 6%
+        grid = TimeGrid(1.0, 16)
+        x = make_brownian(grid, seed=5, dimension=2, start=0.3)
+        xi = build_terminal("running_max", grid)
+        cfg = MCConfig(n_samples=40, seed=6, antithetic=True)
+        mean, stderr, _ = _lstsq_fit(xi, 0.25, x, cfg)
+        est = candidate_solution(xi, 0.25, x, cfg)
+        assert est.mean == pytest.approx(mean, abs=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-10)
+
+    @pytest.mark.parametrize("d,antithetic,least", [(1, False, 4), (1, True, 6),
+                                                     (2, False, 6), (2, True, 8)])
+    def test_too_few_samples_rejected(self, d, antithetic, least):
+        grid = TimeGrid(1.0, 8)
+        xi = build_terminal("running_max", grid)
+        x = GridPath.zero(grid, d)
+        short = MCConfig(n_samples=least - 2, seed=1, antithetic=antithetic)
+        with pytest.raises(DomainError, match=f"at least {least} samples"):
+            candidate_solution(xi, 0.0, x, short)
+        enough = MCConfig(n_samples=least, seed=1, antithetic=antithetic)
+        assert np.isfinite(candidate_solution(xi, 0.0, x, enough).stderr)
+
+    def test_nothing_fitted_at_horizon(self):
+        grid = TimeGrid(1.0, 8)
+        x = make_brownian(grid, seed=2)
+        xi = build_terminal("running_max", grid)
+        est = candidate_solution(xi, 1.0, x, MCConfig(n_samples=2, seed=1))
+        assert est.mean == pytest.approx(np.max(x.values), abs=1e-15)
+        # both samples are xi(x): the stderr is the floor alone
+        assert est.stderr == pytest.approx(math.sqrt(solver._RSS_FLOOR) * abs(est.mean))
 
 
 def _residual_reference(spec, t, x, config):
