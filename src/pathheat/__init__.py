@@ -15,7 +15,7 @@ from .errors import (ContractError, ConvergenceError, DomainError, InputError,
 from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     brownian_increments, euler_paths, extend_with_increments,
                     path_distance, read_path_csv, stop_path, write_path_csv)
-from .regularization import (BracketEstimate, IntegrandFn, forward_integral,
+from .regularization import (BracketEstimate, forward_integral,
                              forward_integral_limit, mutual_bracket)
 from .fourier import (FourierBasis, fejer_coefficient, fejer_mean,
                       fejer_smooth, terminal_ramp)

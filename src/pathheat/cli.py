@@ -77,7 +77,7 @@ _S = ("s_nodes", "s_max")
 
 # The settings each subcommand reads; it accepts no others.
 _READS = {
-    "solve": ("d", "horizon", "steps", "terminal", "n_samples"),
+    "solve": ("horizon", "steps", "terminal", "n_samples"),
     "pde-check": ("horizon", "steps", *_Z),
     "gauge-check": ("d", "horizon", "steps", *_Z, *_S),
     "ito-check": ("horizon",),
@@ -150,8 +150,11 @@ def _cmd_solve(args) -> int:
     if args.path:
         x = read_path_csv(args.path)
         grid = x.grid
+        if x.dimension != 1:
+            raise InputError(f"terminal {args.terminal!r} reads scalar paths, "
+                             f"but {args.path} has {x.dimension} columns")
     else:
-        x = GridPath.zero(grid, args.d)
+        x = GridPath.zero(grid)
     xi = build_terminal(args.terminal, grid)
     est = candidate_solution(xi, args.t, x,
                              MCConfig(n_samples=args.n_samples, seed=args.seed,
@@ -248,8 +251,7 @@ def _cmd_vp_run(args) -> int:
     if args.paths:
         data = read_path_csv(args.paths)
         grid = data.grid
-        times = ([float(s) for s in args.times.split(",")]
-                 if args.times else [0.5 * grid.horizon])
+        times = args.times or (0.5 * grid.horizon,)
         pts = tuple(PathPoint(t, data.component(i))
                     for i in range(data.dimension) for t in times)
     else:
@@ -436,7 +438,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p = _add_command(sub, "vp-run", _cmd_vp_run,
                      "smooth variational principle on a finite space")
     p.add_argument("--paths", help="CSV path dictionary (columns are paths)")
-    p.add_argument("--times", help="comma-separated evaluation times")
+    p.add_argument("--times", type=_floats, help="comma-separated evaluation times")
     p.add_argument("--n-points", type=int, default=100, dest="n_points")
     p.add_argument("--delta-weight", type=float, default=0.05, dest="vp_delta")
 

@@ -4,12 +4,15 @@ A cylinder functional evaluates a smooth g on a vector of forward integrals
 of the path against fixed weight functions; it is the class for which the
 candidate solution of the path-dependent heat equation reduces to a
 finite-dimensional problem (solved, with its analytic pathwise derivatives,
-in :mod:`pathheat.solver`).  Lifted maps add a free "present value"
-argument y that models a jump of size y - x(t) at the current time;
-pathwise derivatives are the time derivative with the past frozen
-(horizontal) and ordinary derivatives in y (vertical).  This module holds
-the coordinates, the weight matrix, the Fejer approximation of a generic
-functional in cylinder form, and finite-difference derivatives of any lift.
+in :mod:`pathheat.solver`).  The coordinates of one path form a row of
+length m = d * n_factors; g, its gradient and its Hessian act on stacks of
+rows (k, m), returning (k,), (k, m) and (k, m, m).  Lifted maps add a free
+"present value" argument y that models a jump of size y - x(t) at the
+current time; pathwise derivatives are the time derivative with the past
+frozen (horizontal) and ordinary derivatives in y (vertical).  This module
+holds the coordinates, the weight matrix, the Fejer approximation of a
+generic functional in cylinder form, and finite-difference derivatives of
+any lift.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import ContractError, DomainError, ToleranceError
 from .fourier import basis_value, basis_primitive, fejer_smooth, fejer_weights
 from .grids import GridPath, PathPoint, TimeGrid, stop_path
-from .regularization import IntegrandFn, forward_integral
+from .regularization import by_parts, weights_at
 
 __all__ = [
     "CylinderSpec",
@@ -62,49 +65,45 @@ class PathwiseDerivs:
 class CylinderSpec:
     """g applied to forward integrals of the path against weights psi.
 
-    ``g`` maps a flat vector of length d*(n+1) (blocks z_0..z_n of length d)
-    to a scalar; gradient and hessian evaluators are optional but required
-    by operations that differentiate.  Weight functions must be continuous;
-    g of class C^2 with polynomial growth is the caller's contract.
+    The evaluators act on coordinate rows: ``zs`` has shape (k, m) with
+    m = d * n_factors, each row the blocks z_0..z_n of length d.  ``g(zs)``
+    returns shape (k,), ``gradient(zs)`` (k, m) and ``hessian(zs)``
+    (k, m, m); the derivative evaluators are optional but required by
+    operations that differentiate.  Each weight psi_l takes an array of
+    times and must be continuous; g of class C^2 with polynomial growth is
+    the caller's contract.
     """
 
-    g: Callable[[np.ndarray], float]
+    g: Callable[[np.ndarray], np.ndarray]
     psi: Sequence[Callable[[np.ndarray], np.ndarray]]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    g_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     @property
     def n_factors(self) -> int:
         return len(self.psi)
 
-    def psi_integrand(self, l: int) -> IntegrandFn:
-        return IntegrandFn(fn=self.psi[l], bounded_variation=True)
-
 
 def cylinder_coordinates(spec: CylinderSpec, t: float, x: GridPath) -> np.ndarray:
-    """The integral vector z(t, x), flat shape (d * n_factors,).
+    """The integral vector z(t, x), one coordinate row of shape
+    (d * n_factors,).
 
     Depends only on x(. ^ t): integrating against the stopped path beyond t
     adds nothing, so the coordinates are non-anticipative.
     """
-    blocks = [forward_integral(spec.psi_integrand(l), x, t)
-              for l in range(spec.n_factors)]
-    return np.concatenate(blocks)
+    k = x.grid.index_of(t)
+    return by_parts(weights_at(spec.psi, x.grid.nodes()[: k + 1]),
+                    x.values[: k + 1]).reshape(-1)
 
 
 def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
     """Stacked weight matrix: block l is psi_l(t) * identity, shape (d*n, d)."""
-    tt = np.asarray([t], dtype=float)
-    vals = [float(np.asarray(spec.psi[l](tt), float).reshape(-1)[0])
-            for l in range(spec.n_factors)]
-    eye = np.eye(dimension)
-    return np.vstack([v * eye for v in vals])
+    return np.kron(weights_at(spec.psi, np.asarray([t], float)), np.eye(dimension))
 
 
 def eval_cylinder(spec: CylinderSpec, x: GridPath) -> float:
-    return float(spec.g(cylinder_coordinates(spec, x.horizon, x)))
+    return float(spec.g(cylinder_coordinates(spec, x.horizon, x)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,8 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
     ``xi_batch`` evaluates xi on path values (k, M+1, d), returning (k,).
     The returned spec uses weight 1 for the terminal-value coordinate and the
     zero-mean basis primitives for the others; its g reconstructs the smoothed
-    path on ``grid`` from the coordinate vector, so evaluating the spec on the
-    coordinates of x reproduces xi(fejer_smooth(x, n)) exactly.  The scalar g
-    is the batch evaluation of one path.
+    paths on ``grid`` from coordinate rows (k, d * (2n+1)), so evaluating the
+    spec on the coordinates of x reproduces xi(fejer_smooth(x, n)) exactly.
     """
     if n < 0:
         raise DomainError("approximation order must be >= 0")
@@ -144,18 +142,15 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
         cols.append(-weights[l] * (basis_value(l, T, nodes) - basis_value(l, T, 0.0)))
     synth = np.stack(cols)                           # (2n+1, M+1)
 
-    def g_batch(zs: np.ndarray) -> np.ndarray:
+    def g(zs: np.ndarray) -> np.ndarray:
         zb = np.asarray(zs, float).reshape(len(zs), 2 * n + 1, dimension)
         paths = np.einsum("lm,kld->kmd", synth, zb)
         return np.asarray(xi_batch(paths, grid), float)
 
-    def g(z: np.ndarray) -> float:
-        return float(g_batch(np.asarray(z, float)[None])[0])
-
-    psi = [IntegrandFn.constant(1.0).fn]
+    psi = [lambda s: 1.0]
     for l in range(1, 2 * n + 1):
         psi.append((lambda s, _l=l: basis_primitive(_l, T, s)))
-    spec = CylinderSpec(g=g, psi=psi, g_batch=g_batch, name=f"fejer{n}")
+    spec = CylinderSpec(g=g, psi=psi, name=f"fejer{n}")
 
     def evaluate(x: GridPath) -> float:
         return float(xi_batch(fejer_smooth(x, n).values[None], grid)[0])

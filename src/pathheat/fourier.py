@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import GridPath, TimeGrid
-from .regularization import IntegrandFn, forward_integral
+from .regularization import forward_integral
 
 __all__ = [
     "FourierBasis",
@@ -74,13 +74,6 @@ class FourierBasis:
     def primitive(self, t) -> np.ndarray:
         return basis_primitive(self.index, self.horizon, t)
 
-    def primitive_integrand(self) -> IntegrandFn:
-        return IntegrandFn(
-            fn=lambda s: basis_primitive(self.index, self.horizon, s),
-            bounded_variation=True,
-            derivative=lambda s: basis_value(self.index, self.horizon, s),
-        )
-
 
 def terminal_ramp(x: GridPath) -> GridPath:
     """The linear ramp t -> x(T) t / T; fixed points are exactly the ramps."""
@@ -94,8 +87,7 @@ def fejer_coefficient(x: GridPath, l: int) -> np.ndarray:
     Equals -integral of the (zero-mean) primitive of basis ``l`` against dx,
     which in turn equals the L2 inner product <x - ramp, e_l>.
     """
-    basis = FourierBasis(x.horizon, l)
-    return -forward_integral(basis.primitive_integrand(), x, x.horizon)
+    return -forward_integral(FourierBasis(x.horizon, l).primitive, x, x.horizon)
 
 
 # 3-point Gauss-Legendre on [0,1]; exact through degree 5 per cell.

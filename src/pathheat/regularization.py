@@ -6,14 +6,17 @@ evaluated through the integration-by-parts identity
     integral_{[0,t]} g d-f  =  g(t) f(t) - integral_{(0,t]} f dg,
 
 which is exact for piecewise-linear paths when the Stieltjes term uses cell
-midpoints.  The regularized difference-quotient form is kept as a test
+midpoints.  One kernel, :func:`by_parts`, applies it to weights at nodes
+0..k, shape (n, k+1), and path values of shape (..., k+1, d), giving
+(..., n, d); :func:`weights_at` evaluates integrands at nodes as those
+(n, k+1) rows.  The regularized difference-quotient form is kept as a test
 oracle, together with the epsilon-bracket estimator of quadratic covariation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,42 +24,36 @@ from .errors import ContractError, ResolutionError
 from .grids import GridPath, TimeGrid
 
 __all__ = [
-    "IntegrandFn",
     "BracketEstimate",
+    "by_parts",
+    "weights_at",
     "forward_integral",
     "forward_integral_limit",
     "mutual_bracket",
 ]
 
+def weights_at(fns: Sequence[Callable], s: np.ndarray) -> np.ndarray:
+    """Integrands evaluated at the times ``s``, shape (len(fns), len(s)); a
+    scalar result (a constant integrand) is broadcast over ``s``."""
+    return np.stack([np.broadcast_to(np.asarray(fn(s), float), s.shape)
+                     for fn in fns])
 
-@dataclass(frozen=True)
-class IntegrandFn:
-    """Scalar integrand on [0, T].
 
-    ``bounded_variation`` asserts the by-parts route is valid; the Stieltjes
-    measure is taken from node differences of ``fn`` (exact per cell), and
-    ``derivative`` is optional metadata used by consistency tests.
+def by_parts(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Forward integrals of n integrands against paths, by parts.
+
+    ``weights`` holds the integrands at nodes 0..k, shape (n, k+1);
+    ``values`` the paths at the same nodes, shape (..., k+1, d).  Returns
+    shape (..., n, d): row l is w_l(t_k) f(t_k) minus the Stieltjes sum of
+    the cell-midpoint path values against the node differences of w_l.  Each
+    row is its own dot product, so a stack of paths gives bit for bit the
+    rows of the paths one by one, and a row does not depend on the other
+    weights of the call.
     """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    bounded_variation: bool = False
-    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, s):
-        return self.fn(s)
-
-    @staticmethod
-    def constant(c: float) -> "IntegrandFn":
-        return IntegrandFn(lambda s: np.full_like(np.asarray(s, float), c),
-                           bounded_variation=True,
-                           derivative=lambda s: np.zeros_like(np.asarray(s, float)))
-
-
-def _eval_on(fn, s: np.ndarray) -> np.ndarray:
-    out = np.asarray(fn(s), dtype=float)
-    if out.shape != s.shape:
-        out = np.broadcast_to(out, s.shape).astype(float)
-    return out
+    boundary = weights[:, -1, None] * values[..., -1, None, :]
+    mids = (values[..., :-1, :] + values[..., 1:, :]) / 2.0
+    return boundary - np.stack([dw @ mids for dw in np.diff(weights, axis=-1)],
+                               axis=-2)
 
 
 def _cells_until(grid: TimeGrid, t: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -67,27 +64,18 @@ def _cells_until(grid: TimeGrid, t: float) -> tuple[int, np.ndarray, np.ndarray]
     return k, nodes, mids
 
 
-def forward_integral(g: IntegrandFn, f: GridPath, t: float) -> np.ndarray:
+def forward_integral(g: Callable, f: GridPath, t: float) -> np.ndarray:
     """Forward integral of g against f over [0, t] by integration by parts.
 
-    Returns a vector of f's dimension.  Requires ``g.bounded_variation``.
-    The initial-value atom g(0) f(0) is part of the identity: with g == 1
-    the result is f(t).
+    ``g`` is a bounded-variation integrand on [0, T], taking an array of
+    times.  Returns a vector of f's dimension.  The initial-value atom
+    g(0) f(0) is part of the identity: with g == 1 the result is f(t).
     """
-    if not g.bounded_variation:
-        raise ContractError("forward_integral needs a bounded-variation integrand")
-    k, nodes, mids = _cells_until(f.grid, t)
-    gt = float(np.asarray(g.fn(np.asarray([nodes[-1]])), float).reshape(-1)[0])
-    boundary = gt * f.values[k]
-    if k == 0:
-        return boundary.copy()
-    gn = _eval_on(g.fn, nodes)
-    dg = np.diff(gn)
-    fmid = (f.values[:k] + f.values[1 : k + 1]) / 2.0
-    return boundary - dg @ fmid
+    k, nodes, _ = _cells_until(f.grid, t)
+    return by_parts(weights_at([g], nodes), f.values[: k + 1])[0]
 
 
-def forward_integral_limit(g: IntegrandFn, f: GridPath, t: float,
+def forward_integral_limit(g: Callable, f: GridPath, t: float,
                            eps: float) -> np.ndarray:
     """Regularized difference-quotient form of the forward integral.
 
@@ -105,7 +93,7 @@ def forward_integral_limit(g: IntegrandFn, f: GridPath, t: float,
     k, nodes, mids = _cells_until(grid, t)
 
     # s in [-eps, 0): integrand is g(0) * f(s+eps) / eps, an initial-value atom.
-    g0 = float(np.asarray(g.fn(np.asarray([0.0])), float).reshape(-1)[0])
+    g0 = float(weights_at([g], np.zeros(1))[0, 0])
     j = min(m, k)
     # trapezoid of f over [0, j*dt] plus frozen tail if eps overshoots t
     ftrap = np.zeros(f.dimension)
@@ -124,8 +112,7 @@ def forward_integral_limit(g: IntegrandFn, f: GridPath, t: float,
     shift = np.minimum(idx + m, k)
     h_nodes = f.values[shift] - f.values[idx]
     h_mids = (h_nodes[:-1] + h_nodes[1:]) / 2.0
-    g_nodes = _eval_on(g.fn, nodes)
-    g_mids = _eval_on(g.fn, mids)
+    g_nodes, g_mids = weights_at([g], nodes)[0], weights_at([g], mids)[0]
     integrand_nodes = g_nodes[:, None] * h_nodes
     integrand_mids = g_mids[:, None] * h_mids
     simpson = (integrand_nodes[:-1] + 4.0 * integrand_mids + integrand_nodes[1:]) / 6.0

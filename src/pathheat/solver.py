@@ -29,6 +29,7 @@ from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
 from .errors import ContractError, DomainError, InputError, NumericError
 from .grids import GridPath, TimeGrid, brownian_increments, extend_with_increments
 from .quadrature import QuadratureConfig, gaussian_rule, legendre_rule
+from .regularization import by_parts, weights_at
 from .streams import StreamKind, sample_stream, substream
 
 __all__ = [
@@ -52,10 +53,10 @@ __all__ = [
 class TerminalFunctional:
     """Terminal condition xi acting on grid paths.
 
-    ``batch`` evaluates xi on an array of path values (n, M+1, d) at once;
-    ``bound`` is an a-priori sup bound when xi is bounded; ``cylinder``
-    carries the finite-dimensional representation when xi has one.
-    Continuity of xi is the caller's contract.
+    ``batch`` evaluates xi on an array of path values (n, M+1, d) at once,
+    returning shape (n,); ``bound`` is an a-priori sup bound when xi is
+    bounded; ``cylinder`` carries the finite-dimensional representation when
+    xi has one.  Continuity of xi is the caller's contract.
     """
 
     name: str
@@ -64,7 +65,20 @@ class TerminalFunctional:
     cylinder: Optional[CylinderSpec] = None
 
     def evaluate_batch(self, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        return np.asarray(self.batch(values, grid), float)
+        return _rows(f"terminal {self.name!r}", (len(values),),
+                     self.batch, values, grid)
+
+
+def _rows(who: str, shape: tuple, fn, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, which must have the row shape
+    ``shape``; an evaluator written for one row fails here, naming ``who``."""
+    try:
+        out = np.asarray(fn(*args), float)
+    except TypeError as exc:
+        raise ContractError(f"{who} failed on {shape[0]} rows: {exc}") from exc
+    if out.shape != shape:
+        raise ContractError(f"{who} returned shape {out.shape}, not {shape}")
+    return out
 
 
 # Samples per chunk of candidate_solution; even, so that an antithetic pair
@@ -349,18 +363,19 @@ def _pair_integrals(spec: CylinderSpec, t: float, horizon: float) -> np.ndarray:
         # the package, and only these small specs use it
         from scipy.integrate import quad as _adaptive_quad
 
+        def product(s, i, j):
+            w = weights_at((spec.psi[i], spec.psi[j]), np.asarray([s]))
+            return float(w[0, 0] * w[1, 0])
+
         for i in range(n):
             for j in range(i, n):
-                val, _ = _adaptive_quad(
-                    lambda s, _i=i, _j=j: float(np.asarray(spec.psi[_i](np.asarray([s])))[0]
-                                                * np.asarray(spec.psi[_j](np.asarray([s])))[0]),
-                    t, horizon, epsabs=1e-12, epsrel=1e-12, limit=200)
+                val, _ = _adaptive_quad(product, t, horizon, args=(i, j),
+                                        epsabs=1e-12, epsrel=1e-12, limit=200)
                 out[i, j] = out[j, i] = val
         return out
     nodes_count = max(512, 24 * n)
     s, w = legendre_rule(t, horizon, nodes_count)
-    vals = np.stack([np.broadcast_to(np.asarray(spec.psi[i](s), float), s.shape)
-                     for i in range(n)])
+    vals = weights_at(spec.psi, s)
     return (vals * w) @ vals.T
 
 
@@ -387,7 +402,9 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
     antithetic Monte Carlo above.  At t = T the Gaussian degenerates and the
     value is g(z) exactly.  ``derivatives`` adds the gradient and Hessian in
     z, averaged over the same nodes; the time derivative is not computed
-    here (see :func:`cylinder_pathwise_derivs`).
+    here (see :func:`cylinder_pathwise_derivs`).  The spec's evaluators get
+    the rule's k nodes as rows (k, m) and must return (k,), (k, m) and
+    (k, m, m); another shape raises :class:`ContractError`.
     """
     z = np.asarray(z, float)
     if not 0.0 <= t <= horizon + 1e-12:
@@ -406,10 +423,9 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
         u, weights = gaussian_rule(config, m, allow_exact=False, gh_max_dim=3)
         shift = u @ _factor_matrix(spec, t, horizon, dimension).T
     pts = z[None, :] + shift
-    if spec.g_batch is not None:
-        gv = np.asarray(spec.g_batch(pts), float)
-    else:
-        gv = np.array([float(spec.g(p)) for p in pts])
+    k = len(pts)
+    who = f"cylinder spec {spec.name!r}"
+    gv = _rows(f"{who} g", (k,), spec.g, pts)
     stderr = 0.0
     if mc_rule and gv.size > 1:
         # the rule's second half mirrors its first (z, -z), so the pair
@@ -418,11 +434,9 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
         stderr = float(np.std(pairs, ddof=1) / math.sqrt(pairs.size))
     grad = hess = None
     if derivatives:
-        grad = np.zeros(m)
-        hess = np.zeros((m, m))
-        for w, p in zip(weights, pts):
-            grad += w * np.asarray(spec.gradient(p), float)
-            hess += w * np.asarray(spec.hessian(p), float)
+        grad = weights @ _rows(f"{who} gradient", (k, m), spec.gradient, pts)
+        hess = np.tensordot(
+            weights, _rows(f"{who} hessian", (k, m, m), spec.hessian, pts), axes=1)
     return FiniteDimSolution(value=float(weights @ gv), gradient=grad,
                              hessian=hess, value_stderr=stderr)
 
@@ -520,80 +534,50 @@ def solution_lift(spec: CylinderSpec, config: QuadratureConfig = QuadratureConfi
 # Terminal-functional registry
 # ---------------------------------------------------------------------------
 
-def _one(s):
-    return np.ones_like(np.asarray(s, float))
-
-
-def _cylinder_batch(spec: CylinderSpec, grid: TimeGrid):
-    """Batched coordinates + g for scalar paths (vectorized over samples)."""
-    nodes = grid.nodes()
-    mids_w = []
-    ends = []
-    for l in range(spec.n_factors):
-        pv = np.asarray(spec.psi[l](nodes), float)
-        if pv.shape != nodes.shape:
-            pv = np.broadcast_to(pv, nodes.shape).astype(float)
-        mids_w.append(np.diff(pv))
-        ends.append(pv[-1])
-
-    def batch(values: np.ndarray, g: TimeGrid) -> np.ndarray:
-        x = values[:, :, 0]
-        mids = (x[:, :-1] + x[:, 1:]) / 2.0
-        zs = np.stack([ends[l] * x[:, -1] - mids @ mids_w[l]
-                       for l in range(spec.n_factors)], axis=1)
-        return np.asarray(spec.g_batch(zs), float)
-
-    return batch
-
-
 def _linear_spec() -> CylinderSpec:
     return CylinderSpec(
-        g=lambda z: float(z[0]),
-        gradient=lambda z: np.array([1.0]),
-        hessian=lambda z: np.array([[0.0]]),
-        psi=[_one], name="linear",
-        g_batch=lambda zs: zs[:, 0])
+        g=lambda zs: zs[:, 0],
+        gradient=np.ones_like,
+        hessian=lambda zs: np.zeros((len(zs), 1, 1)),
+        psi=[lambda s: 1.0], name="linear")
 
 
 def _quadratic_spec() -> CylinderSpec:
     return CylinderSpec(
-        g=lambda z: float(z[0] ** 2),
-        gradient=lambda z: np.array([2.0 * z[0]]),
-        hessian=lambda z: np.array([[2.0]]),
-        psi=[_one], name="quadratic",
-        g_batch=lambda zs: zs[:, 0] ** 2)
+        g=lambda zs: zs[:, 0] ** 2,
+        gradient=lambda zs: 2.0 * zs,
+        hessian=lambda zs: np.full((len(zs), 1, 1), 2.0),
+        psi=[lambda s: 1.0], name="quadratic")
 
 
 def _exponential_spec() -> CylinderSpec:
     return CylinderSpec(
-        g=lambda z: float(np.exp(z[0])),
-        gradient=lambda z: np.array([np.exp(z[0])]),
-        hessian=lambda z: np.array([[np.exp(z[0])]]),
-        psi=[_one], name="exponential",
-        g_batch=lambda zs: np.exp(zs[:, 0]))
+        g=lambda zs: np.exp(zs[:, 0]),
+        gradient=np.exp,
+        hessian=lambda zs: np.exp(zs)[:, :, None],
+        psi=[lambda s: 1.0], name="exponential")
 
 
 def _trig2_spec(horizon: float) -> CylinderSpec:
     w = math.pi / horizon
 
-    def g(z):
-        return float(np.sin(z[0]) * np.cos(z[1]))
+    def g(zs):
+        return np.sin(zs[:, 0]) * np.cos(zs[:, 1])
 
-    def gradient(z):
-        return np.array([np.cos(z[0]) * np.cos(z[1]),
-                         -np.sin(z[0]) * np.sin(z[1])])
+    def gradient(zs):
+        s, c = np.sin(zs), np.cos(zs)
+        return np.stack([c[:, 0] * c[:, 1], -s[:, 0] * s[:, 1]], axis=1)
 
-    def hessian(z):
-        s0, c0 = np.sin(z[0]), np.cos(z[0])
-        s1, c1 = np.sin(z[1]), np.cos(z[1])
-        return np.array([[-s0 * c1, -c0 * s1], [-c0 * s1, -s0 * c1]])
+    def hessian(zs):
+        s, c = np.sin(zs), np.cos(zs)
+        diag, off = -s[:, 0] * c[:, 1], -c[:, 0] * s[:, 1]
+        return np.stack([diag, off, off, diag], axis=1).reshape(-1, 2, 2)
 
     return CylinderSpec(
         g=g, gradient=gradient, hessian=hessian,
         psi=[lambda s: np.cos(w * np.asarray(s, float)),
              lambda s: np.sin(w * np.asarray(s, float))],
-        name="trig2",
-        g_batch=lambda zs: np.sin(zs[:, 0]) * np.cos(zs[:, 1]))
+        name="trig2")
 
 
 _CYLINDER_BUILDERS = {
@@ -620,7 +604,9 @@ def build_terminal(name: str, grid: TimeGrid) -> TerminalFunctional:
             name=name, batch=lambda v, g: np.max(v[:, :, 0], axis=1))
     if name in _CYLINDER_BUILDERS:
         spec = _CYLINDER_BUILDERS[name](grid.horizon)
-        return TerminalFunctional(name=name, batch=_cylinder_batch(spec, grid),
-                                  cylinder=spec)
+        w = weights_at(spec.psi, grid.nodes())
+        return TerminalFunctional(
+            name=name, cylinder=spec,
+            batch=lambda v, g: spec.g(by_parts(w, v[..., :1]).reshape(len(v), -1)))
     raise InputError(f"unknown terminal functional {name!r}; "
                      f"known: {', '.join(terminal_names())}")

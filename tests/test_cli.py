@@ -9,6 +9,7 @@ import pytest
 import pathheat
 from pathheat import cli
 from pathheat.errors import DomainError, InputError
+from pathheat.grids import GridPath, TimeGrid, write_path_csv
 
 
 def _write(tmp_path, text):
@@ -40,7 +41,7 @@ class TestConfig:
 Z = ("z_rule", "z_nodes", "z_samples")
 S = ("s_nodes", "s_max")
 READS = {
-    "solve": {"d", "horizon", "steps", "terminal", "n_samples"},
+    "solve": {"horizon", "steps", "terminal", "n_samples"},
     "pde-check": {"horizon", "steps", *Z},
     "gauge-check": {"d", "horizon", "steps", *Z, *S},
     "ito-check": {"horizon"},
@@ -211,6 +212,26 @@ class TestEntryPoint:
             cli.run(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert f"{argv[3]}: invalid _ints value" in capsys.readouterr().err
+
+    def test_bad_float_list_is_a_usage_error(self, tmp_path, capsys):
+        paths = str(tmp_path / "p.csv")
+        write_path_csv(GridPath.zero(TimeGrid(1.0, 8)), paths)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["vp-run", "--seed", "1", "--paths", paths, "--times",
+                     "0.5,x", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--times: invalid _floats value" in capsys.readouterr().err
+
+    def test_solve_rejects_a_vector_path(self, tmp_path, capsys):
+        # the registry terminals read scalar paths
+        path = str(tmp_path / "p.csv")
+        write_path_csv(GridPath.zero(TimeGrid(1.0, 8), 2), path)
+        argv = ["solve", "--seed", "1", "--path", path, "--n-samples", "8",
+                "--terminal", "cyl:trig2", "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "'cyl:trig2' reads scalar paths" in err and "2 columns" in err
+        assert not (tmp_path / "solve.csv").exists()
 
     def test_failed_check_still_exits_1(self, tmp_path):
         argv = ["approx", "--seed", "1", "--steps", "64", "--orders", "4,8",

@@ -8,17 +8,16 @@ from pathheat.cylinders import (CylinderSpec, LiftedFunctional,
 from pathheat.errors import DomainError
 from pathheat.fourier import fejer_smooth
 from pathheat.grids import GridPath, PathPoint, TimeGrid, stop_path
-from pathheat.regularization import IntegrandFn
 
 from conftest import make_brownian
 
-ONE = IntegrandFn.constant(1.0).fn
+ONE = np.ones_like
 
 
 def _identity_spec():
-    return CylinderSpec(g=lambda z: float(z[0]), psi=[ONE],
-                        gradient=lambda z: np.array([1.0]),
-                        hessian=lambda z: np.array([[0.0]]))
+    return CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE],
+                        gradient=np.ones_like,
+                        hessian=lambda zs: np.zeros((len(zs), 1, 1)))
 
 
 class TestEvalCylinder:
@@ -28,17 +27,17 @@ class TestEvalCylinder:
             float(x.values[-1, 0]), abs=1e-12)
 
     def test_constant_g(self, grid100):
-        spec = CylinderSpec(g=lambda z: 4.25, psi=[ONE])
+        spec = CylinderSpec(g=lambda zs: np.full(len(zs), 4.25), psi=[ONE])
         for seed in (1, 2):
             assert eval_cylinder(spec, make_brownian(grid100, seed=seed)) == 4.25
 
     def test_squared_terminal(self, grid100):
-        spec = CylinderSpec(g=lambda z: float(z[0] ** 2), psi=[ONE])
+        spec = CylinderSpec(g=lambda zs: zs[:, 0] ** 2, psi=[ONE])
         x = GridPath.from_function(grid100, lambda t: t)
         assert eval_cylinder(spec, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_coordinates_nonanticipative(self, grid100):
-        spec = CylinderSpec(g=lambda z: float(z[0]), psi=[ONE, np.cos])
+        spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE, np.cos])
         x = make_brownian(grid100, seed=7)
         z1 = cylinder_coordinates(spec, 0.6, x)
         z2 = cylinder_coordinates(spec, 0.6, stop_path(x, 0.6))
@@ -54,20 +53,20 @@ class TestCylinderApprox:
             ca = cylinder_approx(xi, n, grid100)
             assert ca.evaluate(x) == pytest.approx(exact, abs=1e-10)
             z = cylinder_coordinates(ca.spec, 1.0, x)
-            assert ca.spec.g(z) == pytest.approx(exact, abs=1e-8)
+            assert ca.spec.g(z[None])[0] == pytest.approx(exact, abs=1e-8)
 
     def test_constant_functional(self, grid100):
         ca = cylinder_approx(lambda v, g: np.full(len(v), -2.0), 4, grid100)
         x = make_brownian(grid100, seed=6)
         assert ca.evaluate(x) == -2.0
-        assert ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)) == -2.0
+        assert ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0] == -2.0
 
     def test_g_of_coordinates_equals_smoothed_evaluation(self, grid100):
         xi = lambda v, g: np.max(v[:, :, 0], axis=1)
         ca = cylinder_approx(xi, 6, grid100)
         x = make_brownian(grid100, seed=8, start=0.0)
         direct = float(np.max(fejer_smooth(x, 6).values[:, 0]))
-        via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x))
+        via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
 
     def test_lipschitz_transfer_for_sup(self):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from pathheat.errors import ContractError, ResolutionError
+from pathheat.errors import ResolutionError
 from pathheat.grids import GridPath, TimeGrid
-from pathheat.regularization import (IntegrandFn, forward_integral,
-                                     forward_integral_limit, mutual_bracket)
+from pathheat.regularization import (by_parts, forward_integral,
+                                     forward_integral_limit, mutual_bracket,
+                                     weights_at)
 
 from conftest import make_brownian
 
-ONE = IntegrandFn.constant(1.0)
+ONE = np.ones_like
 
 
 class TestForwardIntegral:
@@ -21,26 +22,35 @@ class TestForwardIntegral:
     def test_by_parts_closed_form(self, grid100):
         # g(s)=s against f(s)=s on [0,1]: 1*1 - int_0^1 s ds = 0.5
         f = GridPath.from_function(grid100, lambda t: t)
-        g = IntegrandFn(fn=lambda s: np.asarray(s, float), bounded_variation=True)
+        g = lambda s: np.asarray(s, float)
         assert np.isclose(forward_integral(g, f, 1.0)[0], 0.5, atol=1e-14)
 
     def test_constant_path_initial_atom(self, grid100):
         c = GridPath.constant(grid100, -2.3)
         assert np.isclose(forward_integral(ONE, c, 1.0)[0], -2.3)
 
-    def test_requires_bounded_variation(self, sine_path):
-        g = IntegrandFn(fn=lambda s: np.asarray(s, float))
-        with pytest.raises(ContractError):
-            forward_integral(g, sine_path, 1.0)
-
     def test_nonanticipative_in_path(self, grid100):
         x = make_brownian(grid100, seed=2)
         y = GridPath(grid100, x.values + (grid100.nodes() > 0.5)[:, None])
-        g = IntegrandFn(fn=lambda s: np.cos(3 * np.asarray(s, float)),
-                        bounded_variation=True)
+        g = lambda s: np.cos(3 * np.asarray(s, float))
         a = forward_integral(g, x, 0.5)
         b = forward_integral(g, y, 0.5)
         assert np.allclose(a, b)
+
+
+class TestByPartsKernel:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stack_equals_per_path_rows(self, d):
+        grid = TimeGrid(1.0, 200)
+        fns = [ONE, lambda s: np.cos(3 * s), lambda s: s ** 2 - 0.3]
+        stack = np.stack([make_brownian(grid, seed=s, dimension=d).values
+                          for s in range(20)])
+        rows = by_parts(weights_at(fns, grid.nodes()), stack)
+        assert rows.shape == (20, 3, d)
+        for values, row in zip(stack, rows):
+            path = GridPath(grid, values)
+            for fn, z in zip(fns, row):
+                assert np.array_equal(z, forward_integral(fn, path, 1.0))
 
 
 class TestForwardIntegralLimit:
@@ -60,8 +70,7 @@ class TestForwardIntegralLimit:
         rng = np.random.default_rng(8)
         f = GridPath(grid100, np.cumsum(
             np.vstack([[0.0], rng.standard_normal((100, 1)) * 0.1]), axis=0))
-        g = IntegrandFn(fn=lambda s: np.sin(2 * np.asarray(s, float)) + 1.5,
-                        bounded_variation=True)
+        g = lambda s: np.sin(2 * np.asarray(s, float)) + 1.5
         exact = forward_integral(g, f, 1.0)
         errs = []
         for eps in (0.32, 0.16, 0.08, 0.04, 0.02):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import make_brownian
-from pathheat.cylinders import (PathwiseDerivs, cylinder_approx,
+from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fd_pathwise_derivs)
-from pathheat.errors import DomainError
+from pathheat.errors import ContractError, DomainError
 from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
                             extend_with_increments)
-from pathheat.quadrature import QuadratureConfig, monte_carlo_gaussian_rule
+from pathheat.quadrature import (QuadratureConfig, gaussian_rule,
+                                 monte_carlo_gaussian_rule)
 from pathheat import solver
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, cylinder_pathwise_derivs,
@@ -257,6 +258,20 @@ def _residual_reference(spec, t, x, config):
                           vertical2=sigma.T @ sol.hessian @ sigma).heat_operator()
 
 
+class TestCylinderTerminals:
+    @pytest.mark.parametrize("name", CYLINDERS)
+    def test_batch_is_g_of_per_path_coordinates(self, name):
+        # one by-parts kernel serves both: bit for bit on every path
+        grid = TimeGrid(1.0, 200)
+        xi = build_terminal(name, grid)
+        values = extend_with_increments(
+            0.0, GridPath.zero(grid),
+            sample_increments(grid, 0, 1, 12, np.arange(200)))
+        rows = np.stack([cylinder_coordinates(xi.cylinder, 1.0, GridPath(grid, v))
+                         for v in values])
+        assert np.array_equal(xi.evaluate_batch(values, grid), xi.cylinder.g(rows))
+
+
 class TestFactorSolution:
     @pytest.mark.parametrize("name", CYLINDERS)
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.7])
@@ -281,8 +296,8 @@ class TestFactorSolution:
             # derivative evaluators, so zero ones stand in for the full call
             spec = replace(cylinder_approx(build_terminal("running_max", grid).batch,
                                            3, grid).spec,
-                           gradient=lambda z: np.zeros(z.size),
-                           hessian=lambda z: np.zeros((z.size, z.size)))
+                           gradient=np.zeros_like,
+                           hessian=lambda zs: np.zeros(zs.shape + zs.shape[1:]))
             config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
         else:
             spec = build_terminal(name, grid).cylinder
@@ -376,6 +391,52 @@ class TestFactorSolution:
         for t in (-1e-3, -1e-13, 1.5):
             with pytest.raises(DomainError):
                 finite_dim_solution(spec, t, z)
+
+    @pytest.mark.parametrize("name", CYLINDERS)
+    def test_batched_derivatives_equal_per_node_loop(self, name):
+        grid = TimeGrid(1.0, 100)
+        x = make_brownian(grid, seed=4)
+        spec = build_terminal(name, grid).cylinder
+        config = QuadratureConfig()
+        for t in (0.0, 0.45):
+            z = cylinder_coordinates(spec, t, x)
+            sol = finite_dim_solution(spec, t, z, config)
+            u, weights = gaussian_rule(config, z.size, allow_exact=False,
+                                       gh_max_dim=3)
+            pts = z + u @ solver._factor_matrix(spec, t, 1.0, 1).T
+            grad = np.zeros(z.size)
+            hess = np.zeros((z.size, z.size))
+            for w, p in zip(weights, pts):
+                grad += w * spec.gradient(p[None])[0]
+                hess += w * spec.hessian(p[None])[0]
+            assert np.allclose(sol.gradient, grad, rtol=0.0, atol=1e-14)
+            assert np.allclose(sol.hessian, hess, rtol=0.0, atol=1e-14)
+
+    def test_scalar_style_evaluators_rejected(self):
+        one = lambda s: 1.0
+        spec = CylinderSpec(g=lambda z: float(z[0]), psi=[one], name="scalar")
+        for t in (0.5, 1.0):
+            with pytest.raises(ContractError, match="'scalar' g"):
+                finite_dim_solution(spec, t, np.array([0.1]), derivatives=False)
+        spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[one], name="flat",
+                            gradient=lambda zs: np.ones(len(zs)),
+                            hessian=lambda zs: np.zeros((len(zs), 1, 1)))
+        with pytest.raises(ContractError, match=r"'flat' gradient returned "
+                                                r"shape \(\d+,\)"):
+            finite_dim_solution(spec, 0.5, np.array([0.1]))
+        spec = replace(spec, gradient=np.ones_like,
+                       hessian=lambda zs: np.zeros((len(zs), 1)))
+        with pytest.raises(ContractError, match="'flat' hessian"):
+            finite_dim_solution(spec, 0.5, np.array([0.1]))
+
+    def test_terminal_batch_shape_checked(self):
+        grid = TimeGrid(1.0, 8)
+        values = extend_with_increments(
+            0.0, GridPath.zero(grid),
+            sample_increments(grid, 0, 1, 3, np.arange(4)))
+        xi = solver.TerminalFunctional(name="column", batch=lambda v, g: v[:, -1])
+        with pytest.raises(ContractError, match=r"'column' returned shape \(4, 1\)"):
+            xi.evaluate_batch(values, grid)
 
     def test_derivatives_need_t_before_horizon(self):
         grid = TimeGrid(1.0, 10)
