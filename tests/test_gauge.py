@@ -8,8 +8,10 @@ from pathheat.audit import (derivative_bound_audit,
                             validate_alpha)
 from pathheat.cylinders import LiftedFunctional, fd_pathwise_derivs
 from pathheat.errors import DomainError
+import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
-                            _exact_profile_1d, _time_smoothed,
+                            _exact_profile_1d, _profile_rule, _s_rule,
+                            _time_smoothed, _z_rule,
                             curvature_profile,
                             calibrate_alpha, floored_norm_profile,
                             floored_norm_profile_slope, horizontal_kernel,
@@ -220,6 +222,77 @@ class TestHorizontalSmoothedDistance:
         x = make_brownian(grid64, seed=4)
         _, derivs = horizontal_smoothed_distance(anchor, 0.6, x)
         assert derivs.horizontal == pytest.approx(0.0, abs=1e-12)
+
+
+def _loop_profile_rule(ctx, t_primes, config):
+    """Reference d >= 2 profile kernel: one shifted time at a time."""
+    d = ctx.center.size
+    n = len(t_primes)
+    prefix, partial, j0 = ctx._locate(t_primes)
+    values = np.empty(n)
+    grads = np.empty((n, d))
+    hesses = np.empty((n, d, d))
+    z, w = _z_rule(config, d)
+    abs_norm = float(np.sum(w * np.linalg.norm(z, axis=1)))
+    p = ctx.center[None, :] - ctx.q
+    dist = np.linalg.norm(p[:, None, :] - z[None, :, :], axis=2)
+    run = np.maximum.accumulate(dist[::-1], axis=0)[::-1]
+    wz = w[:, None] * z
+    for i in range(n):
+        s_part = np.linalg.norm((ctx.center - partial[i])[None, :] - z, axis=1)
+        if j0[i] < ctx.q.shape[0]:
+            s_part = np.maximum(s_part, run[j0[i]])
+        nvals = np.maximum(prefix[i], s_part)
+        values[i] = float(np.sum(w * nvals)) - abs_norm
+        grads[i] = nvals @ wz
+        hesses[i] = (nvals[:, None] * wz).T @ z - np.sum(w * nvals) * np.eye(d)
+    return values, grads, hesses
+
+
+class TestBlockedProfileKernel:
+    """The block-batched d >= 2 kernel against the per-time loop."""
+
+    @pytest.mark.parametrize("dim,config", [
+        (2, QuadratureConfig(z_rule="gauss-hermite", z_nodes=21)),
+        (2, QuadratureConfig().refined()),
+        (3, QuadratureConfig(z_samples=2000)),
+    ], ids=["d2-gh21", "d2-refined", "d3-mc"])
+    def test_matches_per_time_loop(self, grid64, dim, config):
+        kinds = set()
+        for anchor, point in random_pairs(grid64, dim, 12, seed=17):
+            t = point.t
+            ctx = _AnchorContext(anchor, t, point.path, point.present_value())
+            # t' = t, the s-rule nodes, the anchor time and the horizon
+            t_primes = np.concatenate(([t], _s_rule(ctx, t, config)[0],
+                                       [ctx.t0, grid64.horizon]))
+            kinds.add("single" if ctx.single else "suffix")
+            v, g, h = _profile_rule(ctx, t_primes, config)
+            v_ref, g_ref, h_ref = _loop_profile_rule(ctx, t_primes, config)
+            assert np.array_equal(v, v_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-13
+            assert np.max(np.abs(h - h_ref)) <= 1e-13
+        assert kinds == {"single", "suffix"}
+
+    @pytest.mark.parametrize("dim,config", [
+        (2, QuadratureConfig()),
+        (3, QuadratureConfig(z_samples=2000)),
+    ], ids=["d2", "d3-mc"])
+    def test_block_size_invariance(self, grid64, monkeypatch, dim, config):
+        nz = len(_z_rule(config, dim)[0])
+        pairs = list(random_pairs(grid64, dim, 6, seed=23))
+        results = []
+        # one row per block, seven rows per block, everything in one block
+        for block in (nz, 7 * nz, 10 ** 9):
+            monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
+            results.append([horizontal_smoothed_distance(a, p.t, p.path,
+                                                         config=config)
+                            for a, p in pairs])
+        for other in results[1:]:
+            for (v0, d0), (v1, d1) in zip(results[0], other):
+                assert v1 == v0
+                assert d1.horizontal == d0.horizontal
+                assert np.max(np.abs(d1.vertical - d0.vertical)) <= 1e-13
+                assert np.max(np.abs(d1.vertical2 - d0.vertical2)) <= 1e-13
 
 
 class TestSmoothGauge:
