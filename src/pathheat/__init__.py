@@ -20,8 +20,7 @@ from .regularization import (BracketEstimate, forward_integral,
 from .fourier import (FourierBasis, fejer_coefficient, fejer_mean,
                       fejer_smooth, terminal_ramp)
 from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
-                        consistency_check, cylinder_approx, eval_cylinder,
-                        fd_pathwise_derivs)
+                        consistency_check, cylinder_approx, fd_pathwise_derivs)
 from .quadrature import QuadratureConfig
 from .gauge import (GaugeDiagnostics, calibrate_alpha,
                     curvature_profile, floored_norm_profile,

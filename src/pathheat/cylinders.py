@@ -31,7 +31,6 @@ __all__ = [
     "CylinderSpec",
     "LiftedFunctional",
     "PathwiseDerivs",
-    "eval_cylinder",
     "cylinder_coordinates",
     "cylinder_sigma",
     "cylinder_approx",
@@ -85,25 +84,34 @@ class CylinderSpec:
         return len(self.psi)
 
 
-def cylinder_coordinates(spec: CylinderSpec, t: float, x: GridPath) -> np.ndarray:
-    """The integral vector z(t, x), one coordinate row of shape
-    (d * n_factors,).
+def cylinder_coordinates(spec: CylinderSpec, t: float,
+                         x: GridPath | Sequence[GridPath]) -> np.ndarray:
+    """The integral vector z(t, x): one coordinate row of shape
+    (d * n_factors,) for a path, a stack of rows (n, d * n_factors) for a
+    sequence of n paths on one grid.
 
     Depends only on x(. ^ t): integrating against the stopped path beyond t
-    adds nothing, so the coordinates are non-anticipative.
+    adds nothing, so the coordinates are non-anticipative.  A stack takes
+    one :func:`by_parts` call, and its rows equal bit for bit the rows of
+    the paths one at a time.
     """
-    k = x.grid.index_of(t)
-    return by_parts(weights_at(spec.psi, x.grid.nodes()[: k + 1]),
-                    x.values[: k + 1]).reshape(-1)
+    single = isinstance(x, GridPath)
+    paths = [x] if single else list(x)
+    if not paths:
+        raise DomainError("cylinder coordinates need at least one path")
+    grid = paths[0].grid
+    if any(p.grid != grid for p in paths):
+        raise DomainError("the paths of one call must share a grid")
+    k = grid.index_of(t)
+    z = by_parts(weights_at(spec.psi, grid.nodes()[: k + 1]),
+                 np.stack([p.values[: k + 1] for p in paths]))
+    z = z.reshape(len(paths), -1)
+    return z[0] if single else z
 
 
 def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
     """Stacked weight matrix: block l is psi_l(t) * identity, shape (d*n, d)."""
     return np.kron(weights_at(spec.psi, np.asarray([t], float)), np.eye(dimension))
-
-
-def eval_cylinder(spec: CylinderSpec, x: GridPath) -> float:
-    return float(spec.g(cylinder_coordinates(spec, x.horizon, x)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +134,9 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
     ``xi_batch`` evaluates xi on path values (k, M+1, d), returning (k,).
     The returned spec uses weight 1 for the terminal-value coordinate and the
     zero-mean basis primitives for the others; its g reconstructs the smoothed
-    paths on ``grid`` from coordinate rows (k, d * (2n+1)), so evaluating the
-    spec on the coordinates of x reproduces xi(fejer_smooth(x, n)) exactly.
+    paths on ``grid`` from coordinate rows (k, d * (2n+1)) with one matrix
+    product, so evaluating the spec on the coordinates of x reproduces
+    xi(fejer_smooth(x, n)) up to rounding (the tests hold it to 1e-8).
     """
     if n < 0:
         raise DomainError("approximation order must be >= 0")
@@ -144,7 +153,7 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
 
     def g(zs: np.ndarray) -> np.ndarray:
         zb = np.asarray(zs, float).reshape(len(zs), 2 * n + 1, dimension)
-        paths = np.einsum("lm,kld->kmd", synth, zb)
+        paths = np.tensordot(zb, synth, axes=([1], [0])).transpose(0, 2, 1)
         return np.asarray(xi_batch(paths, grid), float)
 
     psi = [lambda s: 1.0]

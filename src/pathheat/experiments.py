@@ -158,6 +158,10 @@ def comparison_demo(grid: TimeGrid, seed: int,
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
+    if not lam > 0:
+        raise InputError(f"the scaling rate lam must be positive, got {lam}")
+    if not deltas:
+        raise InputError("the perturbation weights deltas must not be empty")
     say = progress or (lambda s: None)
     xi = build_terminal(terminal, grid)
 
@@ -170,27 +174,34 @@ def comparison_demo(grid: TimeGrid, seed: int,
 
     space = brownian_search_space(grid, n_paths, seed)
     pts = list(space.points)
+    if not 0 <= start_index < len(pts):
+        raise InputError(f"start_index {start_index} outside the {len(pts)} "
+                         "points of the space")
     say(f"space of {len(pts)} points; smoothing order {order} "
         f"({n_coords} coordinates)")
 
     # Step II: exponential scaling of both sides.
     u_vals = np.empty(len(pts))
     u_err = np.empty(len(pts))
-    vn_vals = np.empty(len(pts))
-    vn_err = np.empty(len(pts))
     for i, p in enumerate(pts):
         est = candidate_solution(xi, p.t, p.path,
                                  MCConfig(n_samples=n_mc, seed=seed + 101 + i))
         u_vals[i] = est.mean
         u_err[i] = est.stderr
-        z = cylinder_coordinates(spec_n, p.t, p.path)
-        sol = finite_dim_solution(spec_n, p.t, z, factor_config,
+    # the factor matrix depends only on the time: one factor call per time
+    times = np.array([p.t for p in pts])
+    vn_vals = np.empty(len(pts))
+    vn_err = np.empty(len(pts))
+    for t in np.unique(times):
+        at_t = np.flatnonzero(times == t)
+        z = cylinder_coordinates(spec_n, t, [pts[i].path for i in at_t])
+        sol = finite_dim_solution(spec_n, t, z, factor_config,
                                   derivatives=False, horizon=grid.horizon)
-        vn_vals[i] = sol.value
-        vn_err[i] = sol.value_stderr
+        vn_vals[at_t] = sol.value
+        vn_err[at_t] = sol.value_stderr
     if mode == "subsolution":
         u_vals = u_vals - offset
-    scale = np.exp(lam * np.array([p.t for p in pts]))
+    scale = np.exp(lam * times)
     g_vals = scale * (u_vals - vn_vals)
     say("solution values estimated on the space")
 

@@ -338,12 +338,14 @@ class FiniteDimSolution:
 
     ``value_stderr`` is populated when the Gaussian rule is Monte Carlo;
     it is the standard error of the means of the rule's antithetic pairs.
+    For coordinate rows (n, m) both are arrays (n,) and there are no
+    derivatives.
     """
 
-    value: float
+    value: float | np.ndarray
     gradient: Optional[np.ndarray]
     hessian: Optional[np.ndarray]
-    value_stderr: float = 0.0
+    value_stderr: float | np.ndarray = 0.0
 
 
 def _pair_integrals(spec: CylinderSpec, t: float, horizon: float) -> np.ndarray:
@@ -396,20 +398,31 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
                         horizon: float = 1.0) -> FiniteDimSolution:
     """Heat-semigroup value of the factor problem at (t, z), 0 <= t <= T.
 
-    One Gaussian average per call: g over z + A(t) U with U standard normal,
-    where A(t) A(t)^T is the covariance of the remaining weight integrals;
-    Gauss-Hermite tensor rule up to 3 total dimensions, fixed-seed
-    antithetic Monte Carlo above.  At t = T the Gaussian degenerates and the
-    value is g(z) exactly.  ``derivatives`` adds the gradient and Hessian in
-    z, averaged over the same nodes; the time derivative is not computed
-    here (see :func:`cylinder_pathwise_derivs`).  The spec's evaluators get
-    the rule's k nodes as rows (k, m) and must return (k,), (k, m) and
-    (k, m, m); another shape raises :class:`ContractError`.
+    One Gaussian average per coordinate row: g over z + A(t) U with U
+    standard normal, where A(t) A(t)^T is the covariance of the remaining
+    weight integrals; Gauss-Hermite tensor rule up to 3 total dimensions,
+    fixed-seed antithetic Monte Carlo above.  At t = T the Gaussian
+    degenerates and the value is g(z) exactly.  ``derivatives`` adds the
+    gradient and Hessian in z, averaged over the same nodes; the time
+    derivative is not computed here (see :func:`cylinder_pathwise_derivs`).
+    The spec's evaluators get the rule's k nodes as rows (k, m) and must
+    return (k,), (k, m) and (k, m, m); another shape raises
+    :class:`ContractError`.
+
+    Row form, value only: ``z`` of shape (n, m) holds the coordinates of n
+    points at the same time t.  The rule and A(t) are built once, g runs
+    once per row, and ``value`` and ``value_stderr`` are arrays (n,) whose
+    entries equal bit for bit those of the rows passed one at a time.
     """
     z = np.asarray(z, float)
+    if z.ndim not in (1, 2):
+        raise DomainError(f"z must be one row (m,) or rows (n, m), got {z.shape}")
+    if z.ndim == 2 and derivatives:
+        raise DomainError("derivatives are computed for one coordinate row only")
     if not 0.0 <= t <= horizon + 1e-12:
         raise DomainError(f"time {t} outside [0, {horizon}]")
-    m = z.size
+    rows = np.atleast_2d(z)
+    m = rows.shape[1]
     if m != dimension * spec.n_factors:
         raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
     mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
@@ -422,23 +435,31 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
     else:
         u, weights = gaussian_rule(config, m, allow_exact=False, gh_max_dim=3)
         shift = u @ _factor_matrix(spec, t, horizon, dimension).T
-    pts = z[None, :] + shift
-    k = len(pts)
+    k = len(shift)
     who = f"cylinder spec {spec.name!r}"
-    gv = _rows(f"{who} g", (k,), spec.g, pts)
-    stderr = 0.0
-    if mc_rule and gv.size > 1:
-        # the rule's second half mirrors its first (z, -z), so the pair
-        # means are the independent samples
-        pairs = gv.reshape(2, -1).mean(axis=0)
-        stderr = float(np.std(pairs, ddof=1) / math.sqrt(pairs.size))
+    values = np.empty(len(rows))
+    stderrs = np.zeros(len(rows))
+    # one row at a time: a stack of all rows' nodes would hold n * k rows
+    for i, row in enumerate(rows):
+        pts = row + shift
+        gv = _rows(f"{who} g", (k,), spec.g, pts)
+        values[i] = weights @ gv
+        if mc_rule and gv.size > 1:
+            # the rule's second half mirrors its first (z, -z), so the pair
+            # means are the independent samples
+            pairs = gv.reshape(2, -1).mean(axis=0)
+            stderrs[i] = np.std(pairs, ddof=1) / math.sqrt(pairs.size)
+    if z.ndim == 2:
+        return FiniteDimSolution(value=values, gradient=None, hessian=None,
+                                 value_stderr=stderrs)
     grad = hess = None
     if derivatives:
+        # z is one row, so pts are its nodes
         grad = weights @ _rows(f"{who} gradient", (k, m), spec.gradient, pts)
         hess = np.tensordot(
             weights, _rows(f"{who} hessian", (k, m, m), spec.hessian, pts), axes=1)
-    return FiniteDimSolution(value=float(weights @ gv), gradient=grad,
-                             hessian=hess, value_stderr=stderr)
+    return FiniteDimSolution(value=float(values[0]), gradient=grad,
+                             hessian=hess, value_stderr=float(stderrs[0]))
 
 
 def _time_quotient(spec: CylinderSpec, t: float, z: np.ndarray,

@@ -3,8 +3,7 @@ import pytest
 
 from pathheat.cylinders import (CylinderSpec, LiftedFunctional,
                                 consistency_check, cylinder_approx,
-                                cylinder_coordinates, eval_cylinder,
-                                fd_pathwise_derivs)
+                                cylinder_coordinates, fd_pathwise_derivs)
 from pathheat.errors import DomainError
 from pathheat.fourier import fejer_smooth
 from pathheat.grids import GridPath, PathPoint, TimeGrid, stop_path
@@ -22,19 +21,21 @@ def _identity_spec():
 
 class TestEvalCylinder:
     def test_terminal_value_representation(self, grid100):
-        x = make_brownian(grid100, seed=4)
-        assert eval_cylinder(_identity_spec(), x) == pytest.approx(
+        spec, x = _identity_spec(), make_brownian(grid100, seed=4)
+        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == pytest.approx(
             float(x.values[-1, 0]), abs=1e-12)
 
     def test_constant_g(self, grid100):
         spec = CylinderSpec(g=lambda zs: np.full(len(zs), 4.25), psi=[ONE])
         for seed in (1, 2):
-            assert eval_cylinder(spec, make_brownian(grid100, seed=seed)) == 4.25
+            x = make_brownian(grid100, seed=seed)
+            assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == 4.25
 
     def test_squared_terminal(self, grid100):
         spec = CylinderSpec(g=lambda zs: zs[:, 0] ** 2, psi=[ONE])
         x = GridPath.from_function(grid100, lambda t: t)
-        assert eval_cylinder(spec, x) == pytest.approx(1.0, abs=1e-12)
+        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_coordinates_nonanticipative(self, grid100):
         spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE, np.cos])
@@ -42,6 +43,24 @@ class TestEvalCylinder:
         z1 = cylinder_coordinates(spec, 0.6, x)
         z2 = cylinder_coordinates(spec, 0.6, stop_path(x, 0.6))
         assert np.allclose(z1, z2, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stacked_paths_give_the_rows_one_at_a_time(self, grid100, d):
+        spec = CylinderSpec(g=lambda zs: zs[:, 0],
+                            psi=[ONE, np.cos, lambda s: s ** 2])
+        paths = [make_brownian(grid100, seed=s, dimension=d) for s in range(5)]
+        rows = cylinder_coordinates(spec, 0.6, paths)
+        assert rows.shape == (5, 3 * d)
+        for x, row in zip(paths, rows):
+            assert np.array_equal(row, cylinder_coordinates(spec, 0.6, x))
+
+    def test_stack_rejects_mixed_grids_and_no_paths(self, grid100, grid64):
+        spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE])
+        with pytest.raises(DomainError):
+            cylinder_coordinates(spec, 0.5, [make_brownian(grid100, seed=1),
+                                             make_brownian(grid64, seed=1)])
+        with pytest.raises(DomainError):
+            cylinder_coordinates(spec, 0.5, [])
 
 
 class TestCylinderApprox:
@@ -68,6 +87,17 @@ class TestCylinderApprox:
         direct = float(np.max(fejer_smooth(x, 6).values[:, 0]))
         via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
+
+    def test_g_of_coordinates_equals_smoothed_evaluation_in_2d(self, grid100):
+        def xi(v, g):
+            return np.max(v[:, :, 0], axis=1) + np.min(v[:, :, 1], axis=1)
+
+        ca = cylinder_approx(xi, 6, grid100, dimension=2)
+        x = make_brownian(grid100, seed=9, dimension=2)
+        direct = float(xi(fejer_smooth(x, 6).values[None], grid100)[0])
+        via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0]
+        assert via_g == pytest.approx(direct, abs=1e-8)
+        assert ca.evaluate(x) == direct
 
     def test_lipschitz_transfer_for_sup(self):
         grid = TimeGrid(1.0, 2000)

@@ -1,0 +1,101 @@
+import numpy as np
+import pytest
+
+from pathheat import experiments
+from pathheat.cylinders import cylinder_approx, cylinder_coordinates
+from pathheat.errors import InputError
+from pathheat.experiments import brownian_search_space, comparison_demo
+from pathheat.grids import TimeGrid
+from pathheat.quadrature import QuadratureConfig
+from pathheat.solver import (MCConfig, build_terminal, candidate_solution,
+                             finite_dim_solution)
+
+GRID = TimeGrid(1.0, 50)
+# the comparison-demo smoke config of tests/test_cli.py
+SMALL = dict(order=8, n_paths=5, n_mc=100)
+
+
+class TestComparisonInput:
+    @pytest.mark.parametrize("start_index", [-1, 5])
+    def test_start_index_outside_the_space(self, start_index):
+        with pytest.raises(InputError, match="start_index"):
+            comparison_demo(GRID, 1, start_index=start_index, **SMALL)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_non_positive_rate(self, lam):
+        with pytest.raises(InputError, match="lam"):
+            comparison_demo(GRID, 1, lam=lam, **SMALL)
+
+    def test_no_deltas(self):
+        with pytest.raises(InputError, match="deltas"):
+            comparison_demo(GRID, 1, deltas=(), **SMALL)
+
+
+class TestComparisonFactorValues:
+    def test_one_call_per_time_equals_the_per_point_loop(self, monkeypatch):
+        calls = []
+
+        def spy(spec, t, z, *args, **kwargs):
+            sol = finite_dim_solution(spec, t, z, *args, **kwargs)
+            calls.append((spec, t, z, args, kwargs, sol))
+            return sol
+
+        monkeypatch.setattr(experiments, "finite_dim_solution", spy)
+        comparison_demo(GRID, 3, **SMALL)
+        points = brownian_search_space(GRID, SMALL["n_paths"], 3).points
+        assert [c[1] for c in calls] == sorted({p.t for p in points})
+        for spec, t, z, args, kwargs, sol in calls:
+            at_t = [p for p in points if p.t == t]
+            assert z.shape == (len(at_t), spec.n_factors)
+            for i, p in enumerate(at_t):
+                one = cylinder_coordinates(spec, t, p.path)
+                assert np.array_equal(z[i], one)
+                alone = finite_dim_solution(spec, t, one, *args, **kwargs)
+                assert sol.value[i] == alone.value
+                assert sol.value_stderr[i] == alone.value_stderr
+
+    def test_scaled_gap_of_every_point(self):
+        # G(p) = exp(lam t) (u - v_n) from per-point factor calls, with each
+        # point taken as the start in turn
+        seed, lam = 3, 0.5
+        xi = build_terminal("running_max", GRID)
+        points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
+        spec = cylinder_approx(xi.batch, SMALL["order"], GRID).spec
+        # the factor rule comparison_demo uses at its default z_samples
+        config = QuadratureConfig(z_rule="monte-carlo", z_samples=4096,
+                                  z_seed=seed + 17)
+        for i, p in enumerate(points):
+            u = candidate_solution(xi, p.t, p.path,
+                                   MCConfig(n_samples=SMALL["n_mc"],
+                                            seed=seed + 101 + i)).mean
+            vn = finite_dim_solution(spec, p.t, cylinder_coordinates(spec, p.t, p.path),
+                                     config, derivatives=False).value
+            report = comparison_demo(GRID, seed, lam=lam, start_index=i, **SMALL)
+            assert report.start_value == float(np.exp(lam * p.t) * (u - vn))
+
+
+# (verdict, contradiction exhibited, limit time per delta), recorded before
+# the factor values were batched by time
+VERDICTS = {
+    "candidate": {1: ("consistent", False, (0.5, 0.5, 0.5)),
+                  2: ("consistent", True, (0.24, 0.76, 0.76)),
+                  3: ("consistent", True, (0.24, 0.24, 0.24)),
+                  4: ("consistent", True, (0.5, 0.5, 0.5)),
+                  5: ("consistent", False, (0.5, 0.5, 0.5)),
+                  6: ("consistent", True, (0.5, 0.5, 0.5))},
+    "subsolution": {1: ("consistent", False, (0.24, 0.24, 0.24)),
+                    2: ("consistent", False, (0.24, 0.24, 0.24)),
+                    3: ("consistent", False, (0.24, 0.24, 0.24)),
+                    4: ("consistent", False, (0.5, 0.5, 0.5)),
+                    5: ("consistent", False, (0.5, 0.5, 0.5)),
+                    6: ("consistent", False, (0.5, 0.5, 0.5))},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERDICTS))
+def test_verdicts_on_fixed_seeds(mode):
+    for seed, (verdict, contradiction, limits) in VERDICTS[mode].items():
+        report = comparison_demo(GRID, seed, mode=mode, **SMALL)
+        assert report.verdict == verdict
+        assert report.contradiction_exhibited == contradiction
+        assert [row.limit_time for row in report.rows] == pytest.approx(limits)

@@ -311,6 +311,49 @@ class TestFactorSolution:
             assert full.gradient.shape == (z.size,)
             assert full.hessian.shape == (z.size, z.size)
 
+    @pytest.mark.parametrize("name", ["cyl:trig2", "fejer"])
+    def test_rows_equal_rows_one_at_a_time(self, name):
+        grid = TimeGrid(1.0, 50)
+        paths = [make_brownian(grid, seed=s) for s in range(4)]
+        config = QuadratureConfig()
+        if name == "fejer":
+            spec = cylinder_approx(build_terminal("running_max", grid).batch,
+                                   3, grid).spec
+            config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
+        else:
+            spec = build_terminal(name, grid).cylinder
+        for t in (0.0, 0.3, 1.0):
+            rows = cylinder_coordinates(spec, t, paths)
+            sol = finite_dim_solution(spec, t, rows, config, derivatives=False)
+            assert sol.value.shape == sol.value_stderr.shape == (len(paths),)
+            assert sol.gradient is None and sol.hessian is None
+            for i, z in enumerate(rows):
+                one = finite_dim_solution(spec, t, z, config, derivatives=False)
+                assert sol.value[i] == one.value
+                assert sol.value_stderr[i] == one.value_stderr
+
+    def test_rows_evaluate_g_one_row_at_a_time(self):
+        # memory stays O(k m): g never sees the nodes of two rows at once
+        grid = TimeGrid(1.0, 20)
+        seen = []
+
+        def g(zs):
+            seen.append(zs.shape)
+            return zs[:, 0]
+
+        spec = CylinderSpec(g=g, psi=[np.ones_like] * 5, name="spy")
+        config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
+        rows = np.arange(15.0).reshape(3, 5)
+        finite_dim_solution(spec, 0.4, rows, config, derivatives=False)
+        assert seen == [(64, 5)] * 3
+
+    def test_rows_are_value_only(self):
+        spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
+        with pytest.raises(DomainError, match="one coordinate row"):
+            finite_dim_solution(spec, 0.3, np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            finite_dim_solution(spec, 0.3, np.zeros((1, 2, 2)), derivatives=False)
+
     @pytest.mark.parametrize("name", CYLINDERS)
     def test_pde_residual_equals_reference_difference(self, name):
         grid = TimeGrid(1.0, 100)
