@@ -112,6 +112,15 @@ def _config_argv(command: str, path: str) -> list[str]:
     return argv
 
 
+def _read_paths(path: str) -> GridPath:
+    """The path CSV at ``path``; a file that cannot be read is bad input."""
+    try:
+        return read_path_csv(path)
+    except OSError as exc:
+        raise InputError(f"cannot read path file {path!r}: "
+                         f"{exc.strerror or exc}") from None
+
+
 def _config_hash(args: argparse.Namespace) -> str:
     items = sorted((k, v) for k, v in vars(args).items()
                    if k not in ("out", "config", "func"))
@@ -148,7 +157,7 @@ class _CsvSink:
 def _cmd_solve(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
     if args.path:
-        x = read_path_csv(args.path)
+        x = _read_paths(args.path)
         grid = x.grid
         if x.dimension != 1:
             raise InputError(f"terminal {args.terminal!r} reads scalar paths, "
@@ -249,7 +258,7 @@ def _cmd_ito_check(args) -> int:
 def _cmd_vp_run(args) -> int:
     quad = _quadrature(args)
     if args.paths:
-        data = read_path_csv(args.paths)
+        data = _read_paths(args.paths)
         grid = data.grid
         times = args.times or (0.5 * grid.horizon,)
         pts = tuple(PathPoint(t, data.component(i))

@@ -43,7 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathwiseDerivs:
-    """Horizontal derivative, vertical gradient, and vertical Hessian."""
+    """Horizontal derivative, vertical gradient, and vertical Hessian.
+
+    Row form: the derivatives of n points, with shapes (n,), (n, d) and
+    (n, d, d); each Hessian is symmetrized on its own.
+    """
 
     horizontal: float
     vertical: np.ndarray        # shape (d,)
@@ -53,7 +57,7 @@ class PathwiseDerivs:
         v = np.atleast_1d(np.asarray(self.vertical, float))
         h = np.atleast_2d(np.asarray(self.vertical2, float))
         object.__setattr__(self, "vertical", v)
-        object.__setattr__(self, "vertical2", (h + h.T) / 2.0)
+        object.__setattr__(self, "vertical2", (h + np.swapaxes(h, -1, -2)) / 2.0)
 
     def heat_operator(self) -> float:
         """horizontal + (1/2) trace(vertical Hessian)."""

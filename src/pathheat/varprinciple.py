@@ -32,15 +32,17 @@ class SearchSpace:
     """Finite list of path points on one grid, deduplicated under the
     pseudometric (points at zero distance are interchangeable).
 
-    Dedupe contract: a point is dropped exactly when its pseudometric
-    distance to a point already kept is 0.0 in floating point, that is, the
-    same snapped time and identical stopped values.  A path that differs
-    from a kept one only after its stopping time is dropped; the same path
-    at another time is kept.  The first occurrence is kept and the kept
-    points stay in input order.  The stopped representatives of all points
-    are stacked once, O(n (M+1) d) memory, and each point is compared with
-    the whole kept set in one array expression.  Empty input and points on
-    different grids or of different dimensions raise :class:`DomainError`.
+    Dedupe contract: a point is dropped exactly when a point already kept
+    has the same snapped time and identical stopped values, where -0.0 and
+    0.0 count as identical.  A path that differs from a kept one only after
+    its stopping time is dropped; the same path at another time is kept.
+    The first occurrence is kept and the kept points stay in input order.
+    The stopped representatives of all points are stacked once, O(n (M+1) d)
+    memory, and each point is looked up by the exact key (time, bytes of
+    its stopped values), O(n) lookups in all.  Empty input, points on
+    different grids or of different dimensions, and a point with a
+    non-finite stopped value (named by its index) raise
+    :class:`DomainError`.
     """
 
     points: tuple[PathPoint, ...]
@@ -49,12 +51,16 @@ class SearchSpace:
         if not self.points:
             raise DomainError("search space must be nonempty")
         times, stopped = stack_points(self.points)
-        kept: list[int] = []
-        for i in range(len(self.points)):
-            if np.all(path_distances(times[kept], stopped[kept], times[i],
-                                     stopped[i]) > 0.0):
-                kept.append(i)
-        object.__setattr__(self, "points", tuple(self.points[i] for i in kept))
+        finite = np.isfinite(stopped).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"search-space point {int(np.argmin(finite))} "
+                              "has non-finite stopped values")
+        # adding 0.0 turns -0.0 into 0.0, so that equal values have equal bytes
+        first: dict[tuple[float, bytes], int] = {}
+        for i, (t, row) in enumerate(zip((times + 0.0).tolist(), stopped + 0.0)):
+            first.setdefault((t, row.tobytes()), i)
+        object.__setattr__(self, "points",
+                           tuple(self.points[i] for i in first.values()))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -135,8 +141,7 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
 
     # gauge columns: gauge(p, anchor) for every p in the space, per anchor
     def gauge_column(anchor_idx: int) -> np.ndarray:
-        a = pts[anchor_idx]
-        return np.array([smooth_gauge(p, a, config).value for p in pts])
+        return smooth_gauge(pts, pts[anchor_idx], config).value
 
     anchor_indices = [start_idx]
     columns = [gauge_column(start_idx)]
@@ -214,21 +219,19 @@ def verify_gauge_axioms(space: SearchSpace,
                         ) -> list[GaugeAxiomRow]:
     """Largest eta per eps with: gauge <= eta implies pseudometric < eps.
 
-    Scans all ordered pairs of the space (the gauge is not symmetric).  A row
-    with eta <= 0 means some pair at pseudometric distance >= eps has zero
-    gauge, which would break the axiom on this space.
+    Scans all ordered pairs of the space (the gauge is not symmetric), one
+    gauge column per anchor; the diagonal is 0.0.  A row with eta <= 0
+    means some pair at pseudometric distance >= eps has zero gauge, which
+    would break the axiom on this space.
     """
     pts = space.points
     n = len(pts)
     times, stopped = stack_points(pts)
     dist = np.stack([path_distances(times, stopped, times[i], stopped[i])
                      for i in range(n)])
-    gauge = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gauge[i, j] = smooth_gauge(pts[i], pts[j], config).value
+    gauge = np.stack([smooth_gauge(pts, anchor, config).value for anchor in pts],
+                     axis=1)
+    np.fill_diagonal(gauge, 0.0)
     rows = []
     for eps in eps_grid:
         mask = dist >= eps

@@ -203,6 +203,23 @@ class TestEntryPoint:
         assert err.startswith("pathheat: error: ") and repr(missing) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", [["solve", "--path"], ["vp-run", "--paths"]])
+    def test_missing_path_file_exits_2(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing.csv")
+        assert cli.run(flag + [missing, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pathheat: error: cannot read path file ")
+        assert repr(missing) in err and err.count("\n") == 1
+
+    def test_non_finite_path_exits_2(self, tmp_path, capsys):
+        paths = tmp_path / "nan.csv"
+        paths.write_text("t,x1,x2\n0,0,0\n0.5,nan,1\n1,1,2\n")
+        argv = ["vp-run", "--seed", "1", "--paths", str(paths), "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("pathheat: error: search-space point 0 has non-finite "
+                       "stopped values\n")
+
     @pytest.mark.parametrize("argv", [
         ["approx", "--seed", "1", "--orders", "4,x"],
         ["ito-check", "--seed", "1", "--exponents", "5,,6"],

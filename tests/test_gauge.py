@@ -209,9 +209,9 @@ class TestHorizontalSmoothedDistance:
             t = grid64.snap(min(t, 0.9))
             v0, derivs = horizontal_smoothed_distance(anchor, t, x, y)
             h = 1e-5
-            ctx = _AnchorContext(anchor, t, x, y)
-            assert _time_smoothed(ctx, t, QuadratureConfig())[0] == v0
-            vp, _ = _time_smoothed(ctx, t + h, QuadratureConfig())
+            ctx = _AnchorContext(anchor, (PathPoint(t, x),), y[None])
+            assert _time_smoothed(ctx, t, QuadratureConfig())[0][0] == v0
+            vp = _time_smoothed(ctx, t + h, QuadratureConfig())[0][0]
             fd = (vp - v0) / h
             assert derivs.horizontal == pytest.approx(fd, abs=2e-4)
 
@@ -225,27 +225,29 @@ class TestHorizontalSmoothedDistance:
 
 
 def _loop_profile_rule(ctx, t_primes, config):
-    """Reference d >= 2 profile kernel: one shifted time at a time."""
-    d = ctx.center.size
-    n = len(t_primes)
+    """Reference d >= 2 profile kernel: one point and shifted time at a time."""
+    n, d = ctx.center.shape
+    m = len(t_primes)
     prefix, partial, j0 = ctx._locate(t_primes)
-    values = np.empty(n)
-    grads = np.empty((n, d))
-    hesses = np.empty((n, d, d))
+    values = np.empty((n, m))
+    grads = np.empty((n, m, d))
+    hesses = np.empty((n, m, d, d))
     z, w = _z_rule(config, d)
     abs_norm = float(np.sum(w * np.linalg.norm(z, axis=1)))
-    p = ctx.center[None, :] - ctx.q
-    dist = np.linalg.norm(p[:, None, :] - z[None, :, :], axis=2)
-    run = np.maximum.accumulate(dist[::-1], axis=0)[::-1]
     wz = w[:, None] * z
-    for i in range(n):
-        s_part = np.linalg.norm((ctx.center - partial[i])[None, :] - z, axis=1)
-        if j0[i] < ctx.q.shape[0]:
-            s_part = np.maximum(s_part, run[j0[i]])
-        nvals = np.maximum(prefix[i], s_part)
-        values[i] = float(np.sum(w * nvals)) - abs_norm
-        grads[i] = nvals @ wz
-        hesses[i] = (nvals[:, None] * wz).T @ z - np.sum(w * nvals) * np.eye(d)
+    for k, center in enumerate(ctx.center):
+        p = center[None, :] - ctx.q
+        dist = np.linalg.norm(p[:, None, :] - z[None, :, :], axis=2)
+        run = np.maximum.accumulate(dist[::-1], axis=0)[::-1]
+        for i in range(m):
+            s_part = np.linalg.norm((center - partial[i])[None, :] - z, axis=1)
+            if j0[i] < ctx.q.shape[0]:
+                s_part = np.maximum(s_part, run[j0[i]])
+            nvals = np.maximum(prefix[k, i], s_part)
+            values[k, i] = float(np.sum(w * nvals)) - abs_norm
+            grads[k, i] = nvals @ wz
+            hesses[k, i] = ((nvals[:, None] * wz).T @ z
+                            - np.sum(w * nvals) * np.eye(d))
     return values, grads, hesses
 
 
@@ -261,7 +263,7 @@ class TestBlockedProfileKernel:
         kinds = set()
         for anchor, point in random_pairs(grid64, dim, 12, seed=17):
             t = point.t
-            ctx = _AnchorContext(anchor, t, point.path, point.present_value())
+            ctx = _AnchorContext(anchor, (point,))
             # t' = t, the s-rule nodes, the anchor time and the horizon
             t_primes = np.concatenate(([t], _s_rule(ctx, t, config)[0],
                                        [ctx.t0, grid64.horizon]))
@@ -312,6 +314,74 @@ class TestSmoothGauge:
         for anchor, point in random_pairs(grid64, 1, 40, seed=12):
             r = smooth_gauge(point, anchor)
             assert abs(r.derivs.horizontal) <= bound + 1e-8
+
+
+def _assert_rows_match(batch, singles):
+    """Each row of a batch gauge equals the point alone: bit for bit in
+    value, within 1e-13 in the derivatives."""
+    for i, one in enumerate(singles):
+        assert batch.value[i] == one.value
+        assert batch.time_term[i] == one.time_term
+        assert batch.distance_term[i] == one.distance_term
+        assert abs(batch.derivs.horizontal[i] - one.derivs.horizontal) <= 1e-13
+        assert np.max(np.abs(batch.derivs.vertical[i] - one.derivs.vertical)) <= 1e-13
+        assert np.max(np.abs(batch.derivs.vertical2[i] - one.derivs.vertical2)) <= 1e-13
+
+
+BATCH_RULES = [
+    (1, QuadratureConfig()),
+    (2, QuadratureConfig(z_rule="gauss-hermite", z_nodes=21)),
+    (3, QuadratureConfig(z_samples=400)),
+]
+
+
+class TestGaugeBatch:
+    """smooth_gauge on a sequence of points: one column against one anchor."""
+
+    @pytest.mark.parametrize("anchor_t", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("dim,config", BATCH_RULES, ids=["d1", "d2-gh21", "d3-mc"])
+    def test_rows_equal_single_points(self, grid64, dim, config, anchor_t):
+        anchor = PathPoint(anchor_t, make_brownian(grid64, seed=30, dimension=dim))
+        # mixed nodes before, at and after the anchor's, the anchor itself
+        # and its path at a later time
+        times = [0.5, 0.0, 0.25, 0.5, 0.75, 1.0, anchor_t, 0.25, anchor_t]
+        pts = [PathPoint(t, make_brownian(grid64, seed=31 + i, dimension=dim))
+               for i, t in enumerate(times)]
+        pts += [anchor, PathPoint(1.0, anchor.path)]
+        batch = smooth_gauge(pts, anchor, config)
+        n = len(pts)
+        assert batch.value.shape == (n,)
+        assert batch.derivs.vertical.shape == (n, dim)
+        assert batch.derivs.vertical2.shape == (n, dim, dim)
+        _assert_rows_match(batch, [smooth_gauge(p, anchor, config) for p in pts])
+        assert batch.value[-2] == 0.0
+
+    @pytest.mark.parametrize("dim,config", BATCH_RULES[:2], ids=["d1", "d2-gh21"])
+    def test_block_size_invariance(self, grid64, monkeypatch, dim, config):
+        anchor = PathPoint(0.75, make_brownian(grid64, seed=40, dimension=dim))
+        pts = [PathPoint(0.25, make_brownian(grid64, seed=41 + i, dimension=dim))
+               for i in range(11)]
+        pts += [PathPoint(t, make_brownian(grid64, seed=60, dimension=dim))
+                for t in (0.5, 1.0)]
+        singles = [smooth_gauge(p, anchor, config) for p in pts]
+        s = _s_rule(_AnchorContext(anchor, pts[:1]), 0.25, config)[0].size
+        # one point per block, an odd size that puts 3 + 3 + 3 + 2 of the
+        # eleven points at 0.25 in a block, everything in one block
+        for block in (1, 3 * gauge._PAIR_FLOATS * s + 1, 10 ** 9):
+            monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
+            _assert_rows_match(smooth_gauge(pts, anchor, config), singles)
+
+    def test_empty_batch_rejected(self, grid64):
+        anchor = PathPoint(0.5, make_brownian(grid64, seed=1))
+        with pytest.raises(DomainError, match="at least one point"):
+            smooth_gauge([], anchor)
+
+    def test_mixed_grids_rejected(self, grid64, grid100):
+        anchor = PathPoint(0.5, make_brownian(grid64, seed=1))
+        pts = [PathPoint(0.5, make_brownian(grid64, seed=2)),
+               PathPoint(0.5, make_brownian(grid100, seed=3))]
+        with pytest.raises(DomainError, match="share a time grid"):
+            smooth_gauge(pts, anchor)
 
 
 class TestPerturbationSum:

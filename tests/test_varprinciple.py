@@ -94,6 +94,40 @@ class TestSearchSpaceDedupe:
         assert same_points(space.points, reference_dedupe(pts))
         assert same_points(space.points, base)
 
+    def test_negative_zero_equals_zero(self, grid64):
+        x = make_brownian(grid64, seed=3)
+        signed = x.values.copy()
+        signed[0] = -0.0                          # the path starts at 0.0
+        pts = (PathPoint(0.5, x), PathPoint(0.5, GridPath(grid64, signed)))
+        assert same_points(SearchSpace(pts).points, pts[:1])
+
+    def test_tiny_difference_is_kept(self, grid64):
+        # the squared gap 1e-340 underflows to 0, so the pseudometric reads
+        # 0.0; the stopped values still differ, and the point is kept
+        x = GridPath.zero(grid64)
+        tiny = x.values.copy()
+        tiny[10] = 1e-170
+        pts = (PathPoint(0.5, x), PathPoint(0.5, GridPath(grid64, tiny)))
+        assert path_distance(*pts) == 0.0
+        assert same_points(SearchSpace(pts).points, pts)
+
+    def test_non_finite_stopped_value_names_the_point(self, grid64):
+        b = PathPoint(0.5, make_brownian(grid64, seed=1))
+        c = PathPoint(0.25, make_brownian(grid64, seed=2))
+        bad = make_brownian(grid64, seed=3).values.copy()
+        bad[grid64.index_of(0.25)] = np.nan
+        nan_pt = PathPoint(0.5, GridPath(grid64, bad))
+        with pytest.raises(DomainError, match="point 0 has non-finite"):
+            SearchSpace((nan_pt, b, c))
+        with pytest.raises(DomainError, match="point 2 has non-finite"):
+            SearchSpace((b, c, nan_pt))
+        inf = bad.copy()
+        inf[grid64.index_of(0.25)] = np.inf
+        with pytest.raises(DomainError, match="point 1 has non-finite"):
+            SearchSpace((b, PathPoint(0.5, GridPath(grid64, inf))))
+        # after its stopping time the value is not part of the point
+        assert len(SearchSpace((b, c, PathPoint(0.125, GridPath(grid64, bad))))) == 3
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="nonempty"):
             SearchSpace(())
