@@ -17,18 +17,13 @@ from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     path_distance, read_path_csv, stop_path, write_path_csv)
 from .regularization import (BracketEstimate, forward_integral,
                              forward_integral_limit, mutual_bracket)
-from .fourier import (FourierBasis, fejer_coefficient, fejer_mean,
-                      fejer_smooth, terminal_ramp)
-from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
-                        consistency_check, cylinder_approx, fd_pathwise_derivs)
+from .fourier import fejer_coefficient, fejer_mean, fejer_smooth, terminal_ramp
+from .cylinders import CylinderSpec, LiftedFunctional, PathwiseDerivs, cylinder_approx
 from .quadrature import QuadratureConfig
-from .gauge import (GaugeDiagnostics, calibrate_alpha,
-                    curvature_profile, floored_norm_profile,
-                    horizontal_kernel, horizontal_smoothed_distance,
-                    mean_gaussian_norm, normal_density, perturbation_sum,
-                    smooth_gauge, vertical_smoothed_distance)
-from .varprinciple import (SearchSpace, VPResult, smooth_variational_principle,
-                           verify_gauge_axioms)
+from .gauge import (GaugeDiagnostics, calibrate_alpha, horizontal_kernel,
+                    horizontal_smoothed_distance, mean_gaussian_norm,
+                    perturbation_sum, smooth_gauge, vertical_smoothed_distance)
+from .varprinciple import SearchSpace, VPResult, smooth_variational_principle
 from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      TerminalFunctional, build_terminal, candidate_solution,
                      cylinder_pathwise_derivs, finite_dim_solution,

@@ -5,7 +5,6 @@ lower-bound constant on fresh samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .gauge import (HORIZONTAL_BOUND, SATURATED_GRAD_BOUND,
                     horizontal_smoothed_distance, mean_gaussian_norm,
                     perturbation_bounds, perturbation_sum,
                     vertical_smoothed_distance)
-from .grids import GridPath, PathPoint, TimeGrid, stopped_sup_distance
+from .grids import PathPoint, TimeGrid, stopped_sup_distance
 from .quadrature import QuadratureConfig
 from .sampling import random_lift_points, random_pairs
 

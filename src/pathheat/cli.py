@@ -28,7 +28,7 @@ from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, mc_convergence_rows,
                           tn_convergence_rows)
-from .gauge import calibrate_alpha
+from .gauge import ALPHA_SHRINK, calibrate_alpha
 from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
@@ -205,11 +205,6 @@ def _cmd_pde_check(args) -> int:
     return 0 if ok else 1
 
 
-# Factor by which gauge-check's calibrated alpha shrinks the empirical
-# infimum ratio; fixed, whatever the calibration sample size.
-_ALPHA_SHRINK = 0.9
-
-
 def _cmd_gauge_check(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
     quad = _quadrature(args)
@@ -217,8 +212,7 @@ def _cmd_gauge_check(args) -> int:
     checks += sandwich_audit(args.d, grid, args.n_tuples, args.seed + 1, quad)
     if args.calibrate:
         diag = calibrate_alpha(
-            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2),
-            quad, shrink=_ALPHA_SHRINK, seed=args.seed + 2)
+            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2), quad)
         checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3, quad)
         print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
@@ -233,7 +227,7 @@ def _cmd_gauge_check(args) -> int:
               if c.name.startswith("calibrated") and not c.passed]
     note = (f" ({', '.join(failed)}: alpha_{args.d} was calibrated on "
             f"{diag.n_samples} pairs, and calibrate_alpha shrinks their "
-            f"infimum ratio by a fixed {_ALPHA_SHRINK:g}, which does not "
+            f"infimum ratio by a fixed {ALPHA_SHRINK:g}, which does not "
             "cover small samples)"
             if failed else "")
     print("gauge-check:", ("pass" if ok else "FAIL") + note)

@@ -10,9 +10,8 @@ rows (k, m), returning (k,), (k, m) and (k, m, m).  Lifted maps add a free
 "present value" argument y that models a jump of size y - x(t) at the
 current time; pathwise derivatives are the time derivative with the past
 frozen (horizontal) and ordinary derivatives in y (vertical).  This module
-holds the coordinates, the weight matrix, the Fejer approximation of a
-generic functional in cylinder form, and finite-difference derivatives of
-any lift.
+holds the coordinates, the weight matrix and the Fejer approximation of a
+generic functional in cylinder form.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ToleranceError
-from .fourier import basis_value, basis_primitive, fejer_smooth, fejer_weights
-from .grids import GridPath, PathPoint, TimeGrid, stop_path
+from .errors import ContractError, DomainError
+from .fourier import basis_value, basis_primitive, fejer_weights
+from .grids import GridPath, TimeGrid
 from .regularization import by_parts, weights_at
 
 __all__ = [
@@ -34,10 +33,6 @@ __all__ = [
     "cylinder_coordinates",
     "cylinder_sigma",
     "cylinder_approx",
-    "CylinderApproximation",
-    "fd_pathwise_derivs",
-    "consistency_check",
-    "ConsistencyReport",
 ]
 
 
@@ -122,18 +117,9 @@ def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
 # Fejer cylindrical approximation of a generic path functional
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylinderApproximation:
-    """xi composed with the order-n Fejer reconstruction, in cylinder form."""
-
-    spec: CylinderSpec
-    evaluate: Callable[[GridPath], float]
-    order: int
-
-
 def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: int,
-                    grid: TimeGrid, dimension: int = 1) -> CylinderApproximation:
-    """Approximate a path functional by xi(fejer_smooth(x, n)).
+                    grid: TimeGrid, dimension: int = 1) -> CylinderSpec:
+    """Approximate a path functional by xi(fejer_smooth(x, n)) in cylinder form.
 
     ``xi_batch`` evaluates xi on path values (k, M+1, d), returning (k,).
     The returned spec uses weight 1 for the terminal-value coordinate and the
@@ -163,12 +149,7 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
     psi = [lambda s: 1.0]
     for l in range(1, 2 * n + 1):
         psi.append((lambda s, _l=l: basis_primitive(_l, T, s)))
-    spec = CylinderSpec(g=g, psi=psi, name=f"fejer{n}")
-
-    def evaluate(x: GridPath) -> float:
-        return float(xi_batch(fejer_smooth(x, n).values[None], grid)[0])
-
-    return CylinderApproximation(spec=spec, evaluate=evaluate, order=n)
+    return CylinderSpec(g=g, psi=psi, name=f"fejer{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +175,6 @@ class LiftedFunctional:
         return (self.horizontal is not None and self.vertical is not None
                 and self.vertical2 is not None)
 
-    def restrict(self, t: float, x: GridPath) -> float:
-        """Value on the continuous path: y = x(t)."""
-        return float(self.evaluate(t, x, x.value_at(t)))
-
     def derivs(self, t: float, x: GridPath, y: Optional[np.ndarray] = None) -> PathwiseDerivs:
         if not self.has_derivatives():
             raise ContractError(f"lift {self.name!r} has no derivative evaluators")
@@ -208,106 +185,3 @@ class LiftedFunctional:
             vertical=np.asarray(self.vertical(t, x, y), float),
             vertical2=np.asarray(self.vertical2(t, x, y), float),
         )
-
-
-def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
-                       delta: float | None = None, h: float | None = None,
-                       y: Optional[np.ndarray] = None) -> PathwiseDerivs:
-    """Finite-difference pathwise derivatives of a lifted map.
-
-    Horizontal: one-sided quotient in time with the path stopped at t and the
-    present value held at x(t).  Vertical: central first and second differences
-    in y only; the grid path itself is never mutated.
-    """
-    t = x.grid.snap(t)
-    scale = max(1.0, x.sup_norm())
-    if delta is None:
-        delta = 1e-4 * scale
-    if h is None:
-        h = 1e-4 * scale
-    if delta < 1e-12 or h < 1e-12:
-        raise ToleranceError("fd steps below double-precision resolution")
-    if y is None:
-        y = x.value_at(t)
-    y = np.atleast_1d(np.asarray(y, float))
-    d = x.dimension
-
-    if t + delta > x.horizon:
-        raise DomainError("horizontal difference needs t + delta <= horizon")
-    frozen = stop_path(x, t)
-    yt = x.value_at(t)
-    horizontal = (u.evaluate(t + delta, frozen, yt) - u.evaluate(t, x, yt)) / delta
-
-    base = u.evaluate(t, x, y)
-    vertical = np.zeros(d)
-    vertical2 = np.zeros((d, d))
-    shifted = {}
-    for i in range(d):
-        for s in (+1, -1):
-            e = y.copy()
-            e[i] += s * h
-            shifted[(i, s)] = u.evaluate(t, x, e)
-        vertical[i] = (shifted[(i, 1)] - shifted[(i, -1)]) / (2 * h)
-        vertical2[i, i] = (shifted[(i, 1)] - 2 * base + shifted[(i, -1)]) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            vals = {}
-            for si in (+1, -1):
-                for sj in (+1, -1):
-                    e = y.copy()
-                    e[i] += si * h
-                    e[j] += sj * h
-                    vals[(si, sj)] = u.evaluate(t, x, e)
-            vertical2[i, j] = vertical2[j, i] = (
-                vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]
-            ) / (4 * h**2)
-    return PathwiseDerivs(horizontal=horizontal, vertical=vertical, vertical2=vertical2)
-
-
-@dataclass
-class ConsistencyReport:
-    """Outcome of comparing two liftings of the same functional."""
-
-    precondition_ok: bool
-    value_gap: float
-    horizontal_gap: float
-    vertical_gap: float
-    vertical2_gap: float
-    n_samples: int
-
-    def max_derivative_gap(self) -> float:
-        return max(self.horizontal_gap, self.vertical_gap, self.vertical2_gap)
-
-    def agrees(self, tol: float) -> bool:
-        return self.precondition_ok and self.max_derivative_gap() <= tol
-
-
-def consistency_check(lift1: LiftedFunctional, lift2: LiftedFunctional,
-                      samples: Sequence[PathPoint],
-                      value_tol: float = 1e-10,
-                      delta: float | None = None,
-                      h: float | None = None) -> ConsistencyReport:
-    """Compare fd pathwise derivatives of two liftings at y = x(t).
-
-    First verifies the liftings agree on continuous paths over the sample set
-    (the precondition under which their derivatives must coincide); then
-    reports the largest derivative discrepancy.
-    """
-    value_gap = 0.0
-    for p in samples:
-        v1 = lift1.restrict(p.t, p.path)
-        v2 = lift2.restrict(p.t, p.path)
-        value_gap = max(value_gap, abs(v1 - v2))
-    precondition_ok = value_gap <= value_tol
-
-    hg = vg = v2g = 0.0
-    if precondition_ok:
-        for p in samples:
-            d1 = fd_pathwise_derivs(lift1, p.t, p.path, delta=delta, h=h)
-            d2 = fd_pathwise_derivs(lift2, p.t, p.path, delta=delta, h=h)
-            hg = max(hg, abs(d1.horizontal - d2.horizontal))
-            vg = max(vg, float(np.max(np.abs(d1.vertical - d2.vertical))))
-            v2g = max(v2g, float(np.max(np.abs(d1.vertical2 - d2.vertical2))))
-    return ConsistencyReport(precondition_ok=precondition_ok, value_gap=value_gap,
-                             horizontal_gap=hg, vertical_gap=vg, vertical2_gap=v2g,
-                             n_samples=len(samples))

@@ -166,8 +166,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
     xi = build_terminal(terminal, grid)
 
     # Step I: cylindrical smoothing of the terminal condition.
-    approx = cylinder_approx(xi.batch, order, grid, dimension=1)
-    spec_n = approx.spec
+    spec_n = cylinder_approx(xi.batch, order, grid, dimension=1)
     n_coords = 2 * order + 1
     factor_config = QuadratureConfig(z_rule="monte-carlo", z_samples=z_samples,
                                      z_seed=seed + 17)

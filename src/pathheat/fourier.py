@@ -1,9 +1,12 @@
 """Trigonometric basis, primitives, and Fejer smoothing of grid paths.
 
 The basis on [0, T] is indexed so that index 0 is the constant, odd index
-2m-1 is the sine and even index 2m the cosine at frequency m.  Primitives
-are chosen with zero mean over [0, T], which makes the coefficient of the
-de-ramped path expressible as a single forward integral of the primitive.
+2m-1 is the sine and even index 2m the cosine at frequency m;
+``basis_value`` and ``basis_primitive`` evaluate element l at an array of
+times.  Primitives are chosen with zero mean over [0, T], which makes the
+coefficient of the de-ramped path a single forward integral of the
+primitive (``fejer_coefficient``; ``fejer_coefficient_quadrature`` is its
+direct-quadrature oracle).
 
 The Fejer mean averages the partial sums over *complete frequency blocks*
 (constant + m sine/cosine pairs), i.e. the classical positive-kernel
@@ -14,7 +17,6 @@ pairs, and the operator uses basis indices up to 2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +26,6 @@ from .grids import GridPath, TimeGrid
 from .regularization import forward_integral
 
 __all__ = [
-    "FourierBasis",
     "basis_value",
     "basis_primitive",
     "terminal_ramp",
@@ -57,24 +58,6 @@ def basis_primitive(l: int, horizon: float, t) -> np.ndarray:
     return -amp * np.cos(w * t) if l % 2 == 1 else amp * np.sin(w * t)
 
 
-@dataclass(frozen=True)
-class FourierBasis:
-    """One basis element together with its primitive."""
-
-    horizon: float
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise DomainError("basis index must be >= 0")
-
-    def e(self, t) -> np.ndarray:
-        return basis_value(self.index, self.horizon, t)
-
-    def primitive(self, t) -> np.ndarray:
-        return basis_primitive(self.index, self.horizon, t)
-
-
 def terminal_ramp(x: GridPath) -> GridPath:
     """The linear ramp t -> x(T) t / T; fixed points are exactly the ramps."""
     frac = x.grid.nodes() / x.horizon
@@ -87,7 +70,9 @@ def fejer_coefficient(x: GridPath, l: int) -> np.ndarray:
     Equals -integral of the (zero-mean) primitive of basis ``l`` against dx,
     which in turn equals the L2 inner product <x - ramp, e_l>.
     """
-    return -forward_integral(FourierBasis(x.horizon, l).primitive, x, x.horizon)
+    if l < 0:
+        raise DomainError("basis index must be >= 0")
+    return -forward_integral(lambda s: basis_primitive(l, x.horizon, s), x, x.horizon)
 
 
 # 3-point Gauss-Legendre on [0,1]; exact through degree 5 per cell.

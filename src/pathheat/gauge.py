@@ -59,11 +59,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, ndtr
+from scipy.special import gammaln, ndtr
 
 from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
@@ -74,7 +74,8 @@ from .quadrature import (QuadratureConfig, composite_legendre_rule,
 __all__ = [
     "QuadratureConfig",
     "GaugeDiagnostics",
-    "normal_density",
+    "ALPHA_SHRINK",
+    "calibrate_alpha",
     "mean_gaussian_norm",
     "mean_gaussian_norm_quadrature",
     "horizontal_kernel",
@@ -87,9 +88,6 @@ __all__ = [
     "GaugeResult",
     "perturbation_sum",
     "PerturbationResult",
-    "floored_norm_profile",
-    "floored_norm_profile_slope",
-    "curvature_profile",
     "VERTICAL_GRAD_BOUND",
     "VERTICAL_HESS_BOUND",
     "HORIZONTAL_BOUND",
@@ -118,13 +116,6 @@ def perturbation_bounds(horizon: float) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Kernels and closed-form constants
 # ---------------------------------------------------------------------------
-
-def normal_density(z) -> np.ndarray:
-    """Standard Gaussian density on R^d; z has shape (..., d)."""
-    z = np.atleast_2d(np.asarray(z, float))
-    d = z.shape[-1]
-    return np.exp(-0.5 * np.sum(z * z, axis=-1)) / (2.0 * np.pi) ** (d / 2.0)
-
 
 def mean_gaussian_norm(dimension: int) -> float:
     """E|Z| for a d-dimensional standard Gaussian: sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
@@ -619,52 +610,13 @@ def perturbation_sum(anchors: Sequence[PathPoint], point: PathPoint,
 
 
 # ---------------------------------------------------------------------------
-# Radial profiles (diagnostics for the calibrated lower bound)
-# ---------------------------------------------------------------------------
-
-def _upper_radial_moment(dimension: int, k: int, a: float) -> float:
-    """int_a^inf r^k chi_d(r) dr in terms of incomplete gamma functions."""
-    s = (k + dimension) / 2.0
-    coef = 2.0 ** (k / 2.0) * math.exp(gammaln(s) - gammaln(dimension / 2.0))
-    return coef * float(gammaincc(s, 0.5 * a * a))
-
-
-def floored_norm_profile(dimension: int, a: float) -> float:
-    """E[max(a, |Z|)] - E|Z| for the d-dimensional standard Gaussian."""
-    if a < 0:
-        raise DomainError("profile argument must be >= 0")
-    below = float(gammainc(dimension / 2.0, 0.5 * a * a))
-    return (a * below + _upper_radial_moment(dimension, 1, a)
-            - mean_gaussian_norm(dimension))
-
-
-def floored_norm_profile_slope(dimension: int, a: float) -> float:
-    """d/da of the profile: the chi-distribution cdf P(|Z| <= a)."""
-    if a < 0:
-        raise DomainError("profile argument must be >= 0")
-    return float(gammainc(dimension / 2.0, 0.5 * a * a))
-
-
-def curvature_profile(dimension: int, a: float) -> float:
-    """E[max(a, |Z|) (|Z|^2 - d)]: positive, strictly decreasing to zero.
-
-    Its value at 0 equals E|Z|; positivity on [0, 2 E|Z|] is what makes the
-    mollified distance strictly convex at the anchor and hence the
-    polynomial lower bound possible.
-    """
-    if a < 0:
-        raise DomainError("profile argument must be >= 0")
-    d = dimension
-    i0 = _upper_radial_moment(d, 0, a)
-    i1 = _upper_radial_moment(d, 1, a)
-    i2 = _upper_radial_moment(d, 2, a)
-    i3 = _upper_radial_moment(d, 3, a)
-    return a * (d * i0 - i2) + i3 - d * i1
-
-
-# ---------------------------------------------------------------------------
 # Calibration of the polynomial lower-bound constant
 # ---------------------------------------------------------------------------
+
+# Factor by which the calibrated alpha shrinks the empirical infimum ratio;
+# fixed, whatever the calibration sample size.
+ALPHA_SHRINK = 0.9
+
 
 @dataclass
 class GaugeDiagnostics:
@@ -674,8 +626,6 @@ class GaugeDiagnostics:
     alpha: float
     item3_constant: float
     n_samples: int
-    seed: int
-    max_abs_derivs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -696,9 +646,10 @@ def lower_bound_ratio(anchor: PathPoint, point: PathPoint,
     return dist, val, val / min(dist ** (d + 1), dist)
 
 
-def calibrate_alpha(dimension: int, samples, config: QuadratureConfig = QuadratureConfig(),
-                    shrink: float = 0.9, seed: int = 0) -> GaugeDiagnostics:
-    """Estimate the lower-bound constant as the shrunk infimum ratio.
+def calibrate_alpha(dimension: int, samples,
+                    config: QuadratureConfig = QuadratureConfig()) -> GaugeDiagnostics:
+    """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
+    infimum ratio.
 
     ``samples`` is an iterable of (anchor, point) pairs; only existence of a
     positive constant is guaranteed in general, so the value is empirical and
@@ -716,6 +667,6 @@ def calibrate_alpha(dimension: int, samples, config: QuadratureConfig = Quadratu
         count += 1
     if not np.isfinite(ratio_min) or count == 0:
         raise DomainError("calibration needs samples at positive distance")
-    alpha = min(shrink * ratio_min, 1.0)
+    alpha = min(ALPHA_SHRINK * ratio_min, 1.0)
     return GaugeDiagnostics(dimension=dimension, alpha=alpha,
-                            item3_constant=item3, n_samples=count, seed=seed)
+                            item3_constant=item3, n_samples=count)

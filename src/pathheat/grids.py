@@ -160,9 +160,6 @@ class PathPoint:
     def present_value(self) -> np.ndarray:
         return self.path.values[self.node_index].copy()
 
-    def stopped(self) -> GridPath:
-        return stop_path(self.path, self.t)
-
 
 def _check_compatible(x: GridPath, y: GridPath) -> None:
     if x.dimension != y.dimension:

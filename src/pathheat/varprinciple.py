@@ -12,16 +12,15 @@ strict maximality of the perturbed objective) can be checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
 from .gauge import QuadratureConfig, smooth_gauge, perturbation_sum, PerturbationResult
-from .grids import PathPoint, path_distance, path_distances, stack_points
+from .grids import PathPoint, path_distance, stack_points
 
-__all__ = ["SearchSpace", "VPResult", "smooth_variational_principle",
-           "verify_gauge_axioms", "GaugeAxiomRow"]
+__all__ = ["SearchSpace", "VPResult", "smooth_variational_principle"]
 
 MAX_ITERATIONS = 1000
 STRICTNESS_FLOOR = 1e-12
@@ -200,45 +199,3 @@ def _index_of(space: SearchSpace, p: PathPoint) -> int:
         if path_distance(p, q) == 0.0:
             return i
     raise InputError("start point is not in the search space")
-
-
-@dataclass
-class GaugeAxiomRow:
-    eps: float
-    eta: float
-    violating_pairs: int
-
-    @property
-    def ok(self) -> bool:
-        return self.eta > 0.0
-
-
-def verify_gauge_axioms(space: SearchSpace,
-                        config: QuadratureConfig = QuadratureConfig(),
-                        eps_grid: Sequence[float] = (0.5, 0.2, 0.1)
-                        ) -> list[GaugeAxiomRow]:
-    """Largest eta per eps with: gauge <= eta implies pseudometric < eps.
-
-    Scans all ordered pairs of the space (the gauge is not symmetric), one
-    gauge column per anchor; the diagonal is 0.0.  A row with eta <= 0
-    means some pair at pseudometric distance >= eps has zero gauge, which
-    would break the axiom on this space.
-    """
-    pts = space.points
-    n = len(pts)
-    times, stopped = stack_points(pts)
-    dist = np.stack([path_distances(times, stopped, times[i], stopped[i])
-                     for i in range(n)])
-    gauge = np.stack([smooth_gauge(pts, anchor, config).value for anchor in pts],
-                     axis=1)
-    np.fill_diagonal(gauge, 0.0)
-    rows = []
-    for eps in eps_grid:
-        mask = dist >= eps
-        count = int(np.sum(mask))
-        if count == 0:
-            eta = float(np.max(gauge)) + 1.0  # no pair can violate
-        else:
-            eta = float(np.min(gauge[mask]))
-        rows.append(GaugeAxiomRow(eps=eps, eta=eta, violating_pairs=count))
-    return rows

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pathheat.grids import GridPath, TimeGrid
+from pathheat.cylinders import LiftedFunctional, PathwiseDerivs
+from pathheat.errors import DomainError, ToleranceError
+from pathheat.grids import GridPath, TimeGrid, stop_path
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,58 @@ def make_brownian(grid: TimeGrid, seed: int, dimension: int = 1,
     dw = rng.standard_normal((grid.steps, dimension)) * np.sqrt(grid.dt)
     vals = np.vstack([np.full((1, dimension), start), start + np.cumsum(dw, axis=0)])
     return GridPath(grid, vals)
+
+
+def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
+                       delta: float | None = None, h: float | None = None,
+                       y: np.ndarray | None = None) -> PathwiseDerivs:
+    """Finite-difference pathwise derivatives of a lifted map: the
+    independent reference for the analytic derivatives.
+
+    Horizontal: one-sided quotient in time with the path stopped at t and the
+    present value held at x(t).  Vertical: central first and second differences
+    in y only; the grid path itself is never mutated.
+    """
+    t = x.grid.snap(t)
+    scale = max(1.0, x.sup_norm())
+    if delta is None:
+        delta = 1e-4 * scale
+    if h is None:
+        h = 1e-4 * scale
+    if delta < 1e-12 or h < 1e-12:
+        raise ToleranceError("fd steps below double-precision resolution")
+    if y is None:
+        y = x.value_at(t)
+    y = np.atleast_1d(np.asarray(y, float))
+    d = x.dimension
+
+    if t + delta > x.horizon:
+        raise DomainError("horizontal difference needs t + delta <= horizon")
+    frozen = stop_path(x, t)
+    yt = x.value_at(t)
+    horizontal = (u.evaluate(t + delta, frozen, yt) - u.evaluate(t, x, yt)) / delta
+
+    base = u.evaluate(t, x, y)
+    vertical = np.zeros(d)
+    vertical2 = np.zeros((d, d))
+    shifted = {}
+    for i in range(d):
+        for s in (+1, -1):
+            e = y.copy()
+            e[i] += s * h
+            shifted[(i, s)] = u.evaluate(t, x, e)
+        vertical[i] = (shifted[(i, 1)] - shifted[(i, -1)]) / (2 * h)
+        vertical2[i, i] = (shifted[(i, 1)] - 2 * base + shifted[(i, -1)]) / h**2
+    for i in range(d):
+        for j in range(i + 1, d):
+            vals = {}
+            for si in (+1, -1):
+                for sj in (+1, -1):
+                    e = y.copy()
+                    e[i] += si * h
+                    e[j] += sj * h
+                    vals[(si, sj)] = u.evaluate(t, x, e)
+            vertical2[i, j] = vertical2[j, i] = (
+                vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]
+            ) / (4 * h**2)
+    return PathwiseDerivs(horizontal=horizontal, vertical=vertical, vertical2=vertical2)

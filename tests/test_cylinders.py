@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from pathheat.cylinders import (CylinderSpec, LiftedFunctional,
-                                consistency_check, cylinder_approx,
-                                cylinder_coordinates, fd_pathwise_derivs)
+                                cylinder_approx, cylinder_coordinates)
 from pathheat.errors import DomainError
 from pathheat.fourier import fejer_smooth
-from pathheat.grids import GridPath, PathPoint, TimeGrid, stop_path
+from pathheat.grids import GridPath, TimeGrid, stop_path
 
-from conftest import make_brownian
+from conftest import fd_pathwise_derivs, make_brownian
 
 ONE = np.ones_like
 
@@ -69,41 +68,43 @@ class TestCylinderApprox:
         x = make_brownian(grid100, seed=5)
         exact = float(x.values[-1, 0])
         for n in (0, 3, 9):
-            ca = cylinder_approx(xi, n, grid100)
-            assert ca.evaluate(x) == pytest.approx(exact, abs=1e-10)
-            z = cylinder_coordinates(ca.spec, 1.0, x)
-            assert ca.spec.g(z[None])[0] == pytest.approx(exact, abs=1e-8)
+            spec = cylinder_approx(xi, n, grid100)
+            smoothed = xi(fejer_smooth(x, n).values[None], grid100)[0]
+            assert smoothed == pytest.approx(exact, abs=1e-10)
+            z = cylinder_coordinates(spec, 1.0, x)
+            assert spec.g(z[None])[0] == pytest.approx(exact, abs=1e-8)
 
     def test_constant_functional(self, grid100):
-        ca = cylinder_approx(lambda v, g: np.full(len(v), -2.0), 4, grid100)
+        xi = lambda v, g: np.full(len(v), -2.0)
+        spec = cylinder_approx(xi, 4, grid100)
         x = make_brownian(grid100, seed=6)
-        assert ca.evaluate(x) == -2.0
-        assert ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0] == -2.0
+        assert xi(fejer_smooth(x, 4).values[None], grid100)[0] == -2.0
+        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == -2.0
 
     def test_g_of_coordinates_equals_smoothed_evaluation(self, grid100):
         xi = lambda v, g: np.max(v[:, :, 0], axis=1)
-        ca = cylinder_approx(xi, 6, grid100)
+        spec = cylinder_approx(xi, 6, grid100)
         x = make_brownian(grid100, seed=8, start=0.0)
         direct = float(np.max(fejer_smooth(x, 6).values[:, 0]))
-        via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0]
+        via_g = spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
 
     def test_g_of_coordinates_equals_smoothed_evaluation_in_2d(self, grid100):
         def xi(v, g):
             return np.max(v[:, :, 0], axis=1) + np.min(v[:, :, 1], axis=1)
 
-        ca = cylinder_approx(xi, 6, grid100, dimension=2)
+        spec = cylinder_approx(xi, 6, grid100, dimension=2)
         x = make_brownian(grid100, seed=9, dimension=2)
         direct = float(xi(fejer_smooth(x, 6).values[None], grid100)[0])
-        via_g = ca.spec.g(cylinder_coordinates(ca.spec, 1.0, x)[None])[0]
+        via_g = spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
-        assert ca.evaluate(x) == direct
 
     def test_lipschitz_transfer_for_sup(self):
         grid = TimeGrid(1.0, 2000)
         x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t))
-        ca = cylinder_approx(lambda v, g: np.max(v[:, :, 0], axis=1), 64, grid)
-        gap = abs(ca.evaluate(x) - float(np.max(x.values[:, 0])))
+        xi = lambda v, g: np.max(v[:, :, 0], axis=1)
+        gap = abs(xi(fejer_smooth(x, 64).values[None], grid)[0]
+                  - float(np.max(x.values[:, 0])))
         sup_gap = np.max(np.abs(fejer_smooth(x, 64).values - x.values))
         assert gap <= sup_gap <= 0.05
 
@@ -154,54 +155,3 @@ class TestFdPathwiseDerivs:
         d = fd_pathwise_derivs(u, 0.3, x)
         assert np.allclose(d.vertical2, d.vertical2.T)
 
-
-class TestConsistency:
-    def _samples(self, grid, n=8):
-        return [PathPoint(0.1 + 0.1 * i, make_brownian(grid, seed=40 + i))
-                for i in range(n)]
-
-    def test_identical_lifts_zero_gap(self, grid100):
-        u = LiftedFunctional(evaluate=lambda t, x, y: float(np.sum(y**2)))
-        rep = consistency_check(u, u, self._samples(grid100))
-        assert rep.precondition_ok
-        assert rep.max_derivative_gap() == 0.0
-
-    def test_algebraically_equal_expressions(self, grid100):
-        # y^2 written two ways; restrictions coincide, derivatives agree
-        u1 = LiftedFunctional(evaluate=lambda t, x, y: float(y[0] ** 2))
-        u2 = LiftedFunctional(
-            evaluate=lambda t, x, y: float(y[0] * x.value_at(t)[0]
-                                           + y[0] * (y[0] - x.value_at(t)[0])))
-        rep = consistency_check(u1, u2, self._samples(grid100))
-        assert rep.precondition_ok
-        # rounding in the rearranged expression is amplified by 1/h^2
-        assert rep.max_derivative_gap() < 1e-6
-
-    def test_cubic_perturbation_agrees(self, grid100):
-        # adding (y - x(t))^3 changes the lift off the diagonal only, to
-        # third order: all derivatives at y = x(t) agree
-        u1 = LiftedFunctional(evaluate=lambda t, x, y: float(y[0] ** 2))
-        u2 = LiftedFunctional(
-            evaluate=lambda t, x, y: float(y[0] ** 2
-                                           + (y[0] - x.value_at(t)[0]) ** 3))
-        rep = consistency_check(u1, u2, self._samples(grid100))
-        assert rep.precondition_ok
-        assert rep.max_derivative_gap() < 1e-5
-
-    def test_quadratic_perturbation_flagged(self, grid100):
-        # (y - x(t))^2 also vanishes on continuous paths, but its second
-        # vertical derivative does not: the check must flag it
-        u1 = LiftedFunctional(evaluate=lambda t, x, y: float(y[0] ** 2))
-        u2 = LiftedFunctional(
-            evaluate=lambda t, x, y: float(y[0] ** 2
-                                           + (y[0] - x.value_at(t)[0]) ** 2))
-        rep = consistency_check(u1, u2, self._samples(grid100))
-        assert rep.precondition_ok
-        assert rep.vertical_gap < 1e-6          # first-order verticals agree
-        assert rep.vertical2_gap > 1.5          # second-order differ by ~2
-
-    def test_disagreeing_lifts_reported(self, grid100):
-        u1 = LiftedFunctional(evaluate=lambda t, x, y: float(y[0]))
-        u2 = LiftedFunctional(evaluate=lambda t, x, y: float(y[0]) + 0.1)
-        rep = consistency_check(u1, u2, self._samples(grid100))
-        assert not rep.precondition_ok

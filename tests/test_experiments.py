@@ -60,7 +60,7 @@ class TestComparisonFactorValues:
         seed, lam = 3, 0.5
         xi = build_terminal("running_max", GRID)
         points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
-        spec = cylinder_approx(xi.batch, SMALL["order"], GRID).spec
+        spec = cylinder_approx(xi.batch, SMALL["order"], GRID)
         # the factor rule comparison_demo uses at its default z_samples
         config = QuadratureConfig(z_rule="monte-carlo", z_samples=4096,
                                   z_seed=seed + 17)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pathheat.fourier import (FourierBasis, basis_value, fejer_coefficient,
+from pathheat.errors import DomainError
+from pathheat.fourier import (basis_primitive, basis_value, fejer_coefficient,
                               fejer_coefficient_quadrature, fejer_mean,
                               fejer_smooth, fejer_weights, terminal_ramp)
 from pathheat.grids import GridPath, TimeGrid
@@ -26,9 +27,9 @@ class TestBasis:
         h = 1e-6
         t = np.linspace(0.1, 0.9, 7)
         for l in (0, 1, 2, 5, 8):
-            b = FourierBasis(1.0, l)
-            fd = (b.primitive(t + h) - b.primitive(t - h)) / (2 * h)
-            assert np.allclose(fd, b.e(t), atol=1e-5)
+            fd = (basis_primitive(l, 1.0, t + h)
+                  - basis_primitive(l, 1.0, t - h)) / (2 * h)
+            assert np.allclose(fd, basis_value(l, 1.0, t), atol=1e-5)
 
     def test_primitives_have_zero_mean(self):
         grid = TimeGrid(2.0, 4000)
@@ -37,7 +38,7 @@ class TestBasis:
         w[0] = w[-1] = grid.dt / 2
         for l in range(6):
             assert abs(np.sum(w * basis_value(l, 2.0, t) * 0 +
-                              w * FourierBasis(2.0, l).primitive(t))) < 1e-10
+                              w * basis_primitive(l, 2.0, t))) < 1e-10
 
 
 class TestTerminalRamp:
@@ -59,6 +60,10 @@ class TestFejerCoefficient:
         z = GridPath.zero(grid100)
         for l in range(5):
             assert np.allclose(fejer_coefficient(z, l), 0.0, atol=1e-15)
+
+    def test_negative_index_rejected(self, grid100):
+        with pytest.raises(DomainError):
+            fejer_coefficient(GridPath.zero(grid100), -1)
 
     def test_ramp_has_no_coefficients(self, grid100):
         x = GridPath.from_function(grid100, lambda t: 1.3 * t)

@@ -6,38 +6,26 @@ import pytest
 from pathheat.audit import (derivative_bound_audit,
                             estimate_gauge_quadrature_error, sandwich_audit,
                             validate_alpha)
-from pathheat.cylinders import LiftedFunctional, fd_pathwise_derivs
+from pathheat.cylinders import LiftedFunctional
 from pathheat.errors import DomainError
 import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
                             _exact_profile_1d, _profile_rule, _s_rule,
-                            _time_smoothed, _z_rule,
-                            curvature_profile,
-                            calibrate_alpha, floored_norm_profile,
-                            floored_norm_profile_slope, horizontal_kernel,
-                            horizontal_kernel_derivative, horizontal_kernel_mass,
+                            _time_smoothed, _z_rule, calibrate_alpha,
+                            horizontal_kernel, horizontal_kernel_derivative,
+                            horizontal_kernel_mass,
                             horizontal_smoothed_distance, mean_gaussian_norm,
-                            mean_gaussian_norm_quadrature, normal_density,
+                            mean_gaussian_norm_quadrature,
                             perturbation_sum, smooth_gauge,
                             vertical_smoothed_distance)
 from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distance
 from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
-from conftest import make_brownian
+from conftest import fd_pathwise_derivs, make_brownian
 
 
 class TestKernelsAndConstants:
-    def test_normal_density_values(self):
-        assert normal_density(np.zeros((1, 1)))[0] == pytest.approx(
-            0.3989422804, abs=1e-9)
-        assert normal_density(np.zeros((1, 2)))[0] == pytest.approx(
-            0.1591549431, abs=1e-9)
-
-    def test_normal_density_symmetry(self):
-        z = np.array([[0.3, -1.2]])
-        assert normal_density(z)[0] == normal_density(-z)[0]
-
     @pytest.mark.parametrize("d,expected", [
         (1, 0.7978845608),
         (2, 1.2533141373),
@@ -414,42 +402,6 @@ class TestPerturbationSum:
             perturbation_sum([], PathPoint(0.1, make_brownian(grid64, seed=1)))
 
 
-class TestProfiles:
-    def test_floored_profile_at_zero(self):
-        for d in (1, 2, 3):
-            assert floored_norm_profile(d, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_slope_is_chi_cdf(self):
-        # d=1: P(|Z| <= 1) = 2 Phi(1) - 1
-        assert floored_norm_profile_slope(1, 1.0) == pytest.approx(
-            0.6826894921, abs=1e-9)
-        h = 1e-6
-        for d in (1, 2):
-            fd = (floored_norm_profile(d, 1.0 + h)
-                  - floored_norm_profile(d, 1.0 - h)) / (2 * h)
-            assert fd == pytest.approx(floored_norm_profile_slope(d, 1.0), abs=1e-8)
-
-    def test_curvature_profile_at_zero(self):
-        for d in (1, 2, 3):
-            assert curvature_profile(d, 0.0) == pytest.approx(
-                mean_gaussian_norm(d), abs=1e-10)
-
-    def test_curvature_profile_decreasing_to_zero(self):
-        grid = np.linspace(0.0, 8.0, 30)
-        for d in (1, 2):
-            vals = [curvature_profile(d, a) for a in grid]
-            assert all(b < a for a, b in zip(vals, vals[1:]))
-            assert vals[-1] < 1e-8
-            assert all(v > -1e-12 for v in vals)
-
-    def test_second_slope_matches_general_formula(self):
-        # curvature of the floored profile at small a follows the radial
-        # density, ~ sqrt(2/pi) * a^{d-1} scaling in d = 1
-        h = 1e-4
-        f2 = (floored_norm_profile_slope(1, h) - floored_norm_profile_slope(1, 0)) / h
-        assert f2 == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-3)
-
-
 class TestAudits:
     def test_bound_audit_passes_d1(self, grid64):
         checks = derivative_bound_audit(1, grid64, 60, seed=1)
@@ -486,7 +438,7 @@ class TestAudits:
                                                    if not c.passed]
 
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):
-        diag = calibrate_alpha(1, random_pairs(grid64, 1, 300, seed=5), seed=5)
+        diag = calibrate_alpha(1, random_pairs(grid64, 1, 300, seed=5))
         assert 0.0 < diag.alpha <= 1.0
         checks = validate_alpha(diag, grid64, 300, seed=6)
         assert all(c.passed for c in checks)

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_brownian
+from conftest import fd_pathwise_derivs, make_brownian
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
-                                cylinder_coordinates, cylinder_sigma,
-                                fd_pathwise_derivs)
+                                cylinder_coordinates, cylinder_sigma)
 from pathheat.errors import ContractError, DomainError
 from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
                             extend_with_increments)
@@ -295,7 +294,7 @@ class TestFactorSolution:
             # the Monte-Carlo rule of comparison-demo; a Fejer spec has no
             # derivative evaluators, so zero ones stand in for the full call
             spec = replace(cylinder_approx(build_terminal("running_max", grid).batch,
-                                           3, grid).spec,
+                                           3, grid),
                            gradient=np.zeros_like,
                            hessian=lambda zs: np.zeros(zs.shape + zs.shape[1:]))
             config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
@@ -318,7 +317,7 @@ class TestFactorSolution:
         config = QuadratureConfig()
         if name == "fejer":
             spec = cylinder_approx(build_terminal("running_max", grid).batch,
-                                   3, grid).spec
+                                   3, grid)
             config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
         else:
             spec = build_terminal(name, grid).cylinder
