@@ -81,8 +81,7 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
     pb = perturbation_bounds(grid.horizon)
 
     obs = {k: 0.0 for k in ("dist_grad", "dist_hess", "sat_horizontal",
-                            "sat_grad", "sat_hess", "pert_horizontal",
-                            "pert_grad", "pert_hess")}
+                            "sat_grad", "sat_hess")}
     for anchor, t, x, y in tuples:
         sd = vertical_smoothed_distance(anchor, t, x, y, config)
         obs["dist_grad"] = max(obs["dist_grad"], float(np.max(np.abs(sd.gradient))))
@@ -91,13 +90,12 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
         obs["sat_horizontal"] = max(obs["sat_horizontal"], abs(derivs.horizontal))
         obs["sat_grad"] = max(obs["sat_grad"], float(np.max(np.abs(derivs.vertical))))
         obs["sat_hess"] = max(obs["sat_hess"], float(np.max(np.abs(derivs.vertical2))))
-        pert = perturbation_sum(anchors, PathPoint(t, x), config, repeat_last=True)
-        obs["pert_horizontal"] = max(obs["pert_horizontal"],
-                                     abs(pert.derivs.horizontal))
-        obs["pert_grad"] = max(obs["pert_grad"],
-                               float(np.max(np.abs(pert.derivs.vertical))))
-        obs["pert_hess"] = max(obs["pert_hess"],
-                               float(np.max(np.abs(pert.derivs.vertical2))))
+    # one perturbation column per anchor over all tuple points
+    pert = perturbation_sum(anchors, [PathPoint(t, x) for _, t, x, _ in tuples],
+                            config).derivs
+    obs["pert_horizontal"] = float(np.max(np.abs(pert.horizontal)))
+    obs["pert_grad"] = float(np.max(np.abs(pert.vertical)))
+    obs["pert_hess"] = float(np.max(np.abs(pert.vertical2)))
 
     qe = quad_error
     return [

@@ -179,6 +179,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pde_check(args) -> int:
+    if args.n_points < 1:
+        raise InputError(f"--n-points must be at least 1, not {args.n_points}")
     grid = TimeGrid(args.horizon, args.steps)
     quad = _quadrature(args)
     names = args.spec.split(",") if args.spec else [
@@ -206,6 +208,8 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_gauge_check(args) -> int:
+    if args.n_tuples < 1:
+        raise InputError(f"--n-tuples must be at least 1, not {args.n_tuples}")
     grid = TimeGrid(args.horizon, args.steps)
     quad = _quadrature(args)
     checks = derivative_bound_audit(args.d, grid, args.n_tuples, args.seed, quad)

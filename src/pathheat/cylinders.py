@@ -40,13 +40,14 @@ __all__ = [
 class PathwiseDerivs:
     """Horizontal derivative, vertical gradient, and vertical Hessian.
 
-    Row form: the derivatives of n points, with shapes (n,), (n, d) and
-    (n, d, d); each Hessian is symmetrized on its own.
+    One point: a float and shapes (d,) and (d, d).  Row form: the
+    derivatives of n points, with shapes (n,), (n, d) and (n, d, d).  Each
+    Hessian is symmetrized on its own.
     """
 
-    horizontal: float
-    vertical: np.ndarray        # shape (d,)
-    vertical2: np.ndarray       # shape (d, d), symmetric
+    horizontal: float | np.ndarray
+    vertical: np.ndarray
+    vertical2: np.ndarray
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.vertical, float))
@@ -54,9 +55,11 @@ class PathwiseDerivs:
         object.__setattr__(self, "vertical", v)
         object.__setattr__(self, "vertical2", (h + np.swapaxes(h, -1, -2)) / 2.0)
 
-    def heat_operator(self) -> float:
-        """horizontal + (1/2) trace(vertical Hessian)."""
-        return float(self.horizontal + 0.5 * np.trace(self.vertical2))
+    def heat_operator(self) -> float | np.ndarray:
+        """horizontal + (1/2) trace(vertical Hessian): a float for one
+        point, one value per row (n,) in row form."""
+        out = self.horizontal + 0.5 * np.trace(self.vertical2, axis1=-2, axis2=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

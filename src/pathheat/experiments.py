@@ -225,17 +225,17 @@ def comparison_demo(grid: TimeGrid, seed: int,
     for delta in deltas:
         res = smooth_variational_principle(G, eps, delta, start, space,
                                            gauge_config)
-        pert = res.perturbation(res.limit)
-        lphi = pert.derivs.heat_operator()
+        phi = float(res.phi.value[res.limit_index])
+        lphi = float(res.phi.derivs.heat_operator()[res.limit_index])
         interior = bool(res.limit.t < grid.horizon - 1e-12)
         chain_left = lam * float(g_vals[start_index])
-        chain_mid = lam * float(gmap[id(res.limit)] - delta * pert.value)
+        chain_mid = lam * float(gmap[id(res.limit)] - delta * phi)
         chain_right = delta * lphi
         tangency = bool(chain_mid <= chain_right + stat) if interior else None
         report.rows.append(DeltaRow(
             delta=delta, limit_time=res.limit.t, interior=interior,
             chain_left=chain_left, chain_mid=chain_mid, chain_right=chain_right,
-            phi_at_limit=pert.value, operator_phi=lphi, operator_bound=op_bound,
+            phi_at_limit=phi, operator_phi=lphi, operator_bound=op_bound,
             items_ok=bool(res.all_items_ok()),
             exact_link_ok=bool(chain_left <= chain_mid + 1e-9),
             operator_ok=bool(abs(lphi) <= op_bound + 1e-6),

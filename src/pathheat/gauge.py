@@ -40,8 +40,8 @@ bit-identical to a per-time loop, derivatives move at the 1e-14 level.
 
 Gauge columns
 -------------
-``smooth_gauge`` also takes a sequence of points and returns one gauge
-column against one anchor, as the variational principle needs.  The points
+``smooth_gauge`` takes a sequence of points and returns one gauge column
+against one anchor; it is the only way to evaluate a gauge.  The points
 are grouped by snapped node.  The points of a group share the s-rule (it
 depends on the node, the anchor's node and tau = t only), the candidates
 with their suffix extremes and the partial candidates at the shifted times;
@@ -49,10 +49,15 @@ per point there are only the center, the present value, the prefix distance
 and its running maxima.  In d = 1 the closed form then runs on (points,
 shifted times) arrays, so the normal cdf runs a few times per column rather
 than per point; in d >= 2 the points go one at a time through the z-rule.
-Both go in blocks bounded by ``_PROFILE_BLOCK``.  The one-point functions
-are the batch of one of the same kernel, and every value of a batch is
-bit-identical to the point alone: the arithmetic is elementwise, and the
+Both go in blocks bounded by ``_PROFILE_BLOCK``.  The one-point smoothing
+stages are the batch of one of the same kernel, and every value of a batch
+is bit-identical to the point alone: the arithmetic is elementwise, and the
 sums over shifted times run along each point's row.
+
+Every perturbation sum_n 2^{-n} gauge(., anchor_n), the variational
+principle's, ``perturbation_sum`` and the audit's, is ``completed_sum`` of
+gauge columns: its anchors are eventually constant, so the last weight is
+doubled and the geometric tail is exact.
 """
 
 from __future__ import annotations
@@ -86,8 +91,8 @@ __all__ = [
     "horizontal_smoothed_distance",
     "smooth_gauge",
     "GaugeResult",
+    "completed_sum",
     "perturbation_sum",
-    "PerturbationResult",
     "VERTICAL_GRAD_BOUND",
     "VERTICAL_HESS_BOUND",
     "HORIZONTAL_BOUND",
@@ -519,94 +524,68 @@ def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
 
 @dataclass(frozen=True)
 class GaugeResult:
-    """The gauge of one point (floats, derivatives of shapes (d,) and
-    (d, d)) or of n points (arrays with a leading point axis)."""
+    """A gauge column, or a perturbation built from columns, on n points:
+    ``value`` (n,) and ``derivs`` in row form, (n,), (n, d) and (n, d, d)."""
 
-    value: float | np.ndarray
+    value: np.ndarray
     derivs: PathwiseDerivs
-    time_term: float | np.ndarray
-    distance_term: float | np.ndarray
 
 
-def smooth_gauge(point: PathPoint | Sequence[PathPoint], anchor: PathPoint,
+def smooth_gauge(points: Sequence[PathPoint], anchor: PathPoint,
                  config: QuadratureConfig = QuadratureConfig()) -> GaugeResult:
-    """The gauge (t - t0)^2 + smoothed distance, with derivatives in the point.
+    """The gauge (t - t0)^2 + smoothed distance of each point against one
+    anchor, with its derivatives in the point: one gauge column.
 
-    Vanishes exactly when the point coincides with the anchor (same stopped
+    Vanishes exactly when a point coincides with the anchor (same stopped
     representative and time); smallness forces the pseudometric to be small
-    through the calibrated lower bound of the smoothed distance.
-
-    Batch form: for a sequence of n points, one gauge column against the
-    one anchor, with every field an array over the points (``derivs``
-    fields (n,), (n, d) and (n, d, d)).  The points are grouped by node:
-    the points of a group share the s-rule, the candidates and the partial
-    candidates, and only their centers and prefix distances differ.  Each
-    value equals bit for bit that of the point passed alone; derivatives
-    agree to within 1e-13.  An empty sequence, or points on another grid
-    or of another dimension, raise :class:`DomainError`.
+    through the calibrated lower bound of the smoothed distance.  The
+    points are grouped by node: the points of a group share the s-rule,
+    the candidates and the partial candidates, and only their centers and
+    prefix distances differ.  Each value equals bit for bit that of the
+    point in a column of its own; derivatives agree to within 1e-13.  An
+    empty sequence, or points on another grid or of another dimension,
+    raise :class:`DomainError`.
     """
-    if isinstance(point, PathPoint):
-        chi, derivs = horizontal_smoothed_distance(anchor, point.t, point.path,
-                                                   point.present_value(), config)
-        dt = point.t - anchor.t
-    else:
-        points = tuple(point)
-        if not points:
-            raise DomainError("smooth_gauge needs at least one point")
-        chi, hor, vert, vert2 = _smoothed_rows(anchor, points, None, config)
-        derivs = PathwiseDerivs(horizontal=hor, vertical=vert, vertical2=vert2)
-        dt = np.array([p.t for p in points]) - anchor.t
-    out = PathwiseDerivs(horizontal=derivs.horizontal + 2.0 * dt,
-                         vertical=derivs.vertical, vertical2=derivs.vertical2)
-    return GaugeResult(value=dt * dt + chi, derivs=out,
-                       time_term=dt * dt, distance_term=chi)
+    points = tuple(points)
+    if not points:
+        raise DomainError("smooth_gauge needs at least one point")
+    chi, hor, vert, vert2 = _smoothed_rows(anchor, points, None, config)
+    dt = np.array([p.t for p in points]) - anchor.t
+    return GaugeResult(value=dt * dt + chi,
+                       derivs=PathwiseDerivs(horizontal=hor + 2.0 * dt,
+                                             vertical=vert, vertical2=vert2))
 
 
-@dataclass(frozen=True)
-class PerturbationResult:
-    value: float
-    derivs: PathwiseDerivs
-    tail_bound: float
-    exact_tail: bool
-
-
-def perturbation_sum(anchors: Sequence[PathPoint], point: PathPoint,
-                     config: QuadratureConfig = QuadratureConfig(),
-                     repeat_last: bool = False) -> PerturbationResult:
-    """Geometric sum 2^{-n} gauge(point, anchor_n) over the anchor sequence.
-
-    With ``repeat_last`` the final anchor stands for an eventually-constant
-    tail and the geometric completion is exact; otherwise the truncated sum
-    is returned together with the certified remainder bound
-    2^{1-N} (T^2 + 1), using gauge <= T^2 + 1.
+def completed_sum(columns: Sequence[GaugeResult]) -> GaugeResult:
+    """sum_i w_i column_i over gauge columns in anchor order, with the
+    completion weights w_i = 2^{-i} and the last one doubled: the last
+    anchor repeats forever, and its geometric tail sums to 2^{1-N}.  The
+    columns are added one at a time from zero, so each row is the same
+    ordered sum as for a point in columns of its own.
     """
-    if not anchors:
-        raise DomainError("perturbation_sum needs at least one anchor")
-    horizon = point.path.horizon
-    value = 0.0
-    hor = 0.0
-    vert = np.zeros(point.path.dimension)
-    vert2 = np.zeros((point.path.dimension,) * 2)
-    n = len(anchors)
-    for i, a in enumerate(anchors):
-        weight = 2.0 ** (-i)
-        if repeat_last and i == n - 1:
-            weight = 2.0 ** (-(n - 1)) * 2.0
-        res = smooth_gauge(point, a, config)
-        value += weight * res.value
-        hor += weight * res.derivs.horizontal
-        vert = vert + weight * res.derivs.vertical
-        vert2 = vert2 + weight * res.derivs.vertical2
-    if repeat_last:
-        tail = 0.0
-    else:
-        tail = 2.0 ** (1 - n) * (horizon**2 + 1.0)
-    return PerturbationResult(
-        value=value,
-        derivs=PathwiseDerivs(horizontal=hor, vertical=vert, vertical2=vert2),
-        tail_bound=tail,
-        exact_tail=repeat_last,
-    )
+    if not columns:
+        raise DomainError("a perturbation needs at least one anchor")
+    weights = [2.0 ** (-i) for i in range(len(columns))]
+    weights[-1] *= 2.0
+
+    def parts(g: GaugeResult):
+        return g.value, g.derivs.horizontal, g.derivs.vertical, g.derivs.vertical2
+
+    value, hor, vert, vert2 = sums = [np.zeros_like(a) for a in parts(columns[0])]
+    for w, col in zip(weights, columns):
+        for acc, part in zip(sums, parts(col)):
+            acc += w * part
+    return GaugeResult(value=value, derivs=PathwiseDerivs(
+        horizontal=hor, vertical=vert, vertical2=vert2))
+
+
+def perturbation_sum(anchors: Sequence[PathPoint], points: Sequence[PathPoint],
+                     config: QuadratureConfig = QuadratureConfig()) -> GaugeResult:
+    """The perturbation phi = sum_n 2^{-n} gauge(., anchor_n) on the points,
+    for an anchor sequence whose last anchor repeats forever: the
+    :func:`completed_sum` of one gauge column per anchor."""
+    points = tuple(points)
+    return completed_sum([smooth_gauge(points, a, config) for a in anchors])
 
 
 # ---------------------------------------------------------------------------

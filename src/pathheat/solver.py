@@ -351,32 +351,15 @@ class FiniteDimSolution:
 def _pair_integrals(spec: CylinderSpec, t: float, horizon: float) -> np.ndarray:
     """Matrix of integrals of psi_i psi_j over [t, T] to ~1e-12 absolute.
 
-    Small factor counts use adaptive quadrature pair by pair; larger ones
-    (Fejer approximation specs) use one vectorized high-order fixed rule,
-    with enough nodes per oscillation for the trigonometric weights.
+    One Gauss-Legendre rule with max(64, 8 n) nodes for n factors: the
+    weights are smooth, and the trigonometric ones of an order-k Fejer spec
+    (n = 2k + 1) make at most k oscillations on [0, T], so every
+    oscillation gets at least 16 nodes.
     """
     n = spec.n_factors
-    out = np.empty((n, n))
     if t >= horizon:
-        out[:] = 0.0
-        return out
-    if n <= 4:
-        # imported here: scipy.integrate adds about 0.2 s to every start of
-        # the package, and only these small specs use it
-        from scipy.integrate import quad as _adaptive_quad
-
-        def product(s, i, j):
-            w = weights_at((spec.psi[i], spec.psi[j]), np.asarray([s]))
-            return float(w[0, 0] * w[1, 0])
-
-        for i in range(n):
-            for j in range(i, n):
-                val, _ = _adaptive_quad(product, t, horizon, args=(i, j),
-                                        epsabs=1e-12, epsrel=1e-12, limit=200)
-                out[i, j] = out[j, i] = val
-        return out
-    nodes_count = max(512, 24 * n)
-    s, w = legendre_rule(t, horizon, nodes_count)
+        return np.zeros((n, n))
+    s, w = legendre_rule(t, horizon, max(64, 8 * n))
     vals = weights_at(spec.psi, s)
     return (vals * w) @ vals.T
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
-from .gauge import QuadratureConfig, smooth_gauge, perturbation_sum, PerturbationResult
+from .gauge import GaugeResult, QuadratureConfig, completed_sum, smooth_gauge
 from .grids import PathPoint, path_distance, stack_points
 
 __all__ = ["SearchSpace", "VPResult", "smooth_variational_principle"]
@@ -88,6 +88,10 @@ class ItemRecord:
 
 @dataclass
 class VPResult:
+    """Anchors, limit and the checks of the three conclusions.  ``phi`` is
+    the perturbation on every point of the space, in space order: the
+    completed sum of the gauge columns the iteration built."""
+
     anchors: list[PathPoint]
     anchor_indices: list[int]
     limit: PathPoint
@@ -99,7 +103,7 @@ class VPResult:
     item_ii_lhs: float
     item_ii_rhs: float
     item_iii_margin: float
-    perturbation: Callable[[PathPoint], PerturbationResult] = field(repr=False)
+    phi: GaugeResult = field(repr=False)
 
     @property
     def item_i_ok(self) -> bool:
@@ -139,12 +143,9 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
             f"start value {values[start_idx]:.6g} below sup - eps = {sup - eps:.6g}")
 
     # gauge columns: gauge(p, anchor) for every p in the space, per anchor
-    def gauge_column(anchor_idx: int) -> np.ndarray:
-        return smooth_gauge(pts, pts[anchor_idx], config).value
-
     anchor_indices = [start_idx]
-    columns = [gauge_column(start_idx)]
-    perturbed = values - delta * columns[0]
+    columns = [smooth_gauge(pts, pts[start_idx], config)]
+    perturbed = values - delta * columns[0].value
     current = start_idx
     iterations = 0
     while True:
@@ -156,34 +157,27 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
             break
         current = nxt
         anchor_indices.append(current)
-        col = gauge_column(current)
-        columns.append(col)
-        perturbed = perturbed - delta * 2.0 ** (-(len(anchor_indices) - 1)) * col
+        columns.append(smooth_gauge(pts, pts[current], config))
+        perturbed = (perturbed - delta * 2.0 ** (-(len(anchor_indices) - 1))
+                     * columns[-1].value)
 
     limit_idx = current
     limit = pts[limit_idx]
     anchors = [pts[i] for i in anchor_indices]
 
-    def perturbation(p: PathPoint) -> PerturbationResult:
-        return perturbation_sum(anchors, p, config, repeat_last=True)
-
     # exact geometric completion: the final anchor repeats forever
-    weights = [2.0 ** (-i) for i in range(len(anchors))]
-    weights[-1] *= 2.0
-    phi_vals = np.zeros(len(pts))
-    for w, col in zip(weights, columns):
-        phi_vals += w * col
+    phi = completed_sum(columns)
 
     # the limit is the last anchor, so both gauge orders are column entries
-    item_i = [ItemRecord(index=i, gauge_limit_to_anchor=float(col[limit_idx]),
-                         gauge_anchor_to_limit=float(columns[-1][idx]),
+    item_i = [ItemRecord(index=i, gauge_limit_to_anchor=float(col.value[limit_idx]),
+                         gauge_anchor_to_limit=float(columns[-1].value[idx]),
                          bound=eps / (2.0 ** i * delta))
               for i, (idx, col) in enumerate(zip(anchor_indices, columns))]
 
     item_ii_lhs = float(values[start_idx])
-    item_ii_rhs = float(values[limit_idx] - delta * phi_vals[limit_idx])
+    item_ii_rhs = float(values[limit_idx] - delta * phi.value[limit_idx])
 
-    score = values - delta * phi_vals
+    score = values - delta * phi.value
     others = np.delete(score, limit_idx)
     margin = float(score[limit_idx] - np.max(others)) if others.size else np.inf
 
@@ -191,7 +185,7 @@ def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
                     limit_index=limit_idx, eps=eps, delta=delta,
                     iterations=iterations, item_i=item_i,
                     item_ii_lhs=item_ii_lhs, item_ii_rhs=item_ii_rhs,
-                    item_iii_margin=margin, perturbation=perturbation)
+                    item_iii_margin=margin, phi=phi)
 
 
 def _index_of(space: SearchSpace, p: PathPoint) -> int:

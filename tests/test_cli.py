@@ -177,6 +177,20 @@ class TestEntryPoint:
         assert "two distinct exponents" in capsys.readouterr().err
         assert not (tmp_path / "ito_check.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gauge-check", "--n-tuples", "0"],
+        ["gauge-check", "--n-tuples", "-2"],
+        ["pde-check", "--n-points", "0"],
+    ])
+    def test_check_of_nothing_exits_2(self, tmp_path, capsys, argv):
+        # a check over no samples observes nothing and must not pass
+        assert cli.run(argv + ["--seed", "1", "--steps", "16",
+                               "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"pathheat: error: {argv[1]} must be at least 1, "
+                       f"not {argv[2]}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_residual_degree_of_freedom_exits_2(self, tmp_path, capsys):
         argv = ["solve", "--seed", "1", "--steps", "8", "--n-samples", "3",
                 "--out", str(tmp_path)]

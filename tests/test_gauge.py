@@ -6,7 +6,7 @@ import pytest
 from pathheat.audit import (derivative_bound_audit,
                             estimate_gauge_quadrature_error, sandwich_audit,
                             validate_alpha)
-from pathheat.cylinders import LiftedFunctional
+from pathheat.cylinders import LiftedFunctional, PathwiseDerivs
 from pathheat.errors import DomainError
 import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
@@ -288,32 +288,31 @@ class TestBlockedProfileKernel:
 class TestSmoothGauge:
     def test_diagonal_zero(self, grid64):
         p = PathPoint(0.3, make_brownian(grid64, seed=5))
-        assert smooth_gauge(p, p).value == 0.0
+        assert smooth_gauge([p], p).value[0] == 0.0
 
     def test_time_separation_quadratic(self, grid64):
         x = make_brownian(grid64, seed=6)
-        r = smooth_gauge(PathPoint(0.75, x), PathPoint(0.25, x))
-        assert r.time_term == pytest.approx(0.25, abs=1e-12)
+        r = smooth_gauge([PathPoint(0.75, x)], PathPoint(0.25, x))
+        chi, _ = horizontal_smoothed_distance(PathPoint(0.25, x), 0.75, x)
+        assert r.value[0] - chi == pytest.approx(0.25, abs=1e-12)
         # stopped representatives differ, so the distance term is positive
-        assert r.distance_term > 0.0
+        assert chi > 0.0
 
     def test_horizontal_derivative_bound(self, grid64):
         bound = 2 * 1.0 + HORIZONTAL_BOUND
         for anchor, point in random_pairs(grid64, 1, 40, seed=12):
-            r = smooth_gauge(point, anchor)
-            assert abs(r.derivs.horizontal) <= bound + 1e-8
+            r = smooth_gauge([point], anchor)
+            assert abs(r.derivs.horizontal[0]) <= bound + 1e-8
 
 
 def _assert_rows_match(batch, singles):
-    """Each row of a batch gauge equals the point alone: bit for bit in
-    value, within 1e-13 in the derivatives."""
+    """Each row of a batch gauge equals the point in a column of its own:
+    bit for bit in value, within 1e-13 in the derivatives."""
     for i, one in enumerate(singles):
-        assert batch.value[i] == one.value
-        assert batch.time_term[i] == one.time_term
-        assert batch.distance_term[i] == one.distance_term
-        assert abs(batch.derivs.horizontal[i] - one.derivs.horizontal) <= 1e-13
-        assert np.max(np.abs(batch.derivs.vertical[i] - one.derivs.vertical)) <= 1e-13
-        assert np.max(np.abs(batch.derivs.vertical2[i] - one.derivs.vertical2)) <= 1e-13
+        assert batch.value[i] == one.value[0]
+        assert abs(batch.derivs.horizontal[i] - one.derivs.horizontal[0]) <= 1e-13
+        assert np.max(np.abs(batch.derivs.vertical[i] - one.derivs.vertical[0])) <= 1e-13
+        assert np.max(np.abs(batch.derivs.vertical2[i] - one.derivs.vertical2[0])) <= 1e-13
 
 
 BATCH_RULES = [
@@ -341,7 +340,7 @@ class TestGaugeBatch:
         assert batch.value.shape == (n,)
         assert batch.derivs.vertical.shape == (n, dim)
         assert batch.derivs.vertical2.shape == (n, dim, dim)
-        _assert_rows_match(batch, [smooth_gauge(p, anchor, config) for p in pts])
+        _assert_rows_match(batch, [smooth_gauge([p], anchor, config) for p in pts])
         assert batch.value[-2] == 0.0
 
     @pytest.mark.parametrize("dim,config", BATCH_RULES[:2], ids=["d1", "d2-gh21"])
@@ -351,7 +350,7 @@ class TestGaugeBatch:
                for i in range(11)]
         pts += [PathPoint(t, make_brownian(grid64, seed=60, dimension=dim))
                 for t in (0.5, 1.0)]
-        singles = [smooth_gauge(p, anchor, config) for p in pts]
+        singles = [smooth_gauge([p], anchor, config) for p in pts]
         s = _s_rule(_AnchorContext(anchor, pts[:1]), 0.25, config)[0].size
         # one point per block, an odd size that puts 3 + 3 + 3 + 2 of the
         # eleven points at 0.25 in a block, everything in one block
@@ -375,31 +374,59 @@ class TestGaugeBatch:
 class TestPerturbationSum:
     def test_single_anchor_at_anchor(self, grid64):
         p = PathPoint(0.4, make_brownian(grid64, seed=7))
-        res = perturbation_sum([p], p)
-        assert res.value == 0.0
+        res = perturbation_sum([p], [p])
+        assert res.value[0] == 0.0
 
     def test_repeated_anchor_geometric_sum(self, grid64):
         a = PathPoint(0.3, make_brownian(grid64, seed=8))
         p = PathPoint(0.7, make_brownian(grid64, seed=9))
-        base = smooth_gauge(p, a).value
+        base = smooth_gauge([p], a).value[0]
         n = 5
-        res = perturbation_sum([a] * n, p)
-        expect = base * sum(2.0 ** (-i) for i in range(n))
-        assert res.value == pytest.approx(expect, rel=1e-12)
-        assert res.tail_bound == pytest.approx(2.0 ** (1 - n) * 2.0, abs=1e-12)
+        res = perturbation_sum([a] * n, [p])
+        # the last anchor repeats forever: the completed weights sum to 2
+        assert res.value[0] == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_exact_tail_completion(self, grid64):
+    def test_two_anchor_completion(self, grid64):
         a0 = PathPoint(0.2, make_brownian(grid64, seed=10))
         a1 = PathPoint(0.5, make_brownian(grid64, seed=11))
         p = PathPoint(0.8, make_brownian(grid64, seed=12))
-        res = perturbation_sum([a0, a1], p, repeat_last=True)
-        expect = smooth_gauge(p, a0).value + smooth_gauge(p, a1).value
-        assert res.value == pytest.approx(expect, rel=1e-12)
-        assert res.tail_bound == 0.0
+        res = perturbation_sum([a0, a1], [p])
+        expect = smooth_gauge([p], a0).value[0] + smooth_gauge([p], a1).value[0]
+        assert res.value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_empty_anchor_list(self, grid64):
         with pytest.raises(DomainError):
-            perturbation_sum([], PathPoint(0.1, make_brownian(grid64, seed=1)))
+            perturbation_sum([], [PathPoint(0.1, make_brownian(grid64, seed=1))])
+
+    @pytest.mark.parametrize("dim,config", BATCH_RULES[:2], ids=["d1", "d2-gh21"])
+    def test_rows_equal_ordered_sum_of_one_point_columns(self, grid64, dim, config):
+        anchors = [PathPoint(t, make_brownian(grid64, seed=70 + i, dimension=dim))
+                   for i, t in enumerate([0.25, 0.75, 0.5, 0.75])]
+        pts = [PathPoint(t, make_brownian(grid64, seed=80 + i, dimension=dim))
+               for i, t in enumerate([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])]
+        pts.append(anchors[-1])
+        res = perturbation_sum(anchors, pts, config)
+        weights = [1.0, 0.5, 0.25, 0.25]  # the last one doubled
+        for i, p in enumerate(pts):
+            cols = [smooth_gauge([p], a, config) for a in anchors]
+            value, hor = 0.0, 0.0
+            vert, vert2 = np.zeros(dim), np.zeros((dim, dim))
+            for w, col in zip(weights, cols):
+                value += w * col.value[0]
+                hor += w * col.derivs.horizontal[0]
+                vert = vert + w * col.derivs.vertical[0]
+                vert2 = vert2 + w * col.derivs.vertical2[0]
+            assert res.value[i] == value
+            assert abs(res.derivs.horizontal[i] - hor) <= 1e-13
+            assert np.max(np.abs(res.derivs.vertical[i] - vert)) <= 1e-13
+            assert np.max(np.abs(res.derivs.vertical2[i] - vert2)) <= 1e-13
+        heat = res.derivs.heat_operator()
+        assert heat.shape == (len(pts),)
+        for i in range(len(pts)):
+            one = PathwiseDerivs(horizontal=float(res.derivs.horizontal[i]),
+                                 vertical=res.derivs.vertical[i],
+                                 vertical2=res.derivs.vertical2[i])
+            assert heat[i] == one.heat_operator()
 
 
 class TestAudits:

@@ -19,6 +19,8 @@ from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              running_max_exact_solution, sample_increments,
                              solution_lift)
 from pathheat.streams import StreamKind, sample_stream, substream
+from pathheat.regularization import weights_at
+from scipy.integrate import quad
 
 CYLINDERS = ["cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
 
@@ -269,6 +271,29 @@ class TestCylinderTerminals:
         rows = np.stack([cylinder_coordinates(xi.cylinder, 1.0, GridPath(grid, v))
                          for v in values])
         assert np.array_equal(xi.evaluate_batch(values, grid), xi.cylinder.g(rows))
+
+
+class TestPairIntegrals:
+    @pytest.mark.parametrize("name", CYLINDERS + ["fejer4"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.95])
+    def test_matches_adaptive_quadrature(self, name, t):
+        grid = TimeGrid(1.0, 64)
+        spec = (cylinder_approx(build_terminal("running_max", grid).batch, 4, grid)
+                if name == "fejer4" else build_terminal(name, grid).cylinder)
+        pair = solver._pair_integrals(spec, t, grid.horizon)
+        n = spec.n_factors
+        assert pair.shape == (n, n)
+        for i in range(n):
+            for j in range(i, n):
+                ref, _ = quad(lambda s: float(np.prod(
+                    weights_at((spec.psi[i], spec.psi[j]), np.asarray([s])))),
+                    t, grid.horizon, epsabs=1e-13, epsrel=1e-13, limit=200)
+                assert abs(pair[i, j] - ref) <= 1e-12
+                assert abs(pair[j, i] - ref) <= 1e-12
+
+    def test_empty_interval_is_zero(self):
+        spec = build_terminal("cyl:trig2", TimeGrid(1.0, 8)).cylinder
+        assert np.array_equal(solver._pair_integrals(spec, 1.0, 1.0), np.zeros((2, 2)))
 
 
 class TestFactorSolution:

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_brownian
 from pathheat.errors import DomainError
 from pathheat.experiments import brownian_search_space
-from pathheat.gauge import smooth_gauge
+from pathheat.gauge import perturbation_sum, smooth_gauge
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, path_distance,
                             path_distances, stack_points, stop_path)
 from pathheat.quadrature import QuadratureConfig
@@ -168,7 +168,7 @@ class TestGaugeAxioms:
         pts = space.points
         n = len(pts)
         dist = np.array([[reference_distance(p, q) for q in pts] for p in pts])
-        gauge = np.array([[0.0 if i == j else smooth_gauge(p, q, config).value
+        gauge = np.array([[0.0 if i == j else smooth_gauge([p], q, config).value[0]
                            for j, q in enumerate(pts)]
                           for i, p in enumerate(pts)])
         # thresholds at observed distances, down to the largest one
@@ -201,8 +201,31 @@ class TestVariationalPrinciple:
         assert res.anchor_indices[-1] == res.limit_index
         assert len(res.item_i) == len(res.anchors) == res.iterations == 2
         for r, a in zip(res.item_i, res.anchors):
-            assert r.gauge_limit_to_anchor == smooth_gauge(res.limit, a, config).value
-            assert r.gauge_anchor_to_limit == smooth_gauge(a, res.limit, config).value
+            assert (r.gauge_limit_to_anchor
+                    == smooth_gauge([res.limit], a, config).value[0])
+            assert (r.gauge_anchor_to_limit
+                    == smooth_gauge([a], res.limit, config).value[0])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_phi_is_the_perturbation_sum_over_the_space(self, seed):
+        grid = TimeGrid(1.0, 32)
+        config = QuadratureConfig()
+        space = brownian_search_space(grid, 16, seed=seed)
+        values = [p.present_value()[0] for p in space]
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = smooth_variational_principle(lambda p: p.present_value()[0], eps,
+                                           0.05, start, space, config)
+        assert len(res.anchors) >= 2
+        want = perturbation_sum(res.anchors, space.points, config)
+        assert np.array_equal(res.phi.value, want.value)
+        for name in ("horizontal", "vertical", "vertical2"):
+            got, ref = getattr(res.phi.derivs, name), getattr(want.derivs, name)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13
+        # the completed sum at the limit: item (ii)'s right side
+        assert res.item_ii_rhs == (values[res.limit_index]
+                                   - 0.05 * res.phi.value[res.limit_index])
 
     def test_start_at_the_maximizer_stops_at_once(self):
         grid = TimeGrid(1.0, 32)
