@@ -1,5 +1,5 @@
-"""Command-line front end: CSV emission and the subcommands solve, pde-check,
-gauge-check, ito-check, vp-run, approx, comparison-demo, and converge.
+"""Command-line front end: CSV emission and the seven subcommands solve,
+pde-check, gauge-check, ito-check, vp-run, approx and comparison-demo.
 
 Each subcommand accepts only the settings it reads, as flags or as keys of
 a flat key=value config file that the flags override.  gauge-check and
@@ -26,8 +26,7 @@ import numpy as np
 from .audit import derivative_bound_audit, sandwich_audit, validate_alpha
 from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
-                          dt_convergence_rows, mc_convergence_rows,
-                          tn_convergence_rows)
+                          dt_convergence_rows, tn_convergence_rows)
 from .gauge import ALPHA_SHRINK, calibrate_alpha
 from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments, read_path_csv)
@@ -84,7 +83,6 @@ _READS = {
     "vp-run": ("horizon", "steps", *_Z, *_S),
     "approx": ("horizon", "steps"),
     "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta", *_Z, *_S),
-    "converge": ("horizon", "steps", "terminal"),
 }
 
 # The largest grid these subcommands accept, which is also their default.
@@ -185,15 +183,16 @@ def _cmd_pde_check(args) -> int:
     quad = _quadrature(args)
     names = args.spec.split(",") if args.spec else [
         "cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
+    terminals = [build_terminal(name.strip(), grid) for name in names]
+    for name, xi in zip(names, terminals):
+        if xi.cylinder is None:
+            raise InputError(f"{name} is not a cylinder functional")
     sink = _CsvSink(args, "pde_check.csv",
                     ["spec", "sample", "t", "residual", "pass"])
     rng = sample_stream(args.seed, 0)
     zero = GridPath.zero(grid)
     ok = True
-    for name in names:
-        xi = build_terminal(name.strip(), grid)
-        if xi.cylinder is None:
-            raise InputError(f"{name} is not a cylinder functional")
+    for name, xi in zip(names, terminals):
         for s in range(args.n_points):
             t = grid.node(int(rng.integers(0, grid.steps)))
             x = GridPath(grid, extend_with_increments(
@@ -256,25 +255,30 @@ def _cmd_ito_check(args) -> int:
 def _cmd_vp_run(args) -> int:
     quad = _quadrature(args)
     if args.paths:
+        if args.n_points is not None:
+            raise InputError("--n-points sizes the Brownian search space, "
+                             "which --paths replaces")
         data = _read_paths(args.paths)
         grid = data.grid
         times = args.times or (0.5 * grid.horizon,)
         pts = tuple(PathPoint(t, data.component(i))
                     for i in range(data.dimension) for t in times)
     else:
+        if args.times is not None:
+            raise InputError("--times sets the times of the --paths points; "
+                             "the Brownian search space has its own")
         grid = TimeGrid(args.horizon, args.steps)
-        pts = brownian_search_space(grid, args.n_points, args.seed).points
+        n_points = 100 if args.n_points is None else args.n_points
+        pts = brownian_search_space(grid, n_points, args.seed).points
     space = SearchSpace(pts)
     coeffs = sample_stream(args.seed, 0).standard_normal(3)
-
-    def G(p: PathPoint) -> float:
-        v = p.present_value()[0]
-        return float(coeffs[0] * v + coeffs[1] * np.sin(p.t) + coeffs[2] * v * v / 4)
-
-    values = [G(p) for p in space]
+    v = np.array([p.present_value()[0] for p in space])
+    t = np.array([p.t for p in space])
+    values = coeffs[0] * v + coeffs[1] * np.sin(t) + coeffs[2] * v * v / 4
     start = space.points[int(np.argmin(values))]
-    eps = max(max(values) - G(start), 1e-9) * 1.001
-    res = smooth_variational_principle(G, eps, args.vp_delta, start, space, quad)
+    eps = max(values.max() - values.min(), 1e-9) * 1.001
+    res = smooth_variational_principle(values, eps, args.vp_delta, start, space,
+                                       quad)
     sink = _CsvSink(args, "vp_run.csv",
                     ["record", "index", "value", "bound", "ok"])
     for r in res.item_i:
@@ -332,45 +336,6 @@ def _cmd_comparison(args) -> int:
           f"contradiction exhibited={report.contradiction_exhibited}")
     print(f"note: {report.caveat}")
     return 0 if report.verdict == "consistent" and report.rhs_monotone else 1
-
-
-def _cmd_converge(args) -> int:
-    grid = TimeGrid(args.horizon, args.steps)
-    ok = True
-    if args.study in ("tn", "all"):
-        rows = tn_convergence_rows(grid)
-        sink = _CsvSink(args, "converge_tn.csv",
-                        ["order", "sup_error", "coefficient_gap", "pass"])
-        errs = [r["sup_error"] for r in rows]
-        mono = all(b < a for a, b in zip(errs, errs[1:]))
-        ok = ok and mono
-        for r in rows:
-            sink.row([r["order"], f"{r['sup_error']:.6e}",
-                      f"{r['coefficient_gap']:.6e}", mono])
-        sink.close()
-    if args.study in ("mc", "all"):
-        rows = mc_convergence_rows(grid, args.seed, terminal=args.terminal)
-        sink = _CsvSink(args, "converge_mc.csv",
-                        ["n_samples", "mean", "stderr", "pass"])
-        errs = [r["stderr"] for r in rows]
-        mono = all(b < a for a, b in zip(errs, errs[1:]))
-        ok = ok and mono
-        for r in rows:
-            sink.row([r["n_samples"], f"{r['mean']:.8g}", f"{r['stderr']:.3e}",
-                      mono])
-        sink.close()
-    if args.study in ("dt", "all"):
-        rows = dt_convergence_rows(args.horizon, args.seed)
-        sink = _CsvSink(args, "converge_dt.csv",
-                        ["dt", "mean_abs_residual", "stderr", "slope", "pass"])
-        good = rows[0]["slope"] >= 0.4
-        ok = ok and good
-        for r in rows:
-            sink.row([f"{r['dt']:.6g}", f"{r['mean_abs_residual']:.6e}",
-                      f"{r['stderr']:.6e}", f"{r['slope']:.4f}", good])
-        sink.close()
-    print("converge:", "pass" if ok else "FAIL")
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +411,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                      "smooth variational principle on a finite space")
     p.add_argument("--paths", help="CSV path dictionary (columns are paths)")
     p.add_argument("--times", type=_floats, help="comma-separated evaluation times")
-    p.add_argument("--n-points", type=int, default=100, dest="n_points")
+    p.add_argument("--n-points", type=int, dest="n_points",
+                   help="points of the Brownian search space (default 100)")
     p.add_argument("--delta-weight", type=float, default=0.05, dest="vp_delta")
 
     p = _add_command(sub, "approx", _cmd_approx, "Fejer reconstruction error sweep")
@@ -461,10 +427,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--n-points", type=int, default=200, dest="n_points")
     p.add_argument("--n-mc", type=int, default=2000, dest="n_mc")
-
-    p = _add_command(sub, "converge", _cmd_converge,
-                     "convergence sweeps with trend checks")
-    p.add_argument("--study", default="all", choices=["tn", "mc", "dt", "all"])
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)

@@ -1,5 +1,6 @@
-"""Orchestrated experiments: the comparison-theorem desk pipeline and
-convergence sweeps.
+"""Orchestrated experiments: the comparison-theorem desk pipeline and two
+convergence sweeps, the Fejer reconstruction error per order (``approx``)
+and the pathwise-formula residual per grid size (``ito-check``).
 
 The comparison pipeline exercises, on a finite search space, the machinery
 that proves uniqueness: cylindrical smoothing of the terminal condition,
@@ -40,7 +41,6 @@ __all__ = [
     "comparison_demo",
     "brownian_search_space",
     "tn_convergence_rows",
-    "mc_convergence_rows",
     "dt_convergence_rows",
 ]
 
@@ -204,11 +204,6 @@ def comparison_demo(grid: TimeGrid, seed: int,
     g_vals = scale * (u_vals - vn_vals)
     say("solution values estimated on the space")
 
-    gmap = {id(p): g_vals[i] for i, p in enumerate(pts)}
-
-    def G(p: PathPoint) -> float:
-        return gmap[id(p)]
-
     sup_g = float(np.max(g_vals))
     start = pts[start_index]
     eps = max(sup_g - g_vals[start_index], 1e-9) * (1.0 + 1e-9) + 1e-12
@@ -223,13 +218,13 @@ def comparison_demo(grid: TimeGrid, seed: int,
 
     # Steps III-V per delta.
     for delta in deltas:
-        res = smooth_variational_principle(G, eps, delta, start, space,
+        res = smooth_variational_principle(g_vals, eps, delta, start, space,
                                            gauge_config)
         phi = float(res.phi.value[res.limit_index])
         lphi = float(res.phi.derivs.heat_operator()[res.limit_index])
         interior = bool(res.limit.t < grid.horizon - 1e-12)
         chain_left = lam * float(g_vals[start_index])
-        chain_mid = lam * float(gmap[id(res.limit)] - delta * phi)
+        chain_mid = lam * float(g_vals[res.limit_index] - delta * phi)
         chain_right = delta * lphi
         tangency = bool(chain_mid <= chain_right + stat) if interior else None
         report.rows.append(DeltaRow(
@@ -252,7 +247,10 @@ def comparison_demo(grid: TimeGrid, seed: int,
 # ---------------------------------------------------------------------------
 
 def tn_convergence_rows(grid: TimeGrid, orders=(4, 8, 16, 32, 64, 128)):
-    """Fejer reconstruction error on the unit sine path, per order."""
+    """Fejer reconstruction error on the unit sine path, per order; the
+    orders must be strictly increasing."""
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise InputError(f"Fejer orders must be strictly increasing, not {orders}")
     x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t / grid.horizon))
     rows = []
     for n in orders:
@@ -260,17 +258,6 @@ def tn_convergence_rows(grid: TimeGrid, orders=(4, 8, 16, 32, 64, 128)):
         cf = float(np.abs(fejer_coefficient(x, 1)
                           - fejer_coefficient_quadrature(x, 1))[0])
         rows.append({"order": n, "sup_error": err, "coefficient_gap": cf})
-    return rows
-
-
-def mc_convergence_rows(grid: TimeGrid, seed: int, terminal: str = "running_max",
-                        sizes=(1000, 10_000, 100_000)):
-    xi = build_terminal(terminal, grid)
-    x = GridPath.zero(grid)
-    rows = []
-    for n in sizes:
-        est = candidate_solution(xi, 0.0, x, MCConfig(n_samples=n, seed=seed))
-        rows.append({"n_samples": n, "mean": est.mean, "stderr": est.stderr})
     return rows
 
 

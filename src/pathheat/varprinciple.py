@@ -1,18 +1,18 @@
 """Constructive smooth variational principle on a finite set of path points.
 
-Given an objective G on a finite search space and a starting point whose
-value is within eps of the supremum, the iteration repeatedly subtracts
-geometrically weighted gauge terms anchored at the running maximizers and
-re-maximizes.  On a finite space the exact argmax makes every step either
-strictly increase the perturbed value or halt, so the anchor sequence is
-eventually constant and all conclusions (anchor proximity, value gain, and
-strict maximality of the perturbed objective) can be checked exactly.
+Given the values of an objective G on a finite search space and a starting
+point whose value is within eps of the supremum, the iteration repeatedly
+subtracts geometrically weighted gauge terms anchored at the running
+maximizers and re-maximizes.  On a finite space the exact argmax makes every
+step either strictly increase the perturbed value or halt, so the anchor
+sequence is eventually constant and all conclusions (anchor proximity, value
+gain, and strict maximality of the perturbed objective) can be checked
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -121,21 +121,25 @@ class VPResult:
         return self.item_i_ok and self.item_ii_ok and self.item_iii_ok
 
 
-def smooth_variational_principle(G: Callable[[PathPoint], float], eps: float,
-                                 delta: float, start: PathPoint,
-                                 space: SearchSpace,
+def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
+                                 start: PathPoint, space: SearchSpace,
                                  config: QuadratureConfig = QuadratureConfig()
                                  ) -> VPResult:
     """Perturbed maximization with smooth gauge terms on a finite space.
 
-    Requires G(start) >= sup G - eps over the space.  Anchor weights follow
-    the geometric schedule delta / 2^n.  Ties in the argmax are broken by
-    the lowest index for determinism.
+    ``values`` holds the objective G on ``space``, one finite value per
+    point in space order; any other length or a non-finite entry raises
+    :class:`DomainError`.  Requires G(start) >= max G - eps.  Anchor
+    weights follow the geometric schedule delta / 2^n.  Ties in the argmax
+    are broken by the lowest index for determinism.
     """
     if eps <= 0 or delta <= 0:
         raise DomainError("eps and delta must be positive")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(space),) or not np.isfinite(values).all():
+        raise DomainError(f"values must be {len(space)} finite numbers, one per "
+                          "point of the search space")
     pts = list(space.points)
-    values = np.array([float(G(p)) for p in pts])
     start_idx = _index_of(space, start)
     sup = float(np.max(values))
     if values[start_idx] < sup - eps - 1e-12:

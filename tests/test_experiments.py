@@ -99,3 +99,13 @@ def test_verdicts_on_fixed_seeds(mode):
         assert report.verdict == verdict
         assert report.contradiction_exhibited == contradiction
         assert [row.limit_time for row in report.rows] == pytest.approx(limits)
+
+
+def test_tn_rows_match_the_fejer_weight_deficit():
+    # the unit sine has only frequency 1, whose Fejer weight is n/(n+1), so
+    # the continuum sup error of order n is exactly 1/(n+1)
+    rows = experiments.tn_convergence_rows(TimeGrid(1.0, 1000))
+    assert [r["order"] for r in rows] == [4, 8, 16, 32, 64, 128]
+    for r in rows:
+        assert abs(r["sup_error"] - 1.0 / (r["order"] + 1)) <= 2e-5
+        assert r["coefficient_gap"] <= 1e-5

@@ -189,15 +189,12 @@ class TestVariationalPrinciple:
         config = QuadratureConfig()
         space = brownian_search_space(grid, 16, seed=seed)
         coeffs = np.random.default_rng(seed).standard_normal(2)
-
-        def G(p):
-            v = p.present_value()[0]
-            return float(coeffs[0] * v + coeffs[1] * v * v)
-
-        values = [G(p) for p in space]
+        v = np.array([p.present_value()[0] for p in space])
+        values = coeffs[0] * v + coeffs[1] * v * v
         start = space.points[int(np.argmin(values))]
         eps = (max(values) - min(values)) * 1.001
-        res = smooth_variational_principle(G, eps, delta, start, space, config)
+        res = smooth_variational_principle(values, eps, delta, start, space,
+                                           config)
         assert res.anchor_indices[-1] == res.limit_index
         assert len(res.item_i) == len(res.anchors) == res.iterations == 2
         for r, a in zip(res.item_i, res.anchors):
@@ -214,8 +211,8 @@ class TestVariationalPrinciple:
         values = [p.present_value()[0] for p in space]
         start = space.points[int(np.argmin(values))]
         eps = (max(values) - min(values)) * 1.001
-        res = smooth_variational_principle(lambda p: p.present_value()[0], eps,
-                                           0.05, start, space, config)
+        res = smooth_variational_principle(values, eps, 0.05, start, space,
+                                           config)
         assert len(res.anchors) >= 2
         want = perturbation_sum(res.anchors, space.points, config)
         assert np.array_equal(res.phi.value, want.value)
@@ -231,10 +228,15 @@ class TestVariationalPrinciple:
         grid = TimeGrid(1.0, 32)
         space = brownian_search_space(grid, 8, seed=4)
         start = space.points[3]
-
-        def G(p):
-            return 1.0 if p is start else 0.0
-
-        res = smooth_variational_principle(G, 1.0, 0.05, start, space)
+        values = np.zeros(len(space))
+        values[3] = 1.0
+        res = smooth_variational_principle(values, 1.0, 0.05, start, space)
         assert res.iterations == 1 and res.anchor_indices == [3]
         assert res.limit_index == 3 and res.all_items_ok()
+
+    @pytest.mark.parametrize("values", [np.zeros(7), np.zeros((8, 1)),
+                                        np.r_[np.zeros(7), np.nan]])
+    def test_values_need_one_finite_value_per_point(self, values):
+        space = brownian_search_space(TimeGrid(1.0, 32), 8, seed=4)
+        with pytest.raises(DomainError, match="8 finite numbers"):
+            smooth_variational_principle(values, 1.0, 0.05, space.points[0], space)
