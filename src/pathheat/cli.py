@@ -9,7 +9,9 @@ hash of the subcommand and all parsed arguments but ``--out`` and
 ``--config``, so any output is reproducible bit for bit from (config, seed).
 The process exits 0 exactly when every assertion configured for the
 subcommand passes, 1 when one fails, and 2 on bad input, which :func:`run`
-reports as one ``pathheat: error:`` line.
+reports as one ``pathheat: error:`` line.  The grid of a path file given to
+solve (``--path``) or vp-run (``--paths``) replaces the steps and horizon
+settings, so setting either beside one is bad input.
 """
 
 from __future__ import annotations
@@ -87,6 +89,9 @@ _READS = {
 
 # The largest grid these subcommands accept, which is also their default.
 _STEP_CAPS = {"gauge-check": 128, "vp-run": 128, "comparison-demo": 200}
+
+# The option whose path file, when given, fixes the grid of the subcommand.
+_GRID_FILES = {"solve": "path", "vp-run": "paths"}
 
 
 def _config_argv(command: str, path: str) -> list[str]:
@@ -383,7 +388,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                      "Monte-Carlo solution value at (t, path)",
                      description=_SOLVE_DESCRIPTION)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--path", help="CSV file with the initial path")
+    p.add_argument("--path", help="CSV file with the initial path; its grid "
+                   "replaces --steps and --horizon")
     p.add_argument("--antithetic", action="store_true")
 
     p = _add_command(sub, "pde-check", _cmd_pde_check,
@@ -409,7 +415,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = _add_command(sub, "vp-run", _cmd_vp_run,
                      "smooth variational principle on a finite space")
-    p.add_argument("--paths", help="CSV path dictionary (columns are paths)")
+    p.add_argument("--paths", help="CSV path dictionary (columns are paths); "
+                   "its grid replaces --steps and --horizon")
     p.add_argument("--times", type=_floats, help="comma-separated evaluation times")
     p.add_argument("--n-points", type=int, dest="n_points",
                    help="points of the Brownian search space (default 100)")
@@ -433,11 +440,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.config:
         # argv[0] is the subcommand; the file's settings go before the
         # flags, so that a flag overrides the file
-        args = parser.parse_args(
-            argv[:1] + _config_argv(args.command, args.config) + argv[1:])
+        argv = argv[:1] + _config_argv(args.command, args.config) + argv[1:]
+        args = parser.parse_args(argv)
     if args.seed is None:
         raise InputError("a master seed is mandatory: pass --seed or set seed= "
                          "in the config file")
+    grid_file = _GRID_FILES.get(args.command)
+    if grid_file and getattr(args, grid_file):
+        # no abbreviations, so a setting given appears as --key or --key=value
+        for key in ("steps", "horizon"):
+            flag = "--" + key
+            if any(a == flag or a.startswith(flag + "=") for a in argv):
+                raise InputError(f"{flag} is fixed by the grid of the "
+                                 f"--{grid_file} file; leave it unset, as flag "
+                                 f"and as config key")
     cap = _STEP_CAPS.get(args.command)
     if cap is not None and args.steps > cap:
         raise InputError(f"{args.command} runs on at most {cap} grid steps, "

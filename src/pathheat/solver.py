@@ -152,20 +152,23 @@ def sample_increments(grid: TimeGrid, k: int, d: int, seed: int, idx,
     shape (len(idx), M-k, d).
 
     Sample i draws from stream i, so a sample is a pure function of
-    (seed, i) whatever the partition of the indices.  Under ``antithetic``
-    the pair 2j, 2j+1 opens stream j once and the odd member mirrors it.
-    ``out`` receives the increments in place.
+    (seed, i) whatever the partition of the indices.  One generator is
+    reseated at each sample's stream, not built anew per sample.  Under
+    ``antithetic`` the pair 2j, 2j+1 opens stream j once and the odd member
+    mirrors it.  ``out`` receives the increments in place.
     """
     idx = np.asarray(idx, dtype=np.int64).tolist()
     if out is None:
         out = np.empty((len(idx), grid.steps - k, d))
     if out.shape[1] == 0:
         return out
+    rng = None
     for row, i in enumerate(idx):
         if antithetic and i % 2 and row and idx[row - 1] == i - 1:
             np.negative(out[row - 1], out=out[row])
             continue
-        sample_stream(seed, i // 2 if antithetic else i).standard_normal(out=out[row])
+        rng = sample_stream(seed, i // 2 if antithetic else i, rng)
+        rng.standard_normal(out=out[row])
         if antithetic and i % 2:
             np.negative(out[row], out=out[row])
     out *= math.sqrt(grid.dt)
@@ -283,8 +286,9 @@ def running_max_exact_solution(t: float, x: GridPath, cfg: MCConfig) -> MCEstima
         return MCEstimate(mean=past_max, stderr=0.0,
                           n_samples=cfg.n_samples, seed=cfg.seed)
     samples = np.empty(cfg.n_samples)
+    rng = None
     for i in range(cfg.n_samples):
-        rng = substream(cfg.seed, StreamKind.BRIDGE, i)
+        rng = substream(cfg.seed, StreamKind.BRIDGE, i, rng)
         dw = brownian_increments(grid, k, 1, rng)
         u = rng.random(grid.steps - k)
         nodes = extend_with_increments(t, x, dw)[k:, 0]
@@ -315,13 +319,13 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
                           seed=cfg.seed)
     d = x.dimension
     diffs = np.empty(cfg.n_samples)
+    rng = None
     for i in range(cfg.n_samples):
         outer = extend_with_increments(
             t, x, sample_increments(grid, k, d, cfg.seed, [i]))
         xi_outer = float(xi.evaluate_batch(outer, grid)[0])
-        inner_dw = brownian_increments(grid, kp, d,
-                                       substream(cfg.seed, StreamKind.FLOW_INNER, i),
-                                       n=n_inner)
+        rng = substream(cfg.seed, StreamKind.FLOW_INNER, i, rng)
+        inner_dw = brownian_increments(grid, kp, d, rng, n=n_inner)
         inner = extend_with_increments(t_prime, GridPath(grid, outer[0]), inner_dw)
         diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
     return MCEstimate.from_samples(diffs, cfg.seed)

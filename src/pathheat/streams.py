@@ -5,7 +5,11 @@ keyed by the master seed with the sample index placed in the upper half of
 the 256-bit counter.  Streams are therefore a pure function of
 ``(master_seed, index)``: an ensemble partitioned across workers by sample
 index reproduces the single-threaded result bit for bit, whatever the
-partition.
+partition.  A caller that opens one stream per sample may pass the previous
+sample's generator back as ``into``: :func:`sample_stream` then reseats that
+generator at stream (seed, i) instead of building a new one.  Since Philox is
+counter-based (Salmon et al., SC 2011), the reseated stream is the same
+stream, bit for bit, and still a pure function of ``(master_seed, index)``.
 
 Stream families (``kind``), all keyed by the master seed:
 
@@ -30,6 +34,7 @@ outputs.
 from __future__ import annotations
 
 from enum import IntEnum, unique
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +45,9 @@ __all__ = ["StreamKind", "sample_stream", "substream"]
 # Each stream owns a disjoint 2^128 counter block.
 _BLOCK_SHIFT = 128
 _SEED_LIMIT = 1 << 128
+# An index fills the upper 128 bits of the 256-bit counter.
+_INDEX_LIMIT = 1 << (256 - _BLOCK_SHIFT)
+_WORD = (1 << 64) - 1
 
 
 @unique
@@ -53,27 +61,45 @@ class StreamKind(IntEnum):
     SEARCH_SPACE = 21
 
 
-def sample_stream(master_seed: int, index: int) -> np.random.Generator:
+def sample_stream(master_seed: int, index: int,
+                  into: Optional[np.random.Generator] = None) -> np.random.Generator:
     """Return the generator for sample ``index`` under ``master_seed``.
 
-    The seed is the 128-bit Philox key and must lie in [0, 2^128).
+    The seed is the 128-bit Philox key and must lie in [0, 2^128), the index
+    in [0, 2^128).  Given ``into``, a generator on a Philox bit generator,
+    the call reseats it at stream (seed, index) and returns it: key, counter
+    and an emptied output buffer are set exactly as a new generator would
+    start, so its draws equal those of ``sample_stream(seed, index)`` bit for
+    bit, whatever ``into`` drew before.  Reseating one generator per sample
+    costs a tenth of building one.  Never share ``into`` between two streams
+    that are drawn from alternately.
     """
     seed = int(master_seed)
     if not 0 <= seed < _SEED_LIMIT:
         raise DomainError(f"seed {master_seed} outside [0, 2^128)")
-    if index < 0:
-        raise ValueError("stream index must be nonnegative")
-    bg = np.random.Philox(key=seed, counter=index << _BLOCK_SHIFT)
-    return np.random.Generator(bg)
+    index = int(index)
+    if not 0 <= index < _INDEX_LIMIT:
+        raise ValueError(f"stream index {index} outside [0, 2^128)")
+    if into is None:
+        bg = np.random.Philox(key=seed, counter=index << _BLOCK_SHIFT)
+        return np.random.Generator(bg)
+    into.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, index & _WORD, index >> 64),
+                  "key": (seed & _WORD, seed >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return into
 
 
-def substream(master_seed: int, kind: StreamKind, index: int) -> np.random.Generator:
+def substream(master_seed: int, kind: StreamKind, index: int,
+              into: Optional[np.random.Generator] = None) -> np.random.Generator:
     """A stream family disjoint from :func:`sample_stream` (e.g. inner loops).
 
     ``kind`` selects the family; index blocks within a family do not overlap
     sample-stream blocks because the kind tag lands in counter bits above
-    any realistic sample count.
+    any realistic sample count.  ``into`` is reseated as in
+    :func:`sample_stream`.
     """
     if kind <= 0:
         raise ValueError("kind must be positive (0 is the plain sample family)")
-    return sample_stream(master_seed, (int(kind) << 56) + index)
+    return sample_stream(master_seed, (int(kind) << 56) + index, into)

@@ -286,6 +286,40 @@ class TestEntryPoint:
         assert err.startswith(f"pathheat: error: {named} ") and err.count("\n") == 1
         assert not (tmp_path / "vp_run.csv").exists()
 
+    @pytest.mark.parametrize("command,path_flag", [("solve", "--path"),
+                                                   ("vp-run", "--paths")])
+    @pytest.mark.parametrize("setting", [["--steps", "50"], ["--steps=50"],
+                                         ["--horizon", "2"], "steps = 50",
+                                         "horizon = 2"])
+    def test_grid_setting_beside_a_path_file_exits_2(
+            self, tmp_path, monkeypatch, capsys, command, path_flag, setting):
+        # the grid of the path file would silently replace the setting
+        monkeypatch.chdir(tmp_path)
+        write_path_csv(GridPath.zero(TimeGrid(1.0, 16)), "p.csv")
+        if isinstance(setting, str):
+            named = "--" + setting.split(" ")[0]
+            setting = ["--config", _write(tmp_path, f"seed = 1\n{setting}\n")]
+        else:
+            named = setting[0].split("=")[0]
+        argv = [command, path_flag, "p.csv", "--seed", "1", *setting]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pathheat: error: {named} ") and err.count("\n") == 1
+        assert path_flag in err
+        assert sorted(f.name for f in tmp_path.glob("*.csv")) == ["p.csv"]
+
+    @pytest.mark.parametrize("command,path_flag,csv_name", [
+        ("solve", "--path", "solve.csv"), ("vp-run", "--paths", "vp_run.csv")])
+    def test_path_file_sets_the_grid(self, tmp_path, monkeypatch, command,
+                                     path_flag, csv_name):
+        # settings other than steps and horizon still go with a path file
+        monkeypatch.chdir(tmp_path)
+        write_path_csv(GridPath.zero(TimeGrid(2.0, 16)), "p.csv")
+        extra = ["--n-samples", "16"] if command == "solve" else ["--times", "1.5"]
+        cfg = _write(tmp_path, "seed = 1\n")
+        assert cli.run([command, path_flag, "p.csv", "--config", cfg, *extra]) == 0
+        assert (tmp_path / csv_name).exists()
+
     @pytest.mark.parametrize("orders", ["64,16", "16,16"])
     def test_orders_not_increasing_exit_2(self, tmp_path, capsys, orders):
         argv = ["approx", "--seed", "1", "--steps", "128", "--orders", orders,

@@ -41,6 +41,53 @@ class TestStreams:
     def test_largest_seed_accepted(self):
         assert np.isfinite(sample_stream((1 << 128) - 1, 3).standard_normal())
 
+    @staticmethod
+    def _draws(rng):
+        return (rng.standard_normal(7), rng.random(5),
+                rng.integers(0, 1 << 40, size=3), rng.integers(0, 9, dtype=np.int32))
+
+    @staticmethod
+    def _mid_buffer():
+        # one int32 draw leaves half a word cached (has_uint32 = 1), then an
+        # odd number of doubles leaves the four-word buffer part read
+        rng = sample_stream(99, 4)
+        rng.integers(0, 9, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng.random(5)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+        return rng
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, 1 << 64, (1 << 128) - 1])
+    @pytest.mark.parametrize("index", [0, 1, (1 << 64) - 1, 1 << 64,
+                                       (int(StreamKind.BRIDGE) << 56) + 17])
+    def test_reseat_equals_fresh_stream(self, seed, index):
+        into = self._mid_buffer()
+        assert sample_stream(seed, index, into) is into
+        fresh = self._draws(sample_stream(seed, index))
+        for got, want in zip(self._draws(into), fresh):
+            assert np.array_equal(got, want)
+
+    def test_substream_reseat_equals_fresh_substream(self):
+        into = self._mid_buffer()
+        assert substream(7, StreamKind.FLOW_INNER, 3, into) is into
+        fresh = self._draws(substream(7, StreamKind.FLOW_INNER, 3))
+        for got, want in zip(self._draws(into), fresh):
+            assert np.array_equal(got, want)
+
+    def test_reseat_keeps_range_checks(self):
+        into = sample_stream(1, 0)
+        with pytest.raises(DomainError, match="seed"):
+            sample_stream(1 << 128, 0, into)
+        with pytest.raises(DomainError, match="seed"):
+            sample_stream(-1, 0, into)
+        with pytest.raises(ValueError, match="index"):
+            sample_stream(1, -1, into)
+        with pytest.raises(ValueError, match="index"):
+            sample_stream(1, 1 << 128, into)
+        with pytest.raises(ValueError, match="index"):
+            sample_stream(1, 1 << 128)
+
 
 class TestSampleIncrements:
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -66,6 +113,15 @@ class TestSampleIncrements:
         plain = sample_increments(grid, 0, 1, 5, np.arange(3))
         assert np.array_equal(anti[0::2], plain)
         assert np.array_equal(anti[1::2], -plain)
+
+    def test_antithetic_rows_are_fresh_stream_draws(self):
+        # with one reseated generator, pair 2j, 2j+1 still reads stream j
+        grid = TimeGrid(1.0, 16)
+        idx = [1, 2, 3, 4, 5, 9, 12]
+        rows = sample_increments(grid, 3, 2, 41, idx, antithetic=True)
+        for row, i in zip(rows, idx):
+            ref = brownian_increments(grid, 3, 2, sample_stream(41, i // 2))
+            assert np.array_equal(row, -ref if i % 2 else ref)
 
     def test_fills_out_in_place(self):
         grid = TimeGrid(1.0, 8)
