@@ -191,7 +191,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
     times = np.array([p.t for p in pts])
     vn_vals = np.empty(len(pts))
     vn_err = np.empty(len(pts))
-    for t in np.unique(times):
+    # not np.unique: numpy 2.4's imports numpy.ma on its first call
+    for t in sorted(set(times.tolist())):
         at_t = np.flatnonzero(times == t)
         z = cylinder_coordinates(spec_n, t, [pts[i].path for i in at_t])
         sol = finite_dim_solution(spec_n, t, z, factor_config,

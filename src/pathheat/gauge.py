@@ -23,6 +23,15 @@ two-sided comparison with the plain stopped-path distance D,
 then holds exactly at the quadrature level (the proofs only use node
 symmetry and the triangle inequality), not merely up to quadrature error.
 
+In d = 1 the suffix is the farthest distance max(hi - z, z - lo) from z to
+the candidate interval [lo, hi], floored by the prefix a, and the rule is
+exact: the profile max(a, hi - z, z - lo) is linear on each of the three
+intervals cut by its breakpoints zl <= zr, so its Gaussian moments are
+closed forms in the normal cdf Phi and density phi at zl and zr alone.
+Phi is the package's own numpy version of Cody's rational erf/erfc
+approximations (Math. Comp. 23, 1969); it shares exp(-z^2/2) with phi, and
+the package needs no special-function library.
+
 The time smoothing averages the saturated ratio v/(1+v) of the mollified
 distance at shifted times (t+s)^T against the kernel sqrt(s/2pi) e^{-s/2}.
 The substitution s = u^2 removes the sqrt kink at s = 0.  For t < t0 the
@@ -68,7 +77,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
@@ -127,14 +135,14 @@ def mean_gaussian_norm(dimension: int) -> float:
     if dimension < 1:
         raise DomainError("dimension must be >= 1")
     return math.sqrt(2.0) * math.exp(
-        gammaln((dimension + 1) / 2.0) - gammaln(dimension / 2.0))
+        math.lgamma((dimension + 1) / 2.0) - math.lgamma(dimension / 2.0))
 
 
 def mean_gaussian_norm_quadrature(dimension: int, nodes: int = 128,
                                   r_max: float = 12.0) -> float:
     """E|Z| by radial Gauss-Legendre quadrature (smooth integrand, no kink)."""
     r, w = legendre_rule(0.0, r_max, nodes)
-    log_c = (1.0 - dimension / 2.0) * math.log(2.0) - gammaln(dimension / 2.0)
+    log_c = (1.0 - dimension / 2.0) * math.log(2.0) - math.lgamma(dimension / 2.0)
     dens = np.exp(log_c + (dimension - 1) * np.log(np.maximum(r, 1e-300))
                   - 0.5 * r * r)
     return float(np.sum(w * r * dens))
@@ -176,9 +184,10 @@ def horizontal_kernel_mass(s: float) -> float:
 _GAUGE_GH_MAX_DIM = 2
 _PROFILE_BLOCK = 1 << 15  # floats (rows x z nodes) per d >= 2 profile block
 # A (point, shifted time) pair of a batch block counts as this many floats of
-# _PROFILE_BLOCK: the d = 1 closed form stacks its three pieces and keeps
-# tens of temporaries of the block's size alive, and a d >= 2 pair carries
-# a (d, d) Hessian.
+# _PROFILE_BLOCK: the d = 1 closed form stacks its two breakpoints, runs the
+# normal cdf's numerators and denominators on four stacked rows of them and
+# keeps tens of temporaries of the block's size alive, and a d >= 2 pair
+# carries a (d, d) Hessian.
 _PAIR_FLOATS = 16
 
 
@@ -192,20 +201,93 @@ def _z_rule(config: QuadratureConfig, dimension: int):
 # ---------------------------------------------------------------------------
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_INV_SQRTPI = 1.0 / math.sqrt(math.pi)
+
+# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969), as in his
+# nested form: erf(y) = y P(y^2) / Q(y^2) on |y| <= 0.46875, and
+# erfc(y) = exp(-y^2) P(y) / Q(y) on (0.46875, 4] and, with x = 1/y^2,
+# exp(-y^2) (1/sqrt(pi) - x P(x) / Q(x)) / y beyond 4.  The last numerator
+# coefficient leads; the denominators are monic.
+_ERF_NUM = (3.16112374387056560e00, 1.13864154151050156e02,
+            3.77485237685302021e02, 3.20937758913846947e03,
+            1.85777706184603153e-1)
+_ERF_DEN = (2.36012909523441209e01, 2.44024637934444173e02,
+            1.28261652607737228e03, 2.84423683343917062e03)
+_ERFC_MID_NUM = (5.64188496988670089e-1, 8.88314979438837594e00,
+                 6.61191906371416295e01, 2.98635138197400131e02,
+                 8.81952221241769090e02, 1.71204761263407058e03,
+                 2.05107837782607147e03, 1.23033935479799725e03,
+                 2.15311535474403846e-8)
+_ERFC_MID_DEN = (1.57449261107098347e01, 1.17693950891312499e02,
+                 5.37181101862009858e02, 1.62138957456669019e03,
+                 3.29079923573345963e03, 4.36261909014324716e03,
+                 3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_FAR_NUM = (3.05326634961232344e-1, 3.60344899949804439e-1,
+                 1.25781726111229246e-1, 1.60837851487422766e-2,
+                 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_FAR_DEN = (2.56852019228982242e00, 1.87295284992346725e00,
+                 5.27905102951428412e-1, 6.05183413124413191e-2,
+                 2.33520497626869185e-3)
 
 
-def _linear_piece_moments(alpha, beta, lo, hi):
-    """Gaussian moments of (alpha + beta z) over [lo, hi]: static, z, z^2-1."""
-    pl, pu = np.exp(-0.5 * lo * lo) / _SQRT2PI, np.exp(-0.5 * hi * hi) / _SQRT2PI
-    cl, cu = ndtr(lo), ndtr(hi)
-    m0 = cu - cl
-    m1 = pl - pu
-    m2 = (cu - hi * pu) - (cl - lo * pl)          # int z^2 phi
-    m3 = (lo * lo + 2.0) * pl - (hi * hi + 2.0) * pu  # int z^3 phi
-    i_val = alpha * m0 + beta * m1
-    i_z = alpha * m1 + beta * m2
-    i_h = alpha * (m2 - m0) + beta * (m3 - m1)
-    return i_val, i_z, i_h
+def _cody_table(*pairs) -> np.ndarray:
+    """Coefficients of Cody's rational functions, shape (degree + 1, 2, k)
+    for k (numerator, denominator) pairs: highest degree first, numerators
+    before denominators, padded with leading zeros to one degree.  A leading
+    zero leaves Horner's accumulator at exactly 0, so a padded row
+    reproduces his nested form bit for bit."""
+    rows = [[[num[-1], *num[:len(den)]] for num, den in pairs],
+            [[1.0, *den] for _, den in pairs]]
+    width = max(len(r) for part in rows for r in part)
+    return np.array([[[0.0] * (width - len(r)) + r for r in part]
+                     for part in rows]).transpose(2, 0, 1)
+
+
+_ERF_ERFC_TABLE = _cody_table((_ERF_NUM, _ERF_DEN), (_ERFC_MID_NUM, _ERFC_MID_DEN))
+_ERFC_FAR_TABLE = _cody_table((_ERFC_FAR_NUM, _ERFC_FAR_DEN))
+
+
+def _cody_ratios(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The k rational functions of ``table`` at x, shape (k, ...): function
+    i at row i of x.  One Horner pass runs all numerators and denominators,
+    so the number of array operations grows with the degree only."""
+    coef = table.reshape(table.shape + (1,) * (x.ndim - 1))
+    acc = coef[0] * x
+    for c in coef[1:-1]:
+        acc += c
+        acc *= x
+    acc += coef[-1]
+    num, den = acc
+    return num / den
+
+
+def _normal_cdf_pdf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normal cdf Phi and density phi, elementwise, sharing one
+    exp(-z^2/2).
+
+    With y = |z|/sqrt(2), Phi(z) is 1/2 + erf(z/sqrt(2))/2 for y <= 0.46875;
+    beyond, the tail q = erfc(y)/2 = exp(-z^2/2) R(y)/2 is Phi(z) for z < 0
+    and 1 - q otherwise.  Phi(0) is exactly 1/2, Phi(z) + Phi(-z) = 1 to an
+    ulp, and the absolute error is a few ulps.  The y > 4 branch runs only
+    on the elements that need it.
+    """
+    e = np.exp(-0.5 * z * z)
+    x = np.empty((2,) + z.shape)
+    y = np.multiply(np.abs(z), _SQRT1_2, out=x[1])
+    np.multiply(y, y, out=x[0])
+    r_erf, r_mid = _cody_ratios(x, _ERF_ERFC_TABLE)
+    half_e = 0.5 * e
+    q = half_e * r_mid
+    far = y > 4.0
+    if far.any():
+        yf = y[far]
+        inv = 1.0 / (yf * yf)
+        r_far = _cody_ratios(inv[None], _ERFC_FAR_TABLE)[0]
+        q[far] = half_e[far] * ((_INV_SQRTPI - inv * r_far) / yf)
+    cdf = np.where(y <= 0.46875, 0.5 + 0.5 * (z * _SQRT1_2 * r_erf),
+                   np.where(z < 0.0, q, 1.0 - q))
+    return cdf, e / _SQRT2PI
 
 
 _Z_CUTOFF = 39.0  # Gaussian mass beyond this is zero in double precision
@@ -214,27 +296,37 @@ _Z_CUTOFF = 39.0  # Gaussian mass beyond this is zero in double precision
 def _piecewise_moments(a, lo, hi):
     """Moments of max(a, hi - z, z - lo), elementwise over arrays.
 
-    The floor a is the middle piece on [hi - a, lo + a]; when the interval
-    is wider than 2a that piece is empty and the other two meet at its
-    midpoint.  The three pieces go through the moments stacked on a leading
-    axis, and their sums are taken in piece order.
+    The floor a is the middle piece on [zl, zr] = [hi - a, lo + a]; when
+    the interval is wider than 2a that piece is empty and zl = zr is the
+    midpoint, where the other two pieces meet.  Integrating z^k phi piece by
+    piece leaves Phi and phi at the two breakpoints only, clipped to
+    +-``_Z_CUTOFF``:
+
+        val  = (hi - a) Phi(zl) + (a + lo) Phi(zr) - lo + phi(zl) + phi(zr)
+        grad = (a - hi + zl) phi(zl) + (zr - a - lo) phi(zr)
+               + 1 - Phi(zl) - Phi(zr)
+        hess = (zl (zl - hi + a) + 1) phi(zl) + (zr (zr - lo - a) + 1) phi(zr)
     """
+    # the two breakpoints, their offsets hi - a and a + lo, and everything
+    # after go as (left, right) rows of one array
     mid = 0.5 * (lo + hi)
-    zl = np.minimum(hi - a, mid)
-    zr = np.maximum(lo + a, mid)
-    cut = np.full(zl.shape, _Z_CUTOFF)
-    alpha = np.stack(np.broadcast_arrays(hi, a, -lo))
-    beta = np.array([-1.0, 0.0, 1.0]).reshape((3,) + (1,) * zl.ndim)
-    l = np.stack((-cut, np.maximum(zl, -_Z_CUTOFF), np.maximum(zr, -_Z_CUTOFF)))
-    u = np.stack((np.minimum(zl, _Z_CUTOFF), np.minimum(zr, _Z_CUTOFF), cut))
-    keep = l < u
-    moments = [np.where(keep, m, 0.0)
-               for m in _linear_piece_moments(alpha, beta, l, u)]
-    return tuple(0.0 + m[0] + m[1] + m[2] for m in moments)
+    shape = (2,) + np.broadcast(a, lo, hi).shape
+    offset, z = np.empty(shape), np.empty(shape)
+    np.subtract(hi, a, out=offset[0])
+    np.add(a, lo, out=offset[1])
+    np.minimum(offset[0], mid, out=z[0])
+    np.maximum(offset[1], mid, out=z[1])
+    np.minimum(np.maximum(z, -_Z_CUTOFF, out=z), _Z_CUTOFF, out=z)
+    cdf, pdf = _normal_cdf_pdf(z)
+    dz = z - offset
+    v, g, h = offset * cdf, dz * pdf, (z * dz + 1.0) * pdf
+    val = v[0] + v[1] - lo + pdf[0] + pdf[1]
+    grad = g[0] + g[1] + 1.0 - cdf[0] - cdf[1]
+    return val, grad, h[0] + h[1]
 
 
-# E|z| computed through the same pieces, so that the value at the anchor
-# cancels to exactly 0.0 in floating point.
+# E|z| computed through the same breakpoint form, so that the value at the
+# anchor cancels to exactly 0.0 in floating point.
 _EXACT_ABS_NORM = float(_piecewise_moments(np.zeros(1), np.zeros(1),
                                             np.zeros(1))[0][0])
 
@@ -243,9 +335,11 @@ def _exact_profile_1d(a, lo, hi):
     """Value/gradient/hessian Gaussian moments of max(a, hi - z, z - lo).
 
     ``a >= 0`` is the floor; [lo, hi] the candidate interval (farthest-point
-    distance from z to it is max(hi - z, z - lo)).  Closed form via the
-    normal cdf, elementwise over arrays; the E|z| subtraction reuses the
-    same closed forms.
+    distance from z to it is max(hi - z, z - lo)).  Closed form in Phi and
+    phi at the two breakpoints of the profile (:func:`_piecewise_moments`),
+    elementwise over arrays, with the package's own numpy normal cdf; the
+    E|z| subtraction goes through the same form, so it cancels exactly at
+    the anchor.
     """
     val, grad, hess = _piecewise_moments(a, lo, hi)
     return val - _EXACT_ABS_NORM, grad, hess

@@ -81,8 +81,8 @@ def _rows(who: str, shape: tuple, fn, *args) -> np.ndarray:
     return out
 
 
-# Samples per chunk of candidate_solution; even, so that an antithetic pair
-# never straddles two chunks.
+# Samples per chunk of candidate_solution and of flow_residual's outer draws;
+# even, so that an antithetic pair never straddles two chunks.
 _CHUNK = 4096
 
 # Floor of the residual sum of squares of candidate_solution's fit, per unit
@@ -308,6 +308,11 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
     non-anticipativity of the solution and holds pointwise, so the residual
     is returned as exactly zero; at t' = T the inner estimate collapses to
     xi(Y) and the coupling is exact as well.
+
+    The outer increments are drawn ``_CHUNK`` samples at a time, with one
+    reseated generator per chunk; outer sample i is still stream (seed, i)
+    and is evaluated alone, so the estimate does not depend on the chunk
+    size.
     """
     grid = x.grid
     k = grid.index_of(t)
@@ -318,16 +323,19 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
         return MCEstimate(mean=0.0, stderr=0.0, n_samples=cfg.n_samples,
                           seed=cfg.seed)
     d = x.dimension
-    diffs = np.empty(cfg.n_samples)
+    n = cfg.n_samples
+    diffs = np.empty(n)
     rng = None
-    for i in range(cfg.n_samples):
+    for lo in range(0, n, _CHUNK):
+        idx = range(lo, min(lo + _CHUNK, n))
         outer = extend_with_increments(
-            t, x, sample_increments(grid, k, d, cfg.seed, [i]))
-        xi_outer = float(xi.evaluate_batch(outer, grid)[0])
-        rng = substream(cfg.seed, StreamKind.FLOW_INNER, i, rng)
-        inner_dw = brownian_increments(grid, kp, d, rng, n=n_inner)
-        inner = extend_with_increments(t_prime, GridPath(grid, outer[0]), inner_dw)
-        diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
+            t, x, sample_increments(grid, k, d, cfg.seed, idx))
+        for i, y in zip(idx, outer):
+            xi_outer = float(xi.evaluate_batch(y[None], grid)[0])
+            rng = substream(cfg.seed, StreamKind.FLOW_INNER, i, rng)
+            inner_dw = brownian_increments(grid, kp, d, rng, n=n_inner)
+            inner = extend_with_increments(t_prime, GridPath(grid, y), inner_dw)
+            diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
     return MCEstimate.from_samples(diffs, cfg.seed)
 
 

@@ -29,6 +29,12 @@ coefficients of ``pathheat vp-run`` and ``quadrature.monte_carlo_gaussian_rule``
 (keyed by ``z_seed``).  It is the same stream as Monte-Carlo sample 0 under
 that seed; giving these callers kinds of their own would change their
 outputs.
+
+``numpy.random`` is imported here, at package import, on purpose: ``import
+numpy`` loads it only lazily, and the package imports no other library that
+would load it.  Loaded lazily, its 11 ms or so would land inside the first
+stream a command opens, in the command's own run time rather than in the
+package's start-up.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 from enum import IntEnum, unique
 from typing import Optional
 
-import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import DomainError
 
@@ -62,7 +68,7 @@ class StreamKind(IntEnum):
 
 
 def sample_stream(master_seed: int, index: int,
-                  into: Optional[np.random.Generator] = None) -> np.random.Generator:
+                  into: Optional[Generator] = None) -> Generator:
     """Return the generator for sample ``index`` under ``master_seed``.
 
     The seed is the 128-bit Philox key and must lie in [0, 2^128), the index
@@ -81,8 +87,7 @@ def sample_stream(master_seed: int, index: int,
     if not 0 <= index < _INDEX_LIMIT:
         raise ValueError(f"stream index {index} outside [0, 2^128)")
     if into is None:
-        bg = np.random.Philox(key=seed, counter=index << _BLOCK_SHIFT)
-        return np.random.Generator(bg)
+        return Generator(Philox(key=seed, counter=index << _BLOCK_SHIFT))
     into.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, index & _WORD, index >> 64),
@@ -92,7 +97,7 @@ def sample_stream(master_seed: int, index: int,
 
 
 def substream(master_seed: int, kind: StreamKind, index: int,
-              into: Optional[np.random.Generator] = None) -> np.random.Generator:
+              into: Optional[Generator] = None) -> Generator:
     """A stream family disjoint from :func:`sample_stream` (e.g. inner loops).
 
     ``kind`` selects the family; index blocks within a family do not overlap

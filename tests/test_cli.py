@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -137,16 +138,66 @@ class TestSeedContract:
             cli.main(argv + ["--seed", "-5", "--out", str(tmp_path)])
 
 
+def _fresh_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter in a fresh process that imports this package."""
+    src = str(Path(pathheat.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
+class TestImportFootprint:
+    """The package starts on numpy alone, and a command imports nothing
+    new while it runs: every benchmark call is a fresh process, and an
+    import inside a command is timed as its work."""
+
+    def test_start_loads_no_scipy(self):
+        proc = _fresh_python(["-c", (
+            "import sys, pathheat.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.random' in sys.modules)")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+    def test_commands_import_nothing(self, tmp_path):
+        commands = [
+            ["solve", "--steps", "50", "--n-samples", "100"],
+            ["gauge-check", "--d", "1", "--n-tuples", "3"],
+            ["gauge-check", "--d", "2", "--n-tuples", "2", "--steps", "32"],
+            ["vp-run", "--n-points", "20"],
+            ["comparison-demo", "--steps", "50", "--order", "8",
+             "--n-points", "5", "--n-mc", "100"],
+            ["ito-check", "--n-paths", "16"],
+            ["pde-check", "--n-points", "2", "--steps", "100"],
+            ["approx"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from pathheat import cli\n"
+            "new = []\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    before = set(sys.modules)\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv + ['--seed', '1', '--out', f'{sys.argv[2]}/{i}'])\n"
+            "    new.append(sorted(set(sys.modules) - before))\n"
+            "print(json.dumps(new))\n")
+        proc = _fresh_python(["-c", script, json.dumps(commands), str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        new = json.loads(proc.stdout)
+        assert len(new) == len(commands)
+        # gettext loads locale the first time argparse translates a message
+        allowed = {"locale", "_locale"}
+        assert [(argv[0], mods) for argv, mods in zip(commands, new)
+                if not set(mods) <= allowed] == []
+
+
 class TestEntryPoint:
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path):
-        src = str(Path(pathheat.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [
-                       src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pathheat.cli", "solve", "--seed", "-5",
-             "--steps", "8", "--n-samples", "4", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = _fresh_python(
+            ["-m", "pathheat.cli", "solve", "--seed", "-5",
+             "--steps", "8", "--n-samples", "4", "--out", str(tmp_path)])
         assert proc.returncode == 2
         assert proc.stderr == "pathheat: error: seed -5 outside [0, 2^128)\n"
         assert "Traceback" not in proc.stdout + proc.stderr

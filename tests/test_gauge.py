@@ -70,6 +70,52 @@ class TestKernelsAndConstants:
         with pytest.raises(DomainError):
             horizontal_kernel(-0.1)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_mean_norm_matches_gammaln_form(self, d):
+        from scipy.special import gammaln
+        want = math.sqrt(2.0) * math.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0))
+        assert mean_gaussian_norm(d) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+class TestNormalCdf:
+    """The package's numpy normal cdf against scipy's ``ndtr``, which the
+    package itself does not import."""
+
+    Z = np.linspace(-39.0, 39.0, 1_560_001)
+
+    def test_absolute_error(self):
+        from scipy.special import ndtr
+        cdf, _ = gauge._normal_cdf_pdf(self.Z)
+        assert np.max(np.abs(cdf - ndtr(self.Z))) <= 4.5e-16
+
+    def test_relative_error_in_the_tails(self):
+        from scipy.special import ndtr
+        cdf, _ = gauge._normal_cdf_pdf(self.Z)
+        want = ndtr(self.Z)
+        keep = want >= 1e-300
+        assert np.max(np.abs(cdf[keep] / want[keep] - 1.0)) <= 1e-12
+
+    def test_density(self):
+        _, pdf = gauge._normal_cdf_pdf(self.Z)
+        want = np.exp(-0.5 * self.Z ** 2) / math.sqrt(2.0 * math.pi)
+        assert np.all(np.abs(pdf - want) <= 1e-13 * want + 1e-300)
+
+    def test_half_at_zero(self):
+        cdf, pdf = gauge._normal_cdf_pdf(np.array([0.0, -0.0]))
+        assert cdf.tolist() == [0.5, 0.5]
+        assert pdf[0] == 1.0 / math.sqrt(2.0 * math.pi)
+
+    def test_symmetric_to_an_ulp(self):
+        z = np.concatenate((self.Z, np.random.default_rng(7).normal(0, 3, 10_000)))
+        upper, _ = gauge._normal_cdf_pdf(z)
+        lower, _ = gauge._normal_cdf_pdf(-z)
+        assert np.max(np.abs(upper + lower - 1.0)) <= np.spacing(1.0)
+
+    def test_anchor_value_exactly_zero(self):
+        val, grad, hess = _exact_profile_1d(np.zeros(1), np.zeros(1), np.zeros(1))
+        assert (val[0], grad[0]) == (0.0, 0.0)
+        assert hess[0] == pytest.approx(2.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+
 
 class TestVerticalSmoothedDistance:
     def test_zero_at_anchor(self, grid64):
@@ -146,6 +192,32 @@ class TestVerticalSmoothedDistance:
                                            abs=1e-10)
             assert grad[i] == pytest.approx(moments[1], abs=1e-10)
             assert hess[i] == pytest.approx(moments[2], abs=1e-10)
+
+    def test_breakpoint_form_matches_three_pieces(self):
+        # the breakpoint form against the moments of the three linear pieces
+        # alpha + beta z, integrated one by one with scipy's ndtr
+        from scipy.special import ndtr
+        rng = np.random.default_rng(11)
+        a = np.concatenate((rng.uniform(0, 3, 4000), [0.0, 0.0, 5.0, 0.5, 45.0]))
+        lo = np.concatenate((rng.normal(0, 2, 4000), [0.0, -60.0, -60.0, 41.0, 0.0]))
+        hi = lo + np.concatenate((np.abs(rng.normal(0, 2, 4000)),
+                                  [0.0, 110.0, 0.1, 1.0, 0.0]))
+        mid = 0.5 * (lo + hi)
+        cuts = [np.full(a.shape, -40.0), np.clip(np.minimum(hi - a, mid), -40, 40),
+                np.clip(np.maximum(lo + a, mid), -40, 40), np.full(a.shape, 40.0)]
+        pdf = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        want = np.zeros((3, a.size))
+        for (alpha, beta), l, u in zip([(hi, -1.0), (a, 0.0), (-lo, 1.0)],
+                                       cuts, cuts[1:]):
+            m0, m1 = ndtr(u) - ndtr(l), pdf(l) - pdf(u)
+            m2 = (ndtr(u) - u * pdf(u)) - (ndtr(l) - l * pdf(l))
+            m3 = (l * l + 2.0) * pdf(l) - (u * u + 2.0) * pdf(u)
+            want += [alpha * m0 + beta * m1, alpha * m1 + beta * m2,
+                     alpha * (m2 - m0) + beta * (m3 - m1)]
+        want[0] -= mean_gaussian_norm(1)
+        got = np.array(_exact_profile_1d(a, lo, hi))
+        scale = 1.0 + np.maximum(np.maximum(a, np.abs(lo)), np.abs(hi))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_gauss_hermite_agrees_with_exact_rule(self, grid64):
         gh = QuadratureConfig(z_rule="gauss-hermite", z_nodes=21)

@@ -167,6 +167,32 @@ class TestEstimators:
         assert est.stderr > 0
         assert abs(est.mean) <= 4 * est.stderr
 
+    @pytest.mark.parametrize("name", ["terminal_square", "cyl:trig2"])
+    @pytest.mark.parametrize("chunk", [2, 3, 4096])
+    def test_flow_residual_equals_per_sample_loop(self, name, chunk, monkeypatch):
+        # outer draws come in chunks through one reseated generator; the
+        # estimate equals, bit for bit, fresh streams opened sample by sample
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        grid = TimeGrid(1.0, 16)
+        x = GridPath.from_function(grid, lambda t: np.sin(3 * t))
+        xi = build_terminal(name, grid)
+        t, t_prime, seed, n_inner = 0.25, 0.5, 8, 50
+        k, kp = grid.index_of(t), grid.index_of(t_prime)
+        diffs = np.empty(7)
+        for i in range(diffs.size):
+            dw = sample_stream(seed, i).standard_normal((1, grid.steps - k, 1))
+            outer = extend_with_increments(t, x, dw * math.sqrt(grid.dt))
+            inner_dw = brownian_increments(
+                grid, kp, 1, substream(seed, StreamKind.FLOW_INNER, i), n=n_inner)
+            inner = extend_with_increments(t_prime, GridPath(grid, outer[0]),
+                                           inner_dw)
+            diffs[i] = (xi.evaluate_batch(outer, grid)[0]
+                        - np.mean(xi.evaluate_batch(inner, grid)))
+        want = MCEstimate.from_samples(diffs, seed)
+        got = flow_residual(xi, t, t_prime, x,
+                            MCConfig(n_samples=diffs.size, seed=seed), n_inner)
+        assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
     def test_running_max_exact_matches_continuum(self):
         # E sup_{[0,1]} W = sqrt(2/pi), however coarse the grid
         grid = TimeGrid(1.0, 16)
