@@ -11,14 +11,14 @@ flow property and finite-dimensional cross-checks.
 """
 
 from .errors import (ContractError, ConvergenceError, DomainError, InputError,
-                     NumericError, ResolutionError, ToleranceError)
+                     NumericError, ResolutionError)
 from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     brownian_increments, euler_paths, extend_with_increments,
                     path_distance, read_path_csv, stop_path, write_path_csv)
 from .regularization import (BracketEstimate, forward_integral,
                              forward_integral_limit, mutual_bracket)
 from .fourier import fejer_coefficient, fejer_mean, fejer_smooth, terminal_ramp
-from .cylinders import CylinderSpec, LiftedFunctional, PathwiseDerivs, cylinder_approx
+from .cylinders import CylinderSpec, PathwiseDerivs, cylinder_approx
 from .quadrature import QuadratureConfig
 from .gauge import (GaugeDiagnostics, calibrate_alpha, horizontal_kernel,
                     horizontal_smoothed_distance, mean_gaussian_norm,

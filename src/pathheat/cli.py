@@ -186,9 +186,9 @@ def _cmd_pde_check(args) -> int:
         raise InputError(f"--n-points must be at least 1, not {args.n_points}")
     grid = TimeGrid(args.horizon, args.steps)
     quad = _quadrature(args)
-    names = args.spec.split(",") if args.spec else [
+    names = [name.strip() for name in args.spec.split(",")] if args.spec else [
         "cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
-    terminals = [build_terminal(name.strip(), grid) for name in names]
+    terminals = [build_terminal(name, grid) for name in names]
     for name, xi in zip(names, terminals):
         if xi.cylinder is None:
             raise InputError(f"{name} is not a cylinder functional")
@@ -202,7 +202,7 @@ def _cmd_pde_check(args) -> int:
             t = grid.node(int(rng.integers(0, grid.steps)))
             x = GridPath(grid, extend_with_increments(
                 0.0, zero, brownian_increments(grid, 0, 1, rng)))
-            res = pde_residual(xi.cylinder, t, x, quad)
+            res = float(pde_residual(xi.cylinder, t, [x], quad)[0])
             good = abs(res) <= args.tol
             ok = ok and good
             sink.row([name, s, f"{t:.6g}", f"{res:.6e}", "pass" if good else "FAIL"])

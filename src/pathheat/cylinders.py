@@ -1,4 +1,4 @@
-"""Cylinder terminal functionals, lifted maps, and pathwise derivatives.
+"""Cylinder terminal functionals and pathwise derivatives.
 
 A cylinder functional evaluates a smooth g on a vector of forward integrals
 of the path against fixed weight functions; it is the class for which the
@@ -6,12 +6,11 @@ candidate solution of the path-dependent heat equation reduces to a
 finite-dimensional problem (solved, with its analytic pathwise derivatives,
 in :mod:`pathheat.solver`).  The coordinates of one path form a row of
 length m = d * n_factors; g, its gradient and its Hessian act on stacks of
-rows (k, m), returning (k,), (k, m) and (k, m, m).  Lifted maps add a free
-"present value" argument y that models a jump of size y - x(t) at the
-current time; pathwise derivatives are the time derivative with the past
-frozen (horizontal) and ordinary derivatives in y (vertical).  This module
-holds the coordinates, the weight matrix and the Fejer approximation of a
-generic functional in cylinder form.
+rows (k, m), returning (k,), (k, m) and (k, m, m).  Pathwise derivatives
+are the time derivative with the past frozen (horizontal) and ordinary
+derivatives in the present value (vertical).  This module holds the
+coordinates, the weight matrix and the Fejer approximation of a generic
+functional in cylinder form.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import DomainError
 from .fourier import basis_value, basis_primitive, fejer_weights
 from .grids import GridPath, TimeGrid
 from .regularization import by_parts, weights_at
 
 __all__ = [
     "CylinderSpec",
-    "LiftedFunctional",
     "PathwiseDerivs",
     "cylinder_coordinates",
     "cylinder_sigma",
@@ -87,18 +85,16 @@ class CylinderSpec:
 
 
 def cylinder_coordinates(spec: CylinderSpec, t: float,
-                         x: GridPath | Sequence[GridPath]) -> np.ndarray:
-    """The integral vector z(t, x): one coordinate row of shape
-    (d * n_factors,) for a path, a stack of rows (n, d * n_factors) for a
-    sequence of n paths on one grid.
+                         paths: Sequence[GridPath]) -> np.ndarray:
+    """The integral vectors z(t, x) of n paths x on one grid: coordinate rows
+    (n, d * n_factors).
 
     Depends only on x(. ^ t): integrating against the stopped path beyond t
-    adds nothing, so the coordinates are non-anticipative.  A stack takes
-    one :func:`by_parts` call, and its rows equal bit for bit the rows of
-    the paths one at a time.
+    adds nothing, so the coordinates are non-anticipative.  The rows take
+    one :func:`by_parts` call, and each equals bit for bit the row of its
+    path passed alone.
     """
-    single = isinstance(x, GridPath)
-    paths = [x] if single else list(x)
+    paths = list(paths)
     if not paths:
         raise DomainError("cylinder coordinates need at least one path")
     grid = paths[0].grid
@@ -107,8 +103,7 @@ def cylinder_coordinates(spec: CylinderSpec, t: float,
     k = grid.index_of(t)
     z = by_parts(weights_at(spec.psi, grid.nodes()[: k + 1]),
                  np.stack([p.values[: k + 1] for p in paths]))
-    z = z.reshape(len(paths), -1)
-    return z[0] if single else z
+    return z.reshape(len(paths), -1)
 
 
 def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
@@ -153,38 +148,3 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
     for l in range(1, 2 * n + 1):
         psi.append((lambda s, _l=l: basis_primitive(_l, T, s)))
     return CylinderSpec(g=g, psi=psi, name=f"fejer{n}")
-
-
-# ---------------------------------------------------------------------------
-# Lifted maps and pathwise derivatives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LiftedFunctional:
-    """A map u_hat(t, x, y) on path space with a free present value y.
-
-    ``evaluate`` must be non-anticipative: replacing x by x(. ^ t) leaves the
-    value unchanged.  Derivative evaluators are optional; ``horizontal`` takes
-    (t, x) (it is only ever used with y = x(t)), the vertical ones (t, x, y).
-    """
-
-    evaluate: Callable[[float, GridPath, np.ndarray], float]
-    horizontal: Optional[Callable[[float, GridPath], float]] = None
-    vertical: Optional[Callable[[float, GridPath, np.ndarray], np.ndarray]] = None
-    vertical2: Optional[Callable[[float, GridPath, np.ndarray], np.ndarray]] = None
-    name: str = ""
-
-    def has_derivatives(self) -> bool:
-        return (self.horizontal is not None and self.vertical is not None
-                and self.vertical2 is not None)
-
-    def derivs(self, t: float, x: GridPath, y: Optional[np.ndarray] = None) -> PathwiseDerivs:
-        if not self.has_derivatives():
-            raise ContractError(f"lift {self.name!r} has no derivative evaluators")
-        if y is None:
-            y = x.value_at(t)
-        return PathwiseDerivs(
-            horizontal=float(self.horizontal(t, x)),
-            vertical=np.asarray(self.vertical(t, x, y), float),
-            vertical2=np.asarray(self.vertical2(t, x, y), float),
-        )

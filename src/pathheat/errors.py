@@ -17,10 +17,6 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite or otherwise unusable values."""
 
 
-class ToleranceError(ValueError):
-    """A step size is too small to be meaningful in double precision."""
-
-
 class ConvergenceError(RuntimeError):
     """An iteration hit its guard limit without reaching a fixed point."""
 

@@ -38,11 +38,18 @@ from .varprinciple import SearchSpace, smooth_variational_principle
 __all__ = [
     "ComparisonReport",
     "DeltaRow",
+    "SUBSOLUTION_OFFSET",
+    "FACTOR_Z_SAMPLES",
     "comparison_demo",
     "brownian_search_space",
     "tn_convergence_rows",
     "dt_convergence_rows",
 ]
+
+# comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
+SUBSOLUTION_OFFSET = 0.25
+# nodes of the Monte-Carlo z-rule of comparison-demo's factor values
+FACTOR_Z_SAMPLES = 4096
 
 
 def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int,
@@ -144,8 +151,6 @@ def comparison_demo(grid: TimeGrid, seed: int,
                     lam: float = 0.5,
                     deltas: tuple[float, ...] = (0.1, 0.05, 0.025),
                     mode: str = "candidate",
-                    offset: float = 0.25,
-                    z_samples: int = 4096,
                     start_index: int = 0,
                     gauge_config: QuadratureConfig = QuadratureConfig(),
                     progress: Optional[Callable[[str], None]] = None
@@ -154,7 +159,9 @@ def comparison_demo(grid: TimeGrid, seed: int,
 
     ``mode`` "candidate" takes the rough side u to be the Monte-Carlo
     solution itself (the machinery should then report no contradiction);
-    "subsolution" takes u = solution - offset, a strict subsolution.
+    "subsolution" takes u = solution - ``SUBSOLUTION_OFFSET``, a strict
+    subsolution.  The factor values of v_n use the Monte-Carlo z-rule with
+    ``FACTOR_Z_SAMPLES`` nodes.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
@@ -168,7 +175,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
     # Step I: cylindrical smoothing of the terminal condition.
     spec_n = cylinder_approx(xi.batch, order, grid, dimension=1)
     n_coords = 2 * order + 1
-    factor_config = QuadratureConfig(z_rule="monte-carlo", z_samples=z_samples,
+    factor_config = QuadratureConfig(z_rule="monte-carlo",
+                                     z_samples=FACTOR_Z_SAMPLES,
                                      z_seed=seed + 17)
 
     space = brownian_search_space(grid, n_paths, seed)
@@ -200,7 +208,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
         vn_vals[at_t] = sol.value
         vn_err[at_t] = sol.value_stderr
     if mode == "subsolution":
-        u_vals = u_vals - offset
+        u_vals = u_vals - SUBSOLUTION_OFFSET
     scale = np.exp(lam * times)
     g_vals = scale * (u_vals - vn_vals)
     say("solution values estimated on the space")

@@ -8,12 +8,13 @@ Carlo with the extension's increment and its positive part as control
 variates (:func:`candidate_solution`).  For cylinder
 functionals the same value is a finite-dimensional Gaussian average of g
 at the coordinates z(t, x) (:func:`finite_dim_solution`, one average per
-call); the two routes cross-validate each other.  The pathwise derivatives
-of the cylinder solution follow by the chain rule through the weight
-matrix: the vertical ones from the gradient and Hessian of the average, the
-horizontal one from a difference quotient of values in time
-(:func:`cylinder_pathwise_derivs`, :func:`pde_residual`,
-:func:`solution_lift`).
+coordinate row, all rows at one time); the two routes cross-validate each
+other.  The pathwise derivatives of the cylinder solution at paths on one
+grid follow by the chain rule through the weight matrix: the vertical ones
+from the gradient and Hessian of the average, the horizontal one from a
+difference quotient of values in time (:func:`cylinder_pathwise_derivs`,
+:func:`pde_residual`).  Every row or path of a call gives, bit for bit,
+what it gives alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cylinders import (CylinderSpec, LiftedFunctional, PathwiseDerivs,
-                        cylinder_coordinates, cylinder_sigma)
+from .cylinders import (CylinderSpec, PathwiseDerivs, cylinder_coordinates,
+                        cylinder_sigma)
 from .errors import ContractError, DomainError, InputError, NumericError
 from .grids import GridPath, TimeGrid, brownian_increments, extend_with_increments
 from .quadrature import QuadratureConfig, gaussian_rule, legendre_rule
@@ -44,7 +45,6 @@ __all__ = [
     "finite_dim_solution",
     "cylinder_pathwise_derivs",
     "pde_residual",
-    "solution_lift",
     "build_terminal",
     "terminal_names",
 ]
@@ -345,19 +345,19 @@ def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
 
 @dataclass(frozen=True)
 class FiniteDimSolution:
-    """Value of the factor problem at (t, z), with its gradient and Hessian
-    in z when they were asked for.
+    """Values of the factor problem at n coordinate rows at one time t, with
+    their gradients and Hessians in z when they were asked for.
 
-    ``value_stderr`` is populated when the Gaussian rule is Monte Carlo;
-    it is the standard error of the means of the rule's antithetic pairs.
-    For coordinate rows (n, m) both are arrays (n,) and there are no
-    derivatives.
+    ``value`` and ``value_stderr`` have shape (n,), ``gradient`` (n, m) and
+    ``hessian`` (n, m, m), or None.  ``value_stderr`` is populated when the
+    Gaussian rule is Monte Carlo; it is the standard error of the means of
+    the rule's antithetic pairs.
     """
 
-    value: float | np.ndarray
-    gradient: Optional[np.ndarray]
-    hessian: Optional[np.ndarray]
-    value_stderr: float | np.ndarray = 0.0
+    value: np.ndarray
+    value_stderr: np.ndarray
+    gradient: Optional[np.ndarray] = None
+    hessian: Optional[np.ndarray] = None
 
 
 def _pair_integrals(spec: CylinderSpec, t: float, horizon: float) -> np.ndarray:
@@ -391,33 +391,30 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
                         config: QuadratureConfig = QuadratureConfig(),
                         dimension: int = 1, derivatives: bool = True,
                         horizon: float = 1.0) -> FiniteDimSolution:
-    """Heat-semigroup value of the factor problem at (t, z), 0 <= t <= T.
+    """Heat-semigroup values of the factor problem at (t, z), 0 <= t <= T.
 
-    One Gaussian average per coordinate row: g over z + A(t) U with U
+    ``z`` of shape (n, m) holds the coordinate rows of n points at the same
+    time t.  Each row gets one Gaussian average: g over z + A(t) U with U
     standard normal, where A(t) A(t)^T is the covariance of the remaining
     weight integrals; Gauss-Hermite tensor rule up to 3 total dimensions,
     fixed-seed antithetic Monte Carlo above.  At t = T the Gaussian
     degenerates and the value is g(z) exactly.  ``derivatives`` adds the
     gradient and Hessian in z, averaged over the same nodes; the time
     derivative is not computed here (see :func:`cylinder_pathwise_derivs`).
-    The spec's evaluators get the rule's k nodes as rows (k, m) and must
-    return (k,), (k, m) and (k, m, m); another shape raises
+    The spec's evaluators get the rule's k nodes of one row as rows (k, m)
+    and must return (k,), (k, m) and (k, m, m); another shape raises
     :class:`ContractError`.
 
-    Row form, value only: ``z`` of shape (n, m) holds the coordinates of n
-    points at the same time t.  The rule and A(t) are built once, g runs
-    once per row, and ``value`` and ``value_stderr`` are arrays (n,) whose
-    entries equal bit for bit those of the rows passed one at a time.
+    The rule and A(t) are built once per call, and each row's average runs
+    on that row's own nodes, so every row equals bit for bit the same row
+    passed alone.
     """
     z = np.asarray(z, float)
-    if z.ndim not in (1, 2):
-        raise DomainError(f"z must be one row (m,) or rows (n, m), got {z.shape}")
-    if z.ndim == 2 and derivatives:
-        raise DomainError("derivatives are computed for one coordinate row only")
+    if z.ndim != 2:
+        raise DomainError(f"z must be coordinate rows (n, m), got shape {z.shape}")
     if not 0.0 <= t <= horizon + 1e-12:
         raise DomainError(f"time {t} outside [0, {horizon}]")
-    rows = np.atleast_2d(z)
-    m = rows.shape[1]
+    n, m = z.shape
     if m != dimension * spec.n_factors:
         raise DomainError(f"z has size {m}, expected {dimension * spec.n_factors}")
     mc_rule = config.resolve_z(m, allow_exact=False, gh_max_dim=3) == "monte-carlo"
@@ -432,10 +429,12 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
         shift = u @ _factor_matrix(spec, t, horizon, dimension).T
     k = len(shift)
     who = f"cylinder spec {spec.name!r}"
-    values = np.empty(len(rows))
-    stderrs = np.zeros(len(rows))
+    values = np.empty(n)
+    stderrs = np.zeros(n)
+    grad = np.empty((n, m)) if derivatives else None
+    hess = np.empty((n, m, m)) if derivatives else None
     # one row at a time: a stack of all rows' nodes would hold n * k rows
-    for i, row in enumerate(rows):
+    for i, row in enumerate(z):
         pts = row + shift
         gv = _rows(f"{who} g", (k,), spec.g, pts)
         values[i] = weights @ gv
@@ -444,23 +443,19 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
             # means are the independent samples
             pairs = gv.reshape(2, -1).mean(axis=0)
             stderrs[i] = np.std(pairs, ddof=1) / math.sqrt(pairs.size)
-    if z.ndim == 2:
-        return FiniteDimSolution(value=values, gradient=None, hessian=None,
-                                 value_stderr=stderrs)
-    grad = hess = None
-    if derivatives:
-        # z is one row, so pts are its nodes
-        grad = weights @ _rows(f"{who} gradient", (k, m), spec.gradient, pts)
-        hess = np.tensordot(
-            weights, _rows(f"{who} hessian", (k, m, m), spec.hessian, pts), axes=1)
-    return FiniteDimSolution(value=float(values[0]), gradient=grad,
-                             hessian=hess, value_stderr=float(stderrs[0]))
+        if derivatives:
+            grad[i] = weights @ _rows(f"{who} gradient", (k, m), spec.gradient, pts)
+            hess[i] = np.tensordot(
+                weights, _rows(f"{who} hessian", (k, m, m), spec.hessian, pts),
+                axes=1)
+    return FiniteDimSolution(value=values, value_stderr=stderrs,
+                             gradient=grad, hessian=hess)
 
 
 def _time_quotient(spec: CylinderSpec, t: float, z: np.ndarray,
                    config: QuadratureConfig, dimension: int,
-                   horizon: float) -> float:
-    """d/dt of the factor value at fixed z, for 0 <= t < T.
+                   horizon: float) -> np.ndarray:
+    """d/dt of the factor values at fixed coordinate rows z, for 0 <= t < T.
 
     A difference quotient of value-only averages with h = 1e-5 T: central
     where [t - h, t + h] lies in [0, T], forward where t - h < 0 and
@@ -469,7 +464,7 @@ def _time_quotient(spec: CylinderSpec, t: float, z: np.ndarray,
     if t >= horizon:
         raise DomainError("horizontal derivative needs t < horizon")
 
-    def value(tt: float) -> float:
+    def value(tt: float) -> np.ndarray:
         return finite_dim_solution(spec, tt, z, config, dimension,
                                    derivatives=False, horizon=horizon).value
 
@@ -481,10 +476,12 @@ def _time_quotient(spec: CylinderSpec, t: float, z: np.ndarray,
     return (value(t + h) - value(t - h)) / (2 * h)
 
 
-def cylinder_pathwise_derivs(spec: CylinderSpec, t: float, x: GridPath,
+def cylinder_pathwise_derivs(spec: CylinderSpec, t: float,
+                             paths: Sequence[GridPath],
                              config: QuadratureConfig = QuadratureConfig()
                              ) -> PathwiseDerivs:
-    """Pathwise derivatives of the cylinder solution at (t, x), t < T.
+    """Pathwise derivatives of the cylinder solution at (t, x) for each path
+    x of a sequence on one grid, t < T, in row form.
 
     The chain rule through the stacked weight matrix sigma gives
 
@@ -493,57 +490,27 @@ def cylinder_pathwise_derivs(spec: CylinderSpec, t: float, x: GridPath,
 
     The horizontal derivative is a difference quotient of factor values in
     time, computed independently of the spatial derivatives, so a residual
-    built from these derivatives genuinely tests the heat equation.
+    built from these derivatives genuinely tests the heat equation.  The
+    products with sigma are taken one row at a time: a product over stacked
+    rows can round differently from the row alone.
     """
-    z = cylinder_coordinates(spec, t, x)
-    horizontal = _time_quotient(spec, t, z, config, x.dimension, x.horizon)
-    sol = finite_dim_solution(spec, t, z, config, dimension=x.dimension,
-                              horizon=x.horizon)
-    sigma = cylinder_sigma(spec, t, x.dimension)
-    return PathwiseDerivs(horizontal=horizontal, vertical=sigma.T @ sol.gradient,
-                          vertical2=sigma.T @ sol.hessian @ sigma)
+    z = cylinder_coordinates(spec, t, paths)
+    d, horizon = paths[0].dimension, paths[0].horizon
+    horizontal = _time_quotient(spec, t, z, config, d, horizon)
+    sol = finite_dim_solution(spec, t, z, config, dimension=d, horizon=horizon)
+    sigma = cylinder_sigma(spec, t, d)
+    return PathwiseDerivs(
+        horizontal=horizontal,
+        vertical=np.stack([sigma.T @ g for g in sol.gradient]),
+        vertical2=np.stack([sigma.T @ h @ sigma for h in sol.hessian]))
 
 
-def pde_residual(spec: CylinderSpec, t: float, x: GridPath,
-                 config: QuadratureConfig = QuadratureConfig()) -> float:
-    """Heat-operator residual of the cylinder solution at (t, x), t < T;
-    ~0 when the factor solution solves its finite-dimensional equation."""
-    return cylinder_pathwise_derivs(spec, t, x, config).heat_operator()
-
-
-def solution_lift(spec: CylinderSpec, config: QuadratureConfig = QuadratureConfig(),
-                  dimension: int = 1, horizon: float = 1.0) -> LiftedFunctional:
-    """The cylinder solution as a lifted map u(t, x, y) with derivatives.
-
-    The present value y moves the coordinates by sigma(t) (y - x(t)), a
-    jump at the current time; at y = x(t) the derivatives are those of
-    :func:`cylinder_pathwise_derivs`.  The value is one value-only average.
-    """
-
-    def solve(t: float, x: GridPath, y: np.ndarray, derivatives: bool):
-        jump = np.atleast_1d(np.asarray(y, float)) - x.value_at(t)
-        z = (cylinder_coordinates(spec, t, x)
-             + cylinder_sigma(spec, t, x.dimension) @ jump)
-        return finite_dim_solution(spec, t, z, config, dimension=dimension,
-                                   derivatives=derivatives, horizon=horizon)
-
-    def evaluate(t: float, x: GridPath, y: np.ndarray) -> float:
-        return solve(t, x, y, False).value
-
-    def horizontal(t: float, x: GridPath) -> float:
-        return _time_quotient(spec, t, cylinder_coordinates(spec, t, x),
-                              config, dimension, horizon)
-
-    def vertical(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
-        return cylinder_sigma(spec, t, x.dimension).T @ solve(t, x, y, True).gradient
-
-    def vertical2(t: float, x: GridPath, y: np.ndarray) -> np.ndarray:
-        sigma = cylinder_sigma(spec, t, x.dimension)
-        return sigma.T @ solve(t, x, y, True).hessian @ sigma
-
-    return LiftedFunctional(evaluate=evaluate, horizontal=horizontal,
-                            vertical=vertical, vertical2=vertical2,
-                            name=f"cyl:{spec.name}")
+def pde_residual(spec: CylinderSpec, t: float, paths: Sequence[GridPath],
+                 config: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
+    """Heat-operator residuals (n,) of the cylinder solution at (t, x) for
+    the n paths x on one grid, t < T; ~0 when the factor solution solves
+    its finite-dimensional equation."""
+    return cylinder_pathwise_derivs(spec, t, paths, config).heat_operator()
 
 
 # ---------------------------------------------------------------------------

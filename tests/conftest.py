@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pathheat.cylinders import LiftedFunctional, PathwiseDerivs
-from pathheat.errors import DomainError, ToleranceError
+from pathheat.cylinders import PathwiseDerivs
+from pathheat.errors import DomainError
 from pathheat.grids import GridPath, TimeGrid, stop_path
 
 
@@ -29,11 +29,12 @@ def make_brownian(grid: TimeGrid, seed: int, dimension: int = 1,
     return GridPath(grid, vals)
 
 
-def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
+def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
                        delta: float | None = None, h: float | None = None,
                        y: np.ndarray | None = None) -> PathwiseDerivs:
-    """Finite-difference pathwise derivatives of a lifted map: the
-    independent reference for the analytic derivatives.
+    """Finite-difference pathwise derivatives of a map ``evaluate(t, x, y)``
+    with a free present value y: the independent reference for the analytic
+    derivatives.
 
     Horizontal: one-sided quotient in time with the path stopped at t and the
     present value held at x(t).  Vertical: central first and second differences
@@ -46,7 +47,7 @@ def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
     if h is None:
         h = 1e-4 * scale
     if delta < 1e-12 or h < 1e-12:
-        raise ToleranceError("fd steps below double-precision resolution")
+        raise DomainError("fd steps below double-precision resolution")
     if y is None:
         y = x.value_at(t)
     y = np.atleast_1d(np.asarray(y, float))
@@ -56,9 +57,9 @@ def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
         raise DomainError("horizontal difference needs t + delta <= horizon")
     frozen = stop_path(x, t)
     yt = x.value_at(t)
-    horizontal = (u.evaluate(t + delta, frozen, yt) - u.evaluate(t, x, yt)) / delta
+    horizontal = (evaluate(t + delta, frozen, yt) - evaluate(t, x, yt)) / delta
 
-    base = u.evaluate(t, x, y)
+    base = evaluate(t, x, y)
     vertical = np.zeros(d)
     vertical2 = np.zeros((d, d))
     shifted = {}
@@ -66,7 +67,7 @@ def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
         for s in (+1, -1):
             e = y.copy()
             e[i] += s * h
-            shifted[(i, s)] = u.evaluate(t, x, e)
+            shifted[(i, s)] = evaluate(t, x, e)
         vertical[i] = (shifted[(i, 1)] - shifted[(i, -1)]) / (2 * h)
         vertical2[i, i] = (shifted[(i, 1)] - 2 * base + shifted[(i, -1)]) / h**2
     for i in range(d):
@@ -77,7 +78,7 @@ def fd_pathwise_derivs(u: LiftedFunctional, t: float, x: GridPath,
                     e = y.copy()
                     e[i] += si * h
                     e[j] += sj * h
-                    vals[(si, sj)] = u.evaluate(t, x, e)
+                    vals[(si, sj)] = evaluate(t, x, e)
             vertical2[i, j] = vertical2[j, i] = (
                 vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]
             ) / (4 * h**2)

@@ -324,6 +324,18 @@ class TestEntryPoint:
         assert cli.run(argv) == 2
         assert previous.read_text() == "previous run\n"
 
+    def test_spec_names_are_stripped(self, tmp_path, capsys):
+        argv = ["pde-check", "--seed", "1", "--steps", "16", "--n-points", "1",
+                "--spec", "cyl:linear, cyl:trig2", "--out", str(tmp_path)]
+        assert cli.run(argv) == 0
+        rows = (tmp_path / "pde_check.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["cyl:linear", "cyl:trig2"]
+        argv[argv.index("--spec") + 1] = "cyl:linear, running_max"
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("pathheat: error: running_max is not a cylinder "
+                       "functional\n")
+
     @pytest.mark.parametrize("flags,named", [
         (["--n-points", "12", "--times", "0.1,0.9"], "--times"),
         (["--paths", "p.csv", "--n-points", "7"], "--n-points"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pathheat.cylinders import (CylinderSpec, LiftedFunctional,
-                                cylinder_approx, cylinder_coordinates)
+from pathheat.cylinders import (CylinderSpec, cylinder_approx,
+                                cylinder_coordinates)
 from pathheat.errors import DomainError
 from pathheat.fourier import fejer_smooth
 from pathheat.grids import GridPath, TimeGrid, stop_path
@@ -21,26 +21,26 @@ def _identity_spec():
 class TestEvalCylinder:
     def test_terminal_value_representation(self, grid100):
         spec, x = _identity_spec(), make_brownian(grid100, seed=4)
-        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == pytest.approx(
+        assert spec.g(cylinder_coordinates(spec, 1.0, [x]))[0] == pytest.approx(
             float(x.values[-1, 0]), abs=1e-12)
 
     def test_constant_g(self, grid100):
         spec = CylinderSpec(g=lambda zs: np.full(len(zs), 4.25), psi=[ONE])
         for seed in (1, 2):
             x = make_brownian(grid100, seed=seed)
-            assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == 4.25
+            assert spec.g(cylinder_coordinates(spec, 1.0, [x]))[0] == 4.25
 
     def test_squared_terminal(self, grid100):
         spec = CylinderSpec(g=lambda zs: zs[:, 0] ** 2, psi=[ONE])
         x = GridPath.from_function(grid100, lambda t: t)
-        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == pytest.approx(
+        assert spec.g(cylinder_coordinates(spec, 1.0, [x]))[0] == pytest.approx(
             1.0, abs=1e-12)
 
     def test_coordinates_nonanticipative(self, grid100):
         spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE, np.cos])
         x = make_brownian(grid100, seed=7)
-        z1 = cylinder_coordinates(spec, 0.6, x)
-        z2 = cylinder_coordinates(spec, 0.6, stop_path(x, 0.6))
+        z1 = cylinder_coordinates(spec, 0.6, [x])
+        z2 = cylinder_coordinates(spec, 0.6, [stop_path(x, 0.6)])
         assert np.allclose(z1, z2, atol=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -51,7 +51,7 @@ class TestEvalCylinder:
         rows = cylinder_coordinates(spec, 0.6, paths)
         assert rows.shape == (5, 3 * d)
         for x, row in zip(paths, rows):
-            assert np.array_equal(row, cylinder_coordinates(spec, 0.6, x))
+            assert np.array_equal(row[None], cylinder_coordinates(spec, 0.6, [x]))
 
     def test_stack_rejects_mixed_grids_and_no_paths(self, grid100, grid64):
         spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[ONE])
@@ -71,22 +71,22 @@ class TestCylinderApprox:
             spec = cylinder_approx(xi, n, grid100)
             smoothed = xi(fejer_smooth(x, n).values[None], grid100)[0]
             assert smoothed == pytest.approx(exact, abs=1e-10)
-            z = cylinder_coordinates(spec, 1.0, x)
-            assert spec.g(z[None])[0] == pytest.approx(exact, abs=1e-8)
+            z = cylinder_coordinates(spec, 1.0, [x])
+            assert spec.g(z)[0] == pytest.approx(exact, abs=1e-8)
 
     def test_constant_functional(self, grid100):
         xi = lambda v, g: np.full(len(v), -2.0)
         spec = cylinder_approx(xi, 4, grid100)
         x = make_brownian(grid100, seed=6)
         assert xi(fejer_smooth(x, 4).values[None], grid100)[0] == -2.0
-        assert spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0] == -2.0
+        assert spec.g(cylinder_coordinates(spec, 1.0, [x]))[0] == -2.0
 
     def test_g_of_coordinates_equals_smoothed_evaluation(self, grid100):
         xi = lambda v, g: np.max(v[:, :, 0], axis=1)
         spec = cylinder_approx(xi, 6, grid100)
         x = make_brownian(grid100, seed=8, start=0.0)
         direct = float(np.max(fejer_smooth(x, 6).values[:, 0]))
-        via_g = spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0]
+        via_g = spec.g(cylinder_coordinates(spec, 1.0, [x]))[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
 
     def test_g_of_coordinates_equals_smoothed_evaluation_in_2d(self, grid100):
@@ -96,7 +96,7 @@ class TestCylinderApprox:
         spec = cylinder_approx(xi, 6, grid100, dimension=2)
         x = make_brownian(grid100, seed=9, dimension=2)
         direct = float(xi(fejer_smooth(x, 6).values[None], grid100)[0])
-        via_g = spec.g(cylinder_coordinates(spec, 1.0, x)[None])[0]
+        via_g = spec.g(cylinder_coordinates(spec, 1.0, [x]))[0]
         assert via_g == pytest.approx(direct, abs=1e-8)
 
     def test_lipschitz_transfer_for_sup(self):
@@ -111,7 +111,7 @@ class TestCylinderApprox:
 
 class TestFdPathwiseDerivs:
     def test_polynomial_lift(self, grid100):
-        u = LiftedFunctional(evaluate=lambda t, x, y: float(np.sum(y**2)))
+        u = lambda t, x, y: float(np.sum(y**2))
         x = make_brownian(grid100, seed=2)
         d = fd_pathwise_derivs(u, 0.4, x)
         yt = x.value_at(0.4)[0]
@@ -129,28 +129,26 @@ class TestFdPathwiseDerivs:
                 inner += (t - nodes[mask][-1]) * x.value_at(t)[0]
             return float(inner)
 
-        u = LiftedFunctional(evaluate=integral)
         x = make_brownian(grid100, seed=3)
         t = 0.5
-        d = fd_pathwise_derivs(u, t, x, delta=1e-5)
+        d = fd_pathwise_derivs(integral, t, x, delta=1e-5)
         assert d.horizontal == pytest.approx(x.value_at(t)[0], abs=1e-4)
         assert np.allclose(d.vertical, 0.0, atol=1e-8)
 
     def test_constant_lift_all_zero(self, grid100):
-        u = LiftedFunctional(evaluate=lambda t, x, y: 3.3)
+        u = lambda t, x, y: 3.3
         d = fd_pathwise_derivs(u, 0.2, make_brownian(grid100, seed=1))
         assert d.horizontal == 0.0
         assert np.allclose(d.vertical, 0.0)
         assert np.allclose(d.vertical2, 0.0)
 
     def test_horizontal_needs_room(self, grid100):
-        u = LiftedFunctional(evaluate=lambda t, x, y: float(y[0]))
+        u = lambda t, x, y: float(y[0])
         with pytest.raises(DomainError):
             fd_pathwise_derivs(u, 1.0, make_brownian(grid100, seed=1))
 
     def test_vertical2_symmetric(self, grid100):
-        u = LiftedFunctional(
-            evaluate=lambda t, x, y: float(y[0] * np.sin(y[1]) + y[1] ** 3))
+        u = lambda t, x, y: float(y[0] * np.sin(y[1]) + y[1] ** 3)
         x = make_brownian(grid100, seed=9, dimension=2)
         d = fd_pathwise_derivs(u, 0.3, x)
         assert np.allclose(d.vertical2, d.vertical2.T)

@@ -48,11 +48,11 @@ class TestComparisonFactorValues:
             at_t = [p for p in points if p.t == t]
             assert z.shape == (len(at_t), spec.n_factors)
             for i, p in enumerate(at_t):
-                one = cylinder_coordinates(spec, t, p.path)
-                assert np.array_equal(z[i], one)
+                one = cylinder_coordinates(spec, t, [p.path])
+                assert np.array_equal(z[i], one[0])
                 alone = finite_dim_solution(spec, t, one, *args, **kwargs)
-                assert sol.value[i] == alone.value
-                assert sol.value_stderr[i] == alone.value_stderr
+                assert sol.value[i] == alone.value[0]
+                assert sol.value_stderr[i] == alone.value_stderr[0]
 
     def test_scaled_gap_of_every_point(self):
         # G(p) = exp(lam t) (u - v_n) from per-point factor calls, with each
@@ -61,15 +61,17 @@ class TestComparisonFactorValues:
         xi = build_terminal("running_max", GRID)
         points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
         spec = cylinder_approx(xi.batch, SMALL["order"], GRID)
-        # the factor rule comparison_demo uses at its default z_samples
-        config = QuadratureConfig(z_rule="monte-carlo", z_samples=4096,
+        # the factor rule comparison_demo uses
+        config = QuadratureConfig(z_rule="monte-carlo",
+                                  z_samples=experiments.FACTOR_Z_SAMPLES,
                                   z_seed=seed + 17)
         for i, p in enumerate(points):
             u = candidate_solution(xi, p.t, p.path,
                                    MCConfig(n_samples=SMALL["n_mc"],
                                             seed=seed + 101 + i)).mean
-            vn = finite_dim_solution(spec, p.t, cylinder_coordinates(spec, p.t, p.path),
-                                     config, derivatives=False).value
+            vn = finite_dim_solution(spec, p.t,
+                                     cylinder_coordinates(spec, p.t, [p.path]),
+                                     config, derivatives=False).value[0]
             report = comparison_demo(GRID, seed, lam=lam, start_index=i, **SMALL)
             assert report.start_value == float(np.exp(lam * p.t) * (u - vn))
 

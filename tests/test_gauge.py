@@ -6,7 +6,7 @@ import pytest
 from pathheat.audit import (derivative_bound_audit,
                             estimate_gauge_quadrature_error, sandwich_audit,
                             validate_alpha)
-from pathheat.cylinders import LiftedFunctional, PathwiseDerivs
+from pathheat.cylinders import PathwiseDerivs
 from pathheat.errors import DomainError
 import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
@@ -148,8 +148,8 @@ class TestVerticalSmoothedDistance:
 
     def test_gradient_matches_fd_exact_rule(self, grid64):
         for anchor, t, x, y in random_lift_points(grid64, 1, 10, seed=9):
-            lift = LiftedFunctional(evaluate=lambda tt, xx, yy, _a=anchor:
-                                    vertical_smoothed_distance(_a, tt, xx, yy).value)
+            lift = (lambda tt, xx, yy, _a=anchor:
+                    vertical_smoothed_distance(_a, tt, xx, yy).value)
             sd = vertical_smoothed_distance(anchor, t, x, y)
             fd = fd_pathwise_derivs(lift, min(t, 1.0 - 0.05), x, y=y)
             assert sd.gradient[0] == pytest.approx(fd.vertical[0], abs=1e-5)

@@ -16,8 +16,7 @@ from pathheat import solver
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, cylinder_pathwise_derivs,
                              finite_dim_solution, flow_residual, pde_residual,
-                             running_max_exact_solution, sample_increments,
-                             solution_lift)
+                             running_max_exact_solution, sample_increments)
 from pathheat.streams import StreamKind, sample_stream, substream
 from pathheat.regularization import weights_at
 from scipy.integrate import quad
@@ -317,28 +316,53 @@ def _residual_reference(spec, t, x, config):
     at t from the derivative call, then a central difference in time
     (h = 1e-5 T), forward where t - h < 0 and second-order backward where
     t + h > T, with the branches tested in the opposite order."""
-    z = cylinder_coordinates(spec, t, x)
+    z = cylinder_coordinates(spec, t, [x])
 
     def solve(tt, derivatives):
-        return finite_dim_solution(spec, tt, z, config, dimension=x.dimension,
-                                   derivatives=derivatives, horizon=x.horizon)
+        sol = finite_dim_solution(spec, tt, z, config, dimension=x.dimension,
+                                  derivatives=derivatives, horizon=x.horizon)
+        if derivatives:
+            return float(sol.value[0]), sol.gradient[0], sol.hessian[0]
+        return float(sol.value[0])
 
-    sol = solve(t, True)
+    value, gradient, hessian = solve(t, True)
     h = 1e-5 * x.horizon
     if t + h <= x.horizon:
-        vp = solve(t + h, False).value
+        vp = solve(t + h, False)
         if t - h >= 0:
-            dt_est = (vp - solve(t - h, False).value) / (2 * h)
+            dt_est = (vp - solve(t - h, False)) / (2 * h)
         else:
-            dt_est = (vp - sol.value) / h
+            dt_est = (vp - value) / h
     else:
-        vm1 = solve(t - h, False).value
-        vm2 = solve(t - 2 * h, False).value
-        dt_est = (3.0 * sol.value - 4.0 * vm1 + vm2) / (2 * h)
+        vm1 = solve(t - h, False)
+        vm2 = solve(t - 2 * h, False)
+        dt_est = (3.0 * value - 4.0 * vm1 + vm2) / (2 * h)
     sigma = cylinder_sigma(spec, t, x.dimension)
-    return PathwiseDerivs(horizontal=float(dt_est),
-                          vertical=sigma.T @ sol.gradient,
-                          vertical2=sigma.T @ sol.hessian @ sigma).heat_operator()
+    return PathwiseDerivs(horizontal=dt_est,
+                          vertical=sigma.T @ gradient,
+                          vertical2=sigma.T @ hessian @ sigma).heat_operator()
+
+
+def _coupled_spec():
+    """Three weights at d = 2, so 6 coordinates, all coupled by g(z) =
+    sin(a . z) + exp(c . z / 10)."""
+    a = np.array([0.9, -0.4, 0.7, 0.3, -1.1, 0.5])
+    c = np.array([0.2, 1.0, -0.6, 0.8, 0.1, -0.3])
+
+    def g(zs):
+        return np.sin(zs @ a) + np.exp(zs @ c / 10)
+
+    def gradient(zs):
+        return np.cos(zs @ a)[:, None] * a + (np.exp(zs @ c / 10) / 10)[:, None] * c
+
+    def hessian(zs):
+        return (-np.sin(zs @ a)[:, None, None] * np.outer(a, a)
+                + (np.exp(zs @ c / 10) / 100)[:, None, None] * np.outer(c, c))
+
+    return CylinderSpec(g=g, gradient=gradient, hessian=hessian,
+                        psi=[lambda s: 1.0, lambda s: np.cos(np.pi * s),
+                             lambda s: np.asarray(s, float) ** 2],
+                        name="coupled")
 
 
 class TestCylinderTerminals:
@@ -350,8 +374,9 @@ class TestCylinderTerminals:
         values = extend_with_increments(
             0.0, GridPath.zero(grid),
             sample_increments(grid, 0, 1, 12, np.arange(200)))
-        rows = np.stack([cylinder_coordinates(xi.cylinder, 1.0, GridPath(grid, v))
-                         for v in values])
+        rows = np.concatenate([cylinder_coordinates(xi.cylinder, 1.0,
+                                                    [GridPath(grid, v)])
+                               for v in values])
         assert np.array_equal(xi.evaluate_batch(values, grid), xi.cylinder.g(rows))
 
 
@@ -386,16 +411,16 @@ class TestFactorSolution:
         x = make_brownian(grid, seed=11)
         xi = build_terminal(name, grid)
         sol = finite_dim_solution(xi.cylinder, t,
-                                  cylinder_coordinates(xi.cylinder, t, x),
+                                  cylinder_coordinates(xi.cylinder, t, [x]),
                                   derivatives=False)
         est = candidate_solution(xi, t, x, MCConfig(n_samples=20_000, seed=5))
         assert est.stderr > 0
-        assert abs(sol.value - est.mean) <= 4 * est.stderr
+        assert abs(sol.value[0] - est.mean) <= 4 * est.stderr
 
     @pytest.mark.parametrize("name", CYLINDERS + ["fejer"])
     def test_value_only_equals_value_with_derivatives(self, name):
         grid = TimeGrid(1.0, 50)
-        x = make_brownian(grid, seed=2)
+        paths = [make_brownian(grid, seed=s) for s in (2, 3, 4)]
         config = QuadratureConfig()
         if name == "fejer":
             # the Monte-Carlo rule of comparison-demo; a Fejer spec has no
@@ -408,14 +433,16 @@ class TestFactorSolution:
         else:
             spec = build_terminal(name, grid).cylinder
         for t in (0.0, 0.3, 1.0 - 1e-5, 1.0):
-            z = cylinder_coordinates(spec, t, x)
+            z = cylinder_coordinates(spec, t, paths)
             full = finite_dim_solution(spec, t, z, config)
             value_only = finite_dim_solution(spec, t, z, config, derivatives=False)
-            assert value_only.value == full.value
-            assert value_only.value_stderr == full.value_stderr
+            assert np.array_equal(value_only.value, full.value)
+            assert np.array_equal(value_only.value_stderr, full.value_stderr)
             assert value_only.gradient is None and value_only.hessian is None
-            assert full.gradient.shape == (z.size,)
-            assert full.hessian.shape == (z.size, z.size)
+            n, m = z.shape
+            assert full.value.shape == full.value_stderr.shape == (n,)
+            assert full.gradient.shape == (n, m)
+            assert full.hessian.shape == (n, m, m)
 
     @pytest.mark.parametrize("name", ["cyl:trig2", "fejer"])
     def test_rows_equal_rows_one_at_a_time(self, name):
@@ -434,9 +461,38 @@ class TestFactorSolution:
             assert sol.value.shape == sol.value_stderr.shape == (len(paths),)
             assert sol.gradient is None and sol.hessian is None
             for i, z in enumerate(rows):
-                one = finite_dim_solution(spec, t, z, config, derivatives=False)
-                assert sol.value[i] == one.value
-                assert sol.value_stderr[i] == one.value_stderr
+                one = finite_dim_solution(spec, t, z[None], config,
+                                          derivatives=False)
+                assert sol.value[i] == one.value[0]
+                assert sol.value_stderr[i] == one.value_stderr[0]
+
+    def test_rows_and_paths_equal_each_alone(self):
+        # m = 6 at d = 2 takes the Monte-Carlo rule; t = 0 takes the forward
+        # time quotient, 0.3 the central and 1 - 1e-6 the backward one
+        grid = TimeGrid(1.0, 40)
+        spec = _coupled_spec()
+        paths = [make_brownian(grid, seed=s, dimension=2) for s in range(5)]
+        config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
+        for t in (0.0, 0.3, 1.0 - 1e-6):
+            rows = cylinder_coordinates(spec, t, paths)
+            assert rows.shape == (5, 6)
+            sol = finite_dim_solution(spec, t, rows, config, dimension=2)
+            derivs = cylinder_pathwise_derivs(spec, t, paths, config)
+            res = pde_residual(spec, t, paths, config)
+            assert derivs.horizontal.shape == res.shape == (5,)
+            assert derivs.vertical.shape == (5, 2)
+            assert derivs.vertical2.shape == (5, 2, 2)
+            for i, x in enumerate(paths):
+                one = finite_dim_solution(spec, t, rows[i:i + 1], config,
+                                          dimension=2)
+                for field in ("value", "value_stderr", "gradient", "hessian"):
+                    assert np.array_equal(getattr(sol, field)[i],
+                                          getattr(one, field)[0])
+                alone = cylinder_pathwise_derivs(spec, t, [x], config)
+                assert derivs.horizontal[i] == alone.horizontal[0]
+                assert np.array_equal(derivs.vertical[i], alone.vertical[0])
+                assert np.array_equal(derivs.vertical2[i], alone.vertical2[0])
+                assert res[i] == pde_residual(spec, t, [x], config)[0]
 
     def test_rows_evaluate_g_one_row_at_a_time(self):
         # memory stays O(k m): g never sees the nodes of two rows at once
@@ -453,12 +509,12 @@ class TestFactorSolution:
         finite_dim_solution(spec, 0.4, rows, config, derivatives=False)
         assert seen == [(64, 5)] * 3
 
-    def test_rows_are_value_only(self):
+    def test_z_must_be_coordinate_rows(self):
         spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
-        with pytest.raises(DomainError, match="one coordinate row"):
-            finite_dim_solution(spec, 0.3, np.zeros((2, 2)))
-        with pytest.raises(DomainError):
-            finite_dim_solution(spec, 0.3, np.zeros((1, 2, 2)), derivatives=False)
+        for derivatives in (True, False):
+            for z in (np.zeros(2), np.zeros((1, 2, 2))):
+                with pytest.raises(DomainError, match="coordinate rows"):
+                    finite_dim_solution(spec, 0.3, z, derivatives=derivatives)
 
     @pytest.mark.parametrize("name", CYLINDERS)
     def test_pde_residual_equals_reference_difference(self, name):
@@ -468,55 +524,68 @@ class TestFactorSolution:
         config = QuadratureConfig()
         # t = 0 takes the forward form, the last times the backward one
         for t in (0.0, 0.37, 1.0 - grid.dt, 1.0 - 1e-5, 1.0 - 4e-6):
-            res = pde_residual(spec, t, x, config)
-            assert res == _residual_reference(spec, t, x, config)
-            assert abs(res) < 1e-3
+            res = pde_residual(spec, t, [x], config)
+            assert res.shape == (1,)
+            assert res[0] == _residual_reference(spec, t, x, config)
+            assert abs(res[0]) < 1e-3
 
     @pytest.mark.parametrize("name", ["cyl:exponential", "cyl:trig2"])
-    def test_solution_lift_derivatives_match_finite_differences(self, name):
+    def test_jumped_derivatives_match_fd(self, name):
+        # a present value y moves the coordinates by sigma(t) (y - x(t)), a
+        # jump at the current time; at y = x(t) the jump is zero
         grid = TimeGrid(1.0, 100)
         x = make_brownian(grid, seed=9)
         spec = build_terminal(name, grid).cylinder
-        lift = solution_lift(spec)
+
+        def jumped(t, x, y, derivatives=False):
+            sigma = cylinder_sigma(spec, t, x.dimension)
+            jump = np.atleast_1d(np.asarray(y, float)) - x.value_at(t)
+            z = cylinder_coordinates(spec, t, [x]) + sigma @ jump
+            sol = finite_dim_solution(spec, t, z, derivatives=derivatives)
+            if not derivatives:
+                return float(sol.value[0])
+            return (sigma.T @ sol.gradient[0],
+                    sigma.T @ sol.hessian[0] @ sigma)
+
         for t in (0.3, 0.6):
-            exact = cylinder_pathwise_derivs(spec, t, x)
-            at_path = lift.derivs(t, x)
-            assert at_path.horizontal == exact.horizontal
-            assert np.array_equal(at_path.vertical, exact.vertical)
-            assert np.array_equal(at_path.vertical2, exact.vertical2)
+            exact = cylinder_pathwise_derivs(spec, t, [x])
+            at_path = PathwiseDerivs(exact.horizontal[0],
+                                     *jumped(t, x, x.value_at(t), True))
+            assert np.array_equal(at_path.vertical, exact.vertical[0])
+            assert np.array_equal(at_path.vertical2, exact.vertical2[0])
             y = x.value_at(t) + 0.2
-            fd = fd_pathwise_derivs(lift, t, x, y=y)
-            shifted = lift.derivs(t, x, y)
-            assert fd.horizontal == pytest.approx(exact.horizontal, abs=1e-3)
-            assert np.allclose(fd.vertical, shifted.vertical, atol=1e-6)
-            assert np.allclose(fd.vertical2, shifted.vertical2, atol=1e-5)
+            fd = fd_pathwise_derivs(jumped, t, x, y=y)
+            vertical, vertical2 = jumped(t, x, y, True)
+            assert fd.horizontal == pytest.approx(exact.horizontal[0], abs=1e-3)
+            assert np.allclose(fd.vertical, vertical, atol=1e-6)
+            assert np.allclose(fd.vertical2, vertical2, atol=1e-5)
 
     def test_monte_carlo_stderr_from_pair_means(self):
         # g is linear in z, so every antithetic pair averages to g(z)
         spec = build_terminal("cyl:linear", TimeGrid(1.0, 10)).cylinder
         config = QuadratureConfig(z_rule="monte-carlo", z_samples=1000, z_seed=4)
-        sol = finite_dim_solution(spec, 0.2, np.array([0.3]), config)
-        assert sol.value == pytest.approx(0.3, abs=1e-14)
-        assert sol.value_stderr < 1e-15
+        sol = finite_dim_solution(spec, 0.2, np.array([[0.3]]), config)
+        assert sol.value[0] == pytest.approx(0.3, abs=1e-14)
+        assert sol.value_stderr[0] < 1e-15
 
     def test_monte_carlo_stderr_covers_error(self):
         # over many rule seeds the errors, in units of the reported stderr,
         # must have unit spread; the Gauss-Hermite value is the reference
         spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
-        z = np.array([0.7, -0.4])
-        exact = finite_dim_solution(spec, 0.3, z, derivatives=False).value
+        z = np.array([[0.7, -0.4]])
+        exact = finite_dim_solution(spec, 0.3, z, derivatives=False).value[0]
         scores = []
         for seed in range(200):
             config = QuadratureConfig(z_rule="monte-carlo", z_samples=200,
                                       z_seed=seed)
             sol = finite_dim_solution(spec, 0.3, z, config, derivatives=False)
-            scores.append((sol.value - exact) / sol.value_stderr)
+            scores.append((sol.value[0] - exact) / sol.value_stderr[0])
         assert 0.9 < np.std(scores) < 1.15
 
     def test_monte_carlo_rule_needs_two_pairs(self):
         spec = build_terminal("cyl:linear", TimeGrid(1.0, 10)).cylinder
         with pytest.raises(DomainError, match="two antithetic pairs"):
-            finite_dim_solution(spec, 0.2, np.array([0.3]),
+            finite_dim_solution(spec, 0.2, np.array([[0.3]]),
                                 QuadratureConfig(z_rule="monte-carlo", z_samples=3))
 
     @pytest.mark.parametrize("samples", [1, 2, 5])
@@ -536,7 +605,7 @@ class TestFactorSolution:
 
     def test_time_outside_horizon_rejected(self):
         spec = build_terminal("cyl:trig2", TimeGrid(1.0, 10)).cylinder
-        z = np.array([0.3, -0.2])
+        z = np.array([[0.3, -0.2]])
         for t in (-1e-3, -1e-13, 1.5):
             with pytest.raises(DomainError):
                 finite_dim_solution(spec, t, z)
@@ -548,8 +617,8 @@ class TestFactorSolution:
         spec = build_terminal(name, grid).cylinder
         config = QuadratureConfig()
         for t in (0.0, 0.45):
-            z = cylinder_coordinates(spec, t, x)
-            sol = finite_dim_solution(spec, t, z, config)
+            z = cylinder_coordinates(spec, t, [x])[0]
+            sol = finite_dim_solution(spec, t, z[None], config)
             u, weights = gaussian_rule(config, z.size, allow_exact=False,
                                        gh_max_dim=3)
             pts = z + u @ solver._factor_matrix(spec, t, 1.0, 1).T
@@ -558,25 +627,25 @@ class TestFactorSolution:
             for w, p in zip(weights, pts):
                 grad += w * spec.gradient(p[None])[0]
                 hess += w * spec.hessian(p[None])[0]
-            assert np.allclose(sol.gradient, grad, rtol=0.0, atol=1e-14)
-            assert np.allclose(sol.hessian, hess, rtol=0.0, atol=1e-14)
+            assert np.allclose(sol.gradient[0], grad, rtol=0.0, atol=1e-14)
+            assert np.allclose(sol.hessian[0], hess, rtol=0.0, atol=1e-14)
 
     def test_scalar_style_evaluators_rejected(self):
         one = lambda s: 1.0
         spec = CylinderSpec(g=lambda z: float(z[0]), psi=[one], name="scalar")
         for t in (0.5, 1.0):
             with pytest.raises(ContractError, match="'scalar' g"):
-                finite_dim_solution(spec, t, np.array([0.1]), derivatives=False)
+                finite_dim_solution(spec, t, np.array([[0.1]]), derivatives=False)
         spec = CylinderSpec(g=lambda zs: zs[:, 0], psi=[one], name="flat",
                             gradient=lambda zs: np.ones(len(zs)),
                             hessian=lambda zs: np.zeros((len(zs), 1, 1)))
         with pytest.raises(ContractError, match=r"'flat' gradient returned "
                                                 r"shape \(\d+,\)"):
-            finite_dim_solution(spec, 0.5, np.array([0.1]))
+            finite_dim_solution(spec, 0.5, np.array([[0.1]]))
         spec = replace(spec, gradient=np.ones_like,
                        hessian=lambda zs: np.zeros((len(zs), 1)))
         with pytest.raises(ContractError, match="'flat' hessian"):
-            finite_dim_solution(spec, 0.5, np.array([0.1]))
+            finite_dim_solution(spec, 0.5, np.array([[0.1]]))
 
     def test_terminal_batch_shape_checked(self):
         grid = TimeGrid(1.0, 8)
@@ -591,4 +660,4 @@ class TestFactorSolution:
         grid = TimeGrid(1.0, 10)
         spec = build_terminal("cyl:quadratic", grid).cylinder
         with pytest.raises(DomainError):
-            pde_residual(spec, 1.0, make_brownian(grid, seed=1))
+            pde_residual(spec, 1.0, [make_brownian(grid, seed=1)])
