@@ -433,7 +433,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                    choices=["candidate", "subsolution"])
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--n-points", type=int, default=200, dest="n_points")
-    p.add_argument("--n-mc", type=int, default=2000, dest="n_mc")
+    p.add_argument("--n-mc", type=int, default=2000, dest="n_mc",
+                   help="Monte-Carlo samples of the candidate solution u per "
+                        "point; the points at one time share their draws")
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)

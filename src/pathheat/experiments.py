@@ -17,6 +17,7 @@ escape branch and is reported as such, consistent with the theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -162,6 +163,17 @@ def comparison_demo(grid: TimeGrid, seed: int,
     "subsolution" takes u = solution - ``SUBSOLUTION_OFFSET``, a strict
     subsolution.  The factor values of v_n use the Monte-Carlo z-rule with
     ``FACTOR_Z_SAMPLES`` nodes.
+
+    u takes one :func:`candidate_solution` call per distinct point time:
+    the j-th time in increasing order gets seed + 101 + j, and all points
+    at that time share its draws.  ``stat_allowance`` stays a bound per
+    point, 3 lam max exp(lam t) (stderr of u + stderr of v_n): each point's
+    estimate and stderr are exactly those of the point alone under its
+    time's seed, so common draws do not weaken it; they only correlate the
+    errors of points at one time, which makes their differences less noisy.
+    ``deltas`` must be finite, positive and strictly decreasing, as the
+    vanishing-delta estimate and the monotone right side assume; anything
+    else raises :class:`InputError` before any Monte-Carlo work.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
@@ -169,6 +181,14 @@ def comparison_demo(grid: TimeGrid, seed: int,
         raise InputError(f"the scaling rate lam must be positive, got {lam}")
     if not deltas:
         raise InputError("the perturbation weights deltas must not be empty")
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta > 0):
+            raise InputError(f"every perturbation weight delta must be finite "
+                             f"and positive, got {delta}")
+    for a, b in zip(deltas, deltas[1:]):
+        if not b < a:
+            raise InputError(f"the perturbation weights deltas must strictly "
+                             f"decrease, got {b} after {a}")
     say = progress or (lambda s: None)
     xi = build_terminal(terminal, grid)
 
@@ -187,22 +207,23 @@ def comparison_demo(grid: TimeGrid, seed: int,
     say(f"space of {len(pts)} points; smoothing order {order} "
         f"({n_coords} coordinates)")
 
-    # Step II: exponential scaling of both sides.
+    # Step II: exponential scaling of both sides.  The Monte-Carlo values
+    # and the factor matrix depend only on the time: one call of each per
+    # time, the MC call on draws common to the time's points.
+    times = np.array([p.t for p in pts])
     u_vals = np.empty(len(pts))
     u_err = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        est = candidate_solution(xi, p.t, p.path,
-                                 MCConfig(n_samples=n_mc, seed=seed + 101 + i))
-        u_vals[i] = est.mean
-        u_err[i] = est.stderr
-    # the factor matrix depends only on the time: one factor call per time
-    times = np.array([p.t for p in pts])
     vn_vals = np.empty(len(pts))
     vn_err = np.empty(len(pts))
     # not np.unique: numpy 2.4's imports numpy.ma on its first call
-    for t in sorted(set(times.tolist())):
+    for j, t in enumerate(sorted(set(times.tolist()))):
         at_t = np.flatnonzero(times == t)
-        z = cylinder_coordinates(spec_n, t, [pts[i].path for i in at_t])
+        paths = [pts[i].path for i in at_t]
+        ests = candidate_solution(xi, t, paths,
+                                  MCConfig(n_samples=n_mc, seed=seed + 101 + j))
+        u_vals[at_t] = [est.mean for est in ests]
+        u_err[at_t] = [est.stderr for est in ests]
+        z = cylinder_coordinates(spec_n, t, paths)
         sol = finite_dim_solution(spec_n, t, z, factor_config,
                                   derivatives=False, horizon=grid.horizon)
         vn_vals[at_t] = sol.value

@@ -5,7 +5,8 @@ for cylinder terminal conditions with its pathwise derivatives.
 The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t, estimated by Monte
 Carlo with the extension's increment and its positive part as control
-variates (:func:`candidate_solution`).  For cylinder
+variates (:func:`candidate_solution`, one estimate per path, all paths at
+one time on common draws).  For cylinder
 functionals the same value is a finite-dimensional Gaussian average of g
 at the coordinates z(t, x) (:func:`finite_dim_solution`, one average per
 coordinate row, all rows at one time); the two routes cross-validate each
@@ -193,8 +194,9 @@ def _pool(a, b):
     return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
-def candidate_solution(xi: TerminalFunctional, t: float, x: GridPath,
-                       cfg: MCConfig) -> MCEstimate:
+def candidate_solution(xi: TerminalFunctional, t: float,
+                       x: GridPath | Sequence[GridPath], cfg: MCConfig
+                       ) -> MCEstimate | tuple[MCEstimate, ...]:
     """Control-variate Monte-Carlo mean of xi over Brownian extensions from
     (t, x).
 
@@ -219,10 +221,25 @@ def candidate_solution(xi: TerminalFunctional, t: float, x: GridPath,
     The fit is built from centred moments pooled chunk by chunk, so it is a
     function of the sample set alone, whatever the chunk size; sample i is a
     pure function of (seed, i).
+
+    ``x`` may also be a sequence of paths on one grid and in one dimension;
+    the call then returns a tuple with one estimate per path.  The paths
+    share their draws (common random numbers): each chunk of increments is
+    drawn once, sample i from stream (seed, i), and summed once, and every
+    path extends from its own x(t) by that one walk.  Each path keeps its
+    own terminal evaluation and its own control-variate fit, so its estimate
+    equals, bit for bit, the estimate for that path alone.  A single path is
+    a batch of one.
     """
-    grid = x.grid
+    paths = (x,) if isinstance(x, GridPath) else tuple(x)
+    if not paths:
+        raise DomainError("candidate_solution needs at least one path")
+    grid, d = paths[0].grid, paths[0].dimension
+    if any(p.grid != grid for p in paths):
+        raise DomainError("the paths of one call must share a grid")
+    if any(p.dimension != d for p in paths):
+        raise DomainError("the paths of one call must share a dimension")
     k = grid.index_of(t)
-    d = x.dimension
     n = cfg.n_samples
     units = n // 2 if cfg.antithetic else n
     n_controls = 0 if k == grid.steps else (d if cfg.antithetic else 2 * d)
@@ -234,39 +251,49 @@ def candidate_solution(xi: TerminalFunctional, t: float, x: GridPath,
     positive_mean = math.sqrt((grid.steps - k) * grid.dt / (2.0 * math.pi))
     means = [positive_mean] * d if cfg.antithetic else [0.0] * d + [positive_mean] * d
     control_means = np.array(means)[:n_controls]
-    x_t = x.values[k]
-    moments = None
+    moments = [None] * len(paths)
     buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
+    # the walk from 0 after node k; a single path extends over it in place
+    walk = (buf[:, k + 1:] if len(paths) == 1
+            else np.empty((len(buf), grid.steps - k, d)))
     for lo in range(0, n, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, n))
+        steps = walk[: idx.size]
+        sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic, out=steps)
+        np.cumsum(steps, axis=1, out=steps)
         vals = buf[: idx.size]
-        sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic,
-                          out=vals[:, k + 1:])
-        extend_with_increments(t, x, vals[:, k + 1:], out=vals)
-        out = xi.evaluate_batch(vals, grid)
-        if not np.all(np.isfinite(out)):
-            bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
-            raise NumericError(f"terminal functional non-finite at sample {bad}")
-        b = vals[:, -1] - x_t
-        if cfg.antithetic:
-            cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
-                    out.reshape(-1, 2).mean(axis=1)[:, None]]
-        else:
-            cols = [b, np.maximum(b, 0.0), out[:, None]]
-        # the controls, then the fitted unit; at t = T the controls are
-        # identically zero and are left out
-        z = np.concatenate(cols, axis=1)[:, -1 - n_controls:]
-        moments = _pool(moments, _moments(z))
-    _, mean, cross = moments
-    ybar, syy = mean[-1], cross[-1, -1]
-    beta = np.linalg.lstsq(cross[:-1, :-1], cross[:-1, -1], rcond=None)[0]
-    rss = max(syy - cross[:-1, -1] @ beta, _RSS_FLOOR * (syy + units * ybar**2))
-    est = MCEstimate(mean=float(ybar - beta @ (mean[:-1] - control_means)),
-                     stderr=float(math.sqrt(rss / (units - p) / units)),
-                     n_samples=n, seed=cfg.seed)
-    if xi.bound is not None and abs(est.mean) > xi.bound + 1e-12:
-        raise NumericError("mean escaped the declared bound of the functional")
-    return est
+        for j, path in enumerate(paths):
+            x_t = path.values[k]
+            vals[:, : k + 1] = path.values[: k + 1]
+            np.add(steps, x_t, out=vals[:, k + 1:])
+            out = xi.evaluate_batch(vals, grid)
+            if not np.all(np.isfinite(out)):
+                bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
+                raise NumericError(f"terminal functional non-finite at sample "
+                                   f"{bad} of path {j}")
+            b = vals[:, -1] - x_t
+            if cfg.antithetic:
+                cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
+                        out.reshape(-1, 2).mean(axis=1)[:, None]]
+            else:
+                cols = [b, np.maximum(b, 0.0), out[:, None]]
+            # the controls, then the fitted unit; at t = T the controls are
+            # identically zero and are left out
+            z = np.concatenate(cols, axis=1)[:, -1 - n_controls:]
+            moments[j] = _pool(moments[j], _moments(z))
+    ests = []
+    for _, mean, cross in moments:
+        ybar, syy = mean[-1], cross[-1, -1]
+        beta = np.linalg.lstsq(cross[:-1, :-1], cross[:-1, -1], rcond=None)[0]
+        rss = max(syy - cross[:-1, -1] @ beta,
+                  _RSS_FLOOR * (syy + units * ybar**2))
+        est = MCEstimate(mean=float(ybar - beta @ (mean[:-1] - control_means)),
+                         stderr=float(math.sqrt(rss / (units - p) / units)),
+                         n_samples=n, seed=cfg.seed)
+        if xi.bound is not None and abs(est.mean) > xi.bound + 1e-12:
+            raise NumericError("mean escaped the declared bound of the functional")
+        ests.append(est)
+    return ests[0] if isinstance(x, GridPath) else tuple(ests)
 
 
 def running_max_exact_solution(t: float, x: GridPath, cfg: MCConfig) -> MCEstimate:

@@ -16,7 +16,10 @@ Stream families (``kind``), all keyed by the master seed:
 * kind 0, :func:`sample_stream` (seed, i): Monte-Carlo sample i of
   ``solver.sample_increments``, hence of ``candidate_solution``, the outer
   samples of ``flow_residual`` and the Euler ensemble of ``ito_verify``
-  (an antithetic pair 2j, 2j+1 shares stream j).
+  (an antithetic pair 2j, 2j+1 shares stream j).  Every path of one
+  ``candidate_solution`` call extends with the same sample i; so the points
+  of ``experiments.comparison_demo`` at its j-th time, in increasing order,
+  all read streams (seed + 101 + j, i).
 * :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
   inner restarts of ``flow_residual`` (FLOW_INNER), the bridge maxima of
   ``running_max_exact_solution`` (BRIDGE), the jump draws of

@@ -214,6 +214,18 @@ class TestEntryPoint:
                 "--z-rule", "exact", "--out", str(tmp_path)]
         assert cli.run(argv) == 2
 
+    @pytest.mark.parametrize("delta", ["-0.1", "nan", "0.1,0.2"])
+    def test_bad_delta_exits_2(self, tmp_path, capsys, delta):
+        argv = ["comparison-demo", "--seed", "1", "--steps", "50", "--order",
+                "8", "--n-points", "5", "--n-mc", "100", "--delta", delta,
+                "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the space is built
+        assert captured.err.startswith("pathheat: error: ")
+        assert delta.split(",")[-1] in captured.err
+        assert not (tmp_path / "comparison_demo.csv").exists()
+
     def test_slope_from_one_grid_exits_2(self, tmp_path, capsys):
         argv = ["ito-check", "--seed", "1", "--n-paths", "16", "--exponents",
                 "5", "--out", str(tmp_path)]
@@ -398,8 +410,9 @@ class TestEntryPoint:
 
 
 # Tiny configs, each well under 2 s.  comparison-demo exits 0 only when the
-# chain's right side is monotone in delta, which holds at seed 1 here (it
-# fails on a few seeds, see bench/workloads.py).
+# chain's right side is monotone in delta, which holds at seed 2 here (it
+# fails on a few seeds, seed 1 among them: see
+# test_non_monotone_right_side_exits_1 and bench/workloads.py).
 SMOKE = [
     (["solve", "--seed", "1", "--steps", "8", "--n-samples", "16"],
      "solve.csv"),
@@ -412,7 +425,7 @@ SMOKE = [
     (["vp-run", "--seed", "3", "--n-points", "12"], "vp_run.csv"),
     (["approx", "--seed", "1", "--steps", "128", "--orders", "16,32,64"],
      "approx.csv"),
-    (["comparison-demo", "--seed", "1", "--steps", "50", "--order", "8",
+    (["comparison-demo", "--seed", "2", "--steps", "50", "--order", "8",
       "--n-points", "5", "--n-mc", "100"], "comparison_demo.csv"),
 ]
 
@@ -432,3 +445,16 @@ class TestSubcommandSmoke:
         lines = (tmp_path / csv_name).read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert len(lines) >= 3  # provenance, header, at least one row
+
+    def test_non_monotone_right_side_exits_1(self, tmp_path, capsys):
+        # at seed 1 the VP limit jumps from t = 0.24 to t = 0.5 as delta
+        # halves and delta * L phi rises: the verdict is consistent, but the
+        # CLI gates on a monotone right side too, which the theory does not
+        # promise
+        argv = ["comparison-demo", "--seed", "1", "--steps", "50", "--order",
+                "8", "--n-points", "5", "--n-mc", "100", "--out", str(tmp_path)]
+        assert cli.run(argv) == 1
+        assert ("verdict=consistent, rhs monotone=False"
+                in capsys.readouterr().out)
+        rows = (tmp_path / "comparison_demo.csv").read_text().splitlines()
+        assert len(rows) == 2 + 3

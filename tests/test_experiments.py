@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from pathheat import experiments
+from pathheat import experiments, solver
 from pathheat.cylinders import cylinder_approx, cylinder_coordinates
 from pathheat.errors import InputError
 from pathheat.experiments import brownian_search_space, comparison_demo
@@ -9,10 +11,24 @@ from pathheat.grids import TimeGrid
 from pathheat.quadrature import QuadratureConfig
 from pathheat.solver import (MCConfig, build_terminal, candidate_solution,
                              finite_dim_solution)
+from pathheat.streams import sample_stream
 
 GRID = TimeGrid(1.0, 50)
 # the comparison-demo smoke config of tests/test_cli.py
 SMALL = dict(order=8, n_paths=5, n_mc=100)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The (seed, index) of every Monte-Carlo sample stream opened."""
+    calls = []
+
+    def spy(seed, index, into=None):
+        calls.append((seed, index))
+        return sample_stream(seed, index, into)
+
+    monkeypatch.setattr(solver, "sample_stream", spy)
+    return calls
 
 
 class TestComparisonInput:
@@ -29,6 +45,15 @@ class TestComparisonInput:
     def test_no_deltas(self):
         with pytest.raises(InputError, match="deltas"):
             comparison_demo(GRID, 1, deltas=(), **SMALL)
+
+    @pytest.mark.parametrize("deltas,named", [
+        ((-0.1,), "-0.1"), ((math.nan,), "nan"), ((0.1, math.inf), "inf"),
+        ((0.1, 0.0), "0.0"), ((0.1, 0.1), "0.1 after 0.1"),
+        ((0.05, 0.1, 0.025), "0.1 after 0.05")])
+    def test_bad_deltas_rejected_before_any_mc(self, deltas, named, opened):
+        with pytest.raises(InputError, match=f"delta.*{named}"):
+            comparison_demo(GRID, 1, deltas=deltas, **SMALL)
+        assert opened == []
 
 
 class TestComparisonFactorValues:
@@ -65,10 +90,12 @@ class TestComparisonFactorValues:
         config = QuadratureConfig(z_rule="monte-carlo",
                                   z_samples=experiments.FACTOR_Z_SAMPLES,
                                   z_seed=seed + 17)
+        times = sorted({p.t for p in points})
         for i, p in enumerate(points):
+            # the seed of the point's time, the j-th in increasing order
             u = candidate_solution(xi, p.t, p.path,
                                    MCConfig(n_samples=SMALL["n_mc"],
-                                            seed=seed + 101 + i)).mean
+                                            seed=seed + 101 + times.index(p.t))).mean
             vn = finite_dim_solution(spec, p.t,
                                      cylinder_coordinates(spec, p.t, [p.path]),
                                      config, derivatives=False).value[0]
@@ -76,10 +103,23 @@ class TestComparisonFactorValues:
             assert report.start_value == float(np.exp(lam * p.t) * (u - vn))
 
 
-# (verdict, contradiction exhibited, limit time per delta), recorded before
-# the factor values were batched by time
+class TestComparisonMonteCarlo:
+    def test_one_stream_per_sample_and_time(self, opened):
+        # 5 points at 3 times: one Monte-Carlo call per time, n_mc streams
+        # each, under the seed of the time
+        seed = 3
+        comparison_demo(GRID, seed, **SMALL)
+        points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
+        n_times = len({p.t for p in points})
+        assert n_times == 3
+        assert opened == [(seed + 101 + j, i) for j in range(n_times)
+                          for i in range(SMALL["n_mc"])]
+
+
+# (verdict, contradiction exhibited, limit time per delta), recorded with one
+# Monte-Carlo call per point time on common draws
 VERDICTS = {
-    "candidate": {1: ("consistent", False, (0.5, 0.5, 0.5)),
+    "candidate": {1: ("consistent", False, (0.24, 0.5, 0.5)),
                   2: ("consistent", True, (0.24, 0.76, 0.76)),
                   3: ("consistent", True, (0.24, 0.24, 0.24)),
                   4: ("consistent", True, (0.5, 0.5, 0.5)),

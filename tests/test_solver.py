@@ -311,6 +311,77 @@ class TestControlVariates:
         assert est.stderr == pytest.approx(math.sqrt(solver._RSS_FLOOR) * abs(est.mean))
 
 
+# a terminal that reads every component at d = 2 and never saturates
+_PRODUCT_MAX = solver.TerminalFunctional(
+    name="product_max",
+    batch=lambda v, g: np.max(v[:, :, 0] * v[:, :, -1] + v[:, :, 0], axis=1))
+
+
+class TestCandidateBatch:
+    # n = _CHUNK + 6 on 8 steps: a full chunk, then a ragged one of 6
+    GRID = TimeGrid(1.0, 8)
+    N = solver._CHUNK + 6
+    CASES = [(antithetic, d, t) for antithetic in (False, True)
+             for d in (1, 2) for t in (0.0, 0.375, 1.0)]
+
+    def _paths(self, d):
+        return [make_brownian(self.GRID, seed=s, dimension=d, start=0.4 * s - 0.6)
+                for s in range(4)]
+
+    @pytest.mark.parametrize("antithetic,d,t", CASES)
+    def test_each_path_equals_that_path_alone(self, antithetic, d, t):
+        cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
+        paths = self._paths(d)
+        batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg)
+        assert isinstance(batch, tuple) and len(batch) == len(paths)
+        for est, path in zip(batch, paths):
+            alone = candidate_solution(_PRODUCT_MAX, t, path, cfg)
+            assert isinstance(alone, MCEstimate)
+            assert est == alone  # mean and stderr exactly, seed and count
+
+    @pytest.mark.parametrize("antithetic,d,t", CASES)
+    def test_permuting_paths_permutes_estimates(self, antithetic, d, t):
+        cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
+        paths = self._paths(d)
+        order = [2, 0, 3, 1]
+        batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg)
+        permuted = candidate_solution(_PRODUCT_MAX, t, [paths[i] for i in order],
+                                      cfg)
+        assert permuted == tuple(batch[i] for i in order)
+
+    @pytest.mark.parametrize("antithetic,d,t", CASES)
+    def test_one_stream_per_sample_whatever_the_paths(self, antithetic, d, t,
+                                                      monkeypatch):
+        opened = []
+
+        def spy(seed, index, into=None):
+            opened.append((seed, index))
+            return sample_stream(seed, index, into)
+
+        monkeypatch.setattr(solver, "sample_stream", spy)
+        cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
+        candidate_solution(_PRODUCT_MAX, t, self._paths(d)[0], cfg)
+        alone = list(opened)
+        opened.clear()
+        candidate_solution(_PRODUCT_MAX, t, self._paths(d), cfg)
+        # an antithetic pair 2j, 2j+1 shares stream j; at t = T nothing is drawn
+        units = self.N // 2 if antithetic else self.N
+        want = [] if t == 1.0 else [(12, i) for i in range(units)]
+        assert opened == alone == want
+
+    def test_bad_batches_rejected(self):
+        cfg = MCConfig(n_samples=16, seed=1)
+        x = GridPath.zero(self.GRID)
+        with pytest.raises(DomainError, match="at least one path"):
+            candidate_solution(_PRODUCT_MAX, 0.0, [], cfg)
+        with pytest.raises(DomainError, match="share a grid"):
+            candidate_solution(_PRODUCT_MAX, 0.0,
+                               [x, GridPath.zero(TimeGrid(1.0, 16))], cfg)
+        with pytest.raises(DomainError, match="share a dimension"):
+            candidate_solution(_PRODUCT_MAX, 0.0,
+                               [x, GridPath.zero(self.GRID, 2)], cfg)
+
+
 def _residual_reference(spec, t, x, config):
     """Reference heat-operator residual, written out step by step: the value
     at t from the derivative call, then a central difference in time
