@@ -9,8 +9,9 @@ length m = d * n_factors; g, its gradient and its Hessian act on stacks of
 rows (k, m), returning (k,), (k, m) and (k, m, m).  Pathwise derivatives
 are the time derivative with the past frozen (horizontal) and ordinary
 derivatives in the present value (vertical).  This module holds the
-coordinates, the weight matrix and the Fejer approximation of a generic
-functional in cylinder form.
+coordinates, the weight matrix, the Fejer approximation of a generic
+functional in cylinder form and the Fejer smoothing itself as a linear map
+of path values.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "cylinder_coordinates",
     "cylinder_sigma",
     "cylinder_approx",
+    "fejer_smoothing",
 ]
 
 
@@ -115,6 +117,29 @@ def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
 # Fejer cylindrical approximation of a generic path functional
 # ---------------------------------------------------------------------------
 
+def _fejer_basis(n: int, grid: TimeGrid) -> tuple[list, np.ndarray]:
+    """Weights and synthesis matrix of the order-n Fejer coordinates.
+
+    The weights are 1 for the terminal-value coordinate and the zero-mean
+    basis primitives for the others.  For coordinates
+    z = (x(T), int E_1 dx, ..., int E_2n dx) the smoothed path on ``grid``
+    is x(T) * t/T - sum_l w_l z_l (e_l - e_l(0)) (the constant basis
+    element drops out, e_0 - e_0(0) = 0), one row per coordinate of the
+    synthesis matrix (2n+1, M+1).
+    """
+    if n < 0:
+        raise DomainError("approximation order must be >= 0")
+    T = grid.horizon
+    nodes = grid.nodes()
+    weights = fejer_weights(n)                      # indices 0..2n
+    cols = [nodes / T]
+    psi = [lambda s: 1.0]
+    for l in range(1, 2 * n + 1):
+        cols.append(-weights[l] * (basis_value(l, T, nodes) - basis_value(l, T, 0.0)))
+        psi.append((lambda s, _l=l: basis_primitive(_l, T, s)))
+    return psi, np.stack(cols)
+
+
 def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: int,
                     grid: TimeGrid, dimension: int = 1) -> CylinderSpec:
     """Approximate a path functional by xi(fejer_smooth(x, n)) in cylinder form.
@@ -126,25 +151,28 @@ def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: i
     product, so evaluating the spec on the coordinates of x reproduces
     xi(fejer_smooth(x, n)) up to rounding (the tests hold it to 1e-8).
     """
-    if n < 0:
-        raise DomainError("approximation order must be >= 0")
-    T = grid.horizon
-    nodes = grid.nodes()
-    weights = fejer_weights(n)                      # indices 0..2n
-    # Path synthesis matrix for coordinates z = (x(T), int E_1 dx, ..., int E_2n dx):
-    # reconstructed = x(T) * t/T - sum_l w_l z_l (e_l - e_l(0));  the constant
-    # basis element drops out (e_0 - e_0(0) = 0).
-    cols = [nodes / T]
-    for l in range(1, 2 * n + 1):
-        cols.append(-weights[l] * (basis_value(l, T, nodes) - basis_value(l, T, 0.0)))
-    synth = np.stack(cols)                           # (2n+1, M+1)
+    psi, synth = _fejer_basis(n, grid)
 
     def g(zs: np.ndarray) -> np.ndarray:
         zb = np.asarray(zs, float).reshape(len(zs), 2 * n + 1, dimension)
         paths = np.tensordot(zb, synth, axes=([1], [0])).transpose(0, 2, 1)
         return np.asarray(xi_batch(paths, grid), float)
 
-    psi = [lambda s: 1.0]
-    for l in range(1, 2 * n + 1):
-        psi.append((lambda s, _l=l: basis_primitive(_l, T, s)))
     return CylinderSpec(g=g, psi=psi, name=f"fejer{n}")
+
+
+def fejer_smoothing(n: int, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The Fejer smoothing F_n of :func:`cylinder_approx` as a linear map of
+    path values (..., M+1, d) on ``grid`` to the smoothed values, same shape.
+
+    One :func:`by_parts` call of the paths against the spec's weights on
+    the whole grid, then one product with its synthesis matrix: xi of the
+    result is the spec's g at the coordinates of the path at the horizon,
+    and agrees with xi(fejer_smooth(x, n)) up to rounding.  F_n keeps the
+    terminal value.  Both steps act on each path on its own (the product is
+    a stack of per-path products, not one stacked product, which can round
+    differently), so a stack of paths gives bit for bit the paths one by one.
+    """
+    psi, synth = _fejer_basis(n, grid)
+    w = weights_at(psi, grid.nodes())
+    return lambda values: synth.T @ by_parts(w, values)

@@ -13,6 +13,12 @@ reports the inequality chain
 whose left link is exact by construction and whose right link applies when
 the limit time is interior; a limit at the terminal time is the structural
 escape branch and is reported as such, consistent with the theory.
+
+G is exp(lambda t) (u - v_n), with v_n the solution for the Fejer-smoothed
+terminal: one Monte-Carlo estimate on draws common to both sides, with no
+factor solution.  The same draws estimate the smoothing modulus
+E ||Y - F_n Y||_inf, which bounds u - v_n for a terminal Lipschitz in the
+sup norm.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cylinders import cylinder_approx, cylinder_coordinates
+from .cylinders import fejer_smoothing
 from .errors import InputError
 from .fourier import fejer_coefficient, fejer_coefficient_quadrature, fejer_smooth
 from .gauge import perturbation_bounds
@@ -31,8 +37,7 @@ from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments)
 from .ito import SEMIMARTINGALE_PRESETS, ito_verify
 from .quadrature import QuadratureConfig
-from .solver import (MCConfig, build_terminal, candidate_solution,
-                     finite_dim_solution)
+from .solver import MCConfig, build_terminal, candidate_solution
 from .streams import StreamKind, substream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
@@ -40,7 +45,6 @@ __all__ = [
     "ComparisonReport",
     "DeltaRow",
     "SUBSOLUTION_OFFSET",
-    "FACTOR_Z_SAMPLES",
     "comparison_demo",
     "brownian_search_space",
     "tn_convergence_rows",
@@ -49,8 +53,6 @@ __all__ = [
 
 # comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
 SUBSOLUTION_OFFSET = 0.25
-# nodes of the Monte-Carlo z-rule of comparison-demo's factor values
-FACTOR_Z_SAMPLES = 4096
 
 
 def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int,
@@ -105,9 +107,14 @@ class ComparisonReport:
     and the uniform operator bound on the perturbation.  In subsolution mode
     the endpoint inequality (left <= right) is also required: a strict
     subsolution must survive the vanishing-delta estimate.  In candidate
-    mode the endpoint's failure at small delta together with a positive
-    start gap is the contradiction mechanism itself and is reported as
-    ``contradiction_exhibited``.
+    mode the endpoint's failure at small delta together with a start gap
+    beyond the smoothing bias is the contradiction mechanism itself and is
+    reported as ``contradiction_exhibited``.
+
+    ``modulus`` and ``modulus_stderr`` estimate m(p0) = E ||Y - F_n Y||_inf
+    at the start point p0 = (t0, x), on the draws of u - v_n; ``bias_bound``
+    is L exp(lam t0) (m(p0) + 3 stderr) for a terminal with sup-norm
+    Lipschitz constant L, and None for a terminal without one.
     """
 
     mode: str
@@ -119,6 +126,9 @@ class ComparisonReport:
     start_value: float
     sup_value: float
     stat_allowance: float
+    modulus: float
+    modulus_stderr: float
+    bias_bound: Optional[float]
     rows: list[DeltaRow] = field(default_factory=list)
     caveat: str = _FINITE_SPACE_CAVEAT
 
@@ -138,9 +148,21 @@ class ComparisonReport:
 
     @property
     def contradiction_exhibited(self) -> bool:
+        """Candidate mode only: the endpoint fails at the smallest delta
+        while lam G(p0) > lam ``bias_bound`` + ``stat_allowance``.
+
+        u - v_n = E[xi(Y) - xi(F_n Y)], and |xi(Y) - xi(F_n Y)| <=
+        L ||Y - F_n Y||_inf holds pathwise for a terminal L-Lipschitz in the
+        sup norm, so G(p0) <= L exp(lam t0) m(p0): the smoothing bias alone
+        can open a start gap this large, and only a gap beyond it, by more
+        than the statistical allowance, contradicts the comparison.  A
+        terminal with no such constant (``bias_bound`` None, e.g.
+        ``terminal_square`` and the ``cyl:*`` terminals) never reports one.
+        """
         last = self.rows[-1]
-        return (self.mode == "candidate"
-                and self.start_value > self.stat_allowance
+        return (self.mode == "candidate" and self.bias_bound is not None
+                and self.lam * self.start_value
+                > self.lam * self.bias_bound + self.stat_allowance
                 and not last.endpoint_ok)
 
 
@@ -161,17 +183,18 @@ def comparison_demo(grid: TimeGrid, seed: int,
     ``mode`` "candidate" takes the rough side u to be the Monte-Carlo
     solution itself (the machinery should then report no contradiction);
     "subsolution" takes u = solution - ``SUBSOLUTION_OFFSET``, a strict
-    subsolution.  The factor values of v_n use the Monte-Carlo z-rule with
-    ``FACTOR_Z_SAMPLES`` nodes.
-
-    u takes one :func:`candidate_solution` call per distinct point time:
-    the j-th time in increasing order gets seed + 101 + j, and all points
-    at that time share its draws.  ``stat_allowance`` stays a bound per
-    point, 3 lam max exp(lam t) (stderr of u + stderr of v_n): each point's
-    estimate and stderr are exactly those of the point alone under its
-    time's seed, so common draws do not weaken it; they only correlate the
-    errors of points at one time, which makes their differences less noisy.
-    ``deltas`` must be finite, positive and strictly decreasing, as the
+    subsolution.  v_n solves the equation for the terminal xi o F_n, F_n
+    the order-``order`` Fejer smoothing, so u - v_n = E[xi(Y) - xi(F_n Y)]
+    over the Brownian extensions Y that u averages over: one
+    :func:`candidate_solution` call with :func:`cylinders.fejer_smoothing`
+    per distinct point time, the j-th time in increasing order on
+    seed + 101 + j, on draws common to both sides and to the time's points.
+    G = exp(lam t) (u - v_n), less exp(lam t) ``SUBSOLUTION_OFFSET`` in
+    subsolution mode.  ``stat_allowance`` = 3 lam max exp(lam t)
+    stderr(u - v_n) is a bound per point, since each point's estimate
+    equals that of the point alone.  The same draws estimate
+    m(p0) = E ||Y - F_n Y||_inf at the start point, the bound behind
+    :attr:`ComparisonReport.contradiction_exhibited`.  ``deltas`` must be finite, positive and strictly decreasing, as the
     vanishing-delta estimate and the monotone right side assume; anything
     else raises :class:`InputError` before any Monte-Carlo work.
     """
@@ -193,11 +216,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
     xi = build_terminal(terminal, grid)
 
     # Step I: cylindrical smoothing of the terminal condition.
-    spec_n = cylinder_approx(xi.batch, order, grid, dimension=1)
+    smoothing = fejer_smoothing(order, grid)
     n_coords = 2 * order + 1
-    factor_config = QuadratureConfig(z_rule="monte-carlo",
-                                     z_samples=FACTOR_Z_SAMPLES,
-                                     z_seed=seed + 17)
 
     space = brownian_search_space(grid, n_paths, seed)
     pts = list(space.points)
@@ -207,44 +227,41 @@ def comparison_demo(grid: TimeGrid, seed: int,
     say(f"space of {len(pts)} points; smoothing order {order} "
         f"({n_coords} coordinates)")
 
-    # Step II: exponential scaling of both sides.  The Monte-Carlo values
-    # and the factor matrix depend only on the time: one call of each per
-    # time, the MC call on draws common to the time's points.
+    # Step II: exponential scaling of u - v_n, one Monte-Carlo call per time
+    # on draws common to the time's points and to both sides.
     times = np.array([p.t for p in pts])
-    u_vals = np.empty(len(pts))
-    u_err = np.empty(len(pts))
-    vn_vals = np.empty(len(pts))
-    vn_err = np.empty(len(pts))
+    ests = [None] * len(pts)  # (u - v_n, modulus) per point
     # not np.unique: numpy 2.4's imports numpy.ma on its first call
     for j, t in enumerate(sorted(set(times.tolist()))):
         at_t = np.flatnonzero(times == t)
-        paths = [pts[i].path for i in at_t]
-        ests = candidate_solution(xi, t, paths,
-                                  MCConfig(n_samples=n_mc, seed=seed + 101 + j))
-        u_vals[at_t] = [est.mean for est in ests]
-        u_err[at_t] = [est.stderr for est in ests]
-        z = cylinder_coordinates(spec_n, t, paths)
-        sol = finite_dim_solution(spec_n, t, z, factor_config,
-                                  derivatives=False, horizon=grid.horizon)
-        vn_vals[at_t] = sol.value
-        vn_err[at_t] = sol.value_stderr
+        for i, est in zip(at_t, candidate_solution(
+                xi, t, [pts[i].path for i in at_t],
+                MCConfig(n_samples=n_mc, seed=seed + 101 + j), smoothing)):
+            ests[i] = est
+    gap = np.array([diff.mean for diff, _ in ests])
+    gap_err = np.array([diff.stderr for diff, _ in ests])
     if mode == "subsolution":
-        u_vals = u_vals - SUBSOLUTION_OFFSET
+        gap = gap - SUBSOLUTION_OFFSET
     scale = np.exp(lam * times)
-    g_vals = scale * (u_vals - vn_vals)
-    say("solution values estimated on the space")
+    g_vals = scale * gap
+    say("u - v_n estimated on the space")
 
     sup_g = float(np.max(g_vals))
     start = pts[start_index]
     eps = max(sup_g - g_vals[start_index], 1e-9) * (1.0 + 1e-9) + 1e-12
-    stat = float(lam * 3.0 * np.max(scale * (u_err + vn_err)))
+    stat = float(lam * 3.0 * np.max(scale * gap_err))
+    m0 = ests[start_index][1]
+    bias_bound = (None if xi.lipschitz is None else float(
+        xi.lipschitz * scale[start_index] * (m0.mean + 3.0 * m0.stderr)))
     bounds = perturbation_bounds(grid.horizon)
     op_bound = bounds["horizontal"] + 0.5 * bounds["vertical2"]
 
     report = ComparisonReport(mode=mode, lam=lam, eps=eps, order=order,
                               coordinates=n_coords, n_points=len(pts),
                               start_value=float(g_vals[start_index]),
-                              sup_value=sup_g, stat_allowance=stat)
+                              sup_value=sup_g, stat_allowance=stat,
+                              modulus=m0.mean, modulus_stderr=m0.stderr,
+                              bias_bound=bias_bound)
 
     # Steps III-V per delta.
     for delta in deltas:

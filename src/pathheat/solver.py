@@ -6,16 +6,18 @@ The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t, estimated by Monte
 Carlo with the extension's increment and its positive part as control
 variates (:func:`candidate_solution`, one estimate per path, all paths at
-one time on common draws).  For cylinder
-functionals the same value is a finite-dimensional Gaussian average of g
-at the coordinates z(t, x) (:func:`finite_dim_solution`, one average per
-coordinate row, all rows at one time); the two routes cross-validate each
-other.  The pathwise derivatives of the cylinder solution at paths on one
-grid follow by the chain rule through the weight matrix: the vertical ones
-from the gradient and Hessian of the average, the horizontal one from a
-difference quotient of values in time (:func:`cylinder_pathwise_derivs`,
-:func:`pde_residual`).  Every row or path of a call gives, bit for bit,
-what it gives alone.
+one time on common draws).  Given a linear smoothing S of paths, the same
+draws also estimate E[xi(Y) - xi(S Y)] and E ||Y - S Y||_inf, which is how
+comparison-demo takes u - v_n.  For cylinder functionals the solution is
+also a finite-dimensional Gaussian average of g at the coordinates z(t, x)
+(:func:`finite_dim_solution`, one average per coordinate row, all rows at
+one time; its callers are pde-check and the tests); the two routes
+cross-validate each other.  The pathwise derivatives of the cylinder
+solution at paths on one grid follow by the chain rule through the weight
+matrix: the vertical ones from the gradient and Hessian of the average, the
+horizontal one from a difference quotient of values in time
+(:func:`cylinder_pathwise_derivs`, :func:`pde_residual`).  Every row or
+path of a call gives, bit for bit, what it gives alone.
 """
 
 from __future__ import annotations
@@ -56,13 +58,16 @@ class TerminalFunctional:
 
     ``batch`` evaluates xi on an array of path values (n, M+1, d) at once,
     returning shape (n,); ``bound`` is an a-priori sup bound when xi is
-    bounded; ``cylinder`` carries the finite-dimensional representation when
-    xi has one.  Continuity of xi is the caller's contract.
+    bounded; ``lipschitz`` is a constant L with |xi(x) - xi(y)| <= L ||x - y||_inf
+    for all paths, when one is known; ``cylinder`` carries the
+    finite-dimensional representation when xi has one.  Continuity of xi is
+    the caller's contract.
     """
 
     name: str
     batch: Callable[[np.ndarray, TimeGrid], np.ndarray]
     bound: Optional[float] = None
+    lipschitz: Optional[float] = None
     cylinder: Optional[CylinderSpec] = None
 
     def evaluate_batch(self, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -195,8 +200,9 @@ def _pool(a, b):
 
 
 def candidate_solution(xi: TerminalFunctional, t: float,
-                       x: GridPath | Sequence[GridPath], cfg: MCConfig
-                       ) -> MCEstimate | tuple[MCEstimate, ...]:
+                       x: GridPath | Sequence[GridPath], cfg: MCConfig,
+                       smoothing: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                       ) -> MCEstimate | tuple:
     """Control-variate Monte-Carlo mean of xi over Brownian extensions from
     (t, x).
 
@@ -230,6 +236,18 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     own terminal evaluation and its own control-variate fit, so its estimate
     equals, bit for bit, the estimate for that path alone.  A single path is
     a batch of one.
+
+    ``smoothing`` is a linear map S of path values (..., M+1, d) that maps
+    each path of a stack bit for bit as it maps that path alone, such as
+    :func:`cylinders.fejer_smoothing`.  Given it, the estimate of each path
+    becomes a pair on the same draws: the difference xi(Y) - xi(S Y) and
+    the modulus ||Y - S Y||_inf (the largest Euclidean norm over the
+    nodes), each with its own control-variate fit on B and B^+.  The
+    non-finite check reads the difference, and a declared bound b of xi
+    bounds it by 2 b.  By linearity S Y is S(x stopped at t) + S(walk),
+    with the walk zero up to node k: the walk is smoothed once per chunk
+    and the stopped paths once per call.  A single path without
+    ``smoothing`` extends over the walk in place.
     """
     paths = (x,) if isinstance(x, GridPath) else tuple(x)
     if not paths:
@@ -251,22 +269,38 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     positive_mean = math.sqrt((grid.steps - k) * grid.dt / (2.0 * math.pi))
     means = [positive_mean] * d if cfg.antithetic else [0.0] * d + [positive_mean] * d
     control_means = np.array(means)[:n_controls]
+    n_fits = 1 if smoothing is None else 2
     moments = [None] * len(paths)
     buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
-    # the walk from 0 after node k; a single path extends over it in place
-    walk = (buf[:, k + 1:] if len(paths) == 1
-            else np.empty((len(buf), grid.steps - k, d)))
+    # the walk from 0, zero up to node k; a single path without smoothing
+    # extends over it in place
+    full_walk = buf if len(paths) == 1 and smoothing is None else np.zeros_like(buf)
+    walk = full_walk[:, k + 1:]
+    if smoothing is not None:
+        stopped = np.stack([path.values for path in paths])
+        stopped[:, k + 1:] = stopped[:, k, None]
+        smooth_stopped = smoothing(stopped)
     for lo in range(0, n, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, n))
         steps = walk[: idx.size]
         sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic, out=steps)
         np.cumsum(steps, axis=1, out=steps)
+        if smoothing is not None:
+            smooth_walk = smoothing(full_walk[: idx.size])
         vals = buf[: idx.size]
         for j, path in enumerate(paths):
             x_t = path.values[k]
             vals[:, : k + 1] = path.values[: k + 1]
             np.add(steps, x_t, out=vals[:, k + 1:])
             out = xi.evaluate_batch(vals, grid)
+            ys = out[:, None]
+            if smoothing is not None:
+                smooth = smooth_walk + smooth_stopped[j]
+                out = out - xi.evaluate_batch(smooth, grid)
+                np.subtract(vals, smooth, out=smooth)
+                modulus = np.sqrt(np.max(np.einsum("nmd,nmd->nm", smooth, smooth),
+                                         axis=1))
+                ys = np.stack([out, modulus], axis=1)
             if not np.all(np.isfinite(out)):
                 bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
                 raise NumericError(f"terminal functional non-finite at sample "
@@ -274,25 +308,29 @@ def candidate_solution(xi: TerminalFunctional, t: float,
             b = vals[:, -1] - x_t
             if cfg.antithetic:
                 cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
-                        out.reshape(-1, 2).mean(axis=1)[:, None]]
+                        ys.reshape(-1, 2, n_fits).mean(axis=1)]
             else:
-                cols = [b, np.maximum(b, 0.0), out[:, None]]
-            # the controls, then the fitted unit; at t = T the controls are
+                cols = [b, np.maximum(b, 0.0), ys]
+            # the controls, then the fitted units; at t = T the controls are
             # identically zero and are left out
-            z = np.concatenate(cols, axis=1)[:, -1 - n_controls:]
+            z = np.concatenate(cols, axis=1)[:, -n_fits - n_controls:]
             moments[j] = _pool(moments[j], _moments(z))
+    bound = xi.bound if xi.bound is None or smoothing is None else 2 * xi.bound
+    c = n_controls
     ests = []
     for _, mean, cross in moments:
-        ybar, syy = mean[-1], cross[-1, -1]
-        beta = np.linalg.lstsq(cross[:-1, :-1], cross[:-1, -1], rcond=None)[0]
-        rss = max(syy - cross[:-1, -1] @ beta,
-                  _RSS_FLOOR * (syy + units * ybar**2))
-        est = MCEstimate(mean=float(ybar - beta @ (mean[:-1] - control_means)),
-                         stderr=float(math.sqrt(rss / (units - p) / units)),
-                         n_samples=n, seed=cfg.seed)
-        if xi.bound is not None and abs(est.mean) > xi.bound + 1e-12:
+        betas = np.linalg.lstsq(cross[:c, :c], cross[:c, c:], rcond=None)[0]
+        fits = []
+        for col, beta in zip(range(c, c + n_fits), betas.T):
+            ybar, syy, sxy = mean[col], cross[col, col], cross[:c, col]
+            rss = max(syy - sxy @ beta, _RSS_FLOOR * (syy + units * ybar**2))
+            fits.append(MCEstimate(
+                mean=float(ybar - beta @ (mean[:c] - control_means)),
+                stderr=float(math.sqrt(rss / (units - p) / units)),
+                n_samples=n, seed=cfg.seed))
+        if bound is not None and abs(fits[0].mean) > bound + 1e-12:
             raise NumericError("mean escaped the declared bound of the functional")
-        ests.append(est)
+        ests.append(fits[0] if smoothing is None else tuple(fits))
     return ests[0] if isinstance(x, GridPath) else tuple(ests)
 
 
@@ -434,7 +472,9 @@ def finite_dim_solution(spec: CylinderSpec, t: float, z: np.ndarray,
 
     The rule and A(t) are built once per call, and each row's average runs
     on that row's own nodes, so every row equals bit for bit the same row
-    passed alone.
+    passed alone.  Its callers are pde-check, through
+    :func:`cylinder_pathwise_derivs`, and the tests, which hold it against
+    :func:`candidate_solution`.
     """
     z = np.asarray(z, float)
     if z.ndim != 2:
@@ -606,12 +646,13 @@ def terminal_names() -> list[str]:
 def build_terminal(name: str, grid: TimeGrid) -> TerminalFunctional:
     """Look up a terminal functional by registry name (scalar paths)."""
     if name == "terminal_value":
-        return TerminalFunctional(name=name, batch=lambda v, g: v[:, -1, 0])
+        return TerminalFunctional(name=name, batch=lambda v, g: v[:, -1, 0],
+                                  lipschitz=1.0)
     if name == "terminal_square":
         return TerminalFunctional(name=name, batch=lambda v, g: v[:, -1, 0] ** 2)
     if name == "running_max":
         return TerminalFunctional(
-            name=name, batch=lambda v, g: np.max(v[:, :, 0], axis=1))
+            name=name, batch=lambda v, g: np.max(v[:, :, 0], axis=1), lipschitz=1.0)
     if name in _CYLINDER_BUILDERS:
         spec = _CYLINDER_BUILDERS[name](grid.horizon)
         w = weights_at(spec.psi, grid.nodes())

@@ -19,7 +19,7 @@ Stream families (``kind``), all keyed by the master seed:
   (an antithetic pair 2j, 2j+1 shares stream j).  Every path of one
   ``candidate_solution`` call extends with the same sample i; so the points
   of ``experiments.comparison_demo`` at its j-th time, in increasing order,
-  all read streams (seed + 101 + j, i).
+  all read streams (seed + 101 + j, i), for both sides u and v_n.
 * :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
   inner restarts of ``flow_residual`` (FLOW_INNER), the bridge maxima of
   ``running_max_exact_solution`` (BRIDGE), the jump draws of
@@ -29,9 +29,10 @@ Stream families (``kind``), all keyed by the master seed:
 Stream (seed, 0) is also used whole by three callers that need one
 generator per seed: the path draws of ``pathheat pde-check``, the objective
 coefficients of ``pathheat vp-run`` and ``quadrature.monte_carlo_gaussian_rule``
-(keyed by ``z_seed``).  It is the same stream as Monte-Carlo sample 0 under
-that seed; giving these callers kinds of their own would change their
-outputs.
+(keyed by ``z_seed``, for a Monte-Carlo z-rule of the gauge or the factor
+solution; comparison-demo opens no whole stream).  It is the same stream as
+Monte-Carlo sample 0 under that seed; giving these callers kinds of their
+own would change their outputs.
 
 ``numpy.random`` is imported here, at package import, on purpose: ``import
 numpy`` loads it only lazily, and the package imports no other library that

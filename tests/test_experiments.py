@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pathheat import experiments, solver
-from pathheat.cylinders import cylinder_approx, cylinder_coordinates
+from pathheat.cylinders import (cylinder_approx, cylinder_coordinates,
+                                fejer_smoothing)
 from pathheat.errors import InputError
 from pathheat.experiments import brownian_search_space, comparison_demo
 from pathheat.grids import TimeGrid
@@ -56,51 +58,87 @@ class TestComparisonInput:
         assert opened == []
 
 
-class TestComparisonFactorValues:
-    def test_one_call_per_time_equals_the_per_point_loop(self, monkeypatch):
-        calls = []
+class TestComparisonGap:
+    SEED, LAM = 3, 0.5
 
-        def spy(spec, t, z, *args, **kwargs):
-            sol = finite_dim_solution(spec, t, z, *args, **kwargs)
-            calls.append((spec, t, z, args, kwargs, sol))
-            return sol
+    def _points(self):
+        return brownian_search_space(GRID, SMALL["n_paths"], self.SEED).points
 
-        monkeypatch.setattr(experiments, "finite_dim_solution", spy)
-        comparison_demo(GRID, 3, **SMALL)
-        points = brownian_search_space(GRID, SMALL["n_paths"], 3).points
-        assert [c[1] for c in calls] == sorted({p.t for p in points})
-        for spec, t, z, args, kwargs, sol in calls:
-            at_t = [p for p in points if p.t == t]
-            assert z.shape == (len(at_t), spec.n_factors)
-            for i, p in enumerate(at_t):
-                one = cylinder_coordinates(spec, t, [p.path])
-                assert np.array_equal(z[i], one[0])
-                alone = finite_dim_solution(spec, t, one, *args, **kwargs)
-                assert sol.value[i] == alone.value[0]
-                assert sol.value_stderr[i] == alone.value_stderr[0]
+    def _cfg(self, p, points):
+        # the seed of the point's time, the j-th in increasing order
+        times = sorted({q.t for q in points})
+        return MCConfig(n_samples=SMALL["n_mc"],
+                        seed=self.SEED + 101 + times.index(p.t))
 
-    def test_scaled_gap_of_every_point(self):
-        # G(p) = exp(lam t) (u - v_n) from per-point factor calls, with each
-        # point taken as the start in turn
-        seed, lam = 3, 0.5
+    def test_each_gap_equals_that_point_alone(self):
+        # G(p) = exp(lam t) (u - v_n) from a one-path call, with each point
+        # taken as the start in turn
         xi = build_terminal("running_max", GRID)
-        points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
-        spec = cylinder_approx(xi.batch, SMALL["order"], GRID)
-        # the factor rule comparison_demo uses
-        config = QuadratureConfig(z_rule="monte-carlo",
-                                  z_samples=experiments.FACTOR_Z_SAMPLES,
-                                  z_seed=seed + 17)
-        times = sorted({p.t for p in points})
+        points = self._points()
+        smoothing = fejer_smoothing(SMALL["order"], GRID)
         for i, p in enumerate(points):
-            # the seed of the point's time, the j-th in increasing order
-            u = candidate_solution(xi, p.t, p.path,
-                                   MCConfig(n_samples=SMALL["n_mc"],
-                                            seed=seed + 101 + times.index(p.t))).mean
+            diff, modulus = candidate_solution(xi, p.t, p.path,
+                                               self._cfg(p, points), smoothing)
+            report = comparison_demo(GRID, self.SEED, lam=self.LAM,
+                                     start_index=i, **SMALL)
+            scale = np.exp(self.LAM * p.t)
+            assert report.start_value == float(scale * diff.mean)
+            assert report.modulus == modulus.mean
+            assert report.modulus_stderr == modulus.stderr
+            assert report.bias_bound == float(
+                scale * (modulus.mean + 3.0 * modulus.stderr))
+
+    def test_gap_agrees_with_independent_factor_values(self):
+        # the old route: u by Monte Carlo, v_n from the factor engine on its
+        # own 4096-node Monte-Carlo rule; the gap on common draws agrees
+        # within 4 combined stderr
+        xi = build_terminal("running_max", GRID)
+        points = self._points()
+        spec = cylinder_approx(xi.batch, SMALL["order"], GRID)
+        config = QuadratureConfig(z_rule="monte-carlo", z_samples=4096,
+                                  z_seed=self.SEED + 17)
+        smoothing = fejer_smoothing(SMALL["order"], GRID)
+        for p in points:
+            cfg = self._cfg(p, points)
+            u = candidate_solution(xi, p.t, p.path, cfg)
             vn = finite_dim_solution(spec, p.t,
                                      cylinder_coordinates(spec, p.t, [p.path]),
-                                     config, derivatives=False).value[0]
-            report = comparison_demo(GRID, seed, lam=lam, start_index=i, **SMALL)
-            assert report.start_value == float(np.exp(lam * p.t) * (u - vn))
+                                     config, derivatives=False)
+            diff, _ = candidate_solution(xi, p.t, p.path, cfg, smoothing)
+            combined = math.sqrt(diff.stderr**2 + u.stderr**2
+                                 + vn.value_stderr[0]**2)
+            assert abs(diff.mean - (u.mean - vn.value[0])) <= 4 * combined
+
+    def test_no_factor_engine_call(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return finite_dim_solution(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "finite_dim_solution", spy)
+        comparison_demo(GRID, self.SEED, **SMALL)
+        assert calls == []
+        # no name bound at import time that the spy would miss
+        assert not hasattr(experiments, "finite_dim_solution")
+
+    def test_contradiction_needs_a_gap_beyond_the_bias_bound(self):
+        report = comparison_demo(GRID, self.SEED, **SMALL)
+        assert not report.rows[-1].endpoint_ok
+        assert report.bias_bound is not None
+        stat = report.stat_allowance / report.lam
+        assert report.start_value <= report.bias_bound + stat
+        assert not report.contradiction_exhibited
+        # a start gap beyond the bound by more than the allowance is one
+        beyond = report.bias_bound + 1.01 * stat
+        assert replace(report, start_value=beyond).contradiction_exhibited
+        assert not replace(report, start_value=beyond,
+                           mode="subsolution").contradiction_exhibited
+        # a terminal with no sup-norm Lipschitz constant never reports one
+        square = comparison_demo(GRID, self.SEED, terminal="terminal_square",
+                                 **SMALL)
+        assert square.bias_bound is None
+        assert not replace(square, start_value=1e9).contradiction_exhibited
 
 
 class TestComparisonMonteCarlo:
@@ -117,14 +155,14 @@ class TestComparisonMonteCarlo:
 
 
 # (verdict, contradiction exhibited, limit time per delta), recorded with one
-# Monte-Carlo call per point time on common draws
+# Monte-Carlo call per point time, on draws common to u and v_n
 VERDICTS = {
-    "candidate": {1: ("consistent", False, (0.24, 0.5, 0.5)),
-                  2: ("consistent", True, (0.24, 0.76, 0.76)),
-                  3: ("consistent", True, (0.24, 0.24, 0.24)),
-                  4: ("consistent", True, (0.5, 0.5, 0.5)),
+    "candidate": {1: ("consistent", False, (0.24, 0.24, 0.5)),
+                  2: ("consistent", False, (0.24, 0.76, 0.76)),
+                  3: ("consistent", False, (0.24, 0.24, 0.24)),
+                  4: ("consistent", False, (0.5, 0.5, 0.5)),
                   5: ("consistent", False, (0.5, 0.5, 0.5)),
-                  6: ("consistent", True, (0.5, 0.5, 0.5))},
+                  6: ("consistent", False, (0.5, 0.5, 0.5))},
     "subsolution": {1: ("consistent", False, (0.24, 0.24, 0.24)),
                     2: ("consistent", False, (0.24, 0.24, 0.24)),
                     3: ("consistent", False, (0.24, 0.24, 0.24)),

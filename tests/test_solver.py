@@ -6,8 +6,10 @@ import pytest
 
 from conftest import fd_pathwise_derivs, make_brownian
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
-                                cylinder_coordinates, cylinder_sigma)
-from pathheat.errors import ContractError, DomainError
+                                cylinder_coordinates, cylinder_sigma,
+                                fejer_smoothing)
+from pathheat.errors import ContractError, DomainError, NumericError
+from pathheat.fourier import fejer_smooth
 from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
                             extend_with_increments)
 from pathheat.quadrature import (QuadratureConfig, gaussian_rule,
@@ -200,16 +202,17 @@ class TestEstimators:
         assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4 * est.stderr
 
 
-def _lstsq_fit(xi, t, x, cfg):
+def _lstsq_fit(xi, t, x, cfg, sample=None):
     """The control-variate fit of candidate_solution, done at once on the
-    whole design matrix: (intercept, stderr, fitted units y)."""
+    whole design matrix: (intercept, stderr, fitted units y).  ``sample``
+    maps the extensions (n, M+1, d) to the fitted samples, xi by default."""
     grid = x.grid
     k = grid.index_of(t)
     d = x.dimension
     dw = sample_increments(grid, k, d, cfg.seed, np.arange(cfg.n_samples),
                            cfg.antithetic)
     vals = extend_with_increments(t, x, dw)
-    y = xi.evaluate_batch(vals, grid)
+    y = xi.evaluate_batch(vals, grid) if sample is None else sample(vals)
     b = vals[:, -1] - x.values[k]
     bp = np.maximum(b, 0.0) - math.sqrt((grid.horizon - grid.node(k)) / (2 * math.pi))
     if cfg.antithetic:
@@ -323,6 +326,8 @@ class TestCandidateBatch:
     N = solver._CHUNK + 6
     CASES = [(antithetic, d, t) for antithetic in (False, True)
              for d in (1, 2) for t in (0.0, 0.375, 1.0)]
+    # without and with the smoothed difference
+    SMOOTHINGS = (None, fejer_smoothing(2, GRID))
 
     def _paths(self, d):
         return [make_brownian(self.GRID, seed=s, dimension=d, start=0.4 * s - 0.6)
@@ -332,22 +337,29 @@ class TestCandidateBatch:
     def test_each_path_equals_that_path_alone(self, antithetic, d, t):
         cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
         paths = self._paths(d)
-        batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg)
-        assert isinstance(batch, tuple) and len(batch) == len(paths)
-        for est, path in zip(batch, paths):
-            alone = candidate_solution(_PRODUCT_MAX, t, path, cfg)
-            assert isinstance(alone, MCEstimate)
-            assert est == alone  # mean and stderr exactly, seed and count
+        for smoothing in self.SMOOTHINGS:
+            batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg, smoothing)
+            assert isinstance(batch, tuple) and len(batch) == len(paths)
+            for est, path in zip(batch, paths):
+                alone = candidate_solution(_PRODUCT_MAX, t, path, cfg, smoothing)
+                if smoothing is None:
+                    assert isinstance(alone, MCEstimate)
+                else:
+                    # (difference, modulus)
+                    assert len(alone) == 2
+                    assert all(isinstance(e, MCEstimate) for e in alone)
+                assert est == alone  # mean and stderr exactly, seed and count
 
     @pytest.mark.parametrize("antithetic,d,t", CASES)
     def test_permuting_paths_permutes_estimates(self, antithetic, d, t):
         cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
         paths = self._paths(d)
         order = [2, 0, 3, 1]
-        batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg)
-        permuted = candidate_solution(_PRODUCT_MAX, t, [paths[i] for i in order],
-                                      cfg)
-        assert permuted == tuple(batch[i] for i in order)
+        for smoothing in self.SMOOTHINGS:
+            batch = candidate_solution(_PRODUCT_MAX, t, paths, cfg, smoothing)
+            permuted = candidate_solution(_PRODUCT_MAX, t,
+                                          [paths[i] for i in order], cfg, smoothing)
+            assert permuted == tuple(batch[i] for i in order)
 
     @pytest.mark.parametrize("antithetic,d,t", CASES)
     def test_one_stream_per_sample_whatever_the_paths(self, antithetic, d, t,
@@ -360,14 +372,16 @@ class TestCandidateBatch:
 
         monkeypatch.setattr(solver, "sample_stream", spy)
         cfg = MCConfig(n_samples=self.N, seed=12, antithetic=antithetic)
-        candidate_solution(_PRODUCT_MAX, t, self._paths(d)[0], cfg)
-        alone = list(opened)
-        opened.clear()
-        candidate_solution(_PRODUCT_MAX, t, self._paths(d), cfg)
         # an antithetic pair 2j, 2j+1 shares stream j; at t = T nothing is drawn
         units = self.N // 2 if antithetic else self.N
         want = [] if t == 1.0 else [(12, i) for i in range(units)]
-        assert opened == alone == want
+        for smoothing in self.SMOOTHINGS:
+            opened.clear()
+            candidate_solution(_PRODUCT_MAX, t, self._paths(d)[0], cfg, smoothing)
+            alone = list(opened)
+            opened.clear()
+            candidate_solution(_PRODUCT_MAX, t, self._paths(d), cfg, smoothing)
+            assert opened == alone == want
 
     def test_bad_batches_rejected(self):
         cfg = MCConfig(n_samples=16, seed=1)
@@ -380,6 +394,81 @@ class TestCandidateBatch:
         with pytest.raises(DomainError, match="share a dimension"):
             candidate_solution(_PRODUCT_MAX, 0.0,
                                [x, GridPath.zero(self.GRID, 2)], cfg)
+
+
+class TestSmoothedDifference:
+    GRID = TimeGrid(1.0, 16)
+    ORDER = 3
+
+    @pytest.mark.parametrize("antithetic,d,t", [
+        (antithetic, d, t) for antithetic in (False, True) for d in (1, 2)
+        for t in (0.0, 0.375, 1.0)])
+    def test_linear_form_matches_direct_smoothing(self, antithetic, d, t):
+        # F_n Y = F_n(x stopped at t) + F_n(walk) against fejer_smooth of
+        # each extension, sample by sample, and both fits on the direct form
+        seen = []
+
+        def batch(values, grid):
+            seen.append(values.copy())
+            return _PRODUCT_MAX.batch(values, grid)
+
+        xi = solver.TerminalFunctional(name="recorded", batch=batch)
+        x = make_brownian(self.GRID, seed=7, dimension=d, start=0.2)
+        cfg = MCConfig(n_samples=24, seed=9, antithetic=antithetic)
+        diff, modulus = candidate_solution(xi, t, x, cfg,
+                                           fejer_smoothing(self.ORDER, self.GRID))
+        extensions, smoothed = seen
+
+        def direct(vals):
+            return np.stack([fejer_smooth(GridPath(self.GRID, v), self.ORDER).values
+                             for v in vals])
+
+        assert np.max(np.abs(smoothed - direct(extensions))) <= 1e-12
+
+        def difference(vals):
+            return (_PRODUCT_MAX.evaluate_batch(vals, self.GRID)
+                    - _PRODUCT_MAX.evaluate_batch(direct(vals), self.GRID))
+
+        def sup_gap(vals):
+            return np.max(np.linalg.norm(vals - direct(vals), axis=-1), axis=1)
+
+        for est, sample in ((diff, difference), (modulus, sup_gap)):
+            mean, stderr, _ = _lstsq_fit(_PRODUCT_MAX, t, x, cfg, sample)
+            assert est.mean == pytest.approx(mean, abs=1e-12)
+            if t < 1.0:
+                # at T every sample is the same: the stderr is the RSS floor
+                assert est.stderr == pytest.approx(stderr, abs=1e-12)
+
+    def test_checks_read_the_difference(self):
+        x = GridPath.zero(self.GRID)
+        cfg = MCConfig(n_samples=16, seed=3)
+        smoothing = fejer_smoothing(self.ORDER, self.GRID)
+        # a constant 1 under a declared bound of 0.4: u escapes it, and the
+        # difference, 0, stays inside 2 * 0.4
+        one = solver.TerminalFunctional(name="one", batch=lambda v, g: np.ones(len(v)),
+                                        bound=0.4)
+        with pytest.raises(NumericError, match="declared bound"):
+            candidate_solution(one, 0.0, x, cfg)
+        diff, _ = candidate_solution(one, 0.0, x, cfg, smoothing)
+        assert diff.mean == 0.0
+        # xi infinite on the extensions of x, which are 0 up to t = 0.375,
+        # and finite on their smoothings
+        rough = solver.TerminalFunctional(
+            name="rough",
+            batch=lambda v, g: np.where(np.all(v[:, :7, 0] == 0.0, axis=1), np.inf, 0.0))
+        with pytest.raises(NumericError, match="non-finite at sample 0 of path 0"):
+            candidate_solution(rough, 0.375, x, cfg, smoothing)
+
+    def test_modulus_bounds_the_lipschitz_difference(self):
+        # |xi(Y) - xi(F_n Y)| <= ||Y - F_n Y||_inf pathwise for running_max
+        grid = TimeGrid(1.0, 50)
+        xi = build_terminal("running_max", grid)
+        assert xi.lipschitz == 1.0
+        diff, modulus = candidate_solution(xi, 0.3, make_brownian(grid, seed=4),
+                                           MCConfig(n_samples=400, seed=2),
+                                           fejer_smoothing(4, grid))
+        assert modulus.stderr > 0
+        assert abs(diff.mean) <= modulus.mean + 4 * modulus.stderr
 
 
 def _residual_reference(spec, t, x, config):
@@ -494,8 +583,8 @@ class TestFactorSolution:
         paths = [make_brownian(grid, seed=s) for s in (2, 3, 4)]
         config = QuadratureConfig()
         if name == "fejer":
-            # the Monte-Carlo rule of comparison-demo; a Fejer spec has no
-            # derivative evaluators, so zero ones stand in for the full call
+            # a Monte-Carlo rule; a Fejer spec has no derivative
+            # evaluators, so zero ones stand in for the full call
             spec = replace(cylinder_approx(build_terminal("running_max", grid).batch,
                                            3, grid),
                            gradient=np.zeros_like,
