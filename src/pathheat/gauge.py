@@ -596,7 +596,7 @@ def _smoothed_rows(anchor: PathPoint, points: Sequence[PathPoint],
 
 
 def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
-                                 y: Optional[np.ndarray] = None,
+                                 y: np.ndarray,
                                  config: QuadratureConfig = QuadratureConfig()
                                  ) -> tuple[float, PathwiseDerivs]:
     """Time-smoothed, saturated mollified distance with all derivatives.
@@ -606,11 +606,8 @@ def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
     in the time direction with |horizontal| <= sqrt(2/(pi e)), while the
     vertical bounds 1 and sqrt(2/pi)+2 come through the chain rule.
     """
-    point = PathPoint(t, x)
-    if y is None:
-        y = x.value_at(point.t)
     value, horizontal, vertical, vertical2 = _smoothed_rows(
-        anchor, (point,), np.atleast_1d(np.asarray(y, float))[None], config)
+        anchor, (PathPoint(t, x),), np.atleast_1d(np.asarray(y, float))[None], config)
     return float(value[0]), PathwiseDerivs(horizontal=float(horizontal[0]),
                                            vertical=vertical[0],
                                            vertical2=vertical2[0])

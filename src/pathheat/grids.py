@@ -97,17 +97,6 @@ class GridPath:
     def horizon(self) -> float:
         return self.grid.horizon
 
-    def value_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between nodes; exact at nodes."""
-        if not (-_SNAP_TOL <= t <= self.horizon * (1 + _SNAP_TOL)):
-            raise DomainError(f"time {t} outside [0, {self.horizon}]")
-        pos = np.clip(t / self.grid.dt, 0.0, float(self.grid.steps))
-        k = int(np.floor(pos))
-        if k >= self.grid.steps:
-            return self.values[-1].copy()
-        frac = pos - k
-        return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
-
     def terminal(self) -> np.ndarray:
         return self.values[-1].copy()
 

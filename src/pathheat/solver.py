@@ -4,20 +4,21 @@ for cylinder terminal conditions with its pathwise derivatives.
 
 The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t, estimated by Monte
-Carlo with the extension's increment and its positive part as control
-variates (:func:`candidate_solution`, one estimate per path, all paths at
-one time on common draws).  Given a linear smoothing S of paths, the same
-draws also estimate E[xi(Y) - xi(S Y)] and E ||Y - S Y||_inf, which is how
-comparison-demo takes u - v_n.  For cylinder functionals the solution is
-also a finite-dimensional Gaussian average of g at the coordinates z(t, x)
-(:func:`finite_dim_solution`, one average per coordinate row, all rows at
-one time; its callers are pde-check and the tests); the two routes
-cross-validate each other.  The pathwise derivatives of the cylinder
-solution at paths on one grid follow by the chain rule through the weight
-matrix: the vertical ones from the gradient and Hessian of the average, the
-horizontal one from a difference quotient of values in time
-(:func:`cylinder_pathwise_derivs`, :func:`pde_residual`).  Every row or
-path of a call gives, bit for bit, what it gives alone.
+Carlo with the extension's walk and its positive part at a few grid nodes
+up to T as control variates (:func:`candidate_solution`, one estimate per
+path, all paths at one time on common draws; :func:`control_nodes` picks
+the nodes, more of them as n grows).  Given a linear smoothing S of paths,
+the same draws also estimate E[xi(Y) - xi(S Y)] and E ||Y - S Y||_inf,
+which is how comparison-demo takes u - v_n.  For cylinder functionals the
+solution is also a finite-dimensional Gaussian average of g at the
+coordinates z(t, x) (:func:`finite_dim_solution`, one average per
+coordinate row, all rows at one time; its callers are pde-check and the
+tests); the two routes cross-validate each other.  The pathwise
+derivatives of the cylinder solution at paths on one grid follow by the
+chain rule through the weight matrix: the vertical ones from the gradient
+and Hessian of the average, the horizontal one from a difference quotient
+of values in time (:func:`cylinder_pathwise_derivs`, :func:`pde_residual`).
+Every row or path of a call gives, bit for bit, what it gives alone.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "MCConfig",
     "MCEstimate",
     "sample_increments",
+    "control_nodes",
     "candidate_solution",
     "running_max_exact_solution",
     "flow_residual",
@@ -95,6 +97,11 @@ _CHUNK = 4096
 # of sum(y^2): the rounding level of a difference of sums of y^2.
 _RSS_FLOOR = 64 * float(np.finfo(float).eps)
 
+# Most control nodes of candidate_solution's fit: with d = 1, M = 1000 and
+# n = 20,000 the residual sd of the running max was 0.279 at 1 node, 0.168
+# at 8 and 0.163 at 32.
+_MAX_NODES = 8
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -117,13 +124,14 @@ class MCEstimate:
     :meth:`from_samples` gives the plain sample mean, and :meth:`merge`
     pools such plain estimates.  :func:`candidate_solution` instead returns
     a control-variate estimate: the intercept of a least-squares fit of the
-    samples on the controls B_j = X_T - x(t), with known mean 0, and B_j^+,
-    with known mean sqrt((T - t) / (2 pi)), per path component j.  That
-    in-sample fit biases the mean by O(1/n); its stderr is
-    sqrt(RSS / (n - p) / n) with p = 1 + 2d fitted coefficients, floored at
+    samples on the walk S_j = X_s - x(t), with known mean 0, and S_j^+, with
+    known mean sqrt((s - t) / (2 pi)), per path component j at each of the
+    K control nodes s of :func:`control_nodes`, the last of which is T.
+    That in-sample fit biases the mean by O(p/n); its stderr is
+    sqrt(RSS / (n - p) / n) with p = 1 + 2Kd fitted coefficients, floored at
     the rounding level of RSS.  Under antithetic sampling n counts samples
-    but the fit runs on the n/2 pair means, with the pair means of B_j^+
-    as the only controls (B cancels inside a pair) and p = 1 + d.
+    but the fit runs on the n/2 pair means, with the pair means of S_j^+
+    as the only controls (S cancels inside a pair) and p = 1 + Kd.
     """
 
     mean: float
@@ -199,6 +207,26 @@ def _pool(a, b):
     return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
+def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray:
+    """Grid nodes k_1 < ... < k_K = M at which :func:`candidate_solution`
+    fits its controls from time t, spread evenly over (k, M] for the node k
+    of t; empty at t = T.
+
+    K = max(1, min(8, M - k, floor(sqrt(units) / (16 d)))) for the fitted
+    units (n samples, or n/2 pair means under antithetic sampling).  The
+    in-sample fit biases the mean by O(p/n) for p fitted coefficients, and
+    p grows like sqrt(n) here, so the bias stays a few hundredths of the
+    O(1/sqrt n) stderr.  Below 1024 d^2 units K = 1: the last node alone.
+    """
+    k = grid.index_of(t)
+    span = grid.steps - k
+    if span == 0:
+        return np.empty(0, dtype=np.int64)
+    units = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
+    count = max(1, min(_MAX_NODES, span, math.isqrt(units) // (16 * d)))
+    return k + np.arange(1, count + 1) * span // count
+
+
 def candidate_solution(xi: TerminalFunctional, t: float,
                        x: GridPath | Sequence[GridPath], cfg: MCConfig,
                        smoothing: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -206,18 +234,22 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     """Control-variate Monte-Carlo mean of xi over Brownian extensions from
     (t, x).
 
-    Let B = X_T - x(t) be the increment of the extension.  For every
-    terminal and start path, each component j has E B_j = 0 and
-    E B_j^+ = sqrt((T - t) / (2 pi)), so the 2d controls B_j and B_j^+ are
-    regressed out of the samples by least squares; the estimate is the fitted
-    intercept at the known control means.  Fitting the coefficients on the
-    samples themselves biases the mean by O(1/n), far below the O(1/sqrt n)
-    standard error.  The stderr is sqrt(RSS / (n - p) / n), with RSS the
-    residual sum of squares and p = 1 + 2d fitted coefficients, so n must
-    exceed p.  Under antithetic sampling B cancels inside each pair: the
-    units are the n/2 pair means, the d controls are the pair means of
-    B_j^+ (that is |B_j| / 2), and p = 1 + d.  At t = T there is no control
-    and the estimate is the plain mean.
+    Let S_s = X_s - x(t) be the walk of the extension after t.  For every
+    terminal and start path, each component j has E S_{s,j} = 0 and
+    E S_{s,j}^+ = sqrt((s - t) / (2 pi)).  The controls are S_j and S_j^+ at
+    the K nodes of :func:`control_nodes`, the last of which is T (so B =
+    S_T, the increment of the extension, is always among them); the 2Kd
+    controls are regressed out of the samples by least squares, and the
+    estimate is the fitted intercept at the known control means.  Fitting
+    the coefficients on the samples themselves biases the mean by O(p/n);
+    K grows like sqrt(n), which keeps that bias a few hundredths of the
+    O(1/sqrt n) standard error.  The stderr is sqrt(RSS / (n - p) / n), with
+    RSS the residual sum of squares and p = 1 + 2Kd fitted coefficients, so
+    n must exceed p.  Below 1024 d^2 fitted units K = 1, and the fit is the
+    one on B and B^+ alone.  Under antithetic sampling S cancels inside each
+    pair: the units are the n/2 pair means, the Kd controls are the pair
+    means of S_j^+ (that is |S_j| / 2), and p = 1 + Kd.  At t = T there is
+    no control and the estimate is the plain mean.
 
     RSS is a difference of sums and is known only to about eps * sum(y^2)
     of the fitted units y; it is floored at ``_RSS_FLOOR`` * sum(y^2), so
@@ -242,7 +274,7 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     :func:`cylinders.fejer_smoothing`.  Given it, the estimate of each path
     becomes a pair on the same draws: the difference xi(Y) - xi(S Y) and
     the modulus ||Y - S Y||_inf (the largest Euclidean norm over the
-    nodes), each with its own control-variate fit on B and B^+.  The
+    nodes), each with its own control-variate fit on the same controls.  The
     non-finite check reads the difference, and a declared bound b of xi
     bounds it by 2 b.  By linearity S Y is S(x stopped at t) + S(walk),
     with the walk zero up to node k: the walk is smoothed once per chunk
@@ -260,15 +292,16 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     k = grid.index_of(t)
     n = cfg.n_samples
     units = n // 2 if cfg.antithetic else n
-    n_controls = 0 if k == grid.steps else (d if cfg.antithetic else 2 * d)
+    nodes = control_nodes(grid, t, cfg, d)
+    n_controls = nodes.size * d * (1 if cfg.antithetic else 2)
     p = 1 + n_controls
     if units <= p:
         least = 2 * (p + 1) if cfg.antithetic else p + 1
         raise DomainError(f"the control-variate fit of {p} coefficients needs "
                           f"at least {least} samples at d = {d}, not {n}")
-    positive_mean = math.sqrt((grid.steps - k) * grid.dt / (2.0 * math.pi))
-    means = [positive_mean] * d if cfg.antithetic else [0.0] * d + [positive_mean] * d
-    control_means = np.array(means)[:n_controls]
+    positive_means = np.repeat(np.sqrt((nodes - k) * grid.dt / (2.0 * math.pi)), d)
+    control_means = (positive_means if cfg.antithetic else
+                     np.concatenate([np.zeros_like(positive_means), positive_means]))
     n_fits = 1 if smoothing is None else 2
     moments = [None] * len(paths)
     buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
@@ -305,15 +338,15 @@ def candidate_solution(xi: TerminalFunctional, t: float,
                 bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
                 raise NumericError(f"terminal functional non-finite at sample "
                                    f"{bad} of path {j}")
-            b = vals[:, -1] - x_t
+            # the walk at the control nodes, node by node; none at t = T
+            walk_at = (vals[:, nodes] - x_t).reshape(idx.size, -1)
+            cols = [np.maximum(walk_at, 0.0), ys]
+            if not cfg.antithetic:
+                cols.insert(0, walk_at)
+            # the controls, then the fitted units
+            z = np.concatenate(cols, axis=1)
             if cfg.antithetic:
-                cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
-                        ys.reshape(-1, 2, n_fits).mean(axis=1)]
-            else:
-                cols = [b, np.maximum(b, 0.0), ys]
-            # the controls, then the fitted units; at t = T the controls are
-            # identically zero and are left out
-            z = np.concatenate(cols, axis=1)[:, -n_fits - n_controls:]
+                z = z.reshape(idx.size // 2, 2, z.shape[1]).mean(axis=1)
             moments[j] = _pool(moments[j], _moments(z))
     bound = xi.bound if xi.bound is None or smoothing is None else 2 * xi.bound
     c = n_controls

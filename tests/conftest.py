@@ -29,6 +29,19 @@ def make_brownian(grid: TimeGrid, seed: int, dimension: int = 1,
     return GridPath(grid, vals)
 
 
+def value_at(x: GridPath, t: float) -> np.ndarray:
+    """Linear interpolation of x between nodes; exact at nodes."""
+    grid = x.grid
+    if not (-1e-9 <= t <= x.horizon * (1 + 1e-9)):
+        raise DomainError(f"time {t} outside [0, {x.horizon}]")
+    pos = np.clip(t / grid.dt, 0.0, float(grid.steps))
+    k = int(np.floor(pos))
+    if k >= grid.steps:
+        return x.values[-1].copy()
+    frac = pos - k
+    return (1.0 - frac) * x.values[k] + frac * x.values[k + 1]
+
+
 def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
                        delta: float | None = None, h: float | None = None,
                        y: np.ndarray | None = None) -> PathwiseDerivs:
@@ -49,14 +62,14 @@ def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
     if delta < 1e-12 or h < 1e-12:
         raise DomainError("fd steps below double-precision resolution")
     if y is None:
-        y = x.value_at(t)
+        y = value_at(x, t)
     y = np.atleast_1d(np.asarray(y, float))
     d = x.dimension
 
     if t + delta > x.horizon:
         raise DomainError("horizontal difference needs t + delta <= horizon")
     frozen = stop_path(x, t)
-    yt = x.value_at(t)
+    yt = value_at(x, t)
     horizontal = (evaluate(t + delta, frozen, yt) - evaluate(t, x, yt)) / delta
 
     base = evaluate(t, x, y)

@@ -446,6 +446,36 @@ class TestSubcommandSmoke:
         assert lines[0].startswith("# config_hash=")
         assert len(lines) >= 3  # provenance, header, at least one row
 
+    @pytest.mark.parametrize("argv,csv_name,header", [
+        (SMOKE[0][0], "solve.csv",
+         "terminal,t,mean,stderr,n_samples,control_times"),
+        (SMOKE[3][0], "ito_check.csv",
+         "dt,mean_abs_residual,stderr,slope,slope_stderr")])
+    def test_csv_header(self, tmp_path, argv, csv_name, header):
+        assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / csv_name).read_text().splitlines()[1] == header
+
+    @pytest.mark.parametrize("n,count", [(1023, 1), (1024, 2), (20000, 8)])
+    def test_solve_reports_control_times(self, tmp_path, capsys, n, count):
+        argv = ["solve", "--seed", "1", "--steps", "16", "--n-samples", str(n),
+                "--out", str(tmp_path)]
+        assert cli.run(argv) == 0
+        assert f"control times K={count})" in capsys.readouterr().out
+        row = (tmp_path / "solve.csv").read_text().splitlines()[2]
+        assert row.endswith(f",{n},{count}")
+
+    def test_ito_check_reports_the_slope_error_bar(self, tmp_path, capsys):
+        # at 16 paths the slope's 3-stderr interval holds --min-slope: the
+        # verdict is the fitted slope's, and the line says it is undecided
+        argv = ["ito-check", "--seed", "1", "--n-paths", "16", "--exponents",
+                "5,6,7", "--out", str(tmp_path)]
+        assert cli.run(argv) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"ito-check: slope=0\.\d{3} \+/- 0\.\d{3} "
+                            r"\(--min-slope 0\.4 lies within 3 stderr: "
+                            r"too few paths to decide\) pass", line)
+        assert cli.run(argv[:-2] + ["--min-slope", "0.9", "--out", str(tmp_path)]) == 1
+
     def test_non_monotone_right_side_exits_1(self, tmp_path, capsys):
         # at seed 1 the VP limit jumps from t = 0.24 to t = 0.5 as delta
         # halves and delta * L phi rises: the verdict is consistent, but the

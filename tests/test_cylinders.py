@@ -7,7 +7,7 @@ from pathheat.errors import DomainError
 from pathheat.fourier import fejer_smooth
 from pathheat.grids import GridPath, TimeGrid, stop_path
 
-from conftest import fd_pathwise_derivs, make_brownian
+from conftest import fd_pathwise_derivs, make_brownian, value_at
 
 ONE = np.ones_like
 
@@ -114,7 +114,7 @@ class TestFdPathwiseDerivs:
         u = lambda t, x, y: float(np.sum(y**2))
         x = make_brownian(grid100, seed=2)
         d = fd_pathwise_derivs(u, 0.4, x)
-        yt = x.value_at(0.4)[0]
+        yt = value_at(x, 0.4)[0]
         assert d.horizontal == pytest.approx(0.0, abs=1e-8)
         assert d.vertical[0] == pytest.approx(2 * yt, rel=1e-6)
         assert d.vertical2[0, 0] == pytest.approx(2.0, rel=1e-4)
@@ -126,13 +126,13 @@ class TestFdPathwiseDerivs:
             vals = x.values[mask, 0]
             inner = np.trapezoid(vals, nodes[mask])
             if t > nodes[mask][-1]:
-                inner += (t - nodes[mask][-1]) * x.value_at(t)[0]
+                inner += (t - nodes[mask][-1]) * value_at(x, t)[0]
             return float(inner)
 
         x = make_brownian(grid100, seed=3)
         t = 0.5
         d = fd_pathwise_derivs(integral, t, x, delta=1e-5)
-        assert d.horizontal == pytest.approx(x.value_at(t)[0], abs=1e-4)
+        assert d.horizontal == pytest.approx(value_at(x, t)[0], abs=1e-4)
         assert np.allclose(d.vertical, 0.0, atol=1e-8)
 
     def test_constant_lift_all_zero(self, grid100):

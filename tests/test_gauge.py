@@ -240,7 +240,7 @@ class TestHorizontalSmoothedDistance:
     def test_zero_at_anchor_exactly(self, grid64):
         x0 = make_brownian(grid64, seed=2)
         a = PathPoint(0.4, x0)
-        val, derivs = horizontal_smoothed_distance(a, a.t, x0)
+        val, derivs = horizontal_smoothed_distance(a, a.t, x0, a.present_value())
         assert val == 0.0
         assert derivs.horizontal == 0.0
 
@@ -248,7 +248,7 @@ class TestHorizontalSmoothedDistance:
         z = GridPath.zero(grid64)
         a = PathPoint(0.0, z)
         big = GridPath.constant(grid64, 50.0)
-        val, _ = horizontal_smoothed_distance(a, 0.9, big)
+        val, _ = horizontal_smoothed_distance(a, 0.9, big, big.terminal())
         # past its anchor the point sees one frozen scene, so val = v/(1+v)
         # with v = E max(D, |D - Z|) - E|Z| = D - E|Z|/2 at D = 50
         v = 50.0 - 0.5 * mean_gaussian_norm(1)
@@ -257,7 +257,8 @@ class TestHorizontalSmoothedDistance:
 
     def test_sandwich_saturated(self, grid64):
         for anchor, point in random_pairs(grid64, 1, 60, seed=6):
-            val, _ = horizontal_smoothed_distance(anchor, point.t, point.path)
+            val, _ = horizontal_smoothed_distance(anchor, point.t, point.path,
+                                                  point.present_value())
             dist = stopped_sup_distance(point, anchor)
             assert val <= min(dist, 1.0) + 1e-10
 
@@ -280,7 +281,8 @@ class TestHorizontalSmoothedDistance:
         x0 = make_brownian(grid64, seed=3)
         anchor = PathPoint(0.2, x0)
         x = make_brownian(grid64, seed=4)
-        _, derivs = horizontal_smoothed_distance(anchor, 0.6, x)
+        _, derivs = horizontal_smoothed_distance(anchor, 0.6, x,
+                                                   PathPoint(0.6, x).present_value())
         assert derivs.horizontal == pytest.approx(0.0, abs=1e-12)
 
 
@@ -347,7 +349,7 @@ class TestBlockedProfileKernel:
         for block in (nz, 7 * nz, 10 ** 9):
             monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
             results.append([horizontal_smoothed_distance(a, p.t, p.path,
-                                                         config=config)
+                                                         p.present_value(), config)
                             for a, p in pairs])
         for other in results[1:]:
             for (v0, d0), (v1, d1) in zip(results[0], other):
@@ -365,7 +367,8 @@ class TestSmoothGauge:
     def test_time_separation_quadratic(self, grid64):
         x = make_brownian(grid64, seed=6)
         r = smooth_gauge([PathPoint(0.75, x)], PathPoint(0.25, x))
-        chi, _ = horizontal_smoothed_distance(PathPoint(0.25, x), 0.75, x)
+        chi, _ = horizontal_smoothed_distance(PathPoint(0.25, x), 0.75, x,
+                                              PathPoint(0.75, x).present_value())
         assert r.value[0] - chi == pytest.approx(0.25, abs=1e-12)
         # stopped representatives differ, so the distance term is positive
         assert chi > 0.0

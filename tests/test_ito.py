@@ -69,6 +69,22 @@ def test_dt_sweep_rows_match_reference(preset):
         assert row["stderr"] == pytest.approx(ref.stderr, rel=0, abs=1e-12)
 
 
+def test_slope_is_weighted_fit_with_its_stderr():
+    # weighted least squares of log r on log dt with log-scale sds s_i / r_i,
+    # written out: slope = Sxy / Sxx about the weighted means, and its
+    # standard error 1 / sqrt(Sxx), both with weights (r_i / s_i)^2
+    rows = dt_convergence_rows(1.0, 3, n_samples=32, exponents=(4, 5, 6))
+    x = np.log([row["dt"] for row in rows])
+    y = np.log([row["mean_abs_residual"] for row in rows])
+    w = np.array([(row["mean_abs_residual"] / row["stderr"]) ** 2 for row in rows])
+    dx = x - np.sum(w * x) / np.sum(w)
+    dy = y - np.sum(w * y) / np.sum(w)
+    sxx = np.sum(w * dx * dx)
+    for row in rows:
+        assert row["slope"] == pytest.approx(np.sum(w * dx * dy) / sxx, abs=1e-12)
+        assert row["slope_stderr"] == pytest.approx(1 / np.sqrt(sxx), rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", range(4))
 def test_profile_of_wrong_shape_raises(bad):
     def profiles(values):

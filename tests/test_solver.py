@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fd_pathwise_derivs, make_brownian
+from conftest import fd_pathwise_derivs, make_brownian, value_at
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fejer_smoothing)
@@ -16,7 +16,8 @@ from pathheat.quadrature import (QuadratureConfig, gaussian_rule,
                                  monte_carlo_gaussian_rule)
 from pathheat import solver
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
-                             candidate_solution, cylinder_pathwise_derivs,
+                             candidate_solution, control_nodes,
+                             cylinder_pathwise_derivs,
                              finite_dim_solution, flow_residual, pde_residual,
                              running_max_exact_solution, sample_increments)
 from pathheat.streams import StreamKind, sample_stream, substream
@@ -205,7 +206,10 @@ class TestEstimators:
 def _lstsq_fit(xi, t, x, cfg, sample=None):
     """The control-variate fit of candidate_solution, done at once on the
     whole design matrix: (intercept, stderr, fitted units y).  ``sample``
-    maps the extensions (n, M+1, d) to the fitted samples, xi by default."""
+    maps the extensions (n, M+1, d) to the fitted samples, xi by default.
+
+    The controls are the walk S = X - x(t) and S^+ at K nodes spread evenly
+    over (k, M], K = max(1, min(8, M - k, floor(sqrt(units) / (16 d))))."""
     grid = x.grid
     k = grid.index_of(t)
     d = x.dimension
@@ -213,19 +217,57 @@ def _lstsq_fit(xi, t, x, cfg, sample=None):
                            cfg.antithetic)
     vals = extend_with_increments(t, x, dw)
     y = xi.evaluate_batch(vals, grid) if sample is None else sample(vals)
-    b = vals[:, -1] - x.values[k]
-    bp = np.maximum(b, 0.0) - math.sqrt((grid.horizon - grid.node(k)) / (2 * math.pi))
+    units = cfg.n_samples // 2 if cfg.antithetic else cfg.n_samples
+    count = max(1, min(8, grid.steps - k, int(math.sqrt(units) / (16 * d))))
+    nodes = [k + j * (grid.steps - k) // count for j in range(1, count + 1)]
+    s = vals[:, nodes] - x.values[k]
+    sp = np.maximum(s, 0.0) - np.array(
+        [[math.sqrt((grid.node(kj) - grid.node(k)) / (2 * math.pi))] for kj in nodes])
+    s, sp = s.reshape(len(s), -1), sp.reshape(len(s), -1)
     if cfg.antithetic:
-        # B cancels inside a pair: only the pair means of B^+ are controls
+        # S cancels inside a pair: only the pair means of S^+ are controls
         y = y.reshape(-1, 2).mean(axis=1)
-        controls = bp.reshape(-1, 2, d).mean(axis=1)
+        controls = sp.reshape(-1, 2, sp.shape[1]).mean(axis=1)
     else:
-        controls = np.column_stack([b, bp])
+        controls = np.column_stack([s, sp])
     design = np.column_stack([np.ones(y.size), controls])
     coef = np.linalg.lstsq(design, y, rcond=None)[0]
     resid = y - design @ coef
     n, p = design.shape
     return coef[0], math.sqrt(resid @ resid / (n - p) / n), y
+
+
+def _two_control_fit(xi, t, x, cfg):
+    """candidate_solution's fit on B = X_T - x(t) and B^+ alone, written out
+    as it stood before the fit had control nodes before T: moments pooled
+    chunk by chunk, then one least-squares solve."""
+    grid, d = x.grid, x.dimension
+    k = grid.index_of(t)
+    n = cfg.n_samples
+    units = n // 2 if cfg.antithetic else n
+    c = d if cfg.antithetic else 2 * d
+    positive_mean = math.sqrt((grid.steps - k) * grid.dt / (2.0 * math.pi))
+    control_means = np.array([positive_mean] * d if cfg.antithetic
+                             else [0.0] * d + [positive_mean] * d)
+    moments = None
+    for lo in range(0, n, solver._CHUNK):
+        idx = np.arange(lo, min(lo + solver._CHUNK, n))
+        vals = extend_with_increments(t, x, sample_increments(
+            grid, k, d, cfg.seed, idx, cfg.antithetic))
+        y = xi.evaluate_batch(vals, grid)[:, None]
+        b = vals[:, -1] - x.values[k]
+        if cfg.antithetic:
+            cols = [np.maximum(b, 0.0).reshape(-1, 2, d).mean(axis=1),
+                    y.reshape(-1, 2, 1).mean(axis=1)]
+        else:
+            cols = [b, np.maximum(b, 0.0), y]
+        moments = solver._pool(moments, solver._moments(np.concatenate(cols, axis=1)))
+    _, mean, cross = moments
+    beta = np.linalg.lstsq(cross[:c, :c], cross[:c, c:], rcond=None)[0][:, 0]
+    ybar, syy = mean[c], cross[c, c]
+    rss = max(syy - cross[:c, c] @ beta, solver._RSS_FLOOR * (syy + units * ybar**2))
+    return (float(ybar - beta @ (mean[:c] - control_means)),
+            float(math.sqrt(rss / (units - 1 - c) / units)))
 
 
 def _spitzer(steps):
@@ -252,6 +294,46 @@ class TestControlVariates:
         assert rechunked.mean == pytest.approx(est.mean, abs=1e-12)
         assert rechunked.stderr == pytest.approx(est.stderr, abs=1e-12)
 
+    @pytest.mark.parametrize("antithetic,d,n", [
+        (False, 1, 1023), (True, 1, 2046), (False, 2, 4095), (True, 2, 8190)])
+    @pytest.mark.parametrize("t", [0.0, 0.375])
+    def test_few_units_keep_the_two_control_fit(self, antithetic, d, n, t,
+                                                monkeypatch):
+        # below 1024 d^2 fitted units the fit is the one on B and B^+ alone,
+        # bit for bit; chunks of 300 make the moments pool
+        monkeypatch.setattr(solver, "_CHUNK", 300)
+        grid = TimeGrid(1.0, 8)
+        x = make_brownian(grid, seed=5, dimension=d, start=0.3)
+        cfg = MCConfig(n_samples=n, seed=7, antithetic=antithetic)
+        assert control_nodes(grid, t, cfg, d).tolist() == [grid.steps]
+        est = candidate_solution(_PRODUCT_MAX, t, x, cfg)
+        assert (est.mean, est.stderr) == _two_control_fit(_PRODUCT_MAX, t, x, cfg)
+
+    def test_control_nodes(self):
+        grid = TimeGrid(1.0, 16)
+        # K = floor(sqrt(units) / (16 d)), at least 1 and at most 8
+        for n, antithetic, d, count in [
+                (1023, False, 1, 1), (1024, False, 1, 2), (2046, True, 1, 1),
+                (2048, True, 1, 2), (4095, False, 2, 1), (4096, False, 2, 2),
+                (20000, False, 1, 8), (10**6, False, 1, 8), (10**6, True, 3, 8)]:
+            nodes = control_nodes(grid, 0.0, MCConfig(n, 1, antithetic), d)
+            assert nodes.size == count
+            assert nodes[-1] == grid.steps
+            assert nodes[0] > 0 and np.all(np.diff(nodes) > 0)
+        big = MCConfig(20000, 1)
+        # spread evenly over (k, M]
+        assert control_nodes(TimeGrid(1.0, 1000), 0.0, big, 1).tolist() == list(
+            range(125, 1001, 125))
+        assert control_nodes(grid, 0.25, big, 1).tolist() == [
+            5, 7, 8, 10, 11, 13, 14, 16]
+        assert control_nodes(grid, 0.25, MCConfig(12305, 1), 1).tolist() == [
+            6, 8, 10, 12, 14, 16]
+        # fewer steps after t than nodes: every node after t
+        assert control_nodes(grid, 0.75, big, 1).tolist() == [13, 14, 15, 16]
+        # one step before T: the last node alone; at T none
+        assert control_nodes(grid, 15 / 16, big, 1).tolist() == [16]
+        assert control_nodes(grid, 1.0, big, 1).size == 0
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_linear_terminal_is_exact(self, antithetic):
         grid = TimeGrid(1.0, 100)
@@ -276,6 +358,21 @@ class TestControlVariates:
         for seed in range(200):
             est = candidate_solution(xi, 0.0, GridPath.zero(grid),
                                      MCConfig(n_samples=400, seed=seed))
+            scores.append((est.mean - exact) / est.stderr)
+        assert 0.9 < np.std(scores) < 1.15
+        assert abs(np.mean(scores)) < 0.15
+
+    def test_stderr_covers_error_at_four_nodes(self):
+        # test_stderr_covers_error where the fit has K = 4 control nodes and
+        # p = 9 coefficients: the in-sample bias O(p/n) must stay invisible
+        grid = TimeGrid(1.0, 50)
+        xi = build_terminal("running_max", grid)
+        exact = _spitzer(grid.steps)
+        assert control_nodes(grid, 0.0, MCConfig(4096, 0), 1).size == 4
+        scores = []
+        for seed in range(200):
+            est = candidate_solution(xi, 0.0, GridPath.zero(grid),
+                                     MCConfig(n_samples=4096, seed=seed))
             scores.append((est.mean - exact) / est.stderr)
         assert 0.9 < np.std(scores) < 1.15
         assert abs(np.mean(scores)) < 0.15
@@ -699,7 +796,7 @@ class TestFactorSolution:
 
         def jumped(t, x, y, derivatives=False):
             sigma = cylinder_sigma(spec, t, x.dimension)
-            jump = np.atleast_1d(np.asarray(y, float)) - x.value_at(t)
+            jump = np.atleast_1d(np.asarray(y, float)) - value_at(x, t)
             z = cylinder_coordinates(spec, t, [x]) + sigma @ jump
             sol = finite_dim_solution(spec, t, z, derivatives=derivatives)
             if not derivatives:
@@ -710,10 +807,10 @@ class TestFactorSolution:
         for t in (0.3, 0.6):
             exact = cylinder_pathwise_derivs(spec, t, [x])
             at_path = PathwiseDerivs(exact.horizontal[0],
-                                     *jumped(t, x, x.value_at(t), True))
+                                     *jumped(t, x, value_at(x, t), True))
             assert np.array_equal(at_path.vertical, exact.vertical[0])
             assert np.array_equal(at_path.vertical2, exact.vertical2[0])
-            y = x.value_at(t) + 0.2
+            y = value_at(x, t) + 0.2
             fd = fd_pathwise_derivs(jumped, t, x, y=y)
             vertical, vertical2 = jumped(t, x, y, True)
             assert fd.horizontal == pytest.approx(exact.horizontal[0], abs=1e-3)
