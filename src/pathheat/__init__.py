@@ -7,14 +7,14 @@ variable formula along semimartingales; the forward-integral calculus that
 makes cylinder functionals exact grid computations; a smooth gauge on the
 path space with uniformly bounded derivatives, feeding a constructive
 variational principle; and the Feynman-Kac Monte-Carlo solution with its
-flow property and finite-dimensional cross-checks.
+finite-dimensional cross-check for cylinder terminal conditions.
 """
 
 from .errors import (ContractError, ConvergenceError, DomainError, InputError,
                      NumericError, ResolutionError)
 from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     brownian_increments, euler_paths, extend_with_increments,
-                    path_distance, read_path_csv, stop_path, write_path_csv)
+                    path_distance, read_path_csv)
 from .regularization import (BracketEstimate, forward_integral,
                              forward_integral_limit, mutual_bracket)
 from .fourier import fejer_coefficient, fejer_mean, fejer_smooth, terminal_ramp
@@ -27,8 +27,7 @@ from .varprinciple import SearchSpace, VPResult, smooth_variational_principle
 from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      TerminalFunctional, build_terminal, candidate_solution,
                      cylinder_pathwise_derivs, finite_dim_solution,
-                     flow_residual, pde_residual, running_max_exact_solution,
-                     sample_increments)
+                     pde_residual, sample_increments)
 from .ito import ito_verify
 
 __version__ = "0.1.0"

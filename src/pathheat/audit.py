@@ -22,6 +22,10 @@ from .sampling import random_lift_points, random_pairs
 __all__ = ["BoundCheck", "estimate_gauge_quadrature_error",
            "derivative_bound_audit", "sandwich_audit", "validate_alpha"]
 
+_AUDIT_TOL = 1e-6  # rounding allowance on top of the quadrature error
+_SANDWICH_TOL = 1e-9  # rounding allowance of sides exact at the rule level
+_AUDIT_ANCHORS = 3  # anchors of the audited perturbation sum
+
 
 @dataclass
 class BoundCheck:
@@ -63,21 +67,19 @@ def estimate_gauge_quadrature_error(dimension: int, grid: TimeGrid,
 
 
 def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
-                           seed: int, config: QuadratureConfig = QuadratureConfig(),
-                           tol: float = 1e-6, quad_error: dict | None = None,
-                           n_anchors: int = 3) -> list[BoundCheck]:
+                           seed: int, config: QuadratureConfig = QuadratureConfig()
+                           ) -> list[BoundCheck]:
     """Observed maxima of all smoothing-stage derivatives vs their constants.
 
     Audits, over random (anchor, t, x, y) tuples: the mollified distance
     (gradient, Hessian), its time-smoothed saturation (all three derivative
-    families), and the anchored perturbation sum with ``n_anchors`` anchors.
-    Tolerances are ``tol`` plus the refinement-based quadrature error.
+    families), and the anchored perturbation sum with the anchors of the
+    first ``_AUDIT_ANCHORS`` tuples.  Tolerances are ``_AUDIT_TOL`` plus the
+    refinement-based quadrature error on probes of seed ``seed + 1``.
     """
-    if quad_error is None:
-        quad_error = estimate_gauge_quadrature_error(dimension, grid, config,
-                                                     seed=seed + 1)
+    qe = estimate_gauge_quadrature_error(dimension, grid, config, seed=seed + 1)
     tuples = list(random_lift_points(grid, dimension, n_tuples, seed))
-    anchors = [a for a, _, _, _ in tuples[:n_anchors]]
+    anchors = [a for a, _, _, _ in tuples[:_AUDIT_ANCHORS]]
     pb = perturbation_bounds(grid.horizon)
 
     obs = {k: 0.0 for k in ("dist_grad", "dist_hess", "sat_horizontal",
@@ -97,31 +99,29 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
     obs["pert_grad"] = float(np.max(np.abs(pert.vertical)))
     obs["pert_hess"] = float(np.max(np.abs(pert.vertical2)))
 
-    qe = quad_error
     return [
         BoundCheck("distance_gradient", VERTICAL_GRAD_BOUND, obs["dist_grad"],
-                   tol + qe["vertical"]),
+                   _AUDIT_TOL + qe["vertical"]),
         BoundCheck("distance_hessian", VERTICAL_HESS_BOUND, obs["dist_hess"],
-                   tol + qe["vertical2"]),
+                   _AUDIT_TOL + qe["vertical2"]),
         BoundCheck("saturated_horizontal", HORIZONTAL_BOUND, obs["sat_horizontal"],
-                   tol + qe["horizontal"]),
+                   _AUDIT_TOL + qe["horizontal"]),
         BoundCheck("saturated_gradient", SATURATED_GRAD_BOUND, obs["sat_grad"],
-                   tol + qe["vertical"]),
+                   _AUDIT_TOL + qe["vertical"]),
         BoundCheck("saturated_hessian", SATURATED_HESS_BOUND, obs["sat_hess"],
-                   tol + qe["vertical2"]),
+                   _AUDIT_TOL + qe["vertical2"]),
         BoundCheck("perturbation_horizontal", pb["horizontal"],
-                   obs["pert_horizontal"], tol + 2 * qe["horizontal"]),
+                   obs["pert_horizontal"], _AUDIT_TOL + 2 * qe["horizontal"]),
         BoundCheck("perturbation_gradient", pb["vertical"], obs["pert_grad"],
-                   tol + 2 * qe["vertical"]),
+                   _AUDIT_TOL + 2 * qe["vertical"]),
         BoundCheck("perturbation_hessian", pb["vertical2"], obs["pert_hess"],
-                   tol + 2 * qe["vertical2"]),
+                   _AUDIT_TOL + 2 * qe["vertical2"]),
     ]
 
 
 def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
                    config: QuadratureConfig = QuadratureConfig(),
-                   alpha: GaugeDiagnostics | None = None,
-                   tol: float = 1e-9) -> list[BoundCheck]:
+                   alpha: GaugeDiagnostics | None = None) -> list[BoundCheck]:
     """Two-sided comparisons of the smoothed distances with the raw stopped
     distance D at every sample.
 
@@ -152,6 +152,7 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
             worst["alpha"] = max(worst["alpha"], floor - val)
             worst["alpha_sat"] = max(worst["alpha_sat"],
                                      floor / (1.0 + dist) - sat)
+    tol = _SANDWICH_TOL
     checks = [
         BoundCheck("distance_upper", 0.0, worst["upper"], tol),
         BoundCheck("distance_lower_two_constants", 0.0, worst["lower2"], tol),

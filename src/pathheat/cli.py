@@ -9,9 +9,12 @@ hash of the subcommand and all parsed arguments but ``--out`` and
 ``--config``, so any output is reproducible bit for bit from (config, seed).
 The process exits 0 exactly when every assertion configured for the
 subcommand passes, 1 when one fails, and 2 on bad input, which :func:`run`
-reports as one ``pathheat: error:`` line.  The grid of a path file given to
-solve (``--path``) or vp-run (``--paths``) replaces the steps and horizon
-settings, so setting either beside one is bad input.
+reports as one ``pathheat: error:`` line.  :func:`run` also exits 1, without
+a traceback, when stdout is closed before the output is written (as by
+``| head``), and sends comparison-demo's progress messages to stderr.  The
+grid of a path file given to solve (``--path``) or vp-run (``--paths``)
+replaces the steps and horizon settings, so setting either beside one is
+bad input.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import logging
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -137,20 +142,18 @@ def _quadrature(args: argparse.Namespace) -> QuadratureConfig:
                                if k in _Z + _S})
 
 
-class _CsvSink:
-    def __init__(self, args: argparse.Namespace, name: str, header: list[str]):
-        self.path = Path(args.out) / name
-        self.fh = open(self.path, "w", newline="")
-        self.fh.write(f"# config_hash={_config_hash(args)} seed={args.seed}\n")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(header)
-
-    def row(self, values) -> None:
-        self.writer.writerow(values)
-
-    def close(self) -> None:
-        self.fh.close()
-        print(f"wrote {self.path}")
+def _write_csv(args: argparse.Namespace, name: str, header: list[str],
+               rows: list) -> None:
+    """Write the provenance line, ``header`` and ``rows`` to ``name`` in the
+    output directory.  A subcommand computes all its rows first, so a run
+    that fails leaves no partial file."""
+    path = Path(args.out) / name
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={_config_hash(args)} seed={args.seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +177,10 @@ def _cmd_solve(args) -> int:
     n_times = control_nodes(grid, args.t, cfg, x.dimension).size
     print(f"{args.terminal} at t={args.t:g}: {est.mean:.6f} +/- {est.stderr:.6f} "
           f"(n={est.n_samples}, control times K={n_times})")
-    sink = _CsvSink(args, "solve.csv",
-                    ["terminal", "t", "mean", "stderr", "n_samples", "control_times"])
-    sink.row([args.terminal, args.t, f"{est.mean:.17g}", f"{est.stderr:.17g}",
-              est.n_samples, n_times])
-    sink.close()
+    _write_csv(args, "solve.csv",
+               ["terminal", "t", "mean", "stderr", "n_samples", "control_times"],
+               [[args.terminal, args.t, f"{est.mean:.17g}", f"{est.stderr:.17g}",
+                 est.n_samples, n_times]])
     return 0
 
 
@@ -193,21 +195,20 @@ def _cmd_pde_check(args) -> int:
     for name, xi in zip(names, terminals):
         if xi.cylinder is None:
             raise InputError(f"{name} is not a cylinder functional")
-    sink = _CsvSink(args, "pde_check.csv",
-                    ["spec", "sample", "t", "residual", "pass"])
     rng = sample_stream(args.seed, 0)
     zero = GridPath.zero(grid)
-    ok = True
+    rows = []
     for name, xi in zip(names, terminals):
         for s in range(args.n_points):
             t = grid.node(int(rng.integers(0, grid.steps)))
             x = GridPath(grid, extend_with_increments(
                 0.0, zero, brownian_increments(grid, 0, 1, rng)))
             res = float(pde_residual(xi.cylinder, t, [x], quad)[0])
-            good = abs(res) <= args.tol
-            ok = ok and good
-            sink.row([name, s, f"{t:.6g}", f"{res:.6e}", "pass" if good else "FAIL"])
-    sink.close()
+            rows.append([name, s, f"{t:.6g}", f"{res:.6e}",
+                         "pass" if abs(res) <= args.tol else "FAIL"])
+    _write_csv(args, "pde_check.csv",
+               ["spec", "sample", "t", "residual", "pass"], rows)
+    ok = all(row[-1] == "pass" for row in rows)
     print("pde-check:", "pass" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -225,13 +226,10 @@ def _cmd_gauge_check(args) -> int:
         checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3, quad)
         print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
-    sink = _CsvSink(args, "gauge_check.csv",
-                    ["bound", "constant", "observed_max", "tolerance", "status"])
-    ok = True
-    for c in checks:
-        ok = ok and c.passed
-        sink.row(c.csv_row())
-    sink.close()
+    _write_csv(args, "gauge_check.csv",
+               ["bound", "constant", "observed_max", "tolerance", "status"],
+               [c.csv_row() for c in checks])
+    ok = all(c.passed for c in checks)
     failed = [c.name for c in checks
               if c.name.startswith("calibrated") and not c.passed]
     note = (f" ({', '.join(failed)}: alpha_{args.d} was calibrated on "
@@ -246,13 +244,11 @@ def _cmd_gauge_check(args) -> int:
 def _cmd_ito_check(args) -> int:
     rows = dt_convergence_rows(args.horizon, args.seed, n_samples=args.n_paths,
                                exponents=args.exponents, preset=args.preset)
-    sink = _CsvSink(args, "ito_check.csv",
-                    ["dt", "mean_abs_residual", "stderr", "slope", "slope_stderr"])
-    for row in rows:
-        sink.row([f"{row['dt']:.6g}", f"{row['mean_abs_residual']:.6e}",
-                  f"{row['stderr']:.6e}", f"{row['slope']:.4f}",
-                  f"{row['slope_stderr']:.4f}"])
-    sink.close()
+    _write_csv(args, "ito_check.csv",
+               ["dt", "mean_abs_residual", "stderr", "slope", "slope_stderr"],
+               [[f"{row['dt']:.6g}", f"{row['mean_abs_residual']:.6e}",
+                 f"{row['stderr']:.6e}", f"{row['slope']:.4f}",
+                 f"{row['slope_stderr']:.4f}"] for row in rows])
     slope, se = rows[0]["slope"], rows[0]["slope_stderr"]
     # the verdict is the fitted slope's; a 3-stderr interval that holds the
     # bound is reported, as this sample size cannot decide the check
@@ -291,18 +287,19 @@ def _cmd_vp_run(args) -> int:
     eps = max(values.max() - values.min(), 1e-9) * 1.001
     res = smooth_variational_principle(values, eps, args.vp_delta, start, space,
                                        quad)
-    sink = _CsvSink(args, "vp_run.csv",
-                    ["record", "index", "value", "bound", "ok"])
+    rows = []
     for r in res.item_i:
-        sink.row(["item_i", r.index, f"{r.gauge_limit_to_anchor:.6e}",
-                  f"{r.bound:.6e}", r.ok])
-        sink.row(["item_i_reversed", r.index, f"{r.gauge_anchor_to_limit:.6e}",
-                  f"{r.bound:.6e}", r.ok_reversed])
-    sink.row(["item_ii", "", f"{res.item_ii_lhs:.6e}",
-              f"{res.item_ii_rhs:.6e}", res.item_ii_ok])
-    sink.row(["item_iii_margin", "", f"{res.item_iii_margin:.6e}", "", res.item_iii_ok])
-    sink.row(["iterations", "", res.iterations, "", res.iterations <= 1000])
-    sink.close()
+        rows.append(["item_i", r.index, f"{r.gauge_limit_to_anchor:.6e}",
+                     f"{r.bound:.6e}", r.ok])
+        rows.append(["item_i_reversed", r.index, f"{r.gauge_anchor_to_limit:.6e}",
+                     f"{r.bound:.6e}", r.ok_reversed])
+    rows.append(["item_ii", "", f"{res.item_ii_lhs:.6e}",
+                 f"{res.item_ii_rhs:.6e}", res.item_ii_ok])
+    rows.append(["item_iii_margin", "", f"{res.item_iii_margin:.6e}", "",
+                 res.item_iii_ok])
+    rows.append(["iterations", "", res.iterations, "", res.iterations <= 1000])
+    _write_csv(args, "vp_run.csv", ["record", "index", "value", "bound", "ok"],
+               rows)
     ok = res.all_items_ok()
     print(f"vp-run: limit at index {res.limit_index}, t={res.limit.t:g}; "
           f"items {'pass' if ok else 'FAIL'}")
@@ -312,11 +309,9 @@ def _cmd_vp_run(args) -> int:
 def _cmd_approx(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
     rows = tn_convergence_rows(grid, orders=args.orders)
-    sink = _CsvSink(args, "approx.csv", ["order", "sup_error", "coefficient_gap"])
-    for row in rows:
-        sink.row([row["order"], f"{row['sup_error']:.6e}",
-                  f"{row['coefficient_gap']:.6e}"])
-    sink.close()
+    _write_csv(args, "approx.csv", ["order", "sup_error", "coefficient_gap"],
+               [[row["order"], f"{row['sup_error']:.6e}",
+                 f"{row['coefficient_gap']:.6e}"] for row in rows])
     errs = [row["sup_error"] for row in rows]
     ok = all(b < a for a, b in zip(errs, errs[1:])) and errs[-1] < args.tol
     print("approx:", "pass" if ok else "FAIL")
@@ -328,22 +323,18 @@ def _cmd_comparison(args) -> int:
     report = comparison_demo(grid, args.seed, terminal=args.terminal,
                              order=args.order, n_paths=args.n_points,
                              n_mc=args.n_mc, lam=args.lam, deltas=args.delta,
-                             mode=args.mode, gauge_config=_quadrature(args),
-                             progress=print)
-    sink = _CsvSink(args, "comparison_demo.csv",
-                    ["delta", "limit_time", "interior", "chain_left",
-                     "chain_mid", "chain_right", "phi_at_limit", "operator_phi",
-                     "items_ok", "exact_link_ok", "operator_ok",
-                     "tangency_link_ok", "endpoint_ok", "iterations",
-                     "smoothing_modulus"])
-    for row in report.rows:
-        sink.row([row.delta, f"{row.limit_time:.6g}", row.interior,
-                  f"{row.chain_left:.6e}", f"{row.chain_mid:.6e}",
-                  f"{row.chain_right:.6e}", f"{row.phi_at_limit:.6e}",
-                  f"{row.operator_phi:.6e}", row.items_ok, row.exact_link_ok,
-                  row.operator_ok, row.tangency_link_ok, row.endpoint_ok,
-                  row.iterations, f"{report.modulus:.6e}"])
-    sink.close()
+                             mode=args.mode, gauge_config=_quadrature(args))
+    _write_csv(args, "comparison_demo.csv",
+               ["delta", "limit_time", "interior", "chain_left", "chain_mid",
+                "chain_right", "phi_at_limit", "operator_phi", "items_ok",
+                "exact_link_ok", "operator_ok", "tangency_link_ok",
+                "endpoint_ok", "iterations", "smoothing_modulus"],
+               [[row.delta, f"{row.limit_time:.6g}", row.interior,
+                 f"{row.chain_left:.6e}", f"{row.chain_mid:.6e}",
+                 f"{row.chain_right:.6e}", f"{row.phi_at_limit:.6e}",
+                 f"{row.operator_phi:.6e}", row.items_ok, row.exact_link_ok,
+                 row.operator_ok, row.tangency_link_ok, row.endpoint_ok,
+                 row.iterations, f"{report.modulus:.6e}"] for row in report.rows])
     print(f"comparison-demo[{report.mode}]: verdict={report.verdict}, "
           f"rhs monotone={report.rhs_monotone}, "
           f"contradiction exhibited={report.contradiction_exhibited}")
@@ -491,12 +482,20 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run(argv: Optional[list[str]] = None) -> int:
     """Console entry point: :func:`main`, with an :class:`InputError` or
     :class:`DomainError` reported as one line on stderr and exit status 2
-    instead of a traceback."""
+    instead of a traceback, and a closed stdout as exit status 1.  Progress
+    messages go to stderr."""
+    logging.basicConfig(format="%(message)s", level=logging.INFO)
     try:
-        return main(argv)
+        status = main(argv)
+        sys.stdout.flush()
+        return status
     except (InputError, DomainError) as exc:
         print(f"pathheat: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ sup norm.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,21 +52,19 @@ __all__ = [
     "dt_convergence_rows",
 ]
 
+_log = logging.getLogger(__name__)
+
 # comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
 SUBSOLUTION_OFFSET = 0.25
 
 
-def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int,
-                          times: Optional[list[float]] = None,
-                          amplitude: float = 1.0) -> SearchSpace:
-    """Search space of scaled Brownian paths pinned at zero, with point times
-    drawn from ``times`` (default: quarter nodes of the horizon)."""
+def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int) -> SearchSpace:
+    """Search space of Brownian paths from zero, point i at the quarter node
+    i mod 3 + 1 of the horizon."""
     rng = substream(seed, StreamKind.SEARCH_SPACE, 0)
-    if times is None:
-        times = [0.25 * grid.horizon, 0.5 * grid.horizon, 0.75 * grid.horizon]
+    times = [0.25 * grid.horizon, 0.5 * grid.horizon, 0.75 * grid.horizon]
     vals = extend_with_increments(0.0, GridPath.zero(grid),
                                   brownian_increments(grid, 0, 1, rng, n=n_paths))
-    vals *= amplitude
     return SearchSpace(tuple(PathPoint(times[i % len(times)], GridPath(grid, v))
                              for i, v in enumerate(vals)))
 
@@ -174,11 +173,10 @@ def comparison_demo(grid: TimeGrid, seed: int,
                     lam: float = 0.5,
                     deltas: tuple[float, ...] = (0.1, 0.05, 0.025),
                     mode: str = "candidate",
-                    start_index: int = 0,
-                    gauge_config: QuadratureConfig = QuadratureConfig(),
-                    progress: Optional[Callable[[str], None]] = None
+                    gauge_config: QuadratureConfig = QuadratureConfig()
                     ) -> ComparisonReport:
-    """Run the comparison machinery end to end on a finite space.
+    """Run the comparison machinery end to end on a finite space, from its
+    first point p0 = (t0, x).
 
     ``mode`` "candidate" takes the rough side u to be the Monte-Carlo
     solution itself (the machinery should then report no contradiction);
@@ -194,9 +192,11 @@ def comparison_demo(grid: TimeGrid, seed: int,
     stderr(u - v_n) is a bound per point, since each point's estimate
     equals that of the point alone.  The same draws estimate
     m(p0) = E ||Y - F_n Y||_inf at the start point, the bound behind
-    :attr:`ComparisonReport.contradiction_exhibited`.  ``deltas`` must be finite, positive and strictly decreasing, as the
-    vanishing-delta estimate and the monotone right side assume; anything
-    else raises :class:`InputError` before any Monte-Carlo work.
+    :attr:`ComparisonReport.contradiction_exhibited`.  ``deltas`` must be
+    finite, positive and strictly decreasing, as the vanishing-delta
+    estimate and the monotone right side assume; anything else raises
+    :class:`InputError` before any Monte-Carlo work.  Progress goes to this
+    module's logger at INFO.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
@@ -212,7 +212,6 @@ def comparison_demo(grid: TimeGrid, seed: int,
         if not b < a:
             raise InputError(f"the perturbation weights deltas must strictly "
                              f"decrease, got {b} after {a}")
-    say = progress or (lambda s: None)
     xi = build_terminal(terminal, grid)
 
     # Step I: cylindrical smoothing of the terminal condition.
@@ -221,11 +220,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
 
     space = brownian_search_space(grid, n_paths, seed)
     pts = list(space.points)
-    if not 0 <= start_index < len(pts):
-        raise InputError(f"start_index {start_index} outside the {len(pts)} "
-                         "points of the space")
-    say(f"space of {len(pts)} points; smoothing order {order} "
-        f"({n_coords} coordinates)")
+    _log.info("space of %d points; smoothing order %d (%d coordinates)",
+              len(pts), order, n_coords)
 
     # Step II: exponential scaling of u - v_n, one Monte-Carlo call per time
     # on draws common to the time's points and to both sides.
@@ -244,33 +240,32 @@ def comparison_demo(grid: TimeGrid, seed: int,
         gap = gap - SUBSOLUTION_OFFSET
     scale = np.exp(lam * times)
     g_vals = scale * gap
-    say("u - v_n estimated on the space")
+    _log.info("u - v_n estimated on the space")
 
     sup_g = float(np.max(g_vals))
-    start = pts[start_index]
-    eps = max(sup_g - g_vals[start_index], 1e-9) * (1.0 + 1e-9) + 1e-12
+    eps = max(sup_g - g_vals[0], 1e-9) * (1.0 + 1e-9) + 1e-12
     stat = float(lam * 3.0 * np.max(scale * gap_err))
-    m0 = ests[start_index][1]
+    m0 = ests[0][1]
     bias_bound = (None if xi.lipschitz is None else float(
-        xi.lipschitz * scale[start_index] * (m0.mean + 3.0 * m0.stderr)))
+        xi.lipschitz * scale[0] * (m0.mean + 3.0 * m0.stderr)))
     bounds = perturbation_bounds(grid.horizon)
     op_bound = bounds["horizontal"] + 0.5 * bounds["vertical2"]
 
     report = ComparisonReport(mode=mode, lam=lam, eps=eps, order=order,
                               coordinates=n_coords, n_points=len(pts),
-                              start_value=float(g_vals[start_index]),
+                              start_value=float(g_vals[0]),
                               sup_value=sup_g, stat_allowance=stat,
                               modulus=m0.mean, modulus_stderr=m0.stderr,
                               bias_bound=bias_bound)
 
     # Steps III-V per delta.
     for delta in deltas:
-        res = smooth_variational_principle(g_vals, eps, delta, start, space,
+        res = smooth_variational_principle(g_vals, eps, delta, pts[0], space,
                                            gauge_config)
         phi = float(res.phi.value[res.limit_index])
         lphi = float(res.phi.derivs.heat_operator()[res.limit_index])
         interior = bool(res.limit.t < grid.horizon - 1e-12)
-        chain_left = lam * float(g_vals[start_index])
+        chain_left = lam * float(g_vals[0])
         chain_mid = lam * float(g_vals[res.limit_index] - delta * phi)
         chain_right = delta * lphi
         tangency = bool(chain_mid <= chain_right + stat) if interior else None
@@ -284,8 +279,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
             tangency_link_ok=tangency,
             endpoint_ok=bool(chain_left <= chain_right + stat),
             iterations=res.iterations))
-        say(f"delta={delta:g}: limit at t={res.limit.t:g}, "
-            f"chain=({chain_left:.4g}, {chain_mid:.4g}, {chain_right:.4g})")
+        _log.info("delta=%g: limit at t=%g, chain=(%.4g, %.4g, %.4g)", delta,
+                  res.limit.t, chain_left, chain_mid, chain_right)
     return report
 
 

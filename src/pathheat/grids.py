@@ -11,7 +11,7 @@ of stopped representatives is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,14 +23,12 @@ __all__ = [
     "GridPath",
     "PathPoint",
     "SemimartingaleSpec",
-    "stop_path",
     "stack_points",
     "path_distance",
     "path_distances",
     "brownian_increments",
     "extend_with_increments",
     "euler_paths",
-    "write_path_csv",
     "read_path_csv",
 ]
 
@@ -100,18 +98,12 @@ class GridPath:
     def terminal(self) -> np.ndarray:
         return self.values[-1].copy()
 
-    def sup_norm(self) -> float:
-        """Exact sup over [0, T] of the Euclidean norm of the path."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
     def component(self, i: int) -> "GridPath":
         return GridPath(self.grid, self.values[:, i].copy())
 
     @staticmethod
-    def constant(grid: TimeGrid, value, dimension: int | None = None) -> "GridPath":
+    def constant(grid: TimeGrid, value) -> "GridPath":
         v = np.atleast_1d(np.asarray(value, dtype=float))
-        if dimension is not None and v.size == 1:
-            v = np.full(dimension, v[0])
         return GridPath(grid, np.tile(v, (grid.steps + 1, 1)))
 
     @staticmethod
@@ -137,7 +129,6 @@ class PathPoint:
 
     t: float
     path: GridPath
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t", self.path.grid.snap(self.t))
@@ -163,18 +154,10 @@ def _stopped_values(values: np.ndarray, k) -> np.ndarray:
 
     ``values`` has shape (..., M+1, d) and the node index ``k`` is an int or
     an integer array over the leading axes.  This is the one stopping rule
-    behind :func:`stop_path` and the pseudometric.
+    behind the pseudometric.
     """
     idx = np.minimum(np.arange(values.shape[-2]), np.expand_dims(k, -1))
     return np.take_along_axis(values, idx[..., None], axis=-2)
-
-
-def stop_path(x: GridPath, t: float) -> GridPath:
-    """Freeze ``x`` at (the node nearest to) ``t``: equal on [0,t], constant after."""
-    k = x.grid.index_of(t)
-    if k == x.grid.steps:
-        return x
-    return GridPath(x.grid, _stopped_values(x.values, k))
 
 
 def stack_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -234,25 +217,21 @@ def brownian_increments(grid: TimeGrid, k_from: int, dimension: int,
     return rng.standard_normal(shape) * np.sqrt(grid.dt)
 
 
-def extend_with_increments(t: float, x: GridPath, dW: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
+def extend_with_increments(t: float, x: GridPath, dW: np.ndarray) -> np.ndarray:
     """Values of the extension of ``x`` after ``t`` driven by ``dW``.
 
     ``dW`` has shape (..., M-k, d) with k the node of t; the result, shape
     (..., M+1, d), equals x on [0, t] and x(t) + cumulative-sum(dW) after.
     A Brownian path from zero is an extension of :meth:`GridPath.zero`.
     Feeding the tail of the same increments from a later time reproduces
-    the same sample (the flow identity of the extension).  ``out`` may hold
-    the increments in its tail, ``dW = out[..., k+1:, :]``; the extension is
-    then built in place.
+    the same sample (the flow identity of the extension).
     """
     k = x.grid.index_of(t)
     need = (x.grid.steps - k, x.dimension)
     dW = np.asarray(dW, float)
     if dW.shape[-2:] != need:
         raise DomainError(f"increments shape {dW.shape} does not end in {need}")
-    if out is None:
-        out = np.empty(dW.shape[:-2] + (x.grid.steps + 1, x.dimension))
+    out = np.empty(dW.shape[:-2] + (x.grid.steps + 1, x.dimension))
     out[..., : k + 1, :] = x.values[: k + 1]
     tail = out[..., k + 1:, :]
     np.cumsum(dW, axis=-2, out=tail)
@@ -303,24 +282,8 @@ def euler_paths(spec: SemimartingaleSpec, grid: TimeGrid, dW: np.ndarray) -> np.
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header "t,x1,...,xd", full double precision
+# CSV input: header "t,x1,...,xd", one row per node of a uniform grid
 # ---------------------------------------------------------------------------
-
-def write_path_csv(x: GridPath, target) -> None:
-    """Write one row per grid node with 17 significant digits."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        target = open(target, "w")
-        close = True
-    try:
-        cols = ",".join(f"x{i + 1}" for i in range(x.dimension))
-        target.write(f"t,{cols}\n")
-        for t, row in zip(x.grid.nodes(), x.values):
-            target.write("%.17g," % t + ",".join("%.17g" % v for v in row) + "\n")
-    finally:
-        if close:
-            target.close()
-
 
 def read_path_csv(source) -> GridPath:
     if isinstance(source, (str, bytes)):

@@ -69,21 +69,22 @@ def ito_verify(profiles, spec: SemimartingaleSpec, grid: TimeGrid,
 # Semimartingale presets
 # ---------------------------------------------------------------------------
 
-def brownian_spec(dimension: int = 1, start: float = 0.0) -> SemimartingaleSpec:
-    eye = np.eye(dimension)
+def brownian_spec() -> SemimartingaleSpec:
+    """Standard Brownian motion from 0 in one dimension."""
+    eye = np.eye(1)
     return SemimartingaleSpec(
         drift=lambda t, s: np.zeros_like(s),
         volatility=lambda t, s: eye,
-        initial=np.full(dimension, start))
+        initial=np.zeros(1))
 
 
-def ou_spec(rate: float = 1.0, vol: float = 1.0, start: float = 0.5,
-            dimension: int = 1) -> SemimartingaleSpec:
-    eye = vol * np.eye(dimension)
+def ou_spec() -> SemimartingaleSpec:
+    """Ornstein-Uhlenbeck dX = -X dt + dW from 0.5 in one dimension."""
+    eye = np.eye(1)
     return SemimartingaleSpec(
-        drift=lambda t, s: -rate * s,
+        drift=lambda t, s: -s,
         volatility=lambda t, s: eye,
-        initial=np.full(dimension, start))
+        initial=np.full(1, 0.5))
 
 
 SEMIMARTINGALE_PRESETS = {

@@ -1,6 +1,6 @@
 """Random path-space samples for calibration runs and bound audits.
 
-The generators mix Brownian samples, constants, amplitude scalings and time
+The generators mix Brownian samples, constants, smooth paths and time
 shifts so that the anchored-distance machinery sees both smooth and rough
 geometry, points before and after their anchors, and near-diagonal pairs.
 """
@@ -18,41 +18,38 @@ from .streams import StreamKind, substream
 __all__ = ["random_path", "random_pairs", "random_lift_points"]
 
 
-def random_path(grid: TimeGrid, dimension: int, rng: np.random.Generator,
-                amplitude: float = 1.0) -> GridPath:
+def random_path(grid: TimeGrid, dimension: int, rng: np.random.Generator) -> GridPath:
     kind = rng.integers(0, 4)
-    zero = GridPath.zero(grid, dimension)
-    if kind == 0:  # scaled Brownian from zero
-        dw = brownian_increments(grid, 0, dimension, rng)
-        return GridPath(grid, amplitude * extend_with_increments(0.0, zero, dw))
     if kind == 1:  # constant
-        return GridPath.constant(grid, amplitude * rng.standard_normal(dimension))
+        return GridPath.constant(grid, rng.standard_normal(dimension))
     if kind == 2:  # low-frequency smooth path
         t = grid.nodes() / grid.horizon
-        coef = amplitude * rng.standard_normal((3, dimension))
+        coef = rng.standard_normal((3, dimension))
         vals = (coef[0] * np.sin(np.pi * t)[:, None]
                 + coef[1] * np.sin(2 * np.pi * t)[:, None]
                 + coef[2] * (t * t)[:, None])
         return GridPath(grid, vals)
-    # Brownian with drift
+    # kinds 0 and 3: Brownian from zero, with a drift at kind 3
     dw = brownian_increments(grid, 0, dimension, rng)
-    drift = rng.standard_normal(dimension) * grid.dt
-    return GridPath(grid, amplitude * extend_with_increments(0.0, zero, dw + drift))
+    if kind == 3:
+        dw += rng.standard_normal(dimension) * grid.dt
+    zero = GridPath.zero(grid, dimension)
+    return GridPath(grid, extend_with_increments(0.0, zero, dw))
 
 
-def random_pairs(grid: TimeGrid, dimension: int, n: int, seed: int,
-                 amplitude: float = 1.0) -> Iterator[tuple[PathPoint, PathPoint]]:
+def random_pairs(grid: TimeGrid, dimension: int, n: int,
+                 seed: int) -> Iterator[tuple[PathPoint, PathPoint]]:
     """(anchor, point) pairs covering rough/smooth and near/far geometry."""
     rng = substream(seed, StreamKind.PAIRS, 0)
     for _ in range(n):
-        anchor_path = random_path(grid, dimension, rng, amplitude)
+        anchor_path = random_path(grid, dimension, rng)
         t0 = grid.node(int(rng.integers(0, grid.steps + 1)))
         anchor = PathPoint(t0, anchor_path)
         style = rng.integers(0, 3)
         if style == 0:  # unrelated path
-            path = random_path(grid, dimension, rng, amplitude)
+            path = random_path(grid, dimension, rng)
         elif style == 1:  # perturbed copy of the anchor path
-            bump = random_path(grid, dimension, rng, amplitude)
+            bump = random_path(grid, dimension, rng)
             scale = 10.0 ** rng.uniform(-3, 0)
             path = GridPath(grid, anchor_path.values + scale * bump.values)
         else:  # time-shifted copy
@@ -64,12 +61,10 @@ def random_pairs(grid: TimeGrid, dimension: int, n: int, seed: int,
         yield anchor, PathPoint(t, path)
 
 
-def random_lift_points(grid: TimeGrid, dimension: int, n: int, seed: int,
-                       amplitude: float = 1.0,
-                       jump_scale: float = 1.0
+def random_lift_points(grid: TimeGrid, dimension: int, n: int, seed: int
                        ) -> Iterator[tuple[PathPoint, float, GridPath, np.ndarray]]:
     """(anchor, t, x, y) tuples with y off the path for derivative audits."""
     rng = substream(seed, StreamKind.LIFT_POINTS, 0)
-    for anchor, point in random_pairs(grid, dimension, n, seed + 1, amplitude):
-        y = point.present_value() + jump_scale * rng.standard_normal(dimension)
+    for anchor, point in random_pairs(grid, dimension, n, seed + 1):
+        y = point.present_value() + rng.standard_normal(dimension)
         yield anchor, point.t, point.path, y

@@ -1,6 +1,6 @@
-"""Monte-Carlo candidate solution of the path-dependent heat equation, the
-flow (tower) identity residual, and the finite-dimensional factor solution
-for cylinder terminal conditions with its pathwise derivatives.
+"""Monte-Carlo candidate solution of the path-dependent heat equation and
+the finite-dimensional factor solution for cylinder terminal conditions
+with its pathwise derivatives.
 
 The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t, estimated by Monte
@@ -32,10 +32,10 @@ import numpy as np
 from .cylinders import (CylinderSpec, PathwiseDerivs, cylinder_coordinates,
                         cylinder_sigma)
 from .errors import ContractError, DomainError, InputError, NumericError
-from .grids import GridPath, TimeGrid, brownian_increments, extend_with_increments
+from .grids import GridPath, TimeGrid
 from .quadrature import QuadratureConfig, gaussian_rule, legendre_rule
 from .regularization import by_parts, weights_at
-from .streams import StreamKind, sample_stream, substream
+from .streams import sample_stream
 
 __all__ = [
     "TerminalFunctional",
@@ -44,8 +44,6 @@ __all__ = [
     "sample_increments",
     "control_nodes",
     "candidate_solution",
-    "running_max_exact_solution",
-    "flow_residual",
     "FiniteDimSolution",
     "finite_dim_solution",
     "cylinder_pathwise_derivs",
@@ -89,8 +87,8 @@ def _rows(who: str, shape: tuple, fn, *args) -> np.ndarray:
     return out
 
 
-# Samples per chunk of candidate_solution and of flow_residual's outer draws;
-# even, so that an antithetic pair never straddles two chunks.
+# Samples per chunk of candidate_solution; even, so that an antithetic pair
+# never straddles two chunks.
 _CHUNK = 4096
 
 # Floor of the residual sum of squares of candidate_solution's fit, per unit
@@ -121,12 +119,12 @@ class MCConfig:
 class MCEstimate:
     """Monte-Carlo mean with its standard error.
 
-    :meth:`from_samples` gives the plain sample mean, and :meth:`merge`
-    pools such plain estimates.  :func:`candidate_solution` instead returns
-    a control-variate estimate: the intercept of a least-squares fit of the
-    samples on the walk S_j = X_s - x(t), with known mean 0, and S_j^+, with
-    known mean sqrt((s - t) / (2 pi)), per path component j at each of the
-    K control nodes s of :func:`control_nodes`, the last of which is T.
+    :meth:`from_samples` gives the plain sample mean.
+    :func:`candidate_solution` instead returns a control-variate estimate:
+    the intercept of a least-squares fit of the samples on the walk
+    S_j = X_s - x(t), with known mean 0, and S_j^+, with known mean
+    sqrt((s - t) / (2 pi)), per path component j at each of the K control
+    nodes s of :func:`control_nodes`, the last of which is T.
     That in-sample fit biases the mean by O(p/n); its stderr is
     sqrt(RSS / (n - p) / n) with p = 1 + 2Kd fitted coefficients, floored at
     the rounding level of RSS.  Under antithetic sampling n counts samples
@@ -145,18 +143,6 @@ class MCEstimate:
         return MCEstimate(mean=float(np.mean(samples)),
                           stderr=float(np.std(samples, ddof=1) / math.sqrt(n)),
                           n_samples=n, seed=seed)
-
-    @staticmethod
-    def merge(parts: Sequence["MCEstimate"]) -> "MCEstimate":
-        """Count-weighted mean with pooled (ddof=1) variance."""
-        n = sum(p.n_samples for p in parts)
-        mean = sum(p.mean * p.n_samples for p in parts) / n
-        sumsq = sum((p.n_samples - 1) * p.stderr**2 * p.n_samples
-                    + p.n_samples * p.mean**2 for p in parts)
-        var = (sumsq - n * mean**2) / max(n - 1, 1)
-        return MCEstimate(mean=float(mean),
-                          stderr=float(math.sqrt(max(var, 0.0) / n)),
-                          n_samples=n, seed=parts[0].seed)
 
 
 def sample_increments(grid: TimeGrid, k: int, d: int, seed: int, idx,
@@ -365,76 +351,6 @@ def candidate_solution(xi: TerminalFunctional, t: float,
             raise NumericError("mean escaped the declared bound of the functional")
         ests.append(fits[0] if smoothing is None else tuple(fits))
     return ests[0] if isinstance(x, GridPath) else tuple(ests)
-
-
-def running_max_exact_solution(t: float, x: GridPath, cfg: MCConfig) -> MCEstimate:
-    """Unbiased estimate of E[sup of the *continuous* Brownian extension].
-
-    The running maximum of a Brownian path exceeds the maximum over grid
-    nodes by an O(sqrt(dt)) gap; sampling each cell's bridge maximum in
-    closed form removes that discretization bias entirely, so the estimate
-    targets the continuum value at any grid resolution.  Scalar paths only.
-    """
-    if x.dimension != 1:
-        raise DomainError("the exact running-max estimator is one-dimensional")
-    grid = x.grid
-    k = grid.index_of(t)
-    past_max = float(np.max(x.values[: k + 1, 0]))
-    if k == grid.steps:
-        return MCEstimate(mean=past_max, stderr=0.0,
-                          n_samples=cfg.n_samples, seed=cfg.seed)
-    samples = np.empty(cfg.n_samples)
-    rng = None
-    for i in range(cfg.n_samples):
-        rng = substream(cfg.seed, StreamKind.BRIDGE, i, rng)
-        dw = brownian_increments(grid, k, 1, rng)
-        u = rng.random(grid.steps - k)
-        nodes = extend_with_increments(t, x, dw)[k:, 0]
-        a, b = nodes[:-1], nodes[1:]
-        cell_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * grid.dt * np.log(u)))
-        samples[i] = max(past_max, float(np.max(cell_max)))
-    return MCEstimate.from_samples(samples, cfg.seed)
-
-
-def flow_residual(xi: TerminalFunctional, t: float, t_prime: float, x: GridPath,
-                  cfg: MCConfig, n_inner: int = 1000) -> MCEstimate:
-    """Residual of the tower identity between times t <= t' <= T.
-
-    Couples the two expectations through the outer samples: each outer
-    extension Y contributes xi(Y) minus an inner Monte-Carlo estimate of the
-    solution restarted at (t', Y).  At t' = t the identity is the
-    non-anticipativity of the solution and holds pointwise, so the residual
-    is returned as exactly zero; at t' = T the inner estimate collapses to
-    xi(Y) and the coupling is exact as well.
-
-    The outer increments are drawn ``_CHUNK`` samples at a time, with one
-    reseated generator per chunk; outer sample i is still stream (seed, i)
-    and is evaluated alone, so the estimate does not depend on the chunk
-    size.
-    """
-    grid = x.grid
-    k = grid.index_of(t)
-    kp = grid.index_of(t_prime)
-    if not (k <= kp):
-        raise DomainError("flow residual needs t <= t'")
-    if kp == k:
-        return MCEstimate(mean=0.0, stderr=0.0, n_samples=cfg.n_samples,
-                          seed=cfg.seed)
-    d = x.dimension
-    n = cfg.n_samples
-    diffs = np.empty(n)
-    rng = None
-    for lo in range(0, n, _CHUNK):
-        idx = range(lo, min(lo + _CHUNK, n))
-        outer = extend_with_increments(
-            t, x, sample_increments(grid, k, d, cfg.seed, idx))
-        for i, y in zip(idx, outer):
-            xi_outer = float(xi.evaluate_batch(y[None], grid)[0])
-            rng = substream(cfg.seed, StreamKind.FLOW_INNER, i, rng)
-            inner_dw = brownian_increments(grid, kp, d, rng, n=n_inner)
-            inner = extend_with_increments(t_prime, GridPath(grid, y), inner_dw)
-            diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
-    return MCEstimate.from_samples(diffs, cfg.seed)
 
 
 # ---------------------------------------------------------------------------

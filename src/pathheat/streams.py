@@ -14,17 +14,19 @@ stream, bit for bit, and still a pure function of ``(master_seed, index)``.
 Stream families (``kind``), all keyed by the master seed:
 
 * kind 0, :func:`sample_stream` (seed, i): Monte-Carlo sample i of
-  ``solver.sample_increments``, hence of ``candidate_solution``, the outer
-  samples of ``flow_residual`` and the Euler ensemble of ``ito_verify``
-  (an antithetic pair 2j, 2j+1 shares stream j).  Every path of one
-  ``candidate_solution`` call extends with the same sample i; so the points
-  of ``experiments.comparison_demo`` at its j-th time, in increasing order,
-  all read streams (seed + 101 + j, i), for both sides u and v_n.
+  ``solver.sample_increments``, hence of ``candidate_solution`` and the
+  Euler ensemble of ``ito_verify`` (an antithetic pair 2j, 2j+1 shares
+  stream j).  Every path of one ``candidate_solution`` call extends with
+  the same sample i; so the points of ``experiments.comparison_demo`` at
+  its j-th time, in increasing order, all read streams
+  (seed + 101 + j, i), for both sides u and v_n.
 * :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
-  inner restarts of ``flow_residual`` (FLOW_INNER), the bridge maxima of
-  ``running_max_exact_solution`` (BRIDGE), the jump draws of
-  ``sampling.random_lift_points`` (LIFT_POINTS), ``sampling.random_pairs``
-  (PAIRS) and ``experiments.brownian_search_space`` (SEARCH_SPACE).
+  jump draws of ``sampling.random_lift_points`` (LIFT_POINTS),
+  ``sampling.random_pairs`` (PAIRS) and
+  ``experiments.brownian_search_space`` (SEARCH_SPACE).  Only test oracles
+  draw FLOW_INNER (the inner restarts of the flow-identity residual) and
+  BRIDGE (the bridge maxima of the exact running-max estimator); the kinds
+  keep their numbers, so that no other stream moves.
 
 Stream (seed, 0) is also used whole by three callers that need one
 generator per seed: the path draws of ``pathheat pde-check``, the objective

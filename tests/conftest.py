@@ -3,7 +3,7 @@ import pytest
 
 from pathheat.cylinders import PathwiseDerivs
 from pathheat.errors import DomainError
-from pathheat.grids import GridPath, TimeGrid, stop_path
+from pathheat.grids import GridPath, TimeGrid, _stopped_values
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +27,36 @@ def make_brownian(grid: TimeGrid, seed: int, dimension: int = 1,
     dw = rng.standard_normal((grid.steps, dimension)) * np.sqrt(grid.dt)
     vals = np.vstack([np.full((1, dimension), start), start + np.cumsum(dw, axis=0)])
     return GridPath(grid, vals)
+
+
+def stop_path(x: GridPath, t: float) -> GridPath:
+    """Freeze ``x`` at (the node nearest to) ``t``: equal on [0,t], constant after."""
+    k = x.grid.index_of(t)
+    if k == x.grid.steps:
+        return x
+    return GridPath(x.grid, _stopped_values(x.values, k))
+
+
+def sup_norm(x: GridPath) -> float:
+    """Exact sup over [0, T] of the Euclidean norm of the path."""
+    return float(np.max(np.linalg.norm(x.values, axis=1)))
+
+
+def write_path_csv(x: GridPath, target) -> None:
+    """Write one row per grid node with 17 significant digits, header
+    "t,x1,...,xd": the input format of ``read_path_csv``."""
+    close = False
+    if isinstance(target, (str, bytes)):
+        target = open(target, "w")
+        close = True
+    try:
+        cols = ",".join(f"x{i + 1}" for i in range(x.dimension))
+        target.write(f"t,{cols}\n")
+        for t, row in zip(x.grid.nodes(), x.values):
+            target.write("%.17g," % t + ",".join("%.17g" % v for v in row) + "\n")
+    finally:
+        if close:
+            target.close()
 
 
 def value_at(x: GridPath, t: float) -> np.ndarray:
@@ -54,7 +84,7 @@ def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
     in y only; the grid path itself is never mutated.
     """
     t = x.grid.snap(t)
-    scale = max(1.0, x.sup_norm())
+    scale = max(1.0, sup_norm(x))
     if delta is None:
         delta = 1e-4 * scale
     if h is None:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 import pathheat
 from pathheat import cli
 from pathheat.errors import DomainError, InputError
-from pathheat.grids import GridPath, TimeGrid, write_path_csv
+from pathheat.grids import GridPath, TimeGrid
+
+from conftest import write_path_csv
 
 
 def _write(tmp_path, text):
@@ -138,14 +141,17 @@ class TestSeedContract:
             cli.main(argv + ["--seed", "-5", "--out", str(tmp_path)])
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh process that imports this package."""
+    src = str(Path(pathheat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(args, **kwargs) -> subprocess.CompletedProcess:
     """Run this interpreter in a fresh process that imports this package."""
-    src = str(Path(pathheat.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120, **kwargs)
+                          text=True, env=_fresh_env(), timeout=120, **kwargs)
 
 
 class TestImportFootprint:
@@ -213,15 +219,46 @@ class TestEntryPoint:
         argv = ["pde-check", "--seed", "1", "--steps", "16", "--n-points", "2",
                 "--z-rule", "exact", "--out", str(tmp_path)]
         assert cli.run(argv) == 2
+        assert not (tmp_path / "pde_check.csv").exists()
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        # the reader is gone before the command writes its first line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pathheat.cli", "solve", "--seed", "1",
+             "--steps", "8", "--n-samples", "16", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    def test_progress_goes_to_stderr_of_the_console_entry_only(self, tmp_path):
+        argv = ["comparison-demo", "--seed", "2", "--steps", "50", "--order",
+                "8", "--n-points", "5", "--n-mc", "100", "--out", str(tmp_path)]
+        proc = _fresh_python(["-m", "pathheat.cli", *argv])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[0] == (
+            "space of 5 points; smoothing order 8 (17 coordinates)")
+        assert len(proc.stderr.splitlines()) == 5  # and one line per delta
+        assert "space of" not in proc.stdout
+        assert "contradiction exhibited=False" in proc.stdout
+        proc = _fresh_python(["-c", "import sys; from pathheat import cli; "
+                              "sys.exit(cli.main(sys.argv[1:]))", *argv])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "space of" not in proc.stdout
 
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "0.1,0.2"])
-    def test_bad_delta_exits_2(self, tmp_path, capsys, delta):
+    def test_bad_delta_exits_2(self, tmp_path, capsys, caplog, delta):
+        caplog.set_level(logging.INFO, logger="pathheat")
         argv = ["comparison-demo", "--seed", "1", "--steps", "50", "--order",
                 "8", "--n-points", "5", "--n-mc", "100", "--delta", delta,
                 "--out", str(tmp_path)]
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""  # rejected before the space is built
+        assert captured.out == ""
+        assert caplog.records == []  # rejected before the space is built
         assert captured.err.startswith("pathheat: error: ")
         assert delta.split(",")[-1] in captured.err
         assert not (tmp_path / "comparison_demo.csv").exists()
@@ -475,6 +512,15 @@ class TestSubcommandSmoke:
                             r"\(--min-slope 0\.4 lies within 3 stderr: "
                             r"too few paths to decide\) pass", line)
         assert cli.run(argv[:-2] + ["--min-slope", "0.9", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_ito_check_decides_at_its_defaults(self, tmp_path, capsys, seed):
+        # 256 paths and exponents 6-10 put the slope's 3-stderr interval
+        # clear of --min-slope
+        assert cli.run(["ito-check", "--seed", str(seed),
+                        "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"ito-check: slope=0\.\d{3} \+/- 0\.\d{3} pass", line)
 
     def test_non_monotone_right_side_exits_1(self, tmp_path, capsys):
         # at seed 1 the VP limit jumps from t = 0.24 to t = 0.5 as delta

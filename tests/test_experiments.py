@@ -34,11 +34,6 @@ def opened(monkeypatch):
 
 
 class TestComparisonInput:
-    @pytest.mark.parametrize("start_index", [-1, 5])
-    def test_start_index_outside_the_space(self, start_index):
-        with pytest.raises(InputError, match="start_index"):
-            comparison_demo(GRID, 1, start_index=start_index, **SMALL)
-
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_non_positive_rate(self, lam):
         with pytest.raises(InputError, match="lam"):
@@ -70,23 +65,34 @@ class TestComparisonGap:
         return MCConfig(n_samples=SMALL["n_mc"],
                         seed=self.SEED + 101 + times.index(p.t))
 
-    def test_each_gap_equals_that_point_alone(self):
-        # G(p) = exp(lam t) (u - v_n) from a one-path call, with each point
-        # taken as the start in turn
+    def test_each_gap_equals_that_point_alone(self, monkeypatch):
+        # every point's (u - v_n, modulus) pair equals a one-path call, and
+        # the start, point 0, reports G(p0) = exp(lam t0) (u - v_n)
         xi = build_terminal("running_max", GRID)
         points = self._points()
         smoothing = fejer_smoothing(SMALL["order"], GRID)
+        got = {}
+
+        def spy(xi, t, paths, cfg, smoothing):
+            ests = candidate_solution(xi, t, paths, cfg, smoothing)
+            for path, est in zip(paths, ests):
+                got[next(i for i, p in enumerate(points) if p.t == t and
+                         np.array_equal(p.path.values, path.values))] = est
+            return ests
+
+        monkeypatch.setattr(experiments, "candidate_solution", spy)
+        report = comparison_demo(GRID, self.SEED, lam=self.LAM, **SMALL)
+        assert sorted(got) == list(range(len(points)))
         for i, p in enumerate(points):
-            diff, modulus = candidate_solution(xi, p.t, p.path,
-                                               self._cfg(p, points), smoothing)
-            report = comparison_demo(GRID, self.SEED, lam=self.LAM,
-                                     start_index=i, **SMALL)
-            scale = np.exp(self.LAM * p.t)
-            assert report.start_value == float(scale * diff.mean)
-            assert report.modulus == modulus.mean
-            assert report.modulus_stderr == modulus.stderr
-            assert report.bias_bound == float(
-                scale * (modulus.mean + 3.0 * modulus.stderr))
+            assert got[i] == candidate_solution(xi, p.t, p.path,
+                                                self._cfg(p, points), smoothing)
+        diff, modulus = got[0]
+        scale = np.exp(self.LAM * points[0].t)
+        assert report.start_value == float(scale * diff.mean)
+        assert report.modulus == modulus.mean
+        assert report.modulus_stderr == modulus.stderr
+        assert report.bias_bound == float(
+            scale * (modulus.mean + 3.0 * modulus.stderr))
 
     def test_gap_agrees_with_independent_factor_values(self):
         # the old route: u by Monte Carlo, v_n from the factor engine on its

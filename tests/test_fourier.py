@@ -7,7 +7,7 @@ from pathheat.fourier import (basis_primitive, basis_value, fejer_coefficient,
                               fejer_smooth, fejer_weights, terminal_ramp)
 from pathheat.grids import GridPath, TimeGrid
 
-from conftest import make_brownian
+from conftest import make_brownian, sup_norm
 
 
 class TestBasis:
@@ -106,7 +106,7 @@ class TestFejerSmoothing:
             x = make_brownian(grid, seed=seed)
             diff = GridPath(grid, x.values - terminal_ramp(x).values)
             for n in (1, 2, 3, 8, 21):
-                assert fejer_mean(x, n).sup_norm() <= diff.sup_norm() + 1e-12
+                assert sup_norm(fejer_mean(x, n)) <= sup_norm(diff) + 1e-12
 
     def test_smooth_preserves_terminal_value(self):
         grid = TimeGrid(1.0, 500)
@@ -141,7 +141,7 @@ class TestFejerSmoothing:
         for x in paths:
             for n in (1, 2, 4, 16, 64, 256):
                 worst = max(worst,
-                            fejer_smooth(x, n).sup_norm() / x.sup_norm())
+                            sup_norm(fejer_smooth(x, n)) / sup_norm(x))
         assert worst <= 5.0
 
     def test_convergence_on_pinned_rough_path(self):
@@ -151,4 +151,4 @@ class TestFejerSmoothing:
         errs = [np.max(np.abs(fejer_smooth(x, n).values - x.values))
                 for n in (4, 16, 64, 256)]
         assert errs[-1] < errs[0]
-        assert errs[-1] < 0.25 * x.sup_norm()
+        assert errs[-1] < 0.25 * sup_norm(x)

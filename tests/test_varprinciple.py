@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_brownian
+from conftest import make_brownian, stop_path
 from pathheat.errors import DomainError
 from pathheat.experiments import brownian_search_space
 from pathheat.gauge import perturbation_sum, smooth_gauge
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, path_distance,
-                            path_distances, stack_points, stop_path)
+                            path_distances, stack_points)
 from pathheat.quadrature import QuadratureConfig
 from pathheat.varprinciple import SearchSpace, smooth_variational_principle
 
