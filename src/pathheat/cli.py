@@ -35,8 +35,8 @@ from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, tn_convergence_rows)
 from .gauge import ALPHA_SHRINK, calibrate_alpha
-from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
-                    extend_with_increments, read_path_csv)
+from .grids import (_SNAP_TOL, GridPath, PathPoint, TimeGrid,
+                    brownian_increments, extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
 from .quadrature import QuadratureConfig
 from .sampling import random_pairs
@@ -170,6 +170,11 @@ def _cmd_solve(args) -> int:
                              f"but {args.path} has {x.dimension} columns")
     else:
         x = GridPath.zero(grid)
+    node = grid.snap(args.t)
+    if abs(args.t - node) > _SNAP_TOL * grid.horizon:
+        raise InputError(f"--t {args.t:g} is not a node of the grid of "
+                         f"{grid.steps} steps on [0, {grid.horizon:g}]; the "
+                         f"nearest node is {node:.12g}")
     xi = build_terminal(args.terminal, grid)
     cfg = MCConfig(n_samples=args.n_samples, seed=args.seed,
                    antithetic=args.antithetic)
@@ -338,11 +343,16 @@ def _cmd_comparison(args) -> int:
     print(f"comparison-demo[{report.mode}]: verdict={report.verdict}, "
           f"rhs monotone={report.rhs_monotone}, "
           f"contradiction exhibited={report.contradiction_exhibited}")
-    print(f"note: {report.caveat}")
+    print(f"note: {_FINITE_SPACE_CAVEAT}")
     return 0 if report.verdict == "consistent" and report.rhs_monotone else 1
 
 
 # ---------------------------------------------------------------------------
+
+# The note comparison-demo prints under its verdict.
+_FINITE_SPACE_CAVEAT = (
+    "the tangency link is guaranteed only at a global maximum over the whole "
+    "path space; on a finite space it is reported, not asserted")
 
 _COMPARISON_DESCRIPTION = (
     "The comparison argument between the solution u and the solution v_n "
@@ -356,22 +366,26 @@ _COMPARISON_DESCRIPTION = (
     "than the allowance.")
 
 _SOLVE_DESCRIPTION = (
-    "Monte-Carlo solution value at (t, path), with control variates.  With "
-    "S = X - x(t) the walk of the extension, the controls are S_j, of mean "
-    "0, and S_j^+, of mean sqrt((s - t)/(2 pi)), for each path component j "
-    "at K control times s spread evenly over (t, T], the last one T.  K = "
-    "max(1, min(8, steps after t, floor(sqrt(n)/(16 d)))), so K = 1 below "
-    "1024 d^2 samples (n = 20000 at d = 1 gives K = 8); solve prints K and "
-    "writes it as control_times.  The least-squares coefficients are fitted "
-    "on the samples themselves, which biases the mean by O(p/n); the "
-    "reported stderr is sqrt(RSS/(n - p)/n) with p = 1 + 2Kd fitted "
-    "coefficients, so n must exceed p (at least 4 samples at d = 1).  The "
-    "residual sum of squares RSS is floored at its rounding level, 64 eps "
-    "times the sum of the squared samples.  Under --antithetic, S cancels "
-    "inside each pair: the fit runs on the n/2 pair means, which take the "
-    "place of n in K, with the pair means of S_j^+ as the only controls, "
-    "p = 1 + Kd.  At t = T nothing is fitted and there are no control "
-    "times.")
+    "Monte-Carlo solution value at (t, path), with control variates; t must "
+    "be a node of the grid.  With S = X - x(t) the walk of the extension, "
+    "the controls are S_j, of mean 0, and S_j^+, of mean sqrt((s - t)/(2 "
+    "pi)), for each path component j at K control times s spread evenly over "
+    "(t, T], the last one T.  K = max(1, min(8, steps after t, "
+    "floor(sqrt(n)/(16 d)))), so K = 1 below 1024 d^2 samples (n = 20000 at "
+    "d = 1 gives K = 8); solve prints K and writes it as control_times.  At "
+    "K >= 2 each component also has the walk's running max C_j = max(0, S_j "
+    "at the nodes h, 2h, ..., Kh steps after t), with h the steps after t "
+    "divided by K and rounded down, whose mean Spitzer's identity gives: "
+    "the sum over i = 1..K of sqrt(i h dt/(2 pi))/i, dt = T/steps.  The "
+    "least-squares coefficients are fitted on the samples themselves, which "
+    "biases the mean by O(p/n); the reported stderr is sqrt(RSS/(n - p)/n) with p = 1 + (2K + 1)d fitted "
+    "coefficients (1 + 2d at K = 1), so n must exceed p (at least 4 samples "
+    "at d = 1).  The residual sum of squares RSS is floored at its rounding "
+    "level, 64 eps times the sum of the squared samples.  Under "
+    "--antithetic, S cancels inside each pair: the fit runs on the n/2 pair "
+    "means, which take the place of n in K, with the pair means of S_j^+ and "
+    "C_j as the only controls, p = 1 + (K + 1)d (1 + d at K = 1).  At t = T "
+    "nothing is fitted and there are no control times.")
 
 
 def _add_command(sub, name: str, func, help: str,

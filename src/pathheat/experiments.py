@@ -69,11 +69,6 @@ def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int) -> SearchSpac
                              for i, v in enumerate(vals)))
 
 
-_FINITE_SPACE_CAVEAT = (
-    "the tangency link is guaranteed only at a global maximum over the whole "
-    "path space; on a finite space it is reported, not asserted")
-
-
 @dataclass
 class DeltaRow:
     delta: float
@@ -129,7 +124,6 @@ class ComparisonReport:
     modulus_stderr: float
     bias_bound: Optional[float]
     rows: list[DeltaRow] = field(default_factory=list)
-    caveat: str = _FINITE_SPACE_CAVEAT
 
     @property
     def verdict(self) -> str:

@@ -5,9 +5,11 @@ with its pathwise derivatives.
 The candidate solution at (t, x) is the expectation of the terminal
 functional over Brownian extensions of x from time t, estimated by Monte
 Carlo with the extension's walk and its positive part at a few grid nodes
-up to T as control variates (:func:`candidate_solution`, one estimate per
-path, all paths at one time on common draws; :func:`control_nodes` picks
-the nodes, more of them as n grows).  Given a linear smoothing S of paths,
+up to T as control variates, and with more than one node also the walk's
+running max over as many equally spaced nodes, whose mean Spitzer's
+identity gives (:func:`candidate_solution`, one estimate per path, all
+paths at one time on common draws; :func:`control_nodes` picks the nodes,
+more of them as n grows).  Given a linear smoothing S of paths,
 the same draws also estimate E[xi(Y) - xi(S Y)] and E ||Y - S Y||_inf,
 which is how comparison-demo takes u - v_n.  For cylinder functionals the
 solution is also a finite-dimensional Gaussian average of g at the
@@ -96,8 +98,9 @@ _CHUNK = 4096
 _RSS_FLOOR = 64 * float(np.finfo(float).eps)
 
 # Most control nodes of candidate_solution's fit: with d = 1, M = 1000 and
-# n = 20,000 the residual sd of the running max was 0.279 at 1 node, 0.168
-# at 8 and 0.163 at 32.
+# n = 20,000 the residual sd of the running max on S and S^+ alone was 0.277
+# at 1 node, 0.166 at 8 and 0.162 at 32; with Spitzer's control added it is
+# 0.191 at 2 nodes, 0.101 at 8 and 0.052 at 32.
 _MAX_NODES = 8
 
 
@@ -124,12 +127,15 @@ class MCEstimate:
     the intercept of a least-squares fit of the samples on the walk
     S_j = X_s - x(t), with known mean 0, and S_j^+, with known mean
     sqrt((s - t) / (2 pi)), per path component j at each of the K control
-    nodes s of :func:`control_nodes`, the last of which is T.
-    That in-sample fit biases the mean by O(p/n); its stderr is
-    sqrt(RSS / (n - p) / n) with p = 1 + 2Kd fitted coefficients, floored at
-    the rounding level of RSS.  Under antithetic sampling n counts samples
-    but the fit runs on the n/2 pair means, with the pair means of S_j^+
-    as the only controls (S cancels inside a pair) and p = 1 + Kd.
+    nodes s of :func:`control_nodes`, the last of which is T.  At K >= 2
+    each component also has Spitzer's control C_j = max(0, S_j at the nodes
+    k + i h, i = 1..K), h = floor((M - k) / K), with known mean
+    sum_i sqrt(i h dt / (2 pi)) / i.  That in-sample fit biases the mean by
+    O(p/n); its stderr is sqrt(RSS / (n - p) / n) with p = 1 + (2K + 1)d
+    fitted coefficients (1 + 2d at K = 1), floored at the rounding level of
+    RSS.  Under antithetic sampling n counts samples but the fit runs on the
+    n/2 pair means, with the pair means of S_j^+ and C_j as the only
+    controls (S cancels inside a pair) and p = 1 + (K + 1)d (1 + d at K = 1).
     """
 
     mean: float
@@ -193,6 +199,14 @@ def _pool(a, b):
     return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
+def _spaced_max_mean(count: int, step: float) -> float:
+    """E max(0, W_step, W_2step, ..., W_(count step)) for a standard
+    Brownian motion W: by Spitzer's identity the sum over i = 1..count of
+    E[W_(i step)^+] / i, with E[W_s^+] = sqrt(s / (2 pi))."""
+    return math.fsum(math.sqrt(i * step / (2.0 * math.pi)) / i
+                     for i in range(1, count + 1))
+
+
 def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray:
     """Grid nodes k_1 < ... < k_K = M at which :func:`candidate_solution`
     fits its controls from time t, spread evenly over (k, M] for the node k
@@ -203,6 +217,10 @@ def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray
     in-sample fit biases the mean by O(p/n) for p fitted coefficients, and
     p grows like sqrt(n) here, so the bias stays a few hundredths of the
     O(1/sqrt n) stderr.  Below 1024 d^2 units K = 1: the last node alone.
+    The nodes are unequal where K does not divide M - k (12, 13, 12, 13
+    steps at M - k = 50, K = 4), so Spitzer's control, whose identity needs
+    i.i.d. increments, reads the walk at the K equally spaced nodes
+    k + i floor((M - k) / K) instead.
     """
     k = grid.index_of(t)
     span = grid.steps - k
@@ -224,18 +242,24 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     terminal and start path, each component j has E S_{s,j} = 0 and
     E S_{s,j}^+ = sqrt((s - t) / (2 pi)).  The controls are S_j and S_j^+ at
     the K nodes of :func:`control_nodes`, the last of which is T (so B =
-    S_T, the increment of the extension, is always among them); the 2Kd
-    controls are regressed out of the samples by least squares, and the
-    estimate is the fitted intercept at the known control means.  Fitting
-    the coefficients on the samples themselves biases the mean by O(p/n);
-    K grows like sqrt(n), which keeps that bias a few hundredths of the
-    O(1/sqrt n) standard error.  The stderr is sqrt(RSS / (n - p) / n), with
-    RSS the residual sum of squares and p = 1 + 2Kd fitted coefficients, so
-    n must exceed p.  Below 1024 d^2 fitted units K = 1, and the fit is the
-    one on B and B^+ alone.  Under antithetic sampling S cancels inside each
-    pair: the units are the n/2 pair means, the Kd controls are the pair
-    means of S_j^+ (that is |S_j| / 2), and p = 1 + Kd.  At t = T there is
-    no control and the estimate is the plain mean.
+    S_T, the increment of the extension, is always among them).  At K >= 2
+    each component j also has the running max C_j = max(0, S_j at k + h,
+    k + 2h, ..., k + Kh) over K equally spaced nodes, h = floor((M - k) / K);
+    by Spitzer's identity E C_j = sum_{i=1}^{K} E[S_{j, ih}^+] / i =
+    sum_i sqrt(i h dt / (2 pi)) / i.  (At K = 1, C_j would be S_T^+, which
+    is already a control, so there is no C_j.)  The (2K + 1)d controls are regressed out
+    of the samples by least squares, and the estimate is the fitted
+    intercept at the known control means.  Fitting the coefficients on the
+    samples themselves biases the mean by O(p/n); K grows like sqrt(n),
+    which keeps that bias a few hundredths of the O(1/sqrt n) standard
+    error.  The stderr is sqrt(RSS / (n - p) / n), with RSS the residual sum
+    of squares and p = 1 + (2K + 1)d fitted coefficients, so n must exceed
+    p.  Below 1024 d^2 fitted units K = 1, and the fit is the one on B and
+    B^+ alone, p = 1 + 2d.  Under antithetic sampling S cancels inside each
+    pair: the units are the n/2 pair means, the controls are the pair means
+    of S_j^+ (that is |S_j| / 2) and of C_j, each of which keeps its known
+    mean, and p = 1 + (K + 1)d (1 + d at K = 1).  At t = T there is no
+    control and the estimate is the plain mean.
 
     RSS is a difference of sums and is known only to about eps * sum(y^2)
     of the fitted units y; it is floored at ``_RSS_FLOOR`` * sum(y^2), so
@@ -279,7 +303,11 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     n = cfg.n_samples
     units = n // 2 if cfg.antithetic else n
     nodes = control_nodes(grid, t, cfg, d)
-    n_controls = nodes.size * d * (1 if cfg.antithetic else 2)
+    count = nodes.size
+    # the spacing h of Spitzer's control at K >= 2 (0: no such control); at
+    # K = 1 it would be S_T^+, already a control
+    h = (grid.steps - k) // count if count >= 2 else 0
+    n_controls = count * d * (1 if cfg.antithetic else 2) + (d if h else 0)
     p = 1 + n_controls
     if units <= p:
         least = 2 * (p + 1) if cfg.antithetic else p + 1
@@ -288,6 +316,9 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     positive_means = np.repeat(np.sqrt((nodes - k) * grid.dt / (2.0 * math.pi)), d)
     control_means = (positive_means if cfg.antithetic else
                      np.concatenate([np.zeros_like(positive_means), positive_means]))
+    if h:
+        control_means = np.concatenate(
+            [control_means, np.full(d, _spaced_max_mean(count, h * grid.dt))])
     n_fits = 1 if smoothing is None else 2
     moments = [None] * len(paths)
     buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
@@ -304,6 +335,10 @@ def candidate_solution(xi: TerminalFunctional, t: float,
         steps = walk[: idx.size]
         sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic, out=steps)
         np.cumsum(steps, axis=1, out=steps)
+        # Spitzer's control, common to all paths: max(0, S at k + h, ...,
+        # k + K h), read before a single path overwrites the walk
+        spitzer = ([np.maximum(steps[:, h - 1:count * h:h].max(axis=1), 0.0)]
+                   if h else [])
         if smoothing is not None:
             smooth_walk = smoothing(full_walk[: idx.size])
         vals = buf[: idx.size]
@@ -326,7 +361,7 @@ def candidate_solution(xi: TerminalFunctional, t: float,
                                    f"{bad} of path {j}")
             # the walk at the control nodes, node by node; none at t = T
             walk_at = (vals[:, nodes] - x_t).reshape(idx.size, -1)
-            cols = [np.maximum(walk_at, 0.0), ys]
+            cols = [np.maximum(walk_at, 0.0), *spitzer, ys]
             if not cfg.antithetic:
                 cols.insert(0, walk_at)
             # the controls, then the fitted units

@@ -296,6 +296,20 @@ class TestEntryPoint:
         assert cli.run(argv) == 2
         assert "at least 4 samples" in capsys.readouterr().err
 
+    def test_solve_time_off_the_grid_exits_2(self, tmp_path, capsys):
+        # 0.3333 lies between the nodes of a 10-step grid: it would be
+        # solved at 0.3 and reported as 0.3333
+        argv = ["solve", "--seed", "1", "--steps", "10", "--n-samples", "16",
+                "--out", str(tmp_path)]
+        assert cli.run(argv + ["--t", "0.3333"]) == 2
+        assert capsys.readouterr().err == (
+            "pathheat: error: --t 0.3333 is not a node of the grid of 10 steps "
+            "on [0, 1]; the nearest node is 0.3\n")
+        assert not (tmp_path / "solve.csv").exists()
+        # a node within the snapping tolerance is the node
+        assert cli.run(argv + ["--t", "0.3000000000001"]) == 0
+        assert "at t=0.3: " in capsys.readouterr().out
+
     def test_calibration_failure_names_sample_size(self, tmp_path, capsys):
         # 20 calibration pairs are too few for the fixed shrink of alpha
         argv = ["gauge-check", "--seed", "4", "--d", "1", "--n-tuples", "20",

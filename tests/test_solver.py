@@ -23,6 +23,7 @@ from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
 from pathheat.streams import StreamKind, sample_stream, substream
 from pathheat.regularization import weights_at
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 CYLINDERS = ["cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
 
@@ -290,7 +291,9 @@ def _lstsq_fit(xi, t, x, cfg, sample=None):
     maps the extensions (n, M+1, d) to the fitted samples, xi by default.
 
     The controls are the walk S = X - x(t) and S^+ at K nodes spread evenly
-    over (k, M], K = max(1, min(8, M - k, floor(sqrt(units) / (16 d))))."""
+    over (k, M], K = max(1, min(8, M - k, floor(sqrt(units) / (16 d)))),
+    and at K >= 2 the running max C = max(0, S at k + h, ..., k + K h) with
+    h = floor((M - k) / K), of mean sum_i sqrt(i h dt / (2 pi)) / i."""
     grid = x.grid
     k = grid.index_of(t)
     d = x.dimension
@@ -305,8 +308,15 @@ def _lstsq_fit(xi, t, x, cfg, sample=None):
     sp = np.maximum(s, 0.0) - np.array(
         [[math.sqrt((grid.node(kj) - grid.node(k)) / (2 * math.pi))] for kj in nodes])
     s, sp = s.reshape(len(s), -1), sp.reshape(len(s), -1)
+    if count >= 2:
+        h = (grid.steps - k) // count
+        spaced = [k + i * h for i in range(1, count + 1)]
+        c = np.maximum(np.max(vals[:, spaced] - x.values[k], axis=1), 0.0) - sum(
+            math.sqrt(i * h * grid.dt / (2 * math.pi)) / i for i in range(1, count + 1))
+        sp = np.column_stack([sp, c])
     if cfg.antithetic:
-        # S cancels inside a pair: only the pair means of S^+ are controls
+        # S cancels inside a pair: only the pair means of S^+ (and C) are
+        # controls
         y = y.reshape(-1, 2).mean(axis=1)
         controls = sp.reshape(-1, 2, sp.shape[1]).mean(axis=1)
     else:
@@ -457,6 +467,75 @@ class TestControlVariates:
             scores.append((est.mean - exact) / est.stderr)
         assert 0.9 < np.std(scores) < 1.15
         assert abs(np.mean(scores)) < 0.15
+
+    def test_stderr_covers_error_antithetic_at_three_nodes(self):
+        # antithetic pairs at K = 3, where 3 does not divide 50: the S nodes
+        # are 16, 33, 50 and Spitzer's control reads 16, 32, 48.  1000 seeds
+        # put the mean score's own spread at 0.03: seeds 0-199 alone give
+        # -0.18, a 2.5-sigma draw (seeds 1000-2999 give 0.00 +- 0.02)
+        grid = TimeGrid(1.0, 50)
+        xi = build_terminal("running_max", grid)
+        exact = _spitzer(grid.steps)
+        cfg = MCConfig(4608, 0, antithetic=True)
+        assert control_nodes(grid, 0.0, cfg, 1).tolist() == [16, 33, 50]
+        scores = []
+        for seed in range(1000):
+            est = candidate_solution(xi, 0.0, GridPath.zero(grid),
+                                     replace(cfg, seed=seed))
+            scores.append((est.mean - exact) / est.stderr)
+        assert 0.9 < np.std(scores) < 1.15
+        assert abs(np.mean(scores)) < 0.15
+
+    def test_stderr_covers_error_at_two_dimensions(self):
+        # d = 2 at K = 2 on 45 steps, which 2 does not divide: the S nodes
+        # are 22, 45 and Spitzer's control reads 22, 44 in each component;
+        # the sum of the components' running maxima has mean 2 x Spitzer
+        grid = TimeGrid(1.0, 45)
+        xi = solver.TerminalFunctional(
+            name="sum_of_maxima", batch=lambda v, g: np.max(v, axis=1).sum(axis=1))
+        exact = 2 * _spitzer(grid.steps)
+        assert control_nodes(grid, 0.0, MCConfig(4096, 0), 2).tolist() == [22, 45]
+        scores = []
+        for seed in range(200):
+            est = candidate_solution(xi, 0.0, GridPath.zero(grid, 2),
+                                     MCConfig(n_samples=4096, seed=seed))
+            scores.append((est.mean - exact) / est.stderr)
+        assert 0.9 < np.std(scores) < 1.15
+        assert abs(np.mean(scores)) < 0.15
+
+    def test_spitzer_mean_closed_forms(self):
+        # E max(0, W_h, ..., W_Kh) against closed forms, and against a
+        # quadrature of the Lindley recursion M_K = max(0, X + M_{K-1}),
+        # X ~ N(0, h) independent of M_{K-1}
+        h = 0.3
+        root = math.sqrt(h / (2 * math.pi))
+        assert solver._spaced_max_mean(1, h) == pytest.approx(root, rel=1e-15)
+        assert solver._spaced_max_mean(2, h) == pytest.approx(
+            root * (1 + 1 / math.sqrt(2)), rel=1e-15)
+        assert solver._spaced_max_mean(3, h) == pytest.approx(
+            root * (1 + 1 / math.sqrt(2) + 1 / math.sqrt(3)), rel=1e-15)
+        sd = math.sqrt(h)
+
+        def pdf(x):
+            return math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+
+        def plus_mean(c):
+            # E (X + c)^+ = c Phi(c / sd) + sd^2 pdf(c)
+            return c * ndtr(c / sd) + h * pdf(c)
+
+        # M_1 = X^+ has an atom of 1/2 at 0 and the density pdf on (0, inf)
+        m2 = 0.5 * plus_mean(0.0) + quad(lambda x: plus_mean(x) * pdf(x),
+                                         0, math.inf)[0]
+        assert m2 == pytest.approx(solver._spaced_max_mean(2, h), rel=1e-9)
+
+        def after(m):
+            # E g(M_2) given M_1 = m, with g = plus_mean and
+            # M_2 = max(0, X' + m)
+            return (plus_mean(0.0) * quad(pdf, -math.inf, -m)[0]
+                    + quad(lambda x: plus_mean(x + m) * pdf(x), -m, math.inf)[0])
+
+        m3 = 0.5 * after(0.0) + quad(lambda x: after(x) * pdf(x), 0, math.inf)[0]
+        assert m3 == pytest.approx(solver._spaced_max_mean(3, h), rel=1e-9)
 
     def test_antithetic_fit_leaves_out_b(self):
         # at d = 2 the antithetic fit has 1 + 2 coefficients, not 1 + 4; at
