@@ -17,8 +17,8 @@ from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     path_distance, read_path_csv)
 from .regularization import (BracketEstimate, forward_integral,
                              forward_integral_limit, mutual_bracket)
-from .fourier import fejer_coefficient, fejer_mean, fejer_smooth, terminal_ramp
-from .cylinders import CylinderSpec, PathwiseDerivs, cylinder_approx
+from .cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
+                        fejer_coefficient)
 from .quadrature import QuadratureConfig
 from .gauge import (GaugeDiagnostics, calibrate_alpha, horizontal_kernel,
                     horizontal_smoothed_distance, mean_gaussian_norm,

@@ -12,6 +12,17 @@ derivatives in the present value (vertical).  This module holds the
 coordinates, the weight matrix, the Fejer approximation of a generic
 functional in cylinder form and the Fejer smoothing itself as a linear map
 of path values.
+
+The basis on [0, T] has the constant at index 0 and, at frequency m, the
+sine at odd index 2m-1 and the cosine at even index 2m.  Its primitives
+have zero mean over [0, T], so the coefficient of the de-ramped path is one
+forward integral of a primitive (``fejer_coefficient``, with the quadrature
+oracle ``fejer_coefficient_quadrature``).  The Fejer mean averages the
+partial sums over *complete frequency blocks* (constant + m sine/cosine
+pairs), the classical positive kernel; averaging truncations that split a
+pair does not contract in sup-norm, so the order ``n`` counts frequency
+pairs.  F_n maps x to its terminal ramp x(T) t/T plus the Fejer mean of x
+minus that ramp, less that mean at 0, and uses basis indices up to 2n.
 """
 
 from __future__ import annotations
@@ -22,15 +33,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fourier import basis_value, basis_primitive, fejer_weights
 from .grids import GridPath, TimeGrid
-from .regularization import by_parts, weights_at
+from .regularization import by_parts, forward_integral, weights_at
 
 __all__ = [
     "CylinderSpec",
     "PathwiseDerivs",
     "cylinder_coordinates",
     "cylinder_sigma",
+    "basis_value",
+    "basis_primitive",
+    "fejer_coefficient",
+    "fejer_coefficient_quadrature",
+    "fejer_weights",
     "cylinder_approx",
     "fejer_smoothing",
 ]
@@ -114,8 +129,68 @@ def cylinder_sigma(spec: CylinderSpec, t: float, dimension: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fejer cylindrical approximation of a generic path functional
+# Fejer basis and cylindrical approximation of a generic path functional
 # ---------------------------------------------------------------------------
+
+def basis_value(l: int, horizon: float, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if l == 0:
+        return np.full_like(t, 1.0 / np.sqrt(horizon))
+    m = (l + 1) // 2
+    w = 2.0 * m * np.pi / horizon
+    amp = np.sqrt(2.0 / horizon)
+    return amp * (np.sin(w * t) if l % 2 == 1 else np.cos(w * t))
+
+
+def basis_primitive(l: int, horizon: float, t) -> np.ndarray:
+    """Primitive of basis ``l`` with zero mean over [0, T]."""
+    t = np.asarray(t, dtype=float)
+    if l == 0:
+        return t / np.sqrt(horizon) - np.sqrt(horizon) / 2.0
+    m = (l + 1) // 2
+    w = 2.0 * m * np.pi / horizon
+    amp = np.sqrt(horizon / 2.0) / (m * np.pi)
+    return -amp * np.cos(w * t) if l % 2 == 1 else amp * np.sin(w * t)
+
+
+def fejer_coefficient(x: GridPath, l: int) -> np.ndarray:
+    """Basis coefficient of x minus its terminal ramp, as a forward integral.
+
+    Equals -integral of the (zero-mean) primitive of basis ``l`` against dx,
+    which in turn equals the L2 inner product <x - ramp, e_l>.
+    """
+    if l < 0:
+        raise DomainError("basis index must be >= 0")
+    return -forward_integral(lambda s: basis_primitive(l, x.horizon, s), x, x.horizon)
+
+
+# 3-point Gauss-Legendre on [0,1]; exact through degree 5 per cell.
+_GL3_NODES = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
+_GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+
+
+def fejer_coefficient_quadrature(x: GridPath, l: int) -> np.ndarray:
+    """Direct quadrature of <x - ramp, e_l>; oracle for fejer_coefficient."""
+    grid = x.grid
+    nodes = grid.nodes()
+    diff = x.values - (nodes / x.horizon)[:, None] * x.terminal()[None, :]
+    total = np.zeros(x.dimension)
+    for c, w in zip(_GL3_NODES, _GL3_WEIGHTS):
+        s = nodes[:-1] + c * grid.dt
+        vals = (1.0 - c) * diff[:-1] + c * diff[1:]
+        e = basis_value(l, x.horizon, s)
+        total += w * (e @ vals)
+    return total * grid.dt
+
+
+def fejer_weights(n: int) -> np.ndarray:
+    """Cesaro weights for basis indices 0..2n: pair m gets (n+1-m)/(n+1)."""
+    if n < 0:
+        raise DomainError("Fejer order must be >= 0")
+    l = np.arange(2 * n + 1)
+    m = (l + 1) // 2
+    return (n + 1.0 - m) / (n + 1.0)
+
 
 def _fejer_basis(n: int, grid: TimeGrid) -> tuple[list, np.ndarray]:
     """Weights and synthesis matrix of the order-n Fejer coordinates.
@@ -142,14 +217,14 @@ def _fejer_basis(n: int, grid: TimeGrid) -> tuple[list, np.ndarray]:
 
 def cylinder_approx(xi_batch: Callable[[np.ndarray, TimeGrid], np.ndarray], n: int,
                     grid: TimeGrid, dimension: int = 1) -> CylinderSpec:
-    """Approximate a path functional by xi(fejer_smooth(x, n)) in cylinder form.
+    """Approximate a path functional by xi(F_n x) in cylinder form.
 
     ``xi_batch`` evaluates xi on path values (k, M+1, d), returning (k,).
     The returned spec uses weight 1 for the terminal-value coordinate and the
     zero-mean basis primitives for the others; its g reconstructs the smoothed
     paths on ``grid`` from coordinate rows (k, d * (2n+1)) with one matrix
-    product, so evaluating the spec on the coordinates of x reproduces
-    xi(fejer_smooth(x, n)) up to rounding (the tests hold it to 1e-8).
+    product, so the spec at the coordinates of x gives xi(F_n x) up to
+    rounding (to 1e-8 against the tests' oracle ``fejer_smooth``).
     """
     psi, synth = _fejer_basis(n, grid)
 
@@ -168,7 +243,7 @@ def fejer_smoothing(n: int, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray
     One :func:`by_parts` call of the paths against the spec's weights on
     the whole grid, then one product with its synthesis matrix: xi of the
     result is the spec's g at the coordinates of the path at the horizon,
-    and agrees with xi(fejer_smooth(x, n)) up to rounding.  F_n keeps the
+    and agrees to 1e-12 with the tests' oracle ``fejer_smooth``.  F_n keeps the
     terminal value.  Both steps act on each path on its own (the product is
     a stack of per-path products, not one stacked product, which can round
     differently), so a stack of paths gives bit for bit the paths one by one.

@@ -1,6 +1,6 @@
 """Orchestrated experiments: the comparison-theorem desk pipeline and two
-convergence sweeps, the Fejer reconstruction error per order (``approx``)
-and the pathwise-formula residual per grid size (``ito-check``).
+convergence sweeps, the error of ``cylinders.fejer_smoothing`` per order
+(``approx``) and the pathwise-formula residual per grid size (``ito-check``).
 
 The comparison pipeline exercises, on a finite search space, the machinery
 that proves uniqueness: cylindrical smoothing of the terminal condition,
@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cylinders import fejer_smoothing
+from .cylinders import (fejer_coefficient, fejer_coefficient_quadrature,
+                        fejer_smoothing)
 from .errors import InputError
-from .fourier import fejer_coefficient, fejer_coefficient_quadrature, fejer_smooth
 from .gauge import perturbation_bounds
 from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments)
@@ -283,16 +283,16 @@ def comparison_demo(grid: TimeGrid, seed: int,
 # ---------------------------------------------------------------------------
 
 def tn_convergence_rows(grid: TimeGrid, orders=(4, 8, 16, 32, 64, 128)):
-    """Fejer reconstruction error on the unit sine path, per order; the
-    orders must be strictly increasing."""
+    """Sup error of :func:`fejer_smoothing` on the unit sine path per order,
+    and the order-independent gap between the forward-integral and quadrature
+    coefficients of the first sine; the orders must be strictly increasing."""
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise InputError(f"Fejer orders must be strictly increasing, not {orders}")
     x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t / grid.horizon))
+    cf = float(np.abs(fejer_coefficient(x, 1) - fejer_coefficient_quadrature(x, 1))[0])
     rows = []
     for n in orders:
-        err = float(np.max(np.abs(fejer_smooth(x, n).values - x.values)))
-        cf = float(np.abs(fejer_coefficient(x, 1)
-                          - fejer_coefficient_quadrature(x, 1))[0])
+        err = float(np.max(np.abs(fejer_smoothing(n, grid)(x.values) - x.values)))
         rows.append({"order": n, "sup_error": err, "coefficient_gap": cf})
     return rows
 

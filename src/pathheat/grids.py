@@ -68,6 +68,14 @@ class TimeGrid:
     def snap(self, t: float) -> float:
         return self.node(self.index_of(t))
 
+    def exact_index(self, t: float) -> int:
+        """Index of the node t (within _SNAP_TOL * T); raises otherwise."""
+        k = self.index_of(t)
+        if abs(t - self.node(k)) > _SNAP_TOL * self.horizon:
+            raise DomainError(f"time {t:g} is not a grid node; the nearest node "
+                              f"is {self.node(k):.12g}")
+        return k
+
 
 @dataclass(frozen=True)
 class GridPath:
@@ -286,6 +294,7 @@ def euler_paths(spec: SemimartingaleSpec, grid: TimeGrid, dW: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 def read_path_csv(source) -> GridPath:
+    """Header "t,x1,...,xd", then finite rows on a uniform grid from t = 0."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             return read_path_csv(fh)
@@ -293,9 +302,14 @@ def read_path_csv(source) -> GridPath:
     if header[0] != "t":
         raise DomainError("path CSV must start with a 't' column")
     data = np.loadtxt(source, delimiter=",", ndmin=2)
+    if not np.all(np.isfinite(data)):
+        row = int(np.argmin(np.all(np.isfinite(data), axis=1))) + 1
+        raise DomainError(f"path CSV holds a non-finite value in data row {row}")
     t = data[:, 0]
     dts = np.diff(t)
     if len(dts) == 0 or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
         raise DomainError("path CSV nodes are not a uniform grid")
+    if t[0] != 0.0:
+        raise DomainError(f"path CSV times must start at 0, not {t[0]:g}")
     grid = TimeGrid(horizon=float(t[-1]), steps=len(t) - 1)
     return GridPath(grid, data[:, 1:])

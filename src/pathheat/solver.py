@@ -210,7 +210,7 @@ def _spaced_max_mean(count: int, step: float) -> float:
 def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray:
     """Grid nodes k_1 < ... < k_K = M at which :func:`candidate_solution`
     fits its controls from time t, spread evenly over (k, M] for the node k
-    of t; empty at t = T.
+    of t, which must be a node; empty at t = T.
 
     K = max(1, min(8, M - k, floor(sqrt(units) / (16 d)))) for the fitted
     units (n samples, or n/2 pair means under antithetic sampling).  The
@@ -222,7 +222,7 @@ def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray
     i.i.d. increments, reads the walk at the K equally spaced nodes
     k + i floor((M - k) / K) instead.
     """
-    k = grid.index_of(t)
+    k = grid.exact_index(t)
     span = grid.steps - k
     if span == 0:
         return np.empty(0, dtype=np.int64)
@@ -236,7 +236,7 @@ def candidate_solution(xi: TerminalFunctional, t: float,
                        smoothing: Optional[Callable[[np.ndarray], np.ndarray]] = None
                        ) -> MCEstimate | tuple:
     """Control-variate Monte-Carlo mean of xi over Brownian extensions from
-    (t, x).
+    (t, x), with t a node of the grid of x.
 
     Let S_s = X_s - x(t) be the walk of the extension after t.  For every
     terminal and start path, each component j has E S_{s,j} = 0 and
@@ -299,7 +299,7 @@ def candidate_solution(xi: TerminalFunctional, t: float,
         raise DomainError("the paths of one call must share a grid")
     if any(p.dimension != d for p in paths):
         raise DomainError("the paths of one call must share a dimension")
-    k = grid.index_of(t)
+    k = grid.exact_index(t)
     n = cfg.n_samples
     units = n // 2 if cfg.antithetic else n
     nodes = control_nodes(grid, t, cfg, d)

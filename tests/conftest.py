@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pathheat.cylinders import PathwiseDerivs
+from pathheat.cylinders import (PathwiseDerivs, basis_value, fejer_coefficient,
+                                fejer_weights)
 from pathheat.errors import DomainError
 from pathheat.grids import GridPath, TimeGrid, _stopped_values
 
@@ -40,6 +41,38 @@ def stop_path(x: GridPath, t: float) -> GridPath:
 def sup_norm(x: GridPath) -> float:
     """Exact sup over [0, T] of the Euclidean norm of the path."""
     return float(np.max(np.linalg.norm(x.values, axis=1)))
+
+
+def terminal_ramp(x: GridPath) -> GridPath:
+    """The linear ramp t -> x(T) t / T; fixed points are exactly the ramps."""
+    frac = x.grid.nodes() / x.horizon
+    return GridPath(x.grid, frac[:, None] * x.terminal()[None, :])
+
+
+def fejer_mean(x: GridPath, n: int) -> GridPath:
+    """Fejer mean of x minus its ramp: a sup-norm contraction of x - ramp.
+
+    Sums the 2n+1 basis elements weighted by their coefficients, one
+    forward integral each: the independent oracle of the package's one
+    by-parts call in ``cylinders.fejer_smoothing``.
+    """
+    w = fejer_weights(n)
+    coeffs = np.stack([fejer_coefficient(x, l) for l in range(2 * n + 1)])
+    t = x.grid.nodes()
+    e = np.stack([basis_value(l, x.horizon, t) for l in range(2 * n + 1)])
+    return GridPath(x.grid, e.T @ (w[:, None] * coeffs))
+
+
+def fejer_smooth(x: GridPath, n: int) -> GridPath:
+    """Fejer reconstruction of the path: ramp + mean - mean(0).
+
+    Preserves the terminal value exactly and is uniformly bounded by
+    5 ||x||_inf whatever n; it converges uniformly to x for paths pinned at
+    zero at time 0 (the anchoring of the mean re-zeroes the start point).
+    """
+    sigma = fejer_mean(x, n)
+    ramp = terminal_ramp(x)
+    return GridPath(x.grid, ramp.values + sigma.values - sigma.values[0])
 
 
 def write_path_csv(x: GridPath, target) -> None:

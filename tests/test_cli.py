@@ -344,8 +344,24 @@ class TestEntryPoint:
         argv = ["vp-run", "--seed", "1", "--paths", str(paths), "--out", str(tmp_path)]
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
-        assert err == ("pathheat: error: search-space point 0 has non-finite "
-                       "stopped values\n")
+        assert err == ("pathheat: error: path CSV holds a non-finite value in "
+                       "data row 2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,x1\n0.5,0\n1,0.25\n1.5,0.5\n", "path CSV times must start at 0, not 0.5"),
+        ("t,x1\n0,0\n0.5,nan\n1,1\n", "path CSV holds a non-finite value in data row 2"),
+    ], ids=["late_start", "nan_at_t"])
+    def test_bad_solve_path_exits_2(self, tmp_path, capsys, text, message):
+        # a late start would shift the grid to [0, 1.5], and a nan at the
+        # evaluation node would reach the Monte-Carlo checks
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        argv = ["solve", "--seed", "1", "--path", str(path), "--t", "0.5",
+                "--terminal", "terminal_value", "--n-samples", "16",
+                "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == f"pathheat: error: {message}\n"
+        assert not (tmp_path / "solve.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["approx", "--seed", "1", "--orders", "4,x"],
@@ -505,6 +521,20 @@ class TestSubcommandSmoke:
     def test_csv_header(self, tmp_path, argv, csv_name, header):
         assert cli.run(argv + ["--out", str(tmp_path)]) == 0
         assert (tmp_path / csv_name).read_text().splitlines()[1] == header
+
+    @pytest.mark.parametrize("extra,rows", [
+        ([], ["4,2.000053e-01,2.326282e-06", "8,1.111170e-01,2.326282e-06",
+              "16,5.882972e-02,2.326282e-06", "32,3.030941e-02,2.326282e-06",
+              "64,1.539109e-02,2.326282e-06", "128,7.758467e-03,2.326282e-06"]),
+        (["--steps", "128", "--orders", "16,32,64"],
+         ["16,5.920146e-02,1.419625e-04", "32,3.069241e-02,1.419625e-04",
+          "64,1.577998e-02,1.419625e-04"])], ids=["defaults", "steps128"])
+    def test_approx_rows_pinned(self, tmp_path, extra, rows):
+        # the Fejer sweep's figures, byte for byte after the provenance line
+        assert cli.run(["approx", "--seed", "1", *extra, "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "approx.csv").read_bytes().split(b"\n", 1)[1]
+        expected = ["order,sup_error,coefficient_gap", *rows]
+        assert body == "".join(f"{row}\r\n" for row in expected).encode()
 
     @pytest.mark.parametrize("n,count", [(1023, 1), (1024, 2), (20000, 8)])
     def test_solve_reports_control_times(self, tmp_path, capsys, n, count):

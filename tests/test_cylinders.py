@@ -4,10 +4,10 @@ import pytest
 from pathheat.cylinders import (CylinderSpec, cylinder_approx,
                                 cylinder_coordinates)
 from pathheat.errors import DomainError
-from pathheat.fourier import fejer_smooth
 from pathheat.grids import GridPath, TimeGrid
 
-from conftest import fd_pathwise_derivs, make_brownian, stop_path, value_at
+from conftest import (fd_pathwise_derivs, fejer_smooth, make_brownian, stop_path,
+                      value_at)
 
 ONE = np.ones_like
 

@@ -1,13 +1,23 @@
+"""The trigonometric basis, the Fejer coefficients and the Fejer smoothing
+F_n of :mod:`pathheat.cylinders`.  The F_n properties run on
+``fejer_smoothing``; the contraction of the Fejer mean runs on the tests'
+oracle ``fejer_mean``."""
+
 import numpy as np
 import pytest
 
+from pathheat.cylinders import (basis_primitive, basis_value, fejer_coefficient,
+                                fejer_coefficient_quadrature, fejer_smoothing,
+                                fejer_weights)
 from pathheat.errors import DomainError
-from pathheat.fourier import (basis_primitive, basis_value, fejer_coefficient,
-                              fejer_coefficient_quadrature, fejer_mean,
-                              fejer_smooth, fejer_weights, terminal_ramp)
 from pathheat.grids import GridPath, TimeGrid
 
-from conftest import make_brownian, sup_norm
+from conftest import fejer_mean, make_brownian, sup_norm, terminal_ramp
+
+
+def smooth(x: GridPath, n: int) -> GridPath:
+    """F_n x through the package's :func:`fejer_smoothing`."""
+    return GridPath(x.grid, fejer_smoothing(n, x.grid)(x.values))
 
 
 class TestBasis:
@@ -112,22 +122,22 @@ class TestFejerSmoothing:
         grid = TimeGrid(1.0, 500)
         x = make_brownian(grid, seed=3, start=0.0)
         for n in (0, 4, 17):
-            assert np.allclose(fejer_smooth(x, n).values[-1], x.values[-1],
+            assert np.allclose(smooth(x, n).values[-1], x.values[-1],
                                atol=1e-10)
 
     def test_ramp_fixed_for_every_order(self, grid100):
         x = GridPath.from_function(grid100, lambda t: -0.4 * t)
         for n in (0, 1, 5, 32):
-            assert np.allclose(fejer_smooth(x, n).values, x.values, atol=1e-12)
+            assert np.allclose(smooth(x, n).values, x.values, atol=1e-12)
 
     def test_zero_path_fixed(self, grid100):
         z = GridPath.zero(grid100)
-        assert np.allclose(fejer_smooth(z, 16).values, 0.0)
+        assert np.allclose(smooth(z, 16).values, 0.0)
 
     def test_sine_error_small_at_order_64(self):
         grid = TimeGrid(1.0, 2000)
         x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t))
-        err = np.max(np.abs(fejer_smooth(x, 64).values - x.values))
+        err = np.max(np.abs(smooth(x, 64).values - x.values))
         assert err < 0.05
         # the single-mode path makes the error exactly the weight deficit
         assert err == pytest.approx(1.0 / 65.0, rel=1e-3)
@@ -141,14 +151,14 @@ class TestFejerSmoothing:
         for x in paths:
             for n in (1, 2, 4, 16, 64, 256):
                 worst = max(worst,
-                            sup_norm(fejer_smooth(x, n)) / sup_norm(x))
+                            sup_norm(smooth(x, n)) / sup_norm(x))
         assert worst <= 5.0
 
     def test_convergence_on_pinned_rough_path(self):
         # paths pinned at zero at time 0: reconstruction converges uniformly
         grid = TimeGrid(1.0, 800)
         x = make_brownian(grid, seed=10, start=0.0)
-        errs = [np.max(np.abs(fejer_smooth(x, n).values - x.values))
+        errs = [np.max(np.abs(smooth(x, n).values - x.values))
                 for n in (4, 16, 64, 256)]
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.25 * sup_norm(x)

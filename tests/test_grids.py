@@ -207,3 +207,13 @@ class TestCsvRoundTrip:
     def test_rejects_bad_header(self):
         with pytest.raises(DomainError):
             read_path_csv(io.StringIO("a,b\n0,1\n"))
+
+    def test_rejects_times_not_starting_at_zero(self):
+        # a uniform grid on [0.5, 1.5] is not a grid on [0, 1.5]
+        with pytest.raises(DomainError, match="must start at 0, not 0.5"):
+            read_path_csv(io.StringIO("t,x1\n0.5,0\n1,0.25\n1.5,0.5\n"))
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,0"])
+    def test_rejects_non_finite_values(self, row):
+        with pytest.raises(DomainError, match="non-finite value in data row 2"):
+            read_path_csv(io.StringIO(f"t,x1\n0,0\n{row}\n1,1\n"))

@@ -4,12 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fd_pathwise_derivs, make_brownian, value_at
+from conftest import fd_pathwise_derivs, fejer_smooth, make_brownian, value_at
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fejer_smoothing)
 from pathheat.errors import ContractError, DomainError, NumericError
-from pathheat.fourier import fejer_smooth
 from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
                             extend_with_increments)
 from pathheat.quadrature import (QuadratureConfig, gaussian_rule,
@@ -424,6 +423,21 @@ class TestControlVariates:
         # one step before T: the last node alone; at T none
         assert control_nodes(grid, 15 / 16, big, 1).tolist() == [16]
         assert control_nodes(grid, 1.0, big, 1).size == 0
+
+    def test_time_off_the_grid_rejected(self):
+        # 0.3333 lies between the nodes of a 10-step grid: it would be
+        # solved at 0.3
+        grid = TimeGrid(1.0, 10)
+        cfg = MCConfig(n_samples=16, seed=1)
+        xi = build_terminal("running_max", grid)
+        message = "time 0.3333 is not a grid node; the nearest node is 0.3$"
+        with pytest.raises(DomainError, match=message):
+            control_nodes(grid, 0.3333, cfg, 1)
+        with pytest.raises(DomainError, match=message):
+            candidate_solution(xi, 0.3333, GridPath.zero(grid), cfg)
+        # a node within the snapping tolerance is the node
+        assert (candidate_solution(xi, 0.3 + 1e-13, GridPath.zero(grid), cfg)
+                == candidate_solution(xi, 0.3, GridPath.zero(grid), cfg))
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_linear_terminal_is_exact(self, antithetic):
