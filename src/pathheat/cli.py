@@ -274,6 +274,8 @@ def _cmd_vp_run(args) -> int:
         data = _read_paths(args.paths)
         grid = data.grid
         times = args.times or (0.5 * grid.horizon,)
+        for t in times:
+            grid.exact_index(t)
         pts = tuple(PathPoint(t, data.component(i))
                     for i in range(data.dimension) for t in times)
     else:

@@ -58,7 +58,12 @@ per point there are only the center, the present value, the prefix distance
 and its running maxima.  In d = 1 the closed form then runs on (points,
 shifted times) arrays, so the normal cdf runs a few times per column rather
 than per point; in d >= 2 the points go one at a time through the z-rule.
-Both go in blocks bounded by ``_PROFILE_BLOCK``.  The one-point smoothing
+Both go in blocks bounded by ``_PROFILE_BLOCK``.  In d >= 2 the z-rule
+itself goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)`` nodes for
+nq candidates, so that the distances and running maxima over (candidates,
+z nodes) and the second moments over (z nodes, d^2) take at most 2 MiB
+each, whatever the rule's size and the grid's (a d = 3 column holds
+100,000 Monte-Carlo nodes).  The one-point smoothing
 stages are the batch of one of the same kernel, and every value of a batch
 is bit-identical to the point alone: the arithmetic is elementwise, and the
 sums over shifted times run along each point's row.
@@ -169,7 +174,13 @@ def horizontal_kernel_mass(s: float) -> float:
 # anchored integrands are kinked, so higher dimensions switch to the
 # antithetic Monte-Carlo rule.
 _GAUGE_GH_MAX_DIM = 2
-_PROFILE_BLOCK = 1 << 15  # floats (rows x z nodes) per d >= 2 profile block
+# Floats (shifted-time rows x z nodes of one chunk) per d >= 2 profile block.
+_PROFILE_BLOCK = 1 << 15
+# Floats per array of a z chunk of a d >= 2 profile, 2 MiB: a chunk has
+# _Z_CHUNK_FLOATS // max(nq + 1, d^2) nodes for nq candidates, so that its
+# running maxima (nq + 1 rows) and second moments (d^2 columns) fit, and
+# memory stays bounded in the rule's size and the grid's.
+_Z_CHUNK_FLOATS = 1 << 18
 # A (point, shifted time) pair of a batch block counts as this many floats of
 # _PROFILE_BLOCK: the d = 1 closed form stacks its two breakpoints, runs the
 # normal cdf's numerators and denominators on four stacked rows of them and
@@ -425,10 +436,16 @@ def _profile_rule(ctx: _AnchorContext, t_primes: np.ndarray, config: QuadratureC
     for n points and m times.
 
     In d = 1 the closed form runs once on the (points, times) arrays.  In
-    d >= 2 the points go one at a time, and their shifted times go through
-    the z-rule in blocks of at most ``_PROFILE_BLOCK`` floats (or one row),
-    with values bit-identical to one time at a time; per-block matrix
-    products move derivatives by ~1e-14.
+    d >= 2 the z-rule goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1,
+    d^2)`` nodes for nq candidates.  Within a chunk the points go one at a
+    time, and their shifted times in blocks of at most ``_PROFILE_BLOCK``
+    floats (or one row), with values bit-identical to one time at a time;
+    per-block matrix products move derivatives by ~1e-14.  The mass,
+    gradient and Hessian sum over the chunks, and the mass and |z| offset
+    are subtracted once at the end, so one chunk (d = 2 at up to 128 steps)
+    gives what an unchunked rule gives; more chunks move values by ~5e-16
+    and derivatives by ~2e-14, and the value at the anchor is still exactly
+    0.
     """
     n, d = ctx.center.shape
     m = len(t_primes)
@@ -447,28 +464,39 @@ def _profile_rule(ctx: _AnchorContext, t_primes: np.ndarray, config: QuadratureC
         return v, g[..., None], h[..., None, None]
 
     z, w = rule
-    abs_norm = float(np.sum(w * np.linalg.norm(z, axis=1)))
-    wz = w[:, None] * z
-    wzz = (wz[:, :, None] * z[:, None, :]).reshape(-1, d * d)
-    values = np.empty((n, m))
+    # z chunks of at most _Z_CHUNK_FLOATS per array; the |z| offset is summed
+    # chunk by chunk, as the masses are, so that it cancels exactly at the
+    # anchor
+    size = max(1, _Z_CHUNK_FLOATS // max(len(ctx.q) + 1, d * d))
+    rows = max(1, _PROFILE_BLOCK // min(size, len(z)))
+    abs_norm = 0.0
+    mass = np.empty((n, m))
     grads, hesses = np.empty((n, m, d)), np.empty((n, m, d, d))
-    rows = max(1, _PROFILE_BLOCK // len(z))
-    for i, center in enumerate(ctx.center):
-        # farthest-point running maxima over candidate suffixes, per z node;
-        # the -inf sentinel row at j0 = nq leaves the partial candidate alone
-        dist = _node_distances(center - ctx.q, z.T)            # (nq, nz)
-        run = np.full((len(dist) + 1, len(z)), -np.inf)
-        np.maximum.accumulate(dist[::-1], axis=0, out=run[-2::-1])
-        for lo in range(0, m, rows):
-            b = slice(lo, lo + rows)
-            s_part = _node_distances(center - partial[b], z.T)
-            nvals = np.maximum(prefix[i, b, None], np.maximum(s_part, run[j0[b]]))
-            mass = np.sum(w * nvals, axis=1)
-            values[i, b] = mass - abs_norm
-            grads[i, b] = nvals @ wz
-            hesses[i, b] = ((nvals @ wzz).reshape(-1, d, d)
-                            - mass[:, None, None] * np.eye(d))
-    return values, grads, hesses
+    for z_lo in range(0, len(z), size):
+        zc, wc = z[z_lo:z_lo + size], w[z_lo:z_lo + size]
+        abs_norm += float(np.sum(wc * np.linalg.norm(zc, axis=1)))
+        wz = wc[:, None] * zc
+        wzz = (wz[:, :, None] * zc[:, None, :]).reshape(-1, d * d)
+        for i, center in enumerate(ctx.center):
+            # farthest-point running maxima over candidate suffixes, per z
+            # node; the -inf sentinel row at j0 = nq leaves the partial
+            # candidate alone
+            dist = _node_distances(center - ctx.q, zc.T)           # (nq, nz)
+            run = np.full((len(dist) + 1, len(zc)), -np.inf)
+            np.maximum.accumulate(dist[::-1], axis=0, out=run[-2::-1])
+            for lo in range(0, m, rows):
+                b = slice(lo, lo + rows)
+                s_part = _node_distances(center - partial[b], zc.T)
+                nvals = np.maximum(prefix[i, b, None], np.maximum(s_part, run[j0[b]]))
+                parts = (np.sum(wc * nvals, axis=1), nvals @ wz,
+                         (nvals @ wzz).reshape(-1, d, d))
+                for total, part in zip((mass, grads, hesses), parts):
+                    if z_lo:
+                        total[i, b] += part
+                    else:
+                        total[i, b] = part
+    hesses -= mass[..., None, None] * np.eye(d)
+    return mass - abs_norm, grads, hesses
 
 
 # ---------------------------------------------------------------------------

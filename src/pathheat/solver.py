@@ -89,9 +89,14 @@ def _rows(who: str, shape: tuple, fn, *args) -> np.ndarray:
     return out
 
 
-# Samples per chunk of candidate_solution; even, so that an antithetic pair
-# never straddles two chunks.
+# Most samples per chunk of candidate_solution; even, so that an antithetic
+# pair never straddles two chunks.
 _CHUNK = 4096
+
+# Floats per chunk of candidate_solution's walk buffer, (chunk, M+1, d): 2 MiB,
+# about one L2 cache, so that a chunk holds fewer than _CHUNK samples once
+# (M+1) d > 64.
+_WALK_FLOATS = 1 << 18
 
 # Floor of the residual sum of squares of candidate_solution's fit, per unit
 # of sum(y^2): the rounding level of a difference of sums of y^2.
@@ -266,9 +271,13 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     that an exactly linear terminal, whose residual is pure rounding, still
     reports an error bar covering its rounding error.
 
-    The fit is built from centred moments pooled chunk by chunk, so it is a
-    function of the sample set alone, whatever the chunk size; sample i is a
-    pure function of (seed, i).
+    The fit is built from centred moments pooled chunk by chunk, so up to
+    rounding (about 1e-15 relative) it is a function of the sample set
+    alone, whatever the chunk size; sample i is a pure function of (seed, i).
+    A chunk holds at most ``_CHUNK`` samples and, unless one antithetic
+    pair is already larger, at most ``_WALK_FLOATS`` (2 MiB) walk floats;
+    working memory is a few buffers of that size per call, whatever n and M
+    are.
 
     ``x`` may also be a sequence of paths on one grid and in one dimension;
     the call then returns a tuple with one estimate per path.  The paths
@@ -321,7 +330,9 @@ def candidate_solution(xi: TerminalFunctional, t: float,
             [control_means, np.full(d, _spaced_max_mean(count, h * grid.dt))])
     n_fits = 1 if smoothing is None else 2
     moments = [None] * len(paths)
-    buf = np.empty((min(_CHUNK, n), grid.steps + 1, d))
+    # even, at least one antithetic pair
+    chunk = min(_CHUNK, max(2, _WALK_FLOATS // ((grid.steps + 1) * d) // 2 * 2))
+    buf = np.empty((min(chunk, n), grid.steps + 1, d))
     # the walk from 0, zero up to node k; a single path without smoothing
     # extends over it in place
     full_walk = buf if len(paths) == 1 and smoothing is None else np.zeros_like(buf)
@@ -330,8 +341,8 @@ def candidate_solution(xi: TerminalFunctional, t: float,
         stopped = np.stack([path.values for path in paths])
         stopped[:, k + 1:] = stopped[:, k, None]
         smooth_stopped = smoothing(stopped)
-    for lo in range(0, n, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n))
+    for lo in range(0, n, chunk):
+        idx = np.arange(lo, min(lo + chunk, n))
         steps = walk[: idx.size]
         sample_increments(grid, k, d, cfg.seed, idx, cfg.antithetic, out=steps)
         np.cumsum(steps, axis=1, out=steps)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def write_path_csv(x: GridPath, target) -> None:
     finally:
         if close:
             target.close()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` (numpy's buffers included)
+    while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def value_at(x: GridPath, t: float) -> np.ndarray:

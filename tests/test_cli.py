@@ -347,6 +347,18 @@ class TestEntryPoint:
         assert err == ("pathheat: error: path CSV holds a non-finite value in "
                        "data row 2\n")
 
+    def test_vp_run_off_grid_time_exits_2(self, tmp_path, capsys):
+        # a point would otherwise snap to the node 0.3 and run there
+        paths = str(tmp_path / "p.csv")
+        write_path_csv(GridPath.zero(TimeGrid(1.0, 10)), paths)
+        argv = ["vp-run", "--seed", "1", "--paths", paths, "--times", "0.5,0.3333",
+                "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == (
+            "pathheat: error: time 0.3333 is not a grid node; the nearest node "
+            "is 0.3\n")
+        assert not (tmp_path / "vp_run.csv").exists()
+
     @pytest.mark.parametrize("text,message", [
         ("t,x1\n0.5,0\n1,0.25\n1.5,0.5\n", "path CSV times must start at 0, not 0.5"),
         ("t,x1\n0,0\n0.5,nan\n1,1\n", "path CSV holds a non-finite value in data row 2"),

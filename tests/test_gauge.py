@@ -21,7 +21,7 @@ from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distance
 from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
-from conftest import fd_pathwise_derivs, make_brownian
+from conftest import fd_pathwise_derivs, make_brownian, traced_peak
 
 
 def horizontal_kernel_derivative(s):
@@ -436,6 +436,34 @@ class TestGaugeBatch:
         for block in (1, 3 * gauge._PAIR_FLOATS * s + 1, 10 ** 9):
             monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
             _assert_rows_match(smooth_gauge(pts, anchor, config), singles)
+
+    def test_z_chunks_match_one_chunk(self, grid64, monkeypatch):
+        config = QuadratureConfig(z_samples=2000)
+        anchor = PathPoint(0.75, make_brownian(grid64, seed=70, dimension=3))
+        pts = [PathPoint(t, make_brownian(grid64, seed=71 + i, dimension=3))
+               for i, t in enumerate((0.25, 0.25, 0.5, 1.0))] + [anchor]
+        whole = smooth_gauge(pts, anchor, config)
+        # 2000 z nodes in chunks of 600 // max(nq + 1, 9): 31 chunks for the
+        # single candidate from the anchor's node on, 118 for the 33 from 0.25
+        monkeypatch.setattr(gauge, "_Z_CHUNK_FLOATS", 600)
+        chunked = smooth_gauge(pts, anchor, config)
+        assert np.max(np.abs(chunked.value - whole.value)) <= 1e-13
+        for part in ("horizontal", "vertical", "vertical2"):
+            got, want = getattr(chunked.derivs, part), getattr(whole.derivs, part)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert chunked.value[-1] == 0.0
+
+    def test_d3_memory_bounded_on_a_long_span(self, grid64):
+        # t = 0 against an anchor at T: 65 candidates by 100,000 z nodes,
+        # two 50 MiB arrays without the z chunks
+        anchor = PathPoint(1.0, make_brownian(grid64, seed=80, dimension=3))
+        x = make_brownian(grid64, seed=81, dimension=3)
+
+        def call():
+            return horizontal_smoothed_distance(anchor, 0.0, x, x.values[0])
+
+        call()  # builds the cached z-rule
+        assert traced_peak(call) <= 16 * 2**20
 
     def test_empty_batch_rejected(self, grid64):
         anchor = PathPoint(0.5, make_brownian(grid64, seed=1))

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fd_pathwise_derivs, fejer_smooth, make_brownian, value_at
+from conftest import (fd_pathwise_derivs, fejer_smooth, make_brownian,
+                      traced_peak, value_at)
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fejer_smoothing)
@@ -740,6 +741,42 @@ class TestSmoothedDifference:
                                            fejer_smoothing(4, grid))
         assert modulus.stderr > 0
         assert abs(diff.mean) <= modulus.mean + 4 * modulus.stderr
+
+
+class TestWorkingMemory:
+    """candidate_solution's chunks are sized by a float budget: memory stays
+    bounded in the grid size, and the partition moves the fit by rounding
+    only."""
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_peak_bounded_in_grid_size(self, n_paths):
+        # at the same n, ten times the steps takes at most 1.5 times the peak
+        # (ten times with one chunk of all n samples)
+        cfg = MCConfig(n_samples=400, seed=5)
+        peaks = []
+        for steps in (500, 5000):
+            grid = TimeGrid(1.0, steps)
+            xi = build_terminal("running_max", grid)
+            paths = [make_brownian(grid, seed=s) for s in range(n_paths)]
+            x = paths[0] if n_paths == 1 else paths
+            smoothing = None if n_paths == 1 else fejer_smoothing(4, grid)
+            peaks.append(traced_peak(
+                lambda: candidate_solution(xi, 0.0, x, cfg, smoothing)))
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_budget_chunks_match_one_chunk(self, antithetic, monkeypatch):
+        grid = TimeGrid(1.0, 1000)
+        xi = build_terminal("running_max", grid)
+        x = make_brownian(grid, seed=6)
+        cfg = MCConfig(n_samples=600, seed=8, antithetic=antithetic)
+        monkeypatch.setattr(solver, "_WALK_FLOATS", 10 ** 9)
+        whole = candidate_solution(xi, 0.0, x, cfg)
+        # chunks of 200 samples: three of them
+        monkeypatch.setattr(solver, "_WALK_FLOATS", 200 * (grid.steps + 1))
+        chunked = candidate_solution(xi, 0.0, x, cfg)
+        assert chunked.mean == pytest.approx(whole.mean, rel=0, abs=1e-12)
+        assert chunked.stderr == pytest.approx(whole.stderr, rel=0, abs=1e-12)
 
 
 def _residual_reference(spec, t, x, config):
