@@ -1,6 +1,10 @@
 """Randomized audits of the gauge machinery: uniform derivative bounds,
 two-sided distance comparisons, and validation of the calibrated
 lower-bound constant on fresh samples.
+
+Every audit evaluates its tuples as the rows of one or two calls of the
+gauge kernel (``gauge._smoothed_rows``), each row with its own anchor: a
+row gives both the mollified distance and its time-smoothed saturation.
 """
 
 from __future__ import annotations
@@ -11,10 +15,8 @@ import numpy as np
 
 from .gauge import (HORIZONTAL_BOUND, SATURATED_GRAD_BOUND,
                     SATURATED_HESS_BOUND, VERTICAL_GRAD_BOUND,
-                    VERTICAL_HESS_BOUND, GaugeDiagnostics,
-                    horizontal_smoothed_distance, mean_gaussian_norm,
-                    perturbation_bounds, perturbation_sum,
-                    vertical_smoothed_distance)
+                    VERTICAL_HESS_BOUND, GaugeDiagnostics, _smoothed_rows,
+                    mean_gaussian_norm, perturbation_bounds, perturbation_sum)
 from .grids import PathPoint, TimeGrid, stopped_sup_distance
 from .quadrature import QuadratureConfig
 from .sampling import random_lift_points, random_pairs
@@ -43,27 +45,32 @@ class BoundCheck:
                 f"{self.tolerance:.3g}", "pass" if self.passed else "FAIL"]
 
 
+def _lift_rows(tuples):
+    """Anchors, points and present values of (anchor, t, x, y) tuples, as
+    kernel rows."""
+    return ([a for a, _, _, _ in tuples], [PathPoint(t, x) for _, t, x, _ in tuples],
+            np.array([y for _, _, _, y in tuples]))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def estimate_gauge_quadrature_error(dimension: int, grid: TimeGrid,
                                     config: QuadratureConfig,
                                     n_probe: int = 16, seed: int = 5) -> dict:
     """Refinement-based error estimate for the smoothed-distance outputs.
 
-    Compares the configured rule against its refinement on probe tuples and
-    returns the largest discrepancy per output family, inflated by a safety
-    factor of 2; this feeds the tolerance of the bound audits.
+    Compares the configured rule against its refinement on probe tuples,
+    one kernel call each over all probes, and returns the largest
+    discrepancy per output family, inflated by a safety factor of 2; this
+    feeds the tolerance of the bound audits.
     """
-    fine = config.refined()
-    out = {"value": 0.0, "horizontal": 0.0, "vertical": 0.0, "vertical2": 0.0}
-    for anchor, t, x, y in random_lift_points(grid, dimension, n_probe, seed):
-        v0, d0 = horizontal_smoothed_distance(anchor, t, x, y, config)
-        v1, d1 = horizontal_smoothed_distance(anchor, t, x, y, fine)
-        out["value"] = max(out["value"], abs(v0 - v1))
-        out["horizontal"] = max(out["horizontal"], abs(d0.horizontal - d1.horizontal))
-        out["vertical"] = max(out["vertical"],
-                              float(np.max(np.abs(d0.vertical - d1.vertical))))
-        out["vertical2"] = max(out["vertical2"],
-                               float(np.max(np.abs(d0.vertical2 - d1.vertical2))))
-    return {k: 2.0 * v for k, v in out.items()}
+    rows = _lift_rows(list(random_lift_points(grid, dimension, n_probe, seed)))
+    _, coarse = _smoothed_rows(*rows, config)
+    _, fine = _smoothed_rows(*rows, config.refined())
+    return {name: 2.0 * _max_abs(c - f) for name, c, f in
+            zip(("value", "horizontal", "vertical", "vertical2"), coarse, fine)}
 
 
 def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
@@ -73,48 +80,33 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
 
     Audits, over random (anchor, t, x, y) tuples: the mollified distance
     (gradient, Hessian), its time-smoothed saturation (all three derivative
-    families), and the anchored perturbation sum with the anchors of the
-    first ``_AUDIT_ANCHORS`` tuples.  Tolerances are ``_AUDIT_TOL`` plus the
+    families), both from the rows of one kernel call, and the anchored
+    perturbation sum with the anchors of the first ``_AUDIT_ANCHORS``
+    tuples at all tuple points.  Tolerances are ``_AUDIT_TOL`` plus the
     refinement-based quadrature error on probes of seed ``seed + 1``.
     """
     qe = estimate_gauge_quadrature_error(dimension, grid, config, seed=seed + 1)
     tuples = list(random_lift_points(grid, dimension, n_tuples, seed))
-    anchors = [a for a, _, _, _ in tuples[:_AUDIT_ANCHORS]]
+    anchors, points, y = _lift_rows(tuples)
+    (_, grad, hess), (_, hor, vert, vert2) = _smoothed_rows(anchors, points, y, config)
     pb = perturbation_bounds(grid.horizon)
-
-    obs = {k: 0.0 for k in ("dist_grad", "dist_hess", "sat_horizontal",
-                            "sat_grad", "sat_hess")}
-    for anchor, t, x, y in tuples:
-        sd = vertical_smoothed_distance(anchor, t, x, y, config)
-        obs["dist_grad"] = max(obs["dist_grad"], float(np.max(np.abs(sd.gradient))))
-        obs["dist_hess"] = max(obs["dist_hess"], float(np.max(np.abs(sd.hessian))))
-        _, derivs = horizontal_smoothed_distance(anchor, t, x, y, config)
-        obs["sat_horizontal"] = max(obs["sat_horizontal"], abs(derivs.horizontal))
-        obs["sat_grad"] = max(obs["sat_grad"], float(np.max(np.abs(derivs.vertical))))
-        obs["sat_hess"] = max(obs["sat_hess"], float(np.max(np.abs(derivs.vertical2))))
-    # one perturbation column per anchor over all tuple points
-    pert = perturbation_sum(anchors, [PathPoint(t, x) for _, t, x, _ in tuples],
-                            config).derivs
-    obs["pert_horizontal"] = float(np.max(np.abs(pert.horizontal)))
-    obs["pert_grad"] = float(np.max(np.abs(pert.vertical)))
-    obs["pert_hess"] = float(np.max(np.abs(pert.vertical2)))
-
+    pert = perturbation_sum(anchors[:_AUDIT_ANCHORS], points, config).derivs
     return [
-        BoundCheck("distance_gradient", VERTICAL_GRAD_BOUND, obs["dist_grad"],
+        BoundCheck("distance_gradient", VERTICAL_GRAD_BOUND, _max_abs(grad),
                    _AUDIT_TOL + qe["vertical"]),
-        BoundCheck("distance_hessian", VERTICAL_HESS_BOUND, obs["dist_hess"],
+        BoundCheck("distance_hessian", VERTICAL_HESS_BOUND, _max_abs(hess),
                    _AUDIT_TOL + qe["vertical2"]),
-        BoundCheck("saturated_horizontal", HORIZONTAL_BOUND, obs["sat_horizontal"],
+        BoundCheck("saturated_horizontal", HORIZONTAL_BOUND, _max_abs(hor),
                    _AUDIT_TOL + qe["horizontal"]),
-        BoundCheck("saturated_gradient", SATURATED_GRAD_BOUND, obs["sat_grad"],
+        BoundCheck("saturated_gradient", SATURATED_GRAD_BOUND, _max_abs(vert),
                    _AUDIT_TOL + qe["vertical"]),
-        BoundCheck("saturated_hessian", SATURATED_HESS_BOUND, obs["sat_hess"],
+        BoundCheck("saturated_hessian", SATURATED_HESS_BOUND, _max_abs(vert2),
                    _AUDIT_TOL + qe["vertical2"]),
         BoundCheck("perturbation_horizontal", pb["horizontal"],
-                   obs["pert_horizontal"], _AUDIT_TOL + 2 * qe["horizontal"]),
-        BoundCheck("perturbation_gradient", pb["vertical"], obs["pert_grad"],
+                   _max_abs(pert.horizontal), _AUDIT_TOL + 2 * qe["horizontal"]),
+        BoundCheck("perturbation_gradient", pb["vertical"], _max_abs(pert.vertical),
                    _AUDIT_TOL + 2 * qe["vertical"]),
-        BoundCheck("perturbation_hessian", pb["vertical2"], obs["pert_hess"],
+        BoundCheck("perturbation_hessian", pb["vertical2"], _max_abs(pert.vertical2),
                    _AUDIT_TOL + 2 * qe["vertical2"]),
     ]
 
@@ -125,22 +117,23 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
     """Two-sided comparisons of the smoothed distances with the raw stopped
     distance D at every sample.
 
-    Upper sides and nonnegativity hold exactly at the rule level (symmetric
-    nodes, positive weights, same-rule |z| subtraction), so the tolerance is
-    a pure rounding allowance.  Both lower offsets are audited: the provable
-    two-constant one and the sharper one-constant version, which the
-    symmetrization argument also yields for the subtracted definition.
-    The optional calibrated constant is validated on these (fresh) samples.
+    The mollified distance and its time-smoothed saturation of every sample
+    come from the rows of one kernel call.  Upper sides and nonnegativity
+    hold exactly at the rule level (symmetric nodes, positive weights,
+    same-rule |z| subtraction), so the tolerance is a pure rounding
+    allowance.  Both lower offsets are audited: the provable two-constant
+    one and the sharper one-constant version, which the symmetrization
+    argument also yields for the subtracted definition.  The optional
+    calibrated constant is validated on these (fresh) samples.
     """
     czeta = mean_gaussian_norm(dimension)
     worst = {k: -np.inf for k in ("upper", "lower2", "lower1", "neg",
                                   "sat_upper", "alpha", "alpha_sat")}
-    for anchor, point in random_pairs(grid, dimension, n_samples, seed):
-        val = vertical_smoothed_distance(anchor, point.t, point.path,
-                                         point.present_value(), config).value
+    pairs = list(random_pairs(grid, dimension, n_samples, seed))
+    (values, _, _), (saturated, _, _, _) = _smoothed_rows(
+        [a for a, _ in pairs], [p for _, p in pairs], None, config)
+    for (anchor, point), val, sat in zip(pairs, values.tolist(), saturated.tolist()):
         dist = stopped_sup_distance(point, anchor)
-        sat, _ = horizontal_smoothed_distance(anchor, point.t, point.path,
-                                              point.present_value(), config)
         worst["upper"] = max(worst["upper"], val - dist)
         worst["lower2"] = max(worst["lower2"], (dist - 2 * czeta) - val)
         worst["lower1"] = max(worst["lower1"], (dist - czeta) - val)

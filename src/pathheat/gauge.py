@@ -47,26 +47,34 @@ of ``audit.estimate_gauge_quadrature_error`` measures what that costs.  In
 d >= 2 the shifted times meet the z-rule in bounded blocks: values are
 bit-identical to a per-time loop, derivatives move at the 1e-14 level.
 
-Gauge columns
--------------
-``smooth_gauge`` takes a sequence of points and returns one gauge column
-against one anchor; it is the only way to evaluate a gauge.  The points
-are grouped by snapped node.  The points of a group share the s-rule (it
-depends on the node, the anchor's node and tau = t only), the candidates
-with their suffix extremes and the partial candidates at the shifted times;
-per point there are only the center, the present value, the prefix distance
-and its running maxima.  In d = 1 the closed form then runs on (points,
-shifted times) arrays, so the normal cdf runs a few times per column rather
-than per point; in d >= 2 the points go one at a time through the z-rule.
-Both go in blocks bounded by ``_PROFILE_BLOCK``.  In d >= 2 the z-rule
+Rows, groups and the flat pass
+------------------------------
+Every gauge evaluation is one call of one kernel on rows (anchor, point,
+present value).  A row yields both smoothing stages: its mollified distance
+at t' = t, evaluated as one more shifted time with weight 0 in the sums,
+and its time-smoothed saturation with all derivatives.  ``smooth_gauge``
+makes a column of rows against one anchor, ``perturbation_sum`` the rows
+of all its anchors at once, the one-point stages a row of their own, and
+the audits and ``calibrate_alpha`` all their tuples in one or two calls.
+
+The rows with one anchor and one stopping node form a group.  A group
+shares its s-rule (it depends on the node, the anchor's node and tau = t
+only), its candidates, and at each shifted time the partial candidate and
+the suffix extremes of the candidates; per row there are only the center,
+the prefix distance and its running maxima.  The groups of a call are built
+together, with arithmetic over all of them at once.  The per-element work
+then runs as one flat pass over every (row, shifted time) element of every
+group, in blocks of whole rows of at most ``_PROFILE_BLOCK //
+_PAIR_FLOATS`` elements.  In d = 1 a block runs the prefix floor and the
+closed form once, so the normal cdf runs a few times per call rather than
+per row; in d >= 2 each row of a block goes through the z-rule, which
 itself goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)`` nodes for
-nq candidates, so that the distances and running maxima over (candidates,
-z nodes) and the second moments over (z nodes, d^2) take at most 2 MiB
-each, whatever the rule's size and the grid's (a d = 3 column holds
-100,000 Monte-Carlo nodes).  The one-point smoothing
-stages are the batch of one of the same kernel, and every value of a batch
-is bit-identical to the point alone: the arithmetic is elementwise, and the
-sums over shifted times run along each point's row.
+nq candidates.  The distances and running maxima over (candidates, z nodes)
+and the second moments over (z nodes, d^2) then take at most 2 MiB each,
+whatever the rule's size and the grid's (a d = 3 row holds 100,000
+Monte-Carlo nodes).  Every value of a batch is bit-identical to the row
+alone: the arithmetic is elementwise, and the sums over shifted times run
+along each row, group by group.
 
 Every perturbation sum_n 2^{-n} gauge(., anchor_n), the variational
 principle's, ``perturbation_sum`` and the audit's, is ``completed_sum`` of
@@ -76,7 +84,6 @@ doubled and the geometric tail is exact.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -85,7 +92,8 @@ import numpy as np
 
 from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
-from .grids import GridPath, PathPoint, stopped_sup_distance
+from .grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
+                    stopped_sup_distance)
 from .quadrature import (QuadratureConfig, composite_legendre_rule,
                          gaussian_rule, legendre_rule)
 
@@ -181,11 +189,11 @@ _PROFILE_BLOCK = 1 << 15
 # running maxima (nq + 1 rows) and second moments (d^2 columns) fit, and
 # memory stays bounded in the rule's size and the grid's.
 _Z_CHUNK_FLOATS = 1 << 18
-# A (point, shifted time) pair of a batch block counts as this many floats of
-# _PROFILE_BLOCK: the d = 1 closed form stacks its two breakpoints, runs the
-# normal cdf's numerators and denominators on four stacked rows of them and
-# keeps tens of temporaries of the block's size alive, and a d >= 2 pair
-# carries a (d, d) Hessian.
+# A (row, shifted time) element of a flat-pass block counts as this many
+# floats of _PROFILE_BLOCK: the d = 1 closed form stacks its two breakpoints,
+# runs the normal cdf's numerators and denominators on four stacked rows of
+# them and keeps tens of temporaries of the block's size alive, and a d >= 2
+# element carries a (d, d) Hessian.
 _PAIR_FLOATS = 16
 
 
@@ -344,80 +352,223 @@ def _exact_profile_1d(a, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Anchored evaluation context
+# Rows, anchor groups and the flat pass
 # ---------------------------------------------------------------------------
 
-class _AnchorContext:
-    """Geometry of the mollified distance for a fixed anchor and points
-    (t, x_i) with present values y_i that share the stopping node of t,
-    reusable across the shifted times (t+s) ^ T of the time smoothing.
+def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
+             config: QuadratureConfig):
+    """The s-rules of groups at nodes ``kt`` against anchors at ``k0`` from
+    the smoothing starts ``tau`` (arrays over the groups), back to back:
+    shifted times tau + s, kernel and kernel-derivative weights, and the
+    size of each rule.
 
-    The candidates ``q`` and the partial candidates at the shifted times
-    depend on the node and the anchor only.  Per point there is one row of
-    each of ``x_t``, ``center`` = 2 x_i(t) - y_i, ``base`` (the stopped-path
-    distance up to t) and ``prefix_add`` (its running maxima over the
-    candidates).  ``y=None`` takes the present values x_i(t).
+    The profile at t' = tau + s is smooth between grid nodes and constant
+    from the anchor time t0 on.  A rule is composite Gauss-Legendre in
+    u = sqrt(s), with a panel edge at sqrt(t_k - tau) for each grid node t_k
+    in (tau, t0], up to s_end = min(t0 - tau, s_max).  The last point carries
+    the closed-form kernel mass and derivative beyond s_end; for tau >= t0 it
+    is the only point, with weights 1 and 0.  A start tau later than the
+    node kt moves the smoothing off the grid with the path still stopped at
+    t_k, which is what a sub-grid difference quotient in time needs.  The
+    panels of all groups go through one composite rule, so every node and
+    weight is the one the group's rule alone has.
+    """
+    t0 = k0 * grid.horizon / grid.steps
+    s_end = np.minimum(t0 - tau, config.s_max)
+    live = s_end > 0.0
+    # the nodes t_k strictly between tau and tau + s_end
+    n_in = np.where(live, np.maximum(k0 - kt - 1, 0), 0)
+    owner = np.repeat(np.arange(kt.size), n_in)
+    k = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in - kt - 1, n_in)
+    s_k = k * grid.horizon / grid.steps - tau[owner]
+    keep = (s_k > 0.0) & (s_k < s_end[owner])
+    s_k, owner = s_k[keep], owner[keep]
+    inside = np.bincount(owner, minlength=kt.size)
+    panels = np.where(live, inside + 1, 0)
+    # edges 0, s_k..., s_end of each live rule, back to back; the panels
+    # from one rule's last edge to the next rule's first are dropped
+    n_edges = np.where(live, panels + 1, 0)
+    first = np.cumsum(n_edges) - n_edges
+    ends = (first + panels)[live]
+    edges = np.zeros(n_edges.sum())
+    edges[ends] = s_end[live]
+    edges[np.arange(s_k.size)
+          + np.repeat(first + 1 - (np.cumsum(inside) - inside), inside)] = s_k
+    uu, gw = composite_legendre_rule(np.sqrt(edges), config.s_nodes)
+    inner = np.ones(max(edges.size - 1, 0), dtype=bool)
+    inner[ends[:-1]] = False
+    inner = np.repeat(inner, config.s_nodes)
+    uu, gw = uu[inner], gw[inner]
+    ss = uu * uu
+    base = np.exp(-0.5 * ss) / _SQRT2PI
+    sizes = np.where(live, panels * config.s_nodes + 1, 1)
+    tail = np.cumsum(sizes) - 1
+    body = np.ones(tail[-1] + 1, dtype=bool)
+    body[tail] = False
+    pts, wv, wh = np.empty(body.size), np.empty(body.size), np.empty(body.size)
+    pts[body] = np.repeat(tau, sizes - 1) + ss
+    wv[body] = gw * 2.0 * ss * base
+    wh[body] = gw * (1.0 - ss) * base
+    pts[tail] = np.where(live, np.where(s_end < config.s_max, t0, tau + s_end), tau)
+    wv[tail], wh[tail] = 1.0, 0.0
+    wv[tail[live]] = [1.0 - horizontal_kernel_mass(s) for s in s_end[live].tolist()]
+    wh[tail[live]] = -horizontal_kernel(s_end[live])
+    return pts, wv, wh, sizes
+
+
+def _locate(grid: TimeGrid, t_primes: np.ndarray, group: np.ndarray,
+            kt: np.ndarray, k0: np.ndarray, stopped: np.ndarray):
+    """Where shifted times t' >= t_k fall among the candidates of their
+    groups: ``group`` gives each time's group, and ``kt``, ``k0`` and the
+    stopped anchor values ``stopped`` are per group.
+
+    Returns, per time, the column ``jf`` of the candidates' running maxima
+    that t' has passed, the first whole candidate ``j0`` after it (relative
+    to t_k) and the partial candidate, linearly interpolated between the
+    candidates at the nodes around t'.
+    """
+    kt, k0 = kt[group], k0[group]
+    single = kt >= k0
+    n_last = k0 - kt
+    # t'/dt can fall an ulp short of kt at t' = t; clamp, not wrap to -1
+    j = np.maximum(np.minimum(t_primes, grid.horizon) / grid.dt - kt, 0.0)
+    last = (t_primes >= k0 * grid.horizon / grid.steps) | (j >= n_last)
+    jf = np.where(last, n_last - 1, np.floor(j)).astype(int)
+    frac = np.where(last, 1.0, j - jf)[:, None]
+    # a single candidate, the frozen anchor, is already in the base
+    jf = np.where(single, 0, jf)
+    lo = np.minimum(kt + jf, k0)
+    q = stopped[group, lo]
+    partial = np.where(single[:, None], q, (1.0 - frac) * q
+                       + frac * stopped[group, np.minimum(lo + 1, grid.steps)])
+    return jf, jf + 1, partial
+
+
+class _AnchorGroups:
+    """The rows (anchor_i, x_i, y_i) of a batch on one grid, sorted into
+    groups that share the anchor and the stopping node t_k, and all the
+    data of the flat pass, built for all groups at once.  Row ``order[i]``
+    of the batch is row i in group order.  ``y=None`` takes the present
+    values x_i(t); ``starts`` (the smoothing starts, the rows' times when
+    None) must agree within a group.
+
+    Per group: ``kt``, the anchor's node ``k0``, the stopped anchor values
+    and the number ``width`` of shifted times.  Per shifted time t', the
+    groups' times back to back (t = t_k first, then the s-rule's nodes):
+    the weights ``wv``, ``wh`` (0 at t), and the :func:`_locate` data
+    ``jf``, ``j0`` and ``partial``; in d = 1 also the extremes ``q_lo``,
+    ``q_hi`` of the candidate suffix.  Per row: ``x_t``, ``center`` =
+    2 x_i(t) - y_i, the squared stopped-path distance ``base_sq`` up to t,
+    and ``run_gap_sq``, the running maxima of the squared distances to the
+    candidates, over the nodes from ``gap_start`` on.  The candidates are
+    the anchor's values from t_k to t0, or its frozen value once t_k >= t0.
     """
 
-    def __init__(self, anchor: PathPoint, points: Sequence[PathPoint],
-                 y: Optional[np.ndarray] = None):
-        grid = anchor.path.grid
-        for p in points:
-            if p.path.grid != grid:
+    def __init__(self, anchors: Sequence[PathPoint], points: Sequence[PathPoint],
+                 y: Optional[np.ndarray], starts: Optional[np.ndarray],
+                 config: QuadratureConfig):
+        if not points:
+            raise DomainError("a gauge evaluation needs at least one point and one anchor")
+        grid = anchors[0].path.grid
+        d = anchors[0].path.dimension
+        for p in (*anchors, *points):
+            if p.path.grid is not grid and p.path.grid != grid:
                 raise DomainError("point and anchor must share a time grid")
-            if p.path.dimension != anchor.path.dimension:
+            if p.path.values.shape[1] != d:
                 raise DomainError("dimension mismatch between point and anchor")
-        self.grid = grid
-        self.kt = points[0].node_index
-        self.k0 = anchor.node_index
-        k = np.arange(grid.steps + 1)
-        stopped_anchor = anchor.path.values[np.minimum(k, self.k0)]
-        paths = np.stack([p.path.values[: self.kt + 1] for p in points])
-        self.x_t = paths[:, self.kt]
+        # points sit on nodes, so t / dt rounds to their node index
+        times = np.array([p.t for p in points])
+        kt = np.minimum(np.rint(times / grid.dt), grid.steps).astype(int)
+        anchor_index: dict = {}
+        key = kt + (grid.steps + 1) * np.array(
+            [anchor_index.setdefault(id(a), len(anchor_index)) for a in anchors])
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        taus = times[first] if starts is None else np.asarray(starts, float)[first]
+        self.order = np.argsort(inverse, kind="stable")
+        self.row_group = inverse[self.order]
+        self.kt = kt[first]
+        self.k0 = np.array([anchors[i].node_index for i in first])
+        self.stopped = _stopped_values(_stack_paths(anchors, first), self.k0)
+
+        # per row
+        kt = kt[self.order]
+        paths = _stack_paths(points, self.order)
+        self.x_t = paths[np.arange(kt.size), kt]
         if y is None:
             y = self.x_t
-        elif y.shape != self.x_t.shape:
-            raise DomainError(
-                f"present value must have shape ({self.x_t.shape[1]},)")
-        self.center = 2.0 * self.x_t - y
-        diff = paths - stopped_anchor[: self.kt + 1]
-        self.base = np.max(np.linalg.norm(diff, axis=-1), axis=-1)
-        self.single = self.kt >= self.k0
-        if self.single:
-            self.q = stopped_anchor[self.k0][None, :]
-            self.prefix_add = self.base[:, None]
+        elif y.shape != (len(points), d):
+            raise DomainError(f"present value must have shape ({d},)")
         else:
-            self.q = stopped_anchor[self.kt : self.k0 + 1]
-            gaps = np.linalg.norm(self.x_t[:, None, :] - self.q, axis=-1)
-            self.prefix_add = np.maximum.accumulate(gaps, axis=1)
-        self.t0 = grid.node(self.k0)
+            y = y[self.order]
+        self.center = 2.0 * self.x_t - y
+        # the base reads the nodes up to t_k, the running maxima the nodes
+        # from t_k to t0: both over the nodes the batch needs, no more, and
+        # both squared (the square root is monotone, so taking it after the
+        # maxima gives the same floats)
+        end = kt.max() + 1
+        nodes = np.arange(end)
+        self.base_sq = np.max(np.where(nodes <= kt[:, None], _squares(
+            paths[:, :end] - self.stopped[self.row_group, :end]), -np.inf), axis=1)
+        self.gap_start = kt.min()
+        nodes = np.arange(self.gap_start, max(end, self.k0.max() + 1))
+        gaps = _squares(self.x_t[:, None, :] - self.stopped[self.row_group[:, None], nodes])
+        self.run_gap_sq = np.maximum.accumulate(
+            np.where(nodes >= kt[:, None], gaps, -np.inf), axis=1)
 
-    def rows(self, b: slice) -> "_AnchorContext":
-        """The same context restricted to the points in ``b``."""
-        sub = copy.copy(self)
-        for name in ("x_t", "center", "base", "prefix_add"):
-            setattr(sub, name, getattr(self, name)[b])
-        return sub
+        # per shifted time: t itself, with weight 0, then the s-rule
+        pts, wv, wh, sizes = _s_rules(grid, self.kt, self.k0, taus, config)
+        self.width = sizes + 1
+        at_t = np.cumsum(self.width) - self.width
+        rule = np.ones(self.width.sum(), dtype=bool)
+        rule[at_t] = False
+        t_primes = np.empty(rule.size)
+        t_primes[at_t] = self.kt * grid.horizon / grid.steps
+        t_primes[rule] = pts
+        self.wv, self.wh = np.zeros(rule.size), np.zeros(rule.size)
+        self.wv[rule], self.wh[rule] = wv, wh
+        group = np.repeat(np.arange(first.size), self.width)
+        self.jf, self.j0, self.partial = _locate(grid, t_primes, group, self.kt,
+                                                 self.k0, self.stopped)
+        if d == 1:
+            kt, k0 = self.kt[group], self.k0[group]
+            # right-running extremes of the candidate values; the sentinel
+            # past t0 leaves the partial candidate alone
+            values = self.stopped[:, ::-1, 0]
+            sentinel = np.full((first.size, 1), np.inf)
+            run_min = np.hstack((np.minimum.accumulate(values, axis=1)[:, ::-1], sentinel))
+            run_max = np.hstack((np.maximum.accumulate(values, axis=1)[:, ::-1], -sentinel))
+            j0 = np.where(kt + self.j0 > k0, grid.steps + 1, kt + self.j0)
+            self.q_lo = np.minimum(self.partial[:, 0], run_min[group, j0])
+            self.q_hi = np.maximum(self.partial[:, 0], run_max[group, j0])
 
-    def _locate(self, t_primes: np.ndarray):
-        """Prefix floors, one row per point, and the shared partial
-        candidates and first whole-node offsets at the shifted times
-        t' >= t."""
-        n = t_primes.size
-        if self.single:  # suffix = single candidate
-            return (np.broadcast_to(self.base[:, None], (self.base.size, n)),
-                    np.repeat(self.q, n, axis=0), np.ones(n, dtype=int))
-        grid = self.grid
-        n_last = self.q.shape[0] - 1
-        # t'/dt can fall an ulp short of kt at t' = t; clamp, not wrap to -1
-        j = np.maximum(np.minimum(t_primes, grid.horizon) / grid.dt - self.kt, 0.0)
-        last = (t_primes >= self.t0) | (j >= n_last)
-        jf = np.where(last, n_last - 1, np.floor(j)).astype(int)
-        frac = np.where(last, 1.0, j - jf)[:, None]
-        partial = (1.0 - frac) * self.q[jf] + frac * self.q[jf + 1]
-        prefix = np.maximum(np.maximum(self.base[:, None], self.prefix_add[:, jf]),
-                            np.linalg.norm(self.x_t[:, None, :] - partial, axis=-1))
-        return prefix, partial, jf + 1
+    def candidates(self, g: int) -> np.ndarray:
+        """The candidates of group g, shape (nq, d)."""
+        return self.stopped[g, min(self.kt[g], self.k0[g]) : self.k0[g] + 1]
+
+
+def _prefix_floor(base_sq, run_gap_sq, x_t, partial) -> np.ndarray:
+    """The z-independent floor of the norm at each element, from squared
+    norms: the stopped distance up to t, the running maximum over the
+    candidates that t' has passed, and the distance to the partial
+    candidate."""
+    return np.sqrt(np.maximum(np.maximum(base_sq, run_gap_sq), _squares(x_t - partial)))
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis of v, summed axis by axis
+    as ``np.linalg.norm`` sums them, but with no reduction over a short last
+    axis."""
+    sq = np.square(v[..., 0])
+    for k in range(1, v.shape[-1]):
+        sq += np.square(v[..., k])
+    return sq
+
+
+def _stack_paths(points: Sequence[PathPoint], rows: np.ndarray) -> np.ndarray:
+    """The path values of the points at ``rows``, shape (len(rows), M+1, d)."""
+    first = points[rows[0]].path.values
+    return np.concatenate([points[i].path.values for i in rows.tolist()]).reshape(
+        (len(rows),) + first.shape)
 
 
 def _node_distances(p: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -430,73 +581,149 @@ def _node_distances(p: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _profile_rule(ctx: _AnchorContext, t_primes: np.ndarray, config: QuadratureConfig):
-    """Mollified-distance value/gradient/hessian of each point of the
-    context at each shifted time: shapes (n, m), (n, m, d) and (n, m, d, d)
-    for n points and m times.
+def _z_profile(center: np.ndarray, q: np.ndarray, floor: np.ndarray,
+               partial: np.ndarray, j0: np.ndarray, rule):
+    """Mollified-distance value/gradient/hessian of one row in d >= 2 at m
+    shifted times, from their floors, partial candidates and first whole
+    candidates: shapes (m,), (m, d) and (m, d, d).
 
-    In d = 1 the closed form runs once on the (points, times) arrays.  In
-    d >= 2 the z-rule goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1,
-    d^2)`` nodes for nq candidates.  Within a chunk the points go one at a
-    time, and their shifted times in blocks of at most ``_PROFILE_BLOCK``
-    floats (or one row), with values bit-identical to one time at a time;
-    per-block matrix products move derivatives by ~1e-14.  The mass,
-    gradient and Hessian sum over the chunks, and the mass and |z| offset
-    are subtracted once at the end, so one chunk (d = 2 at up to 128 steps)
-    gives what an unchunked rule gives; more chunks move values by ~5e-16
-    and derivatives by ~2e-14, and the value at the anchor is still exactly
-    0.
+    The z-rule goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)``
+    nodes for nq candidates, and within a chunk the times go in blocks of at
+    most ``_PROFILE_BLOCK`` floats (or one time), with values bit-identical
+    to one time at a time; per-block matrix products move derivatives by
+    ~1e-14.  The mass, gradient and Hessian sum over the chunks, and the
+    mass and |z| offset are subtracted once at the end, so one chunk (d = 2
+    at up to 128 steps) gives what an unchunked rule gives; more chunks move
+    values by ~5e-16 and derivatives by ~2e-14, and the value at the anchor
+    is still exactly 0.
     """
-    n, d = ctx.center.shape
-    m = len(t_primes)
-    rule = _z_rule(config, d)
-    prefix, partial, j0 = ctx._locate(t_primes)
-    if rule is None:  # exact one-dimensional rule
-        qs = ctx.q[:, 0]
-        # right-running extremes of the candidate values; the sentinel at
-        # j0 = len(qs) leaves the partial candidate alone
-        run_min = np.append(np.minimum.accumulate(qs[::-1])[::-1], np.inf)
-        run_max = np.append(np.maximum.accumulate(qs[::-1])[::-1], -np.inf)
-        q_lo = np.minimum(partial[:, 0], run_min[j0])
-        q_hi = np.maximum(partial[:, 0], run_max[j0])
-        c = ctx.center
-        v, g, h = _exact_profile_1d(prefix, c - q_hi, c - q_lo)
-        return v, g[..., None], h[..., None, None]
-
     z, w = rule
-    # z chunks of at most _Z_CHUNK_FLOATS per array; the |z| offset is summed
-    # chunk by chunk, as the masses are, so that it cancels exactly at the
-    # anchor
-    size = max(1, _Z_CHUNK_FLOATS // max(len(ctx.q) + 1, d * d))
-    rows = max(1, _PROFILE_BLOCK // min(size, len(z)))
+    m, d = partial.shape
+    size = max(1, _Z_CHUNK_FLOATS // max(len(q) + 1, d * d))
+    times = max(1, _PROFILE_BLOCK // min(size, len(z)))
+    # the |z| offset is summed chunk by chunk, as the masses are, so that it
+    # cancels exactly at the anchor
     abs_norm = 0.0
-    mass = np.empty((n, m))
-    grads, hesses = np.empty((n, m, d)), np.empty((n, m, d, d))
+    mass, grads, hesses = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
     for z_lo in range(0, len(z), size):
         zc, wc = z[z_lo:z_lo + size], w[z_lo:z_lo + size]
         abs_norm += float(np.sum(wc * np.linalg.norm(zc, axis=1)))
         wz = wc[:, None] * zc
         wzz = (wz[:, :, None] * zc[:, None, :]).reshape(-1, d * d)
-        for i, center in enumerate(ctx.center):
-            # farthest-point running maxima over candidate suffixes, per z
-            # node; the -inf sentinel row at j0 = nq leaves the partial
-            # candidate alone
-            dist = _node_distances(center - ctx.q, zc.T)           # (nq, nz)
-            run = np.full((len(dist) + 1, len(zc)), -np.inf)
-            np.maximum.accumulate(dist[::-1], axis=0, out=run[-2::-1])
-            for lo in range(0, m, rows):
-                b = slice(lo, lo + rows)
-                s_part = _node_distances(center - partial[b], zc.T)
-                nvals = np.maximum(prefix[i, b, None], np.maximum(s_part, run[j0[b]]))
-                parts = (np.sum(wc * nvals, axis=1), nvals @ wz,
-                         (nvals @ wzz).reshape(-1, d, d))
-                for total, part in zip((mass, grads, hesses), parts):
-                    if z_lo:
-                        total[i, b] += part
-                    else:
-                        total[i, b] = part
-    hesses -= mass[..., None, None] * np.eye(d)
+        # farthest-point running maxima over candidate suffixes, per z node;
+        # the -inf sentinel row at j0 = nq leaves the partial candidate alone
+        dist = _node_distances(center - q, zc.T)                   # (nq, nz)
+        run = np.full((len(dist) + 1, len(zc)), -np.inf)
+        np.maximum.accumulate(dist[::-1], axis=0, out=run[-2::-1])
+        for lo in range(0, m, times):
+            b = slice(lo, lo + times)
+            s_part = _node_distances(center - partial[b], zc.T)
+            nvals = np.maximum(floor[b, None], np.maximum(s_part, run[j0[b]]))
+            parts = (np.sum(wc * nvals, axis=1), nvals @ wz,
+                     (nvals @ wzz).reshape(-1, d, d))
+            for total, part in zip((mass, grads, hesses), parts):
+                if z_lo:
+                    total[b] += part
+                else:
+                    total[b] = part
+    hesses -= mass[:, None, None] * np.eye(d)
     return mass - abs_norm, grads, hesses
+
+
+def _smoothed_groups(groups: _AnchorGroups, config: QuadratureConfig):
+    """The flat pass: every (row, shifted time) element of every group.
+
+    Returns, one row per row of the groups in group order, the mollified
+    distance at t' = t with its y-gradient and Hessian, then the time-
+    smoothed saturation with its horizontal derivative, vertical gradient
+    and Hessian: shapes (n,), (n, d), (n, d, d), (n,), (n,), (n, d) and
+    (n, d, d).  A row's elements lie back to back, t' = t first, and go in
+    blocks of whole rows of at most ``_PROFILE_BLOCK // _PAIR_FLOATS``
+    elements (or one row), whatever their groups.  The prefix floor and, in
+    d = 1, the closed form run once per block; in d >= 2 each row goes
+    through :func:`_z_profile`.  The weighted sums over a row's shifted
+    times run along the row, group by group, so a row's value is
+    bit-identical to the same row alone.
+    """
+    d = groups.center.shape[1]
+    rule = _z_rule(config, d)
+    row_group, width, n = groups.row_group, groups.width, groups.base_sq.size
+    first_row = np.searchsorted(row_group, np.arange(width.size + 1))
+    row_width = width[row_group]
+    cum = np.concatenate(([0], np.cumsum(row_width)))
+    # element index minus time index, per row
+    shift = cum[:-1] - (np.cumsum(width) - width)[row_group]
+    run_gap_sq = groups.run_gap_sq.ravel()
+    gap_off = (np.arange(n) * groups.run_gap_sq.shape[1] + groups.kt[row_group]
+               - groups.gap_start)
+    out = (np.empty(n), np.empty((n, d)), np.empty((n, d, d)),
+           np.empty(n), np.empty(n), np.empty((n, d)), np.empty((n, d, d)))
+    cap = max(1, _PROFILE_BLOCK // _PAIR_FLOATS)
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(cum, cum[r0] + cap, "right")) - 1)
+        ri = np.repeat(np.arange(r0, r1), row_width[r0:r1])
+        ti = np.arange(cum[r0], cum[r1]) - shift[ri]
+        floor = _prefix_floor(groups.base_sq[ri], run_gap_sq[gap_off[ri] + groups.jf[ti]],
+                              groups.x_t[ri], groups.partial[ti])
+        if rule is None:
+            c = groups.center[ri, 0]
+            v, g, h = _exact_profile_1d(floor, c - groups.q_hi[ti], c - groups.q_lo[ti])
+            g, h = g[:, None], h[:, None, None]
+        else:
+            v, g, h = np.empty(ti.size), np.empty((ti.size, d)), np.empty((ti.size, d, d))
+            partial, j0 = groups.partial[ti], groups.j0[ti]
+            for r in range(r0, r1):
+                e = slice(cum[r] - cum[r0], cum[r + 1] - cum[r0])
+                v[e], g[e], h[e] = _z_profile(groups.center[r],
+                                              groups.candidates(row_group[r]),
+                                              floor[e], partial[e], j0[e], rule)
+        starts = cum[r0:r1] - cum[r0]
+        for total, part in zip(out, (v, g, h)):
+            total[r0:r1] = part[starts]
+        w = groups.wv[ti]
+        ratio = v / (1.0 + v)
+        terms = (w * ratio, groups.wh[ti] * ratio, w / (1.0 + v) ** 2, w / (1.0 + v) ** 3)
+        for gi in range(row_group[r0], row_group[r1 - 1] + 1):
+            a, b = max(r0, first_row[gi]), min(r1, first_row[gi + 1])
+            k, m = b - a, width[gi]
+            e = slice(cum[a] - cum[r0], cum[b] - cum[r0])
+            # (k, m - 1) views of the rows' s-rule elements
+            vals, hor, inv2, inv3, grads, hesses = (
+                x[e].reshape((k, m) + x.shape[1:])[:, 1:] for x in (*terms, g, h))
+            inv2 = inv2[:, None, :]
+            # a single shifted time means tau >= t0: the scene is frozen,
+            # exactly 0
+            out[4][a:b] = -np.sum(hor, axis=1) if m > 2 else 0.0
+            out[3][a:b] = np.sum(vals, axis=1)
+            out[5][a:b] = (inv2 @ grads)[:, 0]
+            out[6][a:b] = ((inv2 @ hesses.reshape(k, m - 1, d * d)).reshape(k, d, d)
+                           - 2.0 * (np.swapaxes(inv3[:, :, None] * grads, 1, 2) @ grads))
+        r0 = r1
+    return out
+
+
+def _smoothed_rows(anchors: Sequence[PathPoint], points: Sequence[PathPoint],
+                   y: Optional[np.ndarray], config: QuadratureConfig):
+    """The gauge kernel on rows (anchor_i, point_i, y_i), ``y=None`` for
+    the present values: :func:`_smoothed_groups` of the rows' groups, in
+    row order.  A row whose results are not finite (a NaN or infinity in
+    what it reads, or an overflow) raises :class:`NumericError`, naming
+    the first such row.
+    """
+    groups = _AnchorGroups(anchors, points, y, None, config)
+    parts = []
+    for x in _smoothed_groups(groups, config):
+        # back from group order to row order
+        rows = np.empty_like(x)
+        rows[groups.order] = x
+        parts.append(rows)
+    bad = ~(np.isfinite(parts[0]) & np.isfinite(parts[3]))
+    if bad.any():
+        raise NumericError(f"the smoothed distance of row {int(np.argmax(bad))} "
+                           "is not finite: its path, present value or anchor "
+                           "holds a non-finite or overflowing value")
+    return parts[:3], parts[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -518,96 +745,9 @@ def vertical_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
                                ) -> SmoothedDistance:
     """Gaussian mollification, in the jump direction, of the anchored
     stopped-path distance; nonnegative, 1-Lipschitz in y."""
-    point = PathPoint(t, x)
-    ctx = _AnchorContext(anchor, (point,), np.atleast_1d(np.asarray(y, float))[None])
-    v, g, h = _profile_rule(ctx, np.asarray([point.t]), config)
-    if not np.isfinite(v[0, 0]):
-        raise NumericError("mollified distance integral diverged")
-    return SmoothedDistance(value=float(v[0, 0]), gradient=g[0, 0], hessian=h[0, 0])
-
-
-def _s_rule(ctx: _AnchorContext, tau: float, config: QuadratureConfig):
-    """Shifted times tau + s with kernel and kernel-derivative weights.
-
-    The profile at t' = tau + s is smooth between grid nodes and constant
-    from the anchor time t0 on.  The rule is composite Gauss-Legendre in
-    u = sqrt(s), with a panel edge at sqrt(t_k - tau) for each grid node t_k
-    in (tau, t0], up to s_end = min(t0 - tau, s_max).  The last point carries
-    the closed-form kernel mass and derivative beyond s_end; for tau >= t0 it
-    is the only point, with weights 1 and 0.
-    """
-    grid = ctx.grid
-    s_end = min(ctx.t0 - tau, config.s_max)
-    if s_end <= 0.0:
-        return np.array([tau]), np.ones(1), np.zeros(1)
-    s_k = np.arange(ctx.kt + 1, ctx.k0) * grid.horizon / grid.steps - tau
-    s_k = s_k[(s_k > 0.0) & (s_k < s_end)]
-    edges = np.sqrt(np.concatenate(([0.0], s_k, [s_end])))
-    uu, gw = composite_legendre_rule(edges, config.s_nodes)
-    ss = uu * uu
-    base = np.exp(-0.5 * ss) / _SQRT2PI
-    tail_t = ctx.t0 if s_end < config.s_max else tau + s_end
-    pts = np.append(tau + ss, tail_t)
-    wv = np.append(gw * 2.0 * ss * base, 1.0 - horizontal_kernel_mass(s_end))
-    wh = np.append(gw * (1.0 - ss) * base, -float(horizontal_kernel(s_end)))
-    return pts, wv, wh
-
-
-def _time_smoothed(ctx: _AnchorContext, tau: float, config: QuadratureConfig):
-    """Time smoothing from tau >= t_k of the scene frozen at stopping node k.
-
-    Returns, one row per point of the context, the value (n,), the
-    horizontal derivative (n,), the vertical gradient (n, d) and Hessian
-    (n, d, d).  The points share the s-rule and go through the profile in
-    blocks of at most ``_PROFILE_BLOCK / _PAIR_FLOATS`` (point, shifted
-    time) pairs, or of one point, so memory stays bounded in the batch
-    size.  The sums over shifted times run along each row, so a row's value
-    is bit-identical to the same point alone.  ``_smoothed_rows`` evaluates
-    it at tau = t_k; a later tau moves the start of the smoothing off the
-    grid with the path still stopped at t_k, which is what a sub-grid
-    difference quotient in time needs.
-    """
-    pts, wv, wh = _s_rule(ctx, tau, config)
-    n = ctx.base.size
-    step = max(1, _PROFILE_BLOCK // (_PAIR_FLOATS * pts.size))
-    blocks = ([ctx] if n <= step else
-              [ctx.rows(slice(lo, lo + step)) for lo in range(0, n, step)])
-    sums = []
-    for block in blocks:
-        vals, grads, hesses = _profile_rule(block, pts, config)
-        k, m, d = grads.shape
-        ratio = vals / (1.0 + vals)
-        # a single point means tau >= t0: the scene is frozen, exactly 0
-        horizontal = -np.sum(wh * ratio, axis=1) if wh.size > 1 else np.zeros(k)
-        inv2 = (wv / (1.0 + vals) ** 2)[:, None, :]
-        inv3 = (wv / (1.0 + vals) ** 3)[:, :, None]
-        vertical2 = ((inv2 @ hesses.reshape(k, m, d * d)).reshape(k, d, d)
-                     - 2.0 * (np.swapaxes(inv3 * grads, 1, 2) @ grads))
-        sums.append((np.sum(wv * ratio, axis=1), horizontal,
-                     (inv2 @ grads)[:, 0], vertical2))
-    if len(sums) == 1:
-        return sums[0]
-    return tuple(np.concatenate(parts) for parts in zip(*sums))
-
-
-def _smoothed_rows(anchor: PathPoint, points: Sequence[PathPoint],
-                   y: Optional[np.ndarray], config: QuadratureConfig):
-    """:func:`_time_smoothed` of each point, from its own node: the points
-    are grouped by node, and each group shares one context and s-rule."""
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault(p.node_index, []).append(i)
-    results = []
-    for members in groups.values():
-        ctx = _AnchorContext(anchor, [points[i] for i in members],
-                             None if y is None else y[members])
-        results.append(_time_smoothed(ctx, ctx.grid.node(ctx.kt), config))
-    if len(results) == 1:
-        return results[0]
-    # back from node groups to input order
-    order = np.concatenate([np.array(m) for m in groups.values()])
-    return tuple(np.concatenate(parts)[np.argsort(order)]
-                 for parts in zip(*results))
+    (v, g, h), _ = _smoothed_rows((anchor,), (PathPoint(t, x),),
+                                  np.atleast_1d(np.asarray(y, float))[None], config)
+    return SmoothedDistance(value=float(v[0]), gradient=g[0], hessian=h[0])
 
 
 def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
@@ -621,8 +761,8 @@ def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
     in the time direction with |horizontal| <= sqrt(2/(pi e)), while the
     vertical bounds 1 and sqrt(2/pi)+2 come through the chain rule.
     """
-    value, horizontal, vertical, vertical2 = _smoothed_rows(
-        anchor, (PathPoint(t, x),), np.atleast_1d(np.asarray(y, float))[None], config)
+    _, (value, horizontal, vertical, vertical2) = _smoothed_rows(
+        (anchor,), (PathPoint(t, x),), np.atleast_1d(np.asarray(y, float))[None], config)
     return float(value[0]), PathwiseDerivs(horizontal=float(horizontal[0]),
                                            vertical=vertical[0],
                                            vertical2=vertical2[0])
@@ -637,6 +777,26 @@ class GaugeResult:
     derivs: PathwiseDerivs
 
 
+def _gauge_columns(anchors: Sequence[PathPoint], points: Sequence[PathPoint],
+                   config: QuadratureConfig) -> list[GaugeResult]:
+    """One gauge column per anchor over the points, from one kernel call
+    whose rows are (anchor, point), anchor by anchor."""
+    points = tuple(points)
+    n = len(points)
+    _, (chi, hor, vert, vert2) = _smoothed_rows(
+        [a for a in anchors for _ in points], points * len(anchors), None, config)
+    times = np.array([p.t for p in points])
+    columns = []
+    for i, anchor in enumerate(anchors):
+        rows = slice(i * n, (i + 1) * n)
+        dt = times - anchor.t
+        columns.append(GaugeResult(
+            value=dt * dt + chi[rows],
+            derivs=PathwiseDerivs(horizontal=hor[rows] + 2.0 * dt,
+                                  vertical=vert[rows], vertical2=vert2[rows])))
+    return columns
+
+
 def smooth_gauge(points: Sequence[PathPoint], anchor: PathPoint,
                  config: QuadratureConfig = QuadratureConfig()) -> GaugeResult:
     """The gauge (t - t0)^2 + smoothed distance of each point against one
@@ -645,21 +805,14 @@ def smooth_gauge(points: Sequence[PathPoint], anchor: PathPoint,
     Vanishes exactly when a point coincides with the anchor (same stopped
     representative and time); smallness forces the pseudometric to be small
     through the calibrated lower bound of the smoothed distance.  The
-    points are grouped by node: the points of a group share the s-rule,
-    the candidates and the partial candidates, and only their centers and
-    prefix distances differ.  Each value equals bit for bit that of the
-    point in a column of its own; derivatives agree to within 1e-13.  An
-    empty sequence, or points on another grid or of another dimension,
+    points are rows of one kernel call: the points of a node share the
+    s-rule, the candidates and the partial candidates, and only their
+    centers and prefix distances differ.  Each value equals bit for bit that
+    of the point in a column of its own; derivatives agree to within 1e-13.
+    An empty sequence, or points on another grid or of another dimension,
     raise :class:`DomainError`.
     """
-    points = tuple(points)
-    if not points:
-        raise DomainError("smooth_gauge needs at least one point")
-    chi, hor, vert, vert2 = _smoothed_rows(anchor, points, None, config)
-    dt = np.array([p.t for p in points]) - anchor.t
-    return GaugeResult(value=dt * dt + chi,
-                       derivs=PathwiseDerivs(horizontal=hor + 2.0 * dt,
-                                             vertical=vert, vertical2=vert2))
+    return _gauge_columns((anchor,), points, config)[0]
 
 
 def completed_sum(columns: Sequence[GaugeResult]) -> GaugeResult:
@@ -689,9 +842,9 @@ def perturbation_sum(anchors: Sequence[PathPoint], points: Sequence[PathPoint],
                      config: QuadratureConfig = QuadratureConfig()) -> GaugeResult:
     """The perturbation phi = sum_n 2^{-n} gauge(., anchor_n) on the points,
     for an anchor sequence whose last anchor repeats forever: the
-    :func:`completed_sum` of one gauge column per anchor."""
-    points = tuple(points)
-    return completed_sum([smooth_gauge(points, a, config) for a in anchors])
+    :func:`completed_sum` of the gauge columns of the anchors, all rows of
+    one kernel call."""
+    return completed_sum(_gauge_columns(tuple(anchors), points, config))
 
 
 # ---------------------------------------------------------------------------
@@ -717,41 +870,32 @@ class GaugeDiagnostics:
             raise DomainError("alpha must lie in (0, 1]")
 
 
-def lower_bound_ratio(anchor: PathPoint, point: PathPoint,
-                      config: QuadratureConfig = QuadratureConfig()
-                      ) -> tuple[float, float, float]:
-    """(distance D, mollified value, value / min(D^{d+1}, D)); a ratio of inf
-    (D = 0) does not constrain alpha."""
-    d = point.path.dimension
-    val = vertical_smoothed_distance(anchor, point.t, point.path,
-                                     point.present_value(), config).value
-    dist = stopped_sup_distance(point, anchor)
-    if dist < 1e-9:
-        return dist, val, np.inf
-    return dist, val, val / min(dist ** (d + 1), dist)
-
-
 def calibrate_alpha(dimension: int, samples,
                     config: QuadratureConfig = QuadratureConfig()) -> GaugeDiagnostics:
     """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
-    infimum ratio.
+    infimum of value / min(D^{d+1}, D) over the samples, for the stopped
+    distance D and the mollified distance value.
 
-    ``samples`` is an iterable of (anchor, point) pairs; only existence of a
-    positive constant is guaranteed in general, so the value is empirical and
-    should be validated on fresh samples before use.
+    ``samples`` is an iterable of (anchor, point) pairs, evaluated as the
+    rows of one kernel call; a pair at D = 0 does not constrain alpha.  Only
+    existence of a positive constant is guaranteed in general, so the value
+    is empirical and should be validated on fresh samples before use.
     """
+    pairs = list(samples)
     ratio_min = np.inf
     item3 = -np.inf
-    count = 0
     czeta = mean_gaussian_norm(dimension)
-    for anchor, point in samples:
-        dist, val, ratio = lower_bound_ratio(anchor, point, config)
-        if np.isfinite(ratio):
-            ratio_min = min(ratio_min, ratio)
-        item3 = max(item3, (dist - val) / czeta)
-        count += 1
-    if not np.isfinite(ratio_min) or count == 0:
+    if pairs:
+        (values, _, _), _ = _smoothed_rows([a for a, _ in pairs],
+                                           [p for _, p in pairs], None, config)
+        for (anchor, point), val in zip(pairs, values.tolist()):
+            dist = stopped_sup_distance(point, anchor)
+            if dist >= 1e-9:
+                d = point.path.dimension
+                ratio_min = min(ratio_min, val / min(dist ** (d + 1), dist))
+            item3 = max(item3, (dist - val) / czeta)
+    if not np.isfinite(ratio_min):
         raise DomainError("calibration needs samples at positive distance")
     alpha = min(ALPHA_SHRINK * ratio_min, 1.0)
     return GaugeDiagnostics(dimension=dimension, alpha=alpha,
-                            item3_constant=item3, n_samples=count)
+                            item3_constant=item3, n_samples=len(pairs))

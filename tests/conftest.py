@@ -3,10 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pathheat.audit import _AUDIT_ANCHORS
 from pathheat.cylinders import (PathwiseDerivs, basis_value, fejer_coefficient,
                                 fejer_weights)
 from pathheat.errors import DomainError
-from pathheat.grids import GridPath, TimeGrid, _stopped_values
+from pathheat.gauge import (horizontal_smoothed_distance, mean_gaussian_norm,
+                            perturbation_sum, vertical_smoothed_distance)
+from pathheat.grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
+                            stopped_sup_distance)
+from pathheat.sampling import random_lift_points, random_pairs
 
 
 @pytest.fixture(scope="session")
@@ -172,3 +177,38 @@ def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
                 vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]
             ) / (4 * h**2)
     return PathwiseDerivs(horizontal=horizontal, vertical=vertical, vertical2=vertical2)
+
+
+def audit_maxima_loop(dimension, grid, n_tuples, seed, config) -> list[float]:
+    """Observed maxima of ``audit.derivative_bound_audit``, in its check
+    order, from a loop over its tuples through the public one-point
+    functions, and the perturbation sum one point at a time: the oracle of
+    the audit's batched kernel calls."""
+    tuples = list(random_lift_points(grid, dimension, n_tuples, seed))
+    anchors = [a for a, _, _, _ in tuples[:_AUDIT_ANCHORS]]
+    observed = [0.0] * 8
+    for anchor, t, x, y in tuples:
+        sd = vertical_smoothed_distance(anchor, t, x, y, config)
+        _, sat = horizontal_smoothed_distance(anchor, t, x, y, config)
+        pert = perturbation_sum(anchors, [PathPoint(t, x)], config).derivs
+        parts = (sd.gradient, sd.hessian, sat.horizontal, sat.vertical,
+                 sat.vertical2, pert.horizontal, pert.vertical, pert.vertical2)
+        observed = [max(o, float(np.max(np.abs(p)))) for o, p in zip(observed, parts)]
+    return observed
+
+
+def sandwich_maxima_loop(dimension, grid, n_samples, seed, config) -> list[float]:
+    """Observed maxima of ``audit.sandwich_audit`` without a calibrated
+    constant, in its check order, from a loop over its samples through the
+    public one-point functions."""
+    czeta = mean_gaussian_norm(dimension)
+    worst = [-np.inf] * 5
+    for anchor, point in random_pairs(grid, dimension, n_samples, seed):
+        y = point.present_value()
+        val = vertical_smoothed_distance(anchor, point.t, point.path, y, config).value
+        sat, _ = horizontal_smoothed_distance(anchor, point.t, point.path, y, config)
+        dist = stopped_sup_distance(point, anchor)
+        sides = (val - dist, (dist - 2 * czeta) - val, (dist - czeta) - val, -val,
+                 sat - min(dist, 1.0))
+        worst = [max(w, side) for w, side in zip(worst, sides)]
+    return worst

@@ -7,11 +7,12 @@ from pathheat.audit import (derivative_bound_audit,
                             estimate_gauge_quadrature_error, sandwich_audit,
                             validate_alpha)
 from pathheat.cylinders import PathwiseDerivs
-from pathheat.errors import DomainError
+from pathheat.errors import DomainError, NumericError
 import pathheat.gauge as gauge
-from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorContext,
-                            _exact_profile_1d, _profile_rule, _s_rule,
-                            _time_smoothed, _z_rule, calibrate_alpha,
+from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorGroups,
+                            _exact_profile_1d, _locate, _prefix_floor,
+                            _s_rules, _smoothed_groups, _smoothed_rows,
+                            _z_profile, _z_rule, calibrate_alpha,
                             horizontal_kernel, horizontal_kernel_mass,
                             horizontal_smoothed_distance, mean_gaussian_norm,
                             mean_gaussian_norm_quadrature,
@@ -21,7 +22,8 @@ from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distance
 from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
-from conftest import fd_pathwise_derivs, make_brownian, traced_peak
+from conftest import (audit_maxima_loop, fd_pathwise_derivs, make_brownian,
+                      sandwich_maxima_loop, traced_peak)
 
 
 def horizontal_kernel_derivative(s):
@@ -274,10 +276,14 @@ class TestHorizontalSmoothedDistance:
             t = grid64.snap(min(t, 0.9))
             v0, derivs = horizontal_smoothed_distance(anchor, t, x, y)
             h = 1e-5
-            ctx = _AnchorContext(anchor, (PathPoint(t, x),), y[None])
-            assert _time_smoothed(ctx, t, QuadratureConfig())[0][0] == v0
-            vp = _time_smoothed(ctx, t + h, QuadratureConfig())[0][0]
-            fd = (vp - v0) / h
+
+            def smoothed_from(tau):
+                groups = _AnchorGroups([anchor], [PathPoint(t, x)], y[None], [tau],
+                                       QuadratureConfig())
+                return _smoothed_groups(groups, QuadratureConfig())[3][0]
+
+            assert smoothed_from(t) == v0
+            fd = (smoothed_from(t + h) - v0) / h
             assert derivs.horizontal == pytest.approx(fd, abs=2e-4)
 
     def test_horizontal_vanishes_for_past_anchor(self, grid64):
@@ -290,30 +296,28 @@ class TestHorizontalSmoothedDistance:
         assert derivs.horizontal == pytest.approx(0.0, abs=1e-12)
 
 
-def _loop_profile_rule(ctx, t_primes, config):
-    """Reference d >= 2 profile kernel: one point and shifted time at a time."""
-    n, d = ctx.center.shape
-    m = len(t_primes)
-    prefix, partial, j0 = ctx._locate(t_primes)
-    values = np.empty((n, m))
-    grads = np.empty((n, m, d))
-    hesses = np.empty((n, m, d, d))
+def _loop_profile(center, q, floor, partial, j0, config):
+    """Reference d >= 2 profile kernel of one row: one shifted time at a
+    time, from the row's floors, partial candidates and first whole
+    candidates."""
+    m, d = partial.shape
+    values = np.empty(m)
+    grads = np.empty((m, d))
+    hesses = np.empty((m, d, d))
     z, w = _z_rule(config, d)
     abs_norm = float(np.sum(w * np.linalg.norm(z, axis=1)))
     wz = w[:, None] * z
-    for k, center in enumerate(ctx.center):
-        p = center[None, :] - ctx.q
-        dist = np.linalg.norm(p[:, None, :] - z[None, :, :], axis=2)
-        run = np.maximum.accumulate(dist[::-1], axis=0)[::-1]
-        for i in range(m):
-            s_part = np.linalg.norm((center - partial[i])[None, :] - z, axis=1)
-            if j0[i] < ctx.q.shape[0]:
-                s_part = np.maximum(s_part, run[j0[i]])
-            nvals = np.maximum(prefix[k, i], s_part)
-            values[k, i] = float(np.sum(w * nvals)) - abs_norm
-            grads[k, i] = nvals @ wz
-            hesses[k, i] = ((nvals[:, None] * wz).T @ z
-                            - np.sum(w * nvals) * np.eye(d))
+    p = center[None, :] - q
+    dist = np.linalg.norm(p[:, None, :] - z[None, :, :], axis=2)
+    run = np.maximum.accumulate(dist[::-1], axis=0)[::-1]
+    for i in range(m):
+        s_part = np.linalg.norm((center - partial[i])[None, :] - z, axis=1)
+        if j0[i] < q.shape[0]:
+            s_part = np.maximum(s_part, run[j0[i]])
+        nvals = np.maximum(floor[i], s_part)
+        values[i] = float(np.sum(w * nvals)) - abs_norm
+        grads[i] = nvals @ wz
+        hesses[i] = ((nvals[:, None] * wz).T @ z - np.sum(w * nvals) * np.eye(d))
     return values, grads, hesses
 
 
@@ -328,14 +332,19 @@ class TestBlockedProfileKernel:
     def test_matches_per_time_loop(self, grid64, dim, config):
         kinds = set()
         for anchor, point in random_pairs(grid64, dim, 12, seed=17):
-            t = point.t
-            ctx = _AnchorContext(anchor, (point,))
+            groups = _AnchorGroups([anchor], [point], None, None, config)
+            kinds.add("single" if groups.kt[0] >= groups.k0[0] else "suffix")
             # t' = t, the s-rule nodes, the anchor time and the horizon
-            t_primes = np.concatenate(([t], _s_rule(ctx, t, config)[0],
-                                       [ctx.t0, grid64.horizon]))
-            kinds.add("single" if ctx.single else "suffix")
-            v, g, h = _profile_rule(ctx, t_primes, config)
-            v_ref, g_ref, h_ref = _loop_profile_rule(ctx, t_primes, config)
+            t_primes = np.concatenate(([point.t], _s_rules(
+                grid64, groups.kt, groups.k0, np.array([point.t]), config)[0],
+                [anchor.t, grid64.horizon]))
+            jf, j0, partial = _locate(grid64, t_primes, np.zeros(t_primes.size, dtype=int),
+                                      groups.kt, groups.k0, groups.stopped)
+            floor = _prefix_floor(groups.base_sq[0], groups.run_gap_sq[0, jf],
+                                  groups.x_t[0], partial)
+            args = (groups.center[0], groups.candidates(0), floor, partial, j0)
+            v, g, h = _z_profile(*args, _z_rule(config, dim))
+            v_ref, g_ref, h_ref = _loop_profile(*args, config)
             assert np.array_equal(v, v_ref)
             assert np.max(np.abs(g - g_ref)) <= 1e-13
             assert np.max(np.abs(h - h_ref)) <= 1e-13
@@ -430,9 +439,11 @@ class TestGaugeBatch:
         pts += [PathPoint(t, make_brownian(grid64, seed=60, dimension=dim))
                 for t in (0.5, 1.0)]
         singles = [smooth_gauge([p], anchor, config) for p in pts]
-        s = _s_rule(_AnchorContext(anchor, pts[:1]), 0.25, config)[0].size
-        # one point per block, an odd size that puts 3 + 3 + 3 + 2 of the
-        # eleven points at 0.25 in a block, everything in one block
+        # shifted times of a point at 0.25: t itself and its s-rule
+        s = _AnchorGroups([anchor], pts[:1], None, None, config).width[0]
+        # one point per block, an odd size that puts three of the eleven
+        # points at 0.25 in a block and the last two with the points of the
+        # next nodes, everything in one block
         for block in (1, 3 * gauge._PAIR_FLOATS * s + 1, 10 ** 9):
             monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
             _assert_rows_match(smooth_gauge(pts, anchor, config), singles)
@@ -476,6 +487,105 @@ class TestGaugeBatch:
                PathPoint(0.5, make_brownian(grid100, seed=3))]
         with pytest.raises(DomainError, match="share a time grid"):
             smooth_gauge(pts, anchor)
+
+
+def _mixed_rows(grid, dim):
+    """Rows of one batch: points before, at and after a shared anchor at
+    0.75 (two at one node), points against a shared anchor at 0.25, points
+    against anchors of their own before and after them, and the shared
+    anchor itself; present values off the paths, except at the anchor."""
+    shared = [PathPoint(0.75, make_brownian(grid, seed=90, dimension=dim)),
+              PathPoint(0.25, make_brownian(grid, seed=91, dimension=dim))]
+    spec = [(0, 0.25), (1, 0.5), (0, 0.25), (0, 1.0), (1, 0.0), (0, 0.75),
+            (0.25, 0.5), (1, 0.25), (1.0, 0.0), (0, 0.5)]
+    anchors, points = [], []
+    for i, (which, t) in enumerate(spec):
+        anchors.append(shared[which] if isinstance(which, int) else
+                       PathPoint(which, make_brownian(grid, seed=93 + i, dimension=dim)))
+        points.append(PathPoint(t, make_brownian(grid, seed=110 + i, dimension=dim)))
+    rng = np.random.default_rng(92)
+    y = (np.array([p.present_value() for p in points])
+         + rng.standard_normal((len(points), dim)))
+    anchors.append(shared[0])
+    points.append(shared[0])
+    return anchors, points, np.vstack([y, shared[0].present_value()])
+
+
+class TestSmoothedRows:
+    """The kernel on rows (anchor, point, present value)."""
+
+    @pytest.mark.parametrize("dim,config", BATCH_RULES, ids=["d1", "d2-gh21", "d3-mc"])
+    def test_rows_equal_one_point_results(self, grid64, dim, config):
+        anchors, points, y = _mixed_rows(grid64, dim)
+        (v, g, h), (s, hor, vert, vert2) = _smoothed_rows(anchors, points, y, config)
+        for i, (a, p) in enumerate(zip(anchors, points)):
+            one = vertical_smoothed_distance(a, p.t, p.path, y[i], config)
+            value, derivs = horizontal_smoothed_distance(a, p.t, p.path, y[i], config)
+            assert v[i] == one.value
+            assert s[i] == value
+            assert np.max(np.abs(g[i] - one.gradient)) <= 1e-13
+            assert np.max(np.abs(h[i] - one.hessian)) <= 1e-13
+            assert abs(hor[i] - derivs.horizontal) <= 1e-13
+            assert np.max(np.abs(vert[i] - derivs.vertical)) <= 1e-13
+            assert np.max(np.abs(vert2[i] - derivs.vertical2)) <= 1e-13
+        assert s[-1] == 0.0
+
+    @pytest.mark.parametrize("dim,config", BATCH_RULES, ids=["d1", "d2-gh21", "d3-mc"])
+    def test_block_size_invariance(self, grid64, monkeypatch, dim, config):
+        anchors, points, y = _mixed_rows(grid64, dim)
+        results = []
+        # one row per block, an odd size that splits groups, one block
+        for block in (1, 7 * gauge._PAIR_FLOATS * 5 + 3, 10 ** 9):
+            monkeypatch.setattr(gauge, "_PROFILE_BLOCK", block)
+            (v, g, h), (s, hor, vert, vert2) = _smoothed_rows(anchors, points, y, config)
+            results.append(((v, s, hor), (g, h, vert, vert2)))
+        for exact, close in results[1:]:
+            for got, want in zip(exact, results[0][0]):
+                assert np.array_equal(got, want)
+            for got, want in zip(close, results[0][1]):
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestNonFinite:
+    """One finiteness check for every stage: a row that reads a NaN raises
+    NumericError and names the first such row."""
+
+    @staticmethod
+    def nan_path(grid, node, seed=2):
+        vals = make_brownian(grid, seed=seed).values.copy()
+        vals[node] = np.nan
+        return GridPath(grid, vals)
+
+    def test_every_stage_raises(self, grid64):
+        anchor = PathPoint(0.75, make_brownian(grid64, seed=1))
+        x = self.nan_path(grid64, 10)
+        y = x.values[32]
+        with pytest.raises(NumericError, match="row 0 "):
+            horizontal_smoothed_distance(anchor, 0.5, x, y)
+        with pytest.raises(NumericError, match="row 0 "):
+            smooth_gauge([PathPoint(0.5, x)], anchor)
+        with pytest.raises(NumericError, match="row 0 "):
+            vertical_smoothed_distance(anchor, 0.5, x, y)
+        with pytest.raises(NumericError, match="row 0 "):
+            vertical_smoothed_distance(anchor, 0.5, make_brownian(grid64, seed=3),
+                                       np.array([np.nan]))
+
+    def test_first_row_in_input_order_is_named(self, grid64):
+        anchor = PathPoint(0.75, make_brownian(grid64, seed=1))
+        good = make_brownian(grid64, seed=3)
+        # rows 0 and 3 share a node, rows 1 and 2 another: in group order
+        # row 3 comes before row 2
+        pts = [PathPoint(0.5, good), PathPoint(0.25, good),
+               PathPoint(0.25, self.nan_path(grid64, 5)),
+               PathPoint(0.5, self.nan_path(grid64, 5, seed=4))]
+        with pytest.raises(NumericError, match="row 2 "):
+            smooth_gauge(pts, anchor)
+
+    def test_values_a_row_does_not_read_may_be_nan(self, grid64):
+        # after the point's node and after the anchor's
+        anchor = PathPoint(0.75, self.nan_path(grid64, 60))
+        col = smooth_gauge([PathPoint(0.5, self.nan_path(grid64, 40))], anchor)
+        assert np.isfinite(col.value[0])
 
 
 class TestPerturbationSum:
@@ -570,6 +680,18 @@ class TestAudits:
             checks = sandwich_audit(dim, grid64, 60, seed=4)
             assert all(c.passed for c in checks), [c.name for c in checks
                                                    if not c.passed]
+
+    @pytest.mark.parametrize("dim,n", [(1, 30), (2, 8)])
+    def test_bound_audit_maxima_equal_per_tuple_loop(self, grid64, dim, n):
+        checks = derivative_bound_audit(dim, grid64, n, seed=8)
+        want = audit_maxima_loop(dim, grid64, n, 8, QuadratureConfig())
+        assert [c.observed for c in checks] == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("dim,n", [(1, 30), (2, 8)])
+    def test_sandwich_maxima_equal_per_sample_loop(self, grid64, dim, n):
+        checks = sandwich_audit(dim, grid64, n, seed=9)
+        want = sandwich_maxima_loop(dim, grid64, n, 9, QuadratureConfig())
+        assert [c.observed for c in checks] == want
 
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):
         diag = calibrate_alpha(1, random_pairs(grid64, 1, 300, seed=5))
