@@ -15,9 +15,10 @@ import numpy as np
 
 from .gauge import (HORIZONTAL_BOUND, SATURATED_GRAD_BOUND,
                     SATURATED_HESS_BOUND, VERTICAL_GRAD_BOUND,
-                    VERTICAL_HESS_BOUND, GaugeDiagnostics, _smoothed_rows,
-                    mean_gaussian_norm, perturbation_bounds, perturbation_sum)
-from .grids import PathPoint, TimeGrid, stopped_sup_distance
+                    VERTICAL_HESS_BOUND, GaugeDiagnostics, _lower_bound_scale,
+                    _smoothed_rows, mean_gaussian_norm, perturbation_bounds,
+                    perturbation_sum)
+from .grids import PathPoint, TimeGrid, stopped_sup_distances
 from .quadrature import QuadratureConfig
 from .sampling import random_lift_points, random_pairs
 
@@ -68,7 +69,7 @@ def estimate_gauge_quadrature_error(dimension: int, grid: TimeGrid,
     """
     rows = _lift_rows(list(random_lift_points(grid, dimension, n_probe, seed)))
     _, coarse = _smoothed_rows(*rows, config)
-    _, fine = _smoothed_rows(*rows, config.refined())
+    _, fine = _smoothed_rows(*rows, config.refined(dimension))
     return {name: 2.0 * _max_abs(c - f) for name, c, f in
             zip(("value", "horizontal", "vertical", "vertical2"), coarse, fine)}
 
@@ -118,7 +119,8 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
     distance D at every sample.
 
     The mollified distance and its time-smoothed saturation of every sample
-    come from the rows of one kernel call.  Upper sides and nonnegativity
+    come from the rows of one kernel call, and the stopped distances of all
+    samples from one array call.  Upper sides and nonnegativity
     hold exactly at the rule level (symmetric nodes, positive weights,
     same-rule |z| subtraction), so the tolerance is a pure rounding
     allowance.  Both lower offsets are audited: the provable two-constant
@@ -127,24 +129,18 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
     calibrated constant is validated on these (fresh) samples.
     """
     czeta = mean_gaussian_norm(dimension)
-    worst = {k: -np.inf for k in ("upper", "lower2", "lower1", "neg",
-                                  "sat_upper", "alpha", "alpha_sat")}
     pairs = list(random_pairs(grid, dimension, n_samples, seed))
-    (values, _, _), (saturated, _, _, _) = _smoothed_rows(
-        [a for a, _ in pairs], [p for _, p in pairs], None, config)
-    for (anchor, point), val, sat in zip(pairs, values.tolist(), saturated.tolist()):
-        dist = stopped_sup_distance(point, anchor)
-        worst["upper"] = max(worst["upper"], val - dist)
-        worst["lower2"] = max(worst["lower2"], (dist - 2 * czeta) - val)
-        worst["lower1"] = max(worst["lower1"], (dist - czeta) - val)
-        worst["neg"] = max(worst["neg"], -val)
-        worst["sat_upper"] = max(worst["sat_upper"], sat - min(dist, 1.0))
-        if alpha is not None:
-            d = dimension
-            floor = alpha.alpha * min(dist ** (d + 1), dist)
-            worst["alpha"] = max(worst["alpha"], floor - val)
-            worst["alpha_sat"] = max(worst["alpha_sat"],
-                                     floor / (1.0 + dist) - sat)
+    anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
+    (values, _, _), (saturated, _, _, _) = _smoothed_rows(anchors, points, None, config)
+    dist = stopped_sup_distances(points, anchors)
+    sides = {"upper": values - dist, "lower2": (dist - 2 * czeta) - values,
+             "lower1": (dist - czeta) - values, "neg": -values,
+             "sat_upper": saturated - np.minimum(dist, 1.0)}
+    if alpha is not None:
+        floor = alpha.alpha * _lower_bound_scale(dist, dimension)
+        sides["alpha"] = floor - values
+        sides["alpha_sat"] = floor / (1.0 + dist) - saturated
+    worst = {k: float(np.max(side)) for k, side in sides.items()}
     tol = _SANDWICH_TOL
     checks = [
         BoundCheck("distance_upper", 0.0, worst["upper"], tol),

@@ -71,7 +71,8 @@ _SETTINGS = {
     "s_nodes": dict(type=int, default=QuadratureConfig.s_nodes,
                     help="Gauss-Legendre nodes per panel of the time-smoothing "
                          "rule; one panel per grid step between the point and "
-                         "its anchor"),
+                         "its anchor (default: 3 where the z-rule is exact, "
+                         "d = 1, and 2 otherwise)"),
     "s_max": dict(type=float, default=QuadratureConfig.s_max),
     "lam": dict(type=float, default=0.5),
     "delta": dict(type=_floats, default=(0.1, 0.05, 0.025),

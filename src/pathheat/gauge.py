@@ -43,8 +43,11 @@ and the kernel mass beyond t0 - t is integrated in closed form.  For t >= t0
 the whole integral is one evaluation with weight 1, and the horizontal
 derivative is exactly 0.  A switch of the max inside a panel is still a
 kink, where the rule converges only algebraically; the refinement estimate
-of ``audit.estimate_gauge_quadrature_error`` measures what that costs.  In
-d >= 2 the shifted times meet the z-rule in bounded blocks: values are
+of ``audit.estimate_gauge_quadrature_error`` measures what that costs.  A
+panel has 3 nodes where the z-rule is exact (d = 1), where the s-rule sets
+the error, and 2 where it is not (d >= 2), where the z-rule's error is
+orders of magnitude larger (``QuadratureConfig.resolve_s``).  In d >= 2
+the shifted times meet the z-rule in bounded blocks: values are
 bit-identical to a per-time loop, derivatives move at the 1e-14 level.
 
 Rows, groups and the flat pass
@@ -68,13 +71,18 @@ group, in blocks of whole rows of at most ``_PROFILE_BLOCK //
 _PAIR_FLOATS`` elements.  In d = 1 a block runs the prefix floor and the
 closed form once, so the normal cdf runs a few times per call rather than
 per row; in d >= 2 each row of a block goes through the z-rule, which
-itself goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)`` nodes for
-nq candidates.  The distances and running maxima over (candidates, z nodes)
-and the second moments over (z nodes, d^2) then take at most 2 MiB each,
-whatever the rule's size and the grid's (a d = 3 row holds 100,000
-Monte-Carlo nodes).  Every value of a batch is bit-identical to the row
-alone: the arithmetic is elementwise, and the sums over shifted times run
-along each row, group by group.
+itself goes in chunks of at most ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)``
+nodes for nq candidates.  The distances and running maxima over
+(candidates, z nodes) and the second moments over (z nodes, d^2) then take
+at most 2 MiB each, whatever the rule's size and the grid's (a d = 3 row
+holds 100,000 Monte-Carlo nodes).  A squared distance to the z nodes is a
+sum of per-axis tables (``_ZRule``): for the d = 2 tensor rule with 21
+nodes per axis, two (m, 21) tables and one broadcast add give the (m, 441)
+squares, where the Monte-Carlo rule has one (m, nz) table per axis.  The
+weighted sums over a row's shifted times are segment sums over the flat
+elements of the block, one array call per output for all rows at once.
+Every value of a batch is bit-identical to the row alone: the arithmetic is
+elementwise, and each segment sum runs along its own row only.
 
 Every perturbation sum_n 2^{-n} gauge(., anchor_n), the variational
 principle's, ``perturbation_sum`` and the audit's, is ``completed_sum`` of
@@ -86,6 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +102,7 @@ import numpy as np
 from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
 from .grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
-                    stopped_sup_distance)
+                    stopped_sup_distances)
 from .quadrature import (QuadratureConfig, composite_legendre_rule,
                          gaussian_rule, legendre_rule)
 
@@ -197,9 +206,64 @@ _Z_CHUNK_FLOATS = 1 << 18
 _PAIR_FLOATS = 16
 
 
-def _z_rule(config: QuadratureConfig, dimension: int):
-    return gaussian_rule(config, dimension, allow_exact=True,
+class _ZRule:
+    """A d >= 2 z-rule of the gauge: nodes ``z`` (nz, d), weights ``w`` and
+    one node table per axis.  Table k broadcasts over the rule's node shape,
+    over which the nodes run row-major, and holds their k-th coordinates:
+    (n, 1) and (1, n) for the d = 2 tensor rule with n nodes per axis, and
+    ``z[:, k]`` itself, shape (nz,), for a rule without axis structure (the
+    Monte-Carlo rule).  The broadcast sum of the tables (u_k - table_k)^2
+    gives |u - z|^2 with the same floats as the sum over the flat nodes.
+    """
+
+    def __init__(self, z: np.ndarray, w: np.ndarray, axes=None):
+        self.z, self.w = z, w
+        self.axes = tuple(z.T) if axes is None else tuple(axes)
+        self.rows = len(self.axes[0])
+        self.whole = None  # the whole rule's chunk, once one chunk holds it
+
+    def chunks(self, size: int):
+        """The rule in chunks of whole rows of its first axis, at most
+        ``size`` nodes each (or one row): per chunk the node tables, the
+        weights and the moments E|z|, w z and w z z^T of its nodes."""
+        inner = len(self.w) // self.rows
+        step = max(1, size // inner)
+        if step >= self.rows:
+            if self.whole is None:
+                self.whole = (self.axes, self.w, _rule_moments(self.z, self.w))
+            yield self.whole
+            return
+        for lo in range(0, self.rows, step):
+            nodes = slice(lo * inner, (lo + step) * inner)
+            axes = tuple(a[lo:lo + step] if len(a) == self.rows else a
+                         for a in self.axes)
+            yield axes, self.w[nodes], _rule_moments(self.z[nodes], self.w[nodes])
+
+
+def _rule_moments(z: np.ndarray, w: np.ndarray):
+    """E|z|, w z and w z z^T (flattened to d^2 columns) of rule nodes."""
+    d = z.shape[1]
+    wz = w[:, None] * z
+    return (float(np.sum(w * np.linalg.norm(z, axis=1))), wz,
+            (wz[:, :, None] * z[:, None, :]).reshape(-1, d * d))
+
+
+@lru_cache(maxsize=8)
+def _z_rule(config: QuadratureConfig, dimension: int) -> Optional[_ZRule]:
+    """The gauge's z-rule in ``dimension``, None for the exact 1-d rule.  A
+    tensor Gauss-Hermite rule comes with its per-axis tables."""
+    rule = gaussian_rule(config, dimension, allow_exact=True,
                          gh_max_dim=_GAUGE_GH_MAX_DIM)
+    if rule is None:
+        return None
+    z, w = rule
+    if config.resolve_z(dimension, True, _GAUGE_GH_MAX_DIM) != "gauss-hermite":
+        return _ZRule(z, w)
+    shape = (config.z_nodes,) * dimension
+    # axis k's table: the k-th coordinates along axis k, at index 0 elsewhere
+    return _ZRule(z, w, [z[:, k].reshape(shape)[tuple(
+        slice(None) if i == k else slice(0, 1) for i in range(dimension))]
+        for k in range(dimension)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +420,11 @@ def _exact_profile_1d(a, lo, hi):
 # ---------------------------------------------------------------------------
 
 def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
-             config: QuadratureConfig):
+             config: QuadratureConfig, dimension: int):
     """The s-rules of groups at nodes ``kt`` against anchors at ``k0`` from
     the smoothing starts ``tau`` (arrays over the groups), back to back:
     shifted times tau + s, kernel and kernel-derivative weights, and the
-    size of each rule.
+    size of each rule.  A panel has ``config.resolve_s(dimension)`` nodes.
 
     The profile at t' = tau + s is smooth between grid nodes and constant
     from the anchor time t0 on.  A rule is composite Gauss-Legendre in
@@ -394,14 +458,15 @@ def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
     edges[ends] = s_end[live]
     edges[np.arange(s_k.size)
           + np.repeat(first + 1 - (np.cumsum(inside) - inside), inside)] = s_k
-    uu, gw = composite_legendre_rule(np.sqrt(edges), config.s_nodes)
+    nodes = config.resolve_s(dimension)
+    uu, gw = composite_legendre_rule(np.sqrt(edges), nodes)
     inner = np.ones(max(edges.size - 1, 0), dtype=bool)
     inner[ends[:-1]] = False
-    inner = np.repeat(inner, config.s_nodes)
+    inner = np.repeat(inner, nodes)
     uu, gw = uu[inner], gw[inner]
     ss = uu * uu
     base = np.exp(-0.5 * ss) / _SQRT2PI
-    sizes = np.where(live, panels * config.s_nodes + 1, 1)
+    sizes = np.where(live, panels * nodes + 1, 1)
     tail = np.cumsum(sizes) - 1
     body = np.ones(tail[-1] + 1, dtype=bool)
     body[tail] = False
@@ -516,7 +581,7 @@ class _AnchorGroups:
             np.where(nodes >= kt[:, None], gaps, -np.inf), axis=1)
 
         # per shifted time: t itself, with weight 0, then the s-rule
-        pts, wv, wh, sizes = _s_rules(grid, self.kt, self.k0, taus, config)
+        pts, wv, wh, sizes = _s_rules(grid, self.kt, self.k0, taus, config, d)
         self.width = sizes + 1
         at_t = np.cumsum(self.width) - self.width
         rule = np.ones(self.width.sum(), dtype=bool)
@@ -571,58 +636,67 @@ def _stack_paths(points: Sequence[PathPoint], rows: np.ndarray) -> np.ndarray:
         (len(rows),) + first.shape)
 
 
-def _node_distances(p: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """|p_i - z_j| for rows p (n, d) and nodes zt (d, nz), with no (n, nz, d)
-    temporary; squares are summed axis by axis, as ``np.linalg.norm`` does."""
-    sq = np.zeros((len(p), zt.shape[1]))
-    diff = np.empty_like(sq)
-    for pk, zk in zip(p.T, zt):
-        sq += np.square(np.subtract.outer(pk, zk, out=diff), out=diff)
-    return np.sqrt(sq, out=sq)
+def _node_squares(p: np.ndarray, axes, out: np.ndarray) -> np.ndarray:
+    """|p_i - z_j|^2 for rows p (n, d) and the nodes of a rule chunk with
+    node tables ``axes``, into ``out`` (n, nz): the per-axis tables
+    (p_ik - table_k)^2, of shape (n, table shape), summed axis by axis as
+    ``np.linalg.norm`` sums them, by broadcasting over the chunk's shape."""
+    full = out.reshape((len(p),) + np.broadcast_shapes(*(a.shape for a in axes)))
+    tables = [np.square(np.subtract.outer(pk, ak)) for pk, ak in zip(p.T, axes)]
+    # a 1-d rule adds +0.0, which leaves every square as it is
+    np.add(tables[0], tables[1] if len(tables) > 1 else 0.0, out=full)
+    for table in tables[2:]:
+        full += table
+    return out
 
 
 def _z_profile(center: np.ndarray, q: np.ndarray, floor: np.ndarray,
-               partial: np.ndarray, j0: np.ndarray, rule):
+               partial: np.ndarray, j0: np.ndarray, rule: _ZRule):
     """Mollified-distance value/gradient/hessian of one row in d >= 2 at m
     shifted times, from their floors, partial candidates and first whole
     candidates: shapes (m,), (m, d) and (m, d, d).
 
-    The z-rule goes in chunks of ``_Z_CHUNK_FLOATS // max(nq + 1, d^2)``
-    nodes for nq candidates, and within a chunk the times go in blocks of at
-    most ``_PROFILE_BLOCK`` floats (or one time), with values bit-identical
-    to one time at a time; per-block matrix products move derivatives by
-    ~1e-14.  The mass, gradient and Hessian sum over the chunks, and the
-    mass and |z| offset are subtracted once at the end, so one chunk (d = 2
-    at up to 128 steps) gives what an unchunked rule gives; more chunks move
-    values by ~5e-16 and derivatives by ~2e-14, and the value at the anchor
-    is still exactly 0.
+    The z-rule goes in chunks of at most ``_Z_CHUNK_FLOATS // max(nq + 1,
+    d^2)`` nodes for nq candidates (:meth:`_ZRule.chunks`), and within a
+    chunk the times go in blocks of at most ``_PROFILE_BLOCK`` floats (or
+    one time), with values bit-identical to one time at a time; per-block
+    matrix products move derivatives by ~1e-14.  Distances go squared until
+    the last maximum: the square root is monotone, so the maxima are the
+    same floats.  The running maxima over the candidate suffixes are a loop
+    over the candidates, last first, along contiguous rows.  The mass,
+    gradient and Hessian sum over the chunks, and the mass and |z| offset
+    are subtracted once at the end, so one chunk (d = 2 at up to 128 steps)
+    gives what an unchunked rule gives; more chunks move values by ~5e-16
+    and derivatives by ~2e-14, and the value at the anchor is still exactly
+    0.  A rule that one chunk holds computes its moments once.
     """
-    z, w = rule
     m, d = partial.shape
-    size = max(1, _Z_CHUNK_FLOATS // max(len(q) + 1, d * d))
-    times = max(1, _PROFILE_BLOCK // min(size, len(z)))
+    nq = len(q)
+    size = max(1, _Z_CHUNK_FLOATS // max(nq + 1, d * d))
+    times = max(1, _PROFILE_BLOCK // min(size, len(rule.w)))
     # the |z| offset is summed chunk by chunk, as the masses are, so that it
     # cancels exactly at the anchor
     abs_norm = 0.0
     mass, grads, hesses = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
-    for z_lo in range(0, len(z), size):
-        zc, wc = z[z_lo:z_lo + size], w[z_lo:z_lo + size]
-        abs_norm += float(np.sum(wc * np.linalg.norm(zc, axis=1)))
-        wz = wc[:, None] * zc
-        wzz = (wz[:, :, None] * zc[:, None, :]).reshape(-1, d * d)
+    for first, (axes, wc, (abs_c, wz, wzz)) in enumerate(rule.chunks(size)):
+        abs_norm += abs_c
         # farthest-point running maxima over candidate suffixes, per z node;
         # the -inf sentinel row at j0 = nq leaves the partial candidate alone
-        dist = _node_distances(center - q, zc.T)                   # (nq, nz)
-        run = np.full((len(dist) + 1, len(zc)), -np.inf)
-        np.maximum.accumulate(dist[::-1], axis=0, out=run[-2::-1])
+        run = np.empty((nq + 1, len(wc)))
+        _node_squares(center - q, axes, run[:nq])
+        run[nq] = -np.inf
+        for j in range(nq - 2, -1, -1):
+            np.maximum(run[j], run[j + 1], out=run[j])
         for lo in range(0, m, times):
             b = slice(lo, lo + times)
-            s_part = _node_distances(center - partial[b], zc.T)
-            nvals = np.maximum(floor[b, None], np.maximum(s_part, run[j0[b]]))
+            p = center - partial[b]
+            nvals = _node_squares(p, axes, np.empty((len(p), len(wc))))
+            np.maximum(nvals, run[j0[b]], out=nvals)
+            np.maximum(floor[b, None], np.sqrt(nvals, out=nvals), out=nvals)
             parts = (np.sum(wc * nvals, axis=1), nvals @ wz,
                      (nvals @ wzz).reshape(-1, d, d))
             for total, part in zip((mass, grads, hesses), parts):
-                if z_lo:
+                if first:
                     total[b] += part
                 else:
                     total[b] = part
@@ -642,13 +716,13 @@ def _smoothed_groups(groups: _AnchorGroups, config: QuadratureConfig):
     elements (or one row), whatever their groups.  The prefix floor and, in
     d = 1, the closed form run once per block; in d >= 2 each row goes
     through :func:`_z_profile`.  The weighted sums over a row's shifted
-    times run along the row, group by group, so a row's value is
-    bit-identical to the same row alone.
+    times are segment sums (``np.add.reduceat``) from the row's first
+    element, t' = t, whose weights are 0, so a row's value is bit-identical
+    to the same row alone, and to the plain sum over its s-rule elements.
     """
     d = groups.center.shape[1]
     rule = _z_rule(config, d)
     row_group, width, n = groups.row_group, groups.width, groups.base_sq.size
-    first_row = np.searchsorted(row_group, np.arange(width.size + 1))
     row_width = width[row_group]
     cum = np.concatenate(([0], np.cumsum(row_width)))
     # element index minus time index, per row
@@ -681,24 +755,20 @@ def _smoothed_groups(groups: _AnchorGroups, config: QuadratureConfig):
         starts = cum[r0:r1] - cum[r0]
         for total, part in zip(out, (v, g, h)):
             total[r0:r1] = part[starts]
+        # the weighted sums over each row's shifted times, as segment sums
+        # over its elements: t' = t has weight 0 and adds a zero first
         w = groups.wv[ti]
         ratio = v / (1.0 + v)
-        terms = (w * ratio, groups.wh[ti] * ratio, w / (1.0 + v) ** 2, w / (1.0 + v) ** 3)
-        for gi in range(row_group[r0], row_group[r1 - 1] + 1):
-            a, b = max(r0, first_row[gi]), min(r1, first_row[gi + 1])
-            k, m = b - a, width[gi]
-            e = slice(cum[a] - cum[r0], cum[b] - cum[r0])
-            # (k, m - 1) views of the rows' s-rule elements
-            vals, hor, inv2, inv3, grads, hesses = (
-                x[e].reshape((k, m) + x.shape[1:])[:, 1:] for x in (*terms, g, h))
-            inv2 = inv2[:, None, :]
-            # a single shifted time means tau >= t0: the scene is frozen,
-            # exactly 0
-            out[4][a:b] = -np.sum(hor, axis=1) if m > 2 else 0.0
-            out[3][a:b] = np.sum(vals, axis=1)
-            out[5][a:b] = (inv2 @ grads)[:, 0]
-            out[6][a:b] = ((inv2 @ hesses.reshape(k, m - 1, d * d)).reshape(k, d, d)
-                           - 2.0 * (np.swapaxes(inv3[:, :, None] * grads, 1, 2) @ grads))
+        inv2, inv3 = w / (1.0 + v) ** 2, w / (1.0 + v) ** 3
+        out[3][r0:r1] = np.add.reduceat(w * ratio, starts)
+        # a single shifted time means tau >= t0: the scene is frozen,
+        # exactly 0
+        out[4][r0:r1] = np.where(row_width[r0:r1] > 2, -np.add.reduceat(
+            groups.wh[ti] * ratio, starts), 0.0)
+        out[5][r0:r1] = np.add.reduceat(inv2[:, None] * g, starts)
+        out[6][r0:r1] = (np.add.reduceat(inv2[:, None, None] * h, starts)
+                         - 2.0 * np.add.reduceat(inv3[:, None, None] * g[:, :, None]
+                                                 * g[:, None, :], starts))
         r0 = r1
     return out
 
@@ -870,6 +940,13 @@ class GaugeDiagnostics:
             raise DomainError("alpha must lie in (0, 1]")
 
 
+def _lower_bound_scale(dist: np.ndarray, d: int) -> np.ndarray:
+    """min(D^{d+1}, D) per stopped distance D in dimension d.  The powers
+    are taken in Python floats, whose pow rounds otherwise than numpy's
+    vectorized one, so each value is the one a scalar evaluation gives."""
+    return np.minimum([x ** (d + 1) for x in dist.tolist()], dist)
+
+
 def calibrate_alpha(dimension: int, samples,
                     config: QuadratureConfig = QuadratureConfig()) -> GaugeDiagnostics:
     """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
@@ -877,7 +954,8 @@ def calibrate_alpha(dimension: int, samples,
     distance D and the mollified distance value.
 
     ``samples`` is an iterable of (anchor, point) pairs, evaluated as the
-    rows of one kernel call; a pair at D = 0 does not constrain alpha.  Only
+    rows of one kernel call, with their stopped distances from one array
+    call; a pair at D = 0 does not constrain alpha.  Only
     existence of a positive constant is guaranteed in general, so the value
     is empirical and should be validated on fresh samples before use.
     """
@@ -886,14 +964,14 @@ def calibrate_alpha(dimension: int, samples,
     item3 = -np.inf
     czeta = mean_gaussian_norm(dimension)
     if pairs:
-        (values, _, _), _ = _smoothed_rows([a for a, _ in pairs],
-                                           [p for _, p in pairs], None, config)
-        for (anchor, point), val in zip(pairs, values.tolist()):
-            dist = stopped_sup_distance(point, anchor)
-            if dist >= 1e-9:
-                d = point.path.dimension
-                ratio_min = min(ratio_min, val / min(dist ** (d + 1), dist))
-            item3 = max(item3, (dist - val) / czeta)
+        anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
+        (values, _, _), _ = _smoothed_rows(anchors, points, None, config)
+        dist = stopped_sup_distances(points, anchors)
+        far = dist >= 1e-9
+        if far.any():
+            scale = _lower_bound_scale(dist[far], points[0].path.dimension)
+            ratio_min = float(np.min(values[far] / scale))
+        item3 = float(np.max((dist - values) / czeta))
     if not np.isfinite(ratio_min):
         raise DomainError("calibration needs samples at positive distance")
     alpha = min(ALPHA_SHRINK * ratio_min, 1.0)

@@ -193,8 +193,15 @@ def path_distances(times: np.ndarray, stopped: np.ndarray, t: float,
 
 def stopped_sup_distance(p: PathPoint, q: PathPoint) -> float:
     """sup-norm distance between the stopped representatives of two points."""
-    _, stopped = stack_points((p, q))
-    return float(_sup_gap(stopped[0], stopped[1]))
+    return float(stopped_sup_distances((p,), (q,))[0])
+
+
+def stopped_sup_distances(points, others) -> np.ndarray:
+    """:func:`stopped_sup_distance` of each pair (points[i], others[i]), in
+    one array call; every value equals that of the pair alone."""
+    n = len(points)
+    _, stopped = stack_points((*points, *others))
+    return _sup_gap(stopped[:n], stopped[n:])
 
 
 def path_distance(p: PathPoint, q: PathPoint) -> float:

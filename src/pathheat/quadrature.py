@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -49,6 +50,13 @@ class QuadratureConfig:
     panel, where a max switches, still converges only algebraically, which
     is why the gauge's error is estimated by refinement (``refined`` doubles
     every node count).
+
+    ``s_nodes=None`` sizes the s-rule to the z-rule, per dimension, as
+    ``z_rule="auto"`` resolves (:meth:`resolve_s`): 3 nodes per panel where
+    the z-rule is exact (the gauge in d = 1), where the s-rule sets the
+    error, and 2 where it is not (d >= 2), where the z-rule's error is
+    orders of magnitude larger than the s-rule's.  A count set by the
+    caller keeps its meaning in every dimension.
     """
 
     z_rule: str = "auto"
@@ -56,12 +64,12 @@ class QuadratureConfig:
     z_samples: int = 100_000
     z_seed: int = 20210
     s_max: float = 40.0
-    s_nodes: int = 3  # Gauss-Legendre nodes per s-rule panel
+    s_nodes: Optional[int] = None  # Gauss-Legendre nodes per s-rule panel
 
     def __post_init__(self):
         if self.s_max < 20.0:
             raise DomainError("s_max must be >= 20 (kernel tail certification)")
-        if min(self.z_nodes, self.s_nodes) <= 0:
+        if self.z_nodes <= 0 or (self.s_nodes is not None and self.s_nodes <= 0):
             raise DomainError("node counts must be positive")
         _antithetic_half(self.z_samples)
 
@@ -79,10 +87,21 @@ class QuadratureConfig:
             return "gauss-hermite"
         return "monte-carlo"
 
-    def refined(self) -> "QuadratureConfig":
+    def resolve_s(self, dimension: int) -> int:
+        """Gauss-Legendre nodes per s-rule panel of the gauge in
+        ``dimension``: ``s_nodes`` if set, else 3 where the gauge's z-rule
+        resolves to exact and 2 where it does not."""
+        if self.s_nodes is not None:
+            return self.s_nodes
+        return 3 if self.resolve_z(dimension) == "exact" else 2
+
+    def refined(self, dimension: int) -> "QuadratureConfig":
+        """Every node count doubled (``z_nodes`` to 2n + 1), the s-rule's
+        as :meth:`resolve_s` resolves it in ``dimension``."""
         return QuadratureConfig(z_rule=self.z_rule, z_nodes=2 * self.z_nodes + 1,
                                 z_samples=2 * self.z_samples, z_seed=self.z_seed,
-                                s_max=self.s_max, s_nodes=2 * self.s_nodes)
+                                s_max=self.s_max,
+                                s_nodes=2 * self.resolve_s(dimension))
 
 
 @lru_cache(maxsize=32)

@@ -249,6 +249,20 @@ class TestEntryPoint:
         assert proc.stderr == ""
         assert "space of" not in proc.stdout
 
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_zero_s_nodes_exits_2(self, tmp_path, capsys, by):
+        # no dimension resolves an explicit count away, d = 2 included
+        argv = ["gauge-check", "--d", "2", "--seed", "1", "--steps", "8",
+                "--n-tuples", "2", "--out", str(tmp_path)]
+        if by == "flag":
+            argv += ["--s-nodes", "0"]
+        else:
+            argv += ["--config", _write(tmp_path, "s_nodes = 0\n")]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == (
+            "pathheat: error: node counts must be positive\n")
+        assert not (tmp_path / "gauge_check.csv").exists()
+
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "0.1,0.2"])
     def test_bad_delta_exits_2(self, tmp_path, capsys, caplog, delta):
         caplog.set_level(logging.INFO, logger="pathheat")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pathheat.audit import (derivative_bound_audit,
+from pathheat.audit import (_lift_rows, derivative_bound_audit,
                             estimate_gauge_quadrature_error, sandwich_audit,
                             validate_alpha)
 from pathheat.cylinders import PathwiseDerivs
@@ -304,7 +304,8 @@ def _loop_profile(center, q, floor, partial, j0, config):
     values = np.empty(m)
     grads = np.empty((m, d))
     hesses = np.empty((m, d, d))
-    z, w = _z_rule(config, d)
+    rule = _z_rule(config, d)
+    z, w = rule.z, rule.w
     abs_norm = float(np.sum(w * np.linalg.norm(z, axis=1)))
     wz = w[:, None] * z
     p = center[None, :] - q
@@ -326,7 +327,7 @@ class TestBlockedProfileKernel:
 
     @pytest.mark.parametrize("dim,config", [
         (2, QuadratureConfig(z_rule="gauss-hermite", z_nodes=21)),
-        (2, QuadratureConfig().refined()),
+        (2, QuadratureConfig().refined(2)),
         (3, QuadratureConfig(z_samples=2000)),
     ], ids=["d2-gh21", "d2-refined", "d3-mc"])
     def test_matches_per_time_loop(self, grid64, dim, config):
@@ -336,7 +337,7 @@ class TestBlockedProfileKernel:
             kinds.add("single" if groups.kt[0] >= groups.k0[0] else "suffix")
             # t' = t, the s-rule nodes, the anchor time and the horizon
             t_primes = np.concatenate(([point.t], _s_rules(
-                grid64, groups.kt, groups.k0, np.array([point.t]), config)[0],
+                grid64, groups.kt, groups.k0, np.array([point.t]), config, dim)[0],
                 [anchor.t, grid64.horizon]))
             jf, j0, partial = _locate(grid64, t_primes, np.zeros(t_primes.size, dtype=int),
                                       groups.kt, groups.k0, groups.stopped)
@@ -355,7 +356,7 @@ class TestBlockedProfileKernel:
         (3, QuadratureConfig(z_samples=2000)),
     ], ids=["d2", "d3-mc"])
     def test_block_size_invariance(self, grid64, monkeypatch, dim, config):
-        nz = len(_z_rule(config, dim)[0])
+        nz = len(_z_rule(config, dim).w)
         pairs = list(random_pairs(grid64, dim, 6, seed=23))
         results = []
         # one row per block, seven rows per block, everything in one block
@@ -370,6 +371,80 @@ class TestBlockedProfileKernel:
                 assert d1.horizontal == d0.horizontal
                 assert np.max(np.abs(d1.vertical - d0.vertical)) <= 1e-13
                 assert np.max(np.abs(d1.vertical2 - d0.vertical2)) <= 1e-13
+
+
+    @pytest.mark.parametrize("z_nodes", [21, 4])
+    def test_tensor_tables_equal_flat_nodes(self, grid64, monkeypatch, z_nodes):
+        # the d = 2 rule handed over without its axis structure: the kernel
+        # then sums the squares over the flat nodes, as for Monte Carlo
+        config = QuadratureConfig(z_nodes=z_nodes)
+        tensor = _z_rule(config, 2)
+        assert [a.shape for a in tensor.axes] == [(z_nodes, 1), (1, z_nodes)]
+        rows = _mixed_rows(grid64, 2)
+        want = _smoothed_rows(*rows, config)
+        monkeypatch.setattr(gauge, "_z_rule",
+                            lambda config, d: gauge._ZRule(tensor.z, tensor.w))
+        got = _smoothed_rows(*rows, config)
+        for stage_got, stage_want in zip(got, want):
+            assert np.array_equal(stage_got[0], stage_want[0])
+            for g, w in zip(stage_got[1:], stage_want[1:]):
+                assert np.max(np.abs(g - w)) <= 1e-13
+
+    def test_tensor_tables_in_chunks(self, grid64, monkeypatch):
+        # a budget that splits the 21 x 21 rule into chunks of whole rows
+        config = QuadratureConfig()
+        rows = _mixed_rows(grid64, 2)
+        (v0, g0, h0), _ = _smoothed_rows(*rows, config)
+        monkeypatch.setattr(gauge, "_Z_CHUNK_FLOATS", 2000)
+        (v1, g1, h1), _ = _smoothed_rows(*rows, config)
+        assert np.max(np.abs(v1 - v0)) <= 1e-15
+        assert np.max(np.abs(g1 - g0)) <= 1e-13
+        assert np.max(np.abs(h1 - h0)) <= 1e-13
+        assert v1[-1] == 0.0
+
+
+def _rule_width(dim, config, grid):
+    """Shifted times of a point at 0.25 against an anchor at 0.5 on
+    ``grid``: t itself, the s-nodes of 16 panels and the closed-form tail."""
+    x = GridPath.zero(grid, dim)
+    return int(_AnchorGroups([PathPoint(0.5, x)], [PathPoint(0.25, x)], None,
+                             None, config).width[0])
+
+
+class TestSNodeDefault:
+    """s_nodes=None sizes the s-rule to the z-rule: 3 nodes per panel where
+    the z-rule is exact, 2 where it is not."""
+
+    @pytest.mark.parametrize("dim,config,nodes", [
+        (1, QuadratureConfig(), 3),
+        (2, QuadratureConfig(), 2),
+        (3, QuadratureConfig(), 2),
+        (1, QuadratureConfig(z_rule="gauss-hermite"), 2),
+        (2, QuadratureConfig(s_nodes=3), 3),
+        (1, QuadratureConfig(s_nodes=1), 1),
+        (1, QuadratureConfig().refined(1), 6),
+        (2, QuadratureConfig().refined(2), 4),
+        (2, QuadratureConfig(s_nodes=3).refined(2), 6),
+    ], ids=["d1", "d2", "d3", "d1-gh", "d2-explicit", "d1-explicit",
+            "d1-refined", "d2-refined", "d2-explicit-refined"])
+    def test_nodes_per_panel(self, grid64, dim, config, nodes):
+        assert _rule_width(dim, config, grid64) == 2 + 16 * nodes
+
+    def test_nonpositive_count_rejected(self):
+        for nodes in (0, -2):
+            with pytest.raises(DomainError, match="positive"):
+                QuadratureConfig(s_nodes=nodes)
+
+    def test_s_error_far_below_z_error_in_d2(self, grid64):
+        # the balance behind the default: on the estimator's default probes,
+        # doubling the s-rule moves every family by at most 1% of what the
+        # refined z-rule (21 -> 43 nodes per axis) moves it
+        rows = _lift_rows(list(random_lift_points(grid64, 2, 16, 5)))
+        _, base = _smoothed_rows(*rows, QuadratureConfig())
+        _, s_only = _smoothed_rows(*rows, QuadratureConfig(s_nodes=4))
+        _, z_only = _smoothed_rows(*rows, QuadratureConfig(z_nodes=43, s_nodes=2))
+        for b, s, z in zip(base, s_only, z_only):
+            assert np.max(np.abs(s - b)) <= 0.01 * np.max(np.abs(z - b))
 
 
 class TestSmoothGauge:
@@ -692,6 +767,35 @@ class TestAudits:
         checks = sandwich_audit(dim, grid64, n, seed=9)
         want = sandwich_maxima_loop(dim, grid64, n, 9, QuadratureConfig())
         assert [c.observed for c in checks] == want
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_calibration_and_validation_equal_per_pair_loop(self, grid64, dim):
+        # the stopped distances of all pairs come from one array call
+        config = QuadratureConfig()
+        diag = calibrate_alpha(dim, random_pairs(grid64, dim, 30, seed=5), config)
+        ratio, item3 = np.inf, -np.inf
+        for anchor, point in random_pairs(grid64, dim, 30, seed=5):
+            val = vertical_smoothed_distance(anchor, point.t, point.path,
+                                             point.present_value(), config).value
+            dist = stopped_sup_distance(point, anchor)
+            if dist >= 1e-9:
+                ratio = min(ratio, val / min(dist ** (dim + 1), dist))
+            item3 = max(item3, (dist - val) / mean_gaussian_norm(dim))
+        assert diag.alpha == min(gauge.ALPHA_SHRINK * ratio, 1.0)
+        assert diag.item3_constant == item3
+        worst = [-np.inf, -np.inf]
+        for anchor, point in random_pairs(grid64, dim, 20, seed=6):
+            y = point.present_value()
+            val = vertical_smoothed_distance(anchor, point.t, point.path, y,
+                                             config).value
+            sat, _ = horizontal_smoothed_distance(anchor, point.t, point.path, y,
+                                                  config)
+            dist = stopped_sup_distance(point, anchor)
+            floor = diag.alpha * min(dist ** (dim + 1), dist)
+            worst = [max(worst[0], floor - val),
+                     max(worst[1], floor / (1.0 + dist) - sat)]
+        checks = validate_alpha(diag, grid64, 20, seed=6, config=config)
+        assert [c.observed for c in checks] == worst
 
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):
         diag = calibrate_alpha(1, random_pairs(grid64, 1, 300, seed=5))
