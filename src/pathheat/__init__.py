@@ -11,12 +11,11 @@ finite-dimensional cross-check for cylinder terminal conditions.
 """
 
 from .errors import (ContractError, ConvergenceError, DomainError, InputError,
-                     NumericError, ResolutionError)
+                     NumericError)
 from .grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
                     brownian_increments, euler_paths, extend_with_increments,
                     path_distance, read_path_csv)
-from .regularization import (BracketEstimate, forward_integral,
-                             forward_integral_limit, mutual_bracket)
+from .regularization import forward_integral
 from .cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                         fejer_coefficient)
 from .quadrature import QuadratureConfig

@@ -35,7 +35,7 @@ from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, tn_convergence_rows)
 from .gauge import ALPHA_SHRINK, calibrate_alpha
-from .grids import (_SNAP_TOL, GridPath, PathPoint, TimeGrid,
+from .grids import (GridPath, PathPoint, TimeGrid,
                     brownian_increments, extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
 from .quadrature import QuadratureConfig
@@ -171,11 +171,6 @@ def _cmd_solve(args) -> int:
                              f"but {args.path} has {x.dimension} columns")
     else:
         x = GridPath.zero(grid)
-    node = grid.snap(args.t)
-    if abs(args.t - node) > _SNAP_TOL * grid.horizon:
-        raise InputError(f"--t {args.t:g} is not a node of the grid of "
-                         f"{grid.steps} steps on [0, {grid.horizon:g}]; the "
-                         f"nearest node is {node:.12g}")
     xi = build_terminal(args.terminal, grid)
     cfg = MCConfig(n_samples=args.n_samples, seed=args.seed,
                    antithetic=args.antithetic)
@@ -274,9 +269,7 @@ def _cmd_vp_run(args) -> int:
                              "which --paths replaces")
         data = _read_paths(args.paths)
         grid = data.grid
-        times = args.times or (0.5 * grid.horizon,)
-        for t in times:
-            grid.exact_index(t)
+        times = args.times or (grid.node(grid.steps // 2),)
         pts = tuple(PathPoint(t, data.component(i))
                     for i in range(data.dimension) for t in times)
     else:
@@ -449,7 +442,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                      "smooth variational principle on a finite space")
     p.add_argument("--paths", help="CSV path dictionary (columns are paths); "
                    "its grid replaces --steps and --horizon")
-    p.add_argument("--times", type=_floats, help="comma-separated evaluation times")
+    p.add_argument("--times", type=_floats, help="comma-separated evaluation "
+                   "times, each a node of the --paths grid (default: its "
+                   "middle node)")
     p.add_argument("--n-points", type=int, dest="n_points",
                    help="points of the Brownian search space (default 100)")
     p.add_argument("--delta-weight", type=float, default=0.05, dest="vp_delta")

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
-class ResolutionError(ValueError):
-    """A requested scale is finer than the time grid can represent."""
-
-
 class ContractError(ValueError):
     """A caller-supplied object is missing a capability the operation needs."""
 

@@ -59,10 +59,15 @@ SUBSOLUTION_OFFSET = 0.25
 
 
 def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int) -> SearchSpace:
-    """Search space of Brownian paths from zero, point i at the quarter node
-    i mod 3 + 1 of the horizon."""
+    """Search space of Brownian paths from zero, point i at the node nearest
+    to the quarter q = i mod 3 + 1 of the horizon.
+
+    That node is round(q M / 4) for M steps, rounded half to even: 0.2, 0.5
+    and 0.8 at M = 10, 0.24, 0.5 and 0.76 at M = 50, and the quarters
+    themselves when 4 divides M.
+    """
     rng = substream(seed, StreamKind.SEARCH_SPACE, 0)
-    times = [0.25 * grid.horizon, 0.5 * grid.horizon, 0.75 * grid.horizon]
+    times = [grid.node(round(q * grid.steps / 4)) for q in (1, 2, 3)]
     vals = extend_with_increments(0.0, GridPath.zero(grid),
                                   brownian_increments(grid, 0, 1, rng, n=n_paths))
     return SearchSpace(tuple(PathPoint(times[i % len(times)], GridPath(grid, v))

@@ -814,7 +814,8 @@ def vertical_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
                                config: QuadratureConfig = QuadratureConfig()
                                ) -> SmoothedDistance:
     """Gaussian mollification, in the jump direction, of the anchored
-    stopped-path distance; nonnegative, 1-Lipschitz in y."""
+    stopped-path distance; nonnegative, 1-Lipschitz in y.  ``t`` must be a
+    node of x's grid."""
     (v, g, h), _ = _smoothed_rows((anchor,), (PathPoint(t, x),),
                                   np.atleast_1d(np.asarray(y, float))[None], config)
     return SmoothedDistance(value=float(v[0]), gradient=g[0], hessian=h[0])
@@ -829,7 +830,8 @@ def horizontal_smoothed_distance(anchor: PathPoint, t: float, x: GridPath,
     The saturation v/(1+v) keeps the value in [0, 1); averaging it at shifted
     times against the vanishing-at-zero kernel makes the map differentiable
     in the time direction with |horizontal| <= sqrt(2/(pi e)), while the
-    vertical bounds 1 and sqrt(2/pi)+2 come through the chain rule.
+    vertical bounds 1 and sqrt(2/pi)+2 come through the chain rule.  ``t``
+    must be a node of x's grid.
     """
     _, (value, horizontal, vertical, vertical2) = _smoothed_rows(
         (anchor,), (PathPoint(t, x),), np.atleast_1d(np.asarray(y, float))[None], config)

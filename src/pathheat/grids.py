@@ -5,8 +5,9 @@ A path is stored by its values at the nodes of a uniform grid on [0, T] and
 is understood as the piecewise-linear interpolant between nodes.  Sup-norms
 of such paths are exact maxima over nodes (the Euclidean norm is convex
 along a segment), and stopping at a node is an exact operation.  Times fed
-to stopped-path operations are snapped to the nearest node so that equality
-of stopped representatives is decidable.
+to stopped-path operations must be nodes: :meth:`TimeGrid.index_of` is the
+one time-to-node lookup, and it rejects an off-grid time rather than move
+it, so that equality of stopped representatives is decidable.
 """
 
 from __future__ import annotations
@@ -59,18 +60,11 @@ class TimeGrid:
         return k * self.horizon / self.steps
 
     def index_of(self, t: float) -> int:
-        """Nearest node index for ``t``; raises if t is outside [0, T]."""
+        """Index of the node t (within _SNAP_TOL * T); raises a
+        :class:`DomainError` naming the nearest node for any other time."""
         if not (-_SNAP_TOL * self.horizon <= t <= self.horizon * (1 + _SNAP_TOL)):
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
-        k = int(round(t / self.dt))
-        return min(max(k, 0), self.steps)
-
-    def snap(self, t: float) -> float:
-        return self.node(self.index_of(t))
-
-    def exact_index(self, t: float) -> int:
-        """Index of the node t (within _SNAP_TOL * T); raises otherwise."""
-        k = self.index_of(t)
+        k = min(max(int(round(t / self.dt)), 0), self.steps)
         if abs(t - self.node(k)) > _SNAP_TOL * self.horizon:
             raise DomainError(f"time {t:g} is not a grid node; the nearest node "
                               f"is {self.node(k):.12g}")
@@ -128,7 +122,10 @@ class GridPath:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """A point (t, x) of the path space; t is snapped to a grid node.
+    """A point (t, x) of the path space at a node t of x's grid.
+
+    A t within _SNAP_TOL * T of a node is stored as that node; any other t
+    raises a :class:`DomainError` naming the nearest node.
 
     Only the stopped portion x(. ^ t) is observable through the operations
     of this package; two points at zero pseudometric distance behave
@@ -139,7 +136,8 @@ class PathPoint:
     path: GridPath
 
     def __post_init__(self):
-        object.__setattr__(self, "t", self.path.grid.snap(self.t))
+        grid = self.path.grid
+        object.__setattr__(self, "t", grid.node(grid.index_of(self.t)))
 
     @property
     def node_index(self) -> int:
@@ -208,7 +206,7 @@ def path_distance(p: PathPoint, q: PathPoint) -> float:
     """The pseudometric |t - t'| + ||x(. ^ t) - x'(. ^ t')||_inf.
 
     Vanishes exactly when the two stopped grid representatives and the two
-    (snapped) times coincide; it does not separate paths that differ only
+    (node) times coincide; it does not separate paths that differ only
     after their stopping times.
     """
     times, stopped = stack_points((p, q))

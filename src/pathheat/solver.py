@@ -227,7 +227,7 @@ def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray
     i.i.d. increments, reads the walk at the K equally spaced nodes
     k + i floor((M - k) / K) instead.
     """
-    k = grid.exact_index(t)
+    k = grid.index_of(t)
     span = grid.steps - k
     if span == 0:
         return np.empty(0, dtype=np.int64)
@@ -308,7 +308,7 @@ def candidate_solution(xi: TerminalFunctional, t: float,
         raise DomainError("the paths of one call must share a grid")
     if any(p.dimension != d for p in paths):
         raise DomainError("the paths of one call must share a dimension")
-    k = grid.exact_index(t)
+    k = grid.index_of(t)
     n = cfg.n_samples
     units = n // 2 if cfg.antithetic else n
     nodes = control_nodes(grid, t, cfg, d)

@@ -32,7 +32,7 @@ class SearchSpace:
     pseudometric (points at zero distance are interchangeable).
 
     Dedupe contract: a point is dropped exactly when a point already kept
-    has the same snapped time and identical stopped values, where -0.0 and
+    has the same node time and identical stopped values, where -0.0 and
     0.0 count as identical.  A path that differs from a kept one only after
     its stopping time is dropped; the same path at another time is kept.
     The first occurrence is kept and the kept points stay in input order.

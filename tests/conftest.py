@@ -37,9 +37,20 @@ def make_brownian(grid: TimeGrid, seed: int, dimension: int = 1,
     return GridPath(grid, vals)
 
 
+def nearest_index(grid: TimeGrid, t: float) -> int:
+    """Index of the node nearest to ``t`` in [0, T]; raises outside it.
+
+    The package's ``TimeGrid.index_of`` takes nodes only; the test helpers
+    that freeze a path at any time round to a node here.
+    """
+    if not (-1e-9 * grid.horizon <= t <= grid.horizon * (1 + 1e-9)):
+        raise DomainError(f"time {t} outside [0, {grid.horizon}]")
+    return min(max(round(t / grid.dt), 0), grid.steps)
+
+
 def stop_path(x: GridPath, t: float) -> GridPath:
     """Freeze ``x`` at (the node nearest to) ``t``: equal on [0,t], constant after."""
-    k = x.grid.index_of(t)
+    k = nearest_index(x.grid, t)
     if k == x.grid.steps:
         return x
     return GridPath(x.grid, _stopped_values(x.values, k))
@@ -134,7 +145,7 @@ def fd_pathwise_derivs(evaluate, t: float, x: GridPath,
     present value held at x(t).  Vertical: central first and second differences
     in y only; the grid path itself is never mutated.
     """
-    t = x.grid.snap(t)
+    t = x.grid.node(nearest_index(x.grid, t))
     scale = max(1.0, sup_norm(x))
     if delta is None:
         delta = 1e-4 * scale

@@ -317,10 +317,10 @@ class TestEntryPoint:
                 "--out", str(tmp_path)]
         assert cli.run(argv + ["--t", "0.3333"]) == 2
         assert capsys.readouterr().err == (
-            "pathheat: error: --t 0.3333 is not a node of the grid of 10 steps "
-            "on [0, 1]; the nearest node is 0.3\n")
+            "pathheat: error: time 0.3333 is not a grid node; the nearest node "
+            "is 0.3\n")
         assert not (tmp_path / "solve.csv").exists()
-        # a node within the snapping tolerance is the node
+        # a time within the node tolerance is the node
         assert cli.run(argv + ["--t", "0.3000000000001"]) == 0
         assert "at t=0.3: " in capsys.readouterr().out
 
@@ -362,7 +362,7 @@ class TestEntryPoint:
                        "data row 2\n")
 
     def test_vp_run_off_grid_time_exits_2(self, tmp_path, capsys):
-        # a point would otherwise snap to the node 0.3 and run there
+        # the point is rejected, not moved to the node 0.3
         paths = str(tmp_path / "p.csv")
         write_path_csv(GridPath.zero(TimeGrid(1.0, 10)), paths)
         argv = ["vp-run", "--seed", "1", "--paths", paths, "--times", "0.5,0.3333",
@@ -372,6 +372,17 @@ class TestEntryPoint:
             "pathheat: error: time 0.3333 is not a grid node; the nearest node "
             "is 0.3\n")
         assert not (tmp_path / "vp_run.csv").exists()
+
+    def test_vp_run_default_time_on_an_odd_grid(self, tmp_path, capsys):
+        # without --times the points sit at the middle node, which is 0.4,
+        # not 0.5, on 5 steps
+        paths = str(tmp_path / "p.csv")
+        write_path_csv(GridPath.zero(TimeGrid(1.0, 5)), paths)
+        argv = ["vp-run", "--seed", "1", "--paths", paths, "--out", str(tmp_path)]
+        assert cli.run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "t=0.4;" in captured.out
+        assert (tmp_path / "vp_run.csv").exists()
 
     @pytest.mark.parametrize("text,message", [
         ("t,x1\n0.5,0\n1,0.25\n1.5,0.5\n", "path CSV times must start at 0, not 0.5"),

@@ -195,3 +195,12 @@ def test_tn_rows_match_the_fejer_weight_deficit():
     for r in rows:
         assert abs(r["sup_error"] - 1.0 / (r["order"] + 1)) <= 2e-5
         assert r["coefficient_gap"] <= 1e-5
+
+
+@pytest.mark.parametrize("steps,times", [
+    (10, (0.2, 0.5, 0.8)), (50, (0.24, 0.5, 0.76)),
+    (128, (0.25, 0.5, 0.75)), (200, (0.25, 0.5, 0.75))])
+def test_search_space_times_are_the_nearest_quarter_nodes(steps, times):
+    # round(q M / 4) rounds half to even: 12.5 -> 12 and 37.5 -> 38 at M = 50
+    points = brownian_search_space(TimeGrid(1.0, steps), 7, seed=1).points
+    assert [p.t for p in points] == [times[i % 3] for i in range(7)]

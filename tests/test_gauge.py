@@ -23,7 +23,7 @@ from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
 from conftest import (audit_maxima_loop, fd_pathwise_derivs, make_brownian,
-                      sandwich_maxima_loop, traced_peak)
+                      nearest_index, sandwich_maxima_loop, traced_peak)
 
 
 def horizontal_kernel_derivative(s):
@@ -154,8 +154,10 @@ class TestVerticalSmoothedDistance:
 
     def test_gradient_matches_fd_exact_rule(self, grid64):
         for anchor, t, x, y in random_lift_points(grid64, 1, 10, seed=9):
-            lift = (lambda tt, xx, yy, _a=anchor:
-                    vertical_smoothed_distance(_a, tt, xx, yy).value)
+            # the horizontal quotient's time t + delta is off the grid; the
+            # lift reads it at its nearest node
+            lift = (lambda tt, xx, yy, _a=anchor: vertical_smoothed_distance(
+                _a, grid64.node(nearest_index(grid64, tt)), xx, yy).value)
             sd = vertical_smoothed_distance(anchor, t, x, y)
             fd = fd_pathwise_derivs(lift, min(t, 1.0 - 0.05), x, y=y)
             assert sd.gradient[0] == pytest.approx(fd.vertical[0], abs=1e-5)
@@ -245,7 +247,7 @@ class TestVerticalSmoothedDistance:
 class TestHorizontalSmoothedDistance:
     def test_zero_at_anchor_exactly(self, grid64):
         x0 = make_brownian(grid64, seed=2)
-        a = PathPoint(0.4, x0)
+        a = PathPoint(26 / 64, x0)
         val, derivs = horizontal_smoothed_distance(a, a.t, x0, a.present_value())
         assert val == 0.0
         assert derivs.horizontal == 0.0
@@ -254,7 +256,7 @@ class TestHorizontalSmoothedDistance:
         z = GridPath.zero(grid64)
         a = PathPoint(0.0, z)
         big = GridPath.constant(grid64, 50.0)
-        val, _ = horizontal_smoothed_distance(a, 0.9, big, big.terminal())
+        val, _ = horizontal_smoothed_distance(a, 58 / 64, big, big.terminal())
         # past its anchor the point sees one frozen scene, so val = v/(1+v)
         # with v = E max(D, |D - Z|) - E|Z| = D - E|Z|/2 at D = 50
         v = 50.0 - 0.5 * mean_gaussian_norm(1)
@@ -270,10 +272,10 @@ class TestHorizontalSmoothedDistance:
 
     def test_time_derivative_matches_fd(self, grid64):
         # fd of the time-smoothed value in t vs the kernel-derivative form.
-        # The public function snaps t to a node, so the step h < dt is taken
+        # The public function takes t at a node, so the step h < dt is taken
         # in the start of the smoothing with the path still stopped at t.
         for anchor, t, x, y in list(random_lift_points(grid64, 1, 6, seed=11)):
-            t = grid64.snap(min(t, 0.9))
+            t = min(t, 58 / 64)
             v0, derivs = horizontal_smoothed_distance(anchor, t, x, y)
             h = 1e-5
 
@@ -289,10 +291,10 @@ class TestHorizontalSmoothedDistance:
     def test_horizontal_vanishes_for_past_anchor(self, grid64):
         # once the anchor time is behind t, shifted times see a frozen scene
         x0 = make_brownian(grid64, seed=3)
-        anchor = PathPoint(0.2, x0)
+        anchor = PathPoint(13 / 64, x0)
         x = make_brownian(grid64, seed=4)
-        _, derivs = horizontal_smoothed_distance(anchor, 0.6, x,
-                                                   PathPoint(0.6, x).present_value())
+        _, derivs = horizontal_smoothed_distance(anchor, 38 / 64, x,
+                                                   PathPoint(38 / 64, x).present_value())
         assert derivs.horizontal == pytest.approx(0.0, abs=1e-12)
 
 
@@ -449,7 +451,7 @@ class TestSNodeDefault:
 
 class TestSmoothGauge:
     def test_diagonal_zero(self, grid64):
-        p = PathPoint(0.3, make_brownian(grid64, seed=5))
+        p = PathPoint(19 / 64, make_brownian(grid64, seed=5))
         assert smooth_gauge([p], p).value[0] == 0.0
 
     def test_time_separation_quadratic(self, grid64):
@@ -665,13 +667,13 @@ class TestNonFinite:
 
 class TestPerturbationSum:
     def test_single_anchor_at_anchor(self, grid64):
-        p = PathPoint(0.4, make_brownian(grid64, seed=7))
+        p = PathPoint(26 / 64, make_brownian(grid64, seed=7))
         res = perturbation_sum([p], [p])
         assert res.value[0] == 0.0
 
     def test_repeated_anchor_geometric_sum(self, grid64):
-        a = PathPoint(0.3, make_brownian(grid64, seed=8))
-        p = PathPoint(0.7, make_brownian(grid64, seed=9))
+        a = PathPoint(19 / 64, make_brownian(grid64, seed=8))
+        p = PathPoint(45 / 64, make_brownian(grid64, seed=9))
         base = smooth_gauge([p], a).value[0]
         n = 5
         res = perturbation_sum([a] * n, [p])
@@ -679,9 +681,9 @@ class TestPerturbationSum:
         assert res.value[0] == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_two_anchor_completion(self, grid64):
-        a0 = PathPoint(0.2, make_brownian(grid64, seed=10))
+        a0 = PathPoint(13 / 64, make_brownian(grid64, seed=10))
         a1 = PathPoint(0.5, make_brownian(grid64, seed=11))
-        p = PathPoint(0.8, make_brownian(grid64, seed=12))
+        p = PathPoint(51 / 64, make_brownian(grid64, seed=12))
         res = perturbation_sum([a0, a1], [p])
         expect = smooth_gauge([p], a0).value[0] + smooth_gauge([p], a1).value[0]
         assert res.value[0] == pytest.approx(expect, rel=1e-12)

@@ -14,7 +14,7 @@ from pathheat.grids import (GridPath, PathPoint, SemimartingaleSpec, TimeGrid,
 from pathheat.solver import sample_increments
 from pathheat.streams import sample_stream
 
-from conftest import make_brownian, stop_path, write_path_csv
+from conftest import make_brownian, nearest_index, stop_path, write_path_csv
 
 
 class TestStopPath:
@@ -43,12 +43,25 @@ class TestStopPath:
         grid = TimeGrid(1.0, 16)
         x = make_brownian(grid, seed=5)
         left = stop_path(stop_path(x, t1), t2)
-        right = stop_path(x, min(grid.snap(t1), grid.snap(t2)))
+        right = stop_path(x, min(grid.node(nearest_index(grid, t1)),
+                                 grid.node(nearest_index(grid, t2))))
         assert np.array_equal(left.values, right.values)
 
     def test_out_of_domain(self, sine_path):
         with pytest.raises(DomainError):
             stop_path(sine_path, 1.5)
+
+
+class TestPathPoint:
+    def test_off_grid_time_names_the_nearest_node(self):
+        x = GridPath.zero(TimeGrid(1.0, 10))
+        with pytest.raises(DomainError, match="the nearest node is 0.3$"):
+            PathPoint(0.3333, x)
+
+    def test_time_within_tolerance_is_the_node(self):
+        x = GridPath.zero(TimeGrid(1.0, 10))
+        p = PathPoint(0.3000000000001, x)
+        assert p.t == 0.3 and p.node_index == 3
 
 
 class TestPathDistance:
@@ -67,7 +80,7 @@ class TestPathDistance:
 
     def test_symmetry_and_triangle(self, grid64):
         pts = [PathPoint(t, make_brownian(grid64, seed=s))
-               for s, t in [(1, 0.2), (2, 0.8), (3, 0.5)]]
+               for s, t in [(1, 13 / 64), (2, 51 / 64), (3, 0.5)]]
         d01 = path_distance(pts[0], pts[1])
         assert d01 == path_distance(pts[1], pts[0])
         d02 = path_distance(pts[0], pts[2])

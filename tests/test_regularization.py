@@ -1,17 +1,60 @@
-import math
-
 import numpy as np
 import pytest
 
-from pathheat.errors import ResolutionError
+from pathheat.errors import DomainError
 from pathheat.grids import GridPath, TimeGrid
-from pathheat.regularization import (by_parts, forward_integral,
-                                     forward_integral_limit, mutual_bracket,
-                                     weights_at)
+from pathheat.regularization import by_parts, forward_integral, weights_at
 
 from conftest import make_brownian
 
 ONE = np.ones_like
+
+
+def forward_integral_limit(g, f: GridPath, t: float, eps: float) -> np.ndarray:
+    """Regularized difference-quotient form of the forward integral: the
+    oracle of :func:`forward_integral`.
+
+    Evaluates (1/eps) * integral of g_(0,t](s) (f_[0,t](s+eps) - f_[0,t](s)) ds
+    with the two extensions frozen exactly as defined: f is held at f(t) right
+    of t and at 0 left of 0; g is held at g(0) left of 0 and at 0 right of t.
+    ``eps`` must be a positive multiple m dt of the grid step; the integral is
+    exact for cellwise-quadratic integrands (Simpson per cell).
+    """
+    grid = f.grid
+    m = round(eps / grid.dt)
+    if m < 1 or abs(eps - m * grid.dt) > 1e-9 * grid.horizon:
+        raise DomainError(f"eps={eps} is not a positive multiple of the grid "
+                          f"step {grid.dt}")
+    eps = m * grid.dt
+    k = grid.index_of(t)
+    nodes = grid.nodes()[: k + 1]
+    mids = (nodes[:-1] + nodes[1:]) / 2.0
+
+    # s in [-eps, 0): integrand is g(0) * f(s+eps) / eps, an initial-value atom.
+    g0 = float(weights_at([g], np.zeros(1))[0, 0])
+    j = min(m, k)
+    # trapezoid of f over [0, j*dt] plus frozen tail if eps overshoots t
+    ftrap = np.zeros(f.dimension)
+    if j > 0:
+        ftrap = (np.sum(f.values[1:j], axis=0)
+                 + 0.5 * (f.values[0] + f.values[j])) * grid.dt
+    if m > j:
+        ftrap = ftrap + f.values[k] * (m - j) * grid.dt
+    atom = g0 * ftrap / eps
+
+    if k == 0:
+        return atom
+
+    # s in [0, t]: g(s) * (f((s+eps) ^ t) - f(s)) / eps, piecewise quadratic.
+    idx = np.arange(k + 1)
+    shift = np.minimum(idx + m, k)
+    h_nodes = f.values[shift] - f.values[idx]
+    h_mids = (h_nodes[:-1] + h_nodes[1:]) / 2.0
+    g_nodes, g_mids = weights_at([g], nodes)[0], weights_at([g], mids)[0]
+    integrand_nodes = g_nodes[:, None] * h_nodes
+    integrand_mids = g_mids[:, None] * h_mids
+    simpson = (integrand_nodes[:-1] + 4.0 * integrand_mids + integrand_nodes[1:]) / 6.0
+    return atom + np.sum(simpson, axis=0) * grid.dt / eps
 
 
 class TestForwardIntegral:
@@ -80,71 +123,5 @@ class TestForwardIntegralLimit:
         assert errs[-1] <= 0.05 * errs[0] / 0.32 * 2 + 1e-9  # ~ C * eps
 
     def test_eps_below_resolution(self, sine_path):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(DomainError, match="eps=0.0001"):
             forward_integral_limit(ONE, sine_path, 1.0, 1e-4)
-
-
-class TestMutualBracket:
-    def test_smooth_path_vanishing_bracket(self):
-        # for C^1 paths the bracket decays linearly in eps: ~ eps * int x'^2
-        grid = TimeGrid(1.0, 1000)
-        x = GridPath.from_function(grid, lambda t: np.sin(2 * np.pi * t))
-        vals = [mutual_bracket(x, x, eps).terminal()
-                for eps in (0.1, 0.01, 0.001)]
-        assert vals[2] < vals[1] < vals[0]
-        assert vals[2] < 0.05
-        assert vals[1] / vals[2] == pytest.approx(10.0, rel=0.2)
-
-    def test_brownian_quadratic_variation(self):
-        # interpolation removes sub-grid variation: the estimator's mean is
-        # T (1 - 1/(3 m)) with eps = m dt; account for that bias exactly
-        grid = TimeGrid(1.0, 1024)
-        m = 64
-        eps = m * grid.dt
-        vals = [mutual_bracket(p, p, eps).terminal()
-                for p in (make_brownian(grid, seed=s) for s in range(300))]
-        mean = np.mean(vals)
-        stderr = np.std(vals, ddof=1) / math.sqrt(len(vals))
-        target = 1.0 * (1.0 - 1.0 / (3 * m))
-        assert abs(mean - target) <= 3 * stderr
-
-    def test_independent_components_cross_bracket(self):
-        grid = TimeGrid(1.0, 512)
-        vals = []
-        for s in range(300):
-            x = make_brownian(grid, seed=1000 + s, dimension=2)
-            vals.append(mutual_bracket(x.component(0), x.component(1),
-                                       16 * grid.dt).terminal())
-        mean = np.mean(vals)
-        stderr = np.std(vals, ddof=1) / math.sqrt(len(vals))
-        assert abs(mean) <= 3 * stderr
-
-    def test_symmetric_and_bilinear(self, grid100):
-        a = make_brownian(grid100, seed=3)
-        b = make_brownian(grid100, seed=4)
-        eps = 10 * grid100.dt
-        ab = mutual_bracket(a, b, eps).values
-        ba = mutual_bracket(b, a, eps).values
-        assert np.allclose(ab, ba)
-        scaled = mutual_bracket(GridPath(grid100, 2.0 * a.values), b, eps).values
-        assert np.allclose(scaled, 2.0 * ab)
-
-    def test_diagonal_nonneg_and_monotone(self, grid100):
-        x = make_brownian(grid100, seed=6)
-        est = mutual_bracket(x, x, 5 * grid100.dt)
-        assert np.all(est.values >= -1e-14)
-        assert np.all(np.diff(est.values) >= -1e-14)
-
-    def test_ucp_style_sup_distance_decreases_with_eps(self):
-        # with eps well above the grid step, shrinking eps shrinks the sup
-        # deviation from t (fluctuation ~ sqrt(eps) dominates the small bias)
-        grid = TimeGrid(1.0, 4096)
-        nodes = grid.nodes()
-        sups = []
-        for m in (1024, 256, 64):
-            eps = m * grid.dt
-            sup_dev = np.mean([
-                np.max(np.abs(mutual_bracket(p, p, eps).values - nodes))
-                for p in (make_brownian(grid, seed=70 + s) for s in range(20))])
-            sups.append(sup_dev)
-        assert sups[2] < sups[1] < sups[0]

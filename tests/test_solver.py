@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (fd_pathwise_derivs, fejer_smooth, make_brownian,
-                      traced_peak, value_at)
+                      nearest_index, traced_peak, value_at)
 from pathheat.cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                                 cylinder_coordinates, cylinder_sigma,
                                 fejer_smoothing)
@@ -436,7 +436,7 @@ class TestControlVariates:
             control_nodes(grid, 0.3333, cfg, 1)
         with pytest.raises(DomainError, match=message):
             candidate_solution(xi, 0.3333, GridPath.zero(grid), cfg)
-        # a node within the snapping tolerance is the node
+        # a time within the node tolerance is the node
         assert (candidate_solution(xi, 0.3 + 1e-13, GridPath.zero(grid), cfg)
                 == candidate_solution(xi, 0.3, GridPath.zero(grid), cfg))
 
@@ -901,7 +901,8 @@ class TestFactorSolution:
         else:
             spec = build_terminal(name, grid).cylinder
         for t in (0.0, 0.3, 1.0 - 1e-5, 1.0):
-            z = cylinder_coordinates(spec, t, paths)
+            # the coordinates at t's nearest node, the factor engine at t
+            z = cylinder_coordinates(spec, grid.node(nearest_index(grid, t)), paths)
             full = finite_dim_solution(spec, t, z, config)
             value_only = finite_dim_solution(spec, t, z, config, derivatives=False)
             assert np.array_equal(value_only.value, full.value)
@@ -936,12 +937,13 @@ class TestFactorSolution:
 
     def test_rows_and_paths_equal_each_alone(self):
         # m = 6 at d = 2 takes the Monte-Carlo rule; t = 0 takes the forward
-        # time quotient, 0.3 the central and 1 - 1e-6 the backward one
-        grid = TimeGrid(1.0, 40)
+        # time quotient, 0.3 the central and the last node of 2^17 steps,
+        # within h = 1e-5 T of T, the backward one
         spec = _coupled_spec()
-        paths = [make_brownian(grid, seed=s, dimension=2) for s in range(5)]
         config = QuadratureConfig(z_rule="monte-carlo", z_samples=64, z_seed=3)
-        for t in (0.0, 0.3, 1.0 - 1e-6):
+        for steps, t in ((40, 0.0), (40, 0.3), (2**17, 1.0 - 2.0**-17)):
+            grid = TimeGrid(1.0, steps)
+            paths = [make_brownian(grid, seed=s, dimension=2) for s in range(5)]
             rows = cylinder_coordinates(spec, t, paths)
             assert rows.shape == (5, 6)
             sol = finite_dim_solution(spec, t, rows, config, dimension=2)
@@ -986,12 +988,14 @@ class TestFactorSolution:
 
     @pytest.mark.parametrize("name", CYLINDERS)
     def test_pde_residual_equals_reference_difference(self, name):
-        grid = TimeGrid(1.0, 100)
-        x = make_brownian(grid, seed=7)
-        spec = build_terminal(name, grid).cylinder
         config = QuadratureConfig()
-        # t = 0 takes the forward form, the last times the backward one
-        for t in (0.0, 0.37, 1.0 - grid.dt, 1.0 - 1e-5, 1.0 - 4e-6):
+        # t = 0 takes the forward form, the last node of 2^17 steps, within
+        # h = 1e-5 T of T, the backward one
+        for steps, t in ((100, 0.0), (100, 0.37), (100, 0.99),
+                         (2**17, 1.0 - 2.0**-17)):
+            grid = TimeGrid(1.0, steps)
+            x = make_brownian(grid, seed=7)
+            spec = build_terminal(name, grid).cylinder
             res = pde_residual(spec, t, [x], config)
             assert res.shape == (1,)
             assert res[0] == _residual_reference(spec, t, x, config)
@@ -1008,7 +1012,10 @@ class TestFactorSolution:
         def jumped(t, x, y, derivatives=False):
             sigma = cylinder_sigma(spec, t, x.dimension)
             jump = np.atleast_1d(np.asarray(y, float)) - value_at(x, t)
-            z = cylinder_coordinates(spec, t, [x]) + sigma @ jump
+            # the coordinates at t's nearest node: the horizontal quotient
+            # reads t + delta between nodes
+            node = grid.node(nearest_index(grid, t))
+            z = cylinder_coordinates(spec, node, [x]) + sigma @ jump
             sol = finite_dim_solution(spec, t, z, derivatives=derivatives)
             if not derivatives:
                 return float(sol.value[0])

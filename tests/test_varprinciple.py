@@ -149,7 +149,7 @@ class TestPseudometricKernel:
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_rows_equal_scalar_matrix_bit_for_bit(self, grid64, dimension):
         pts = [PathPoint(t, make_brownian(grid64, seed=s, dimension=dimension))
-               for s, t in enumerate([0.0, 0.2, 0.5, 0.5, 0.9, 1.0])]
+               for s, t in enumerate([0.0, 13 / 64, 0.5, 0.5, 58 / 64, 1.0])]
         times, stopped = stack_points(pts)
         for i, p in enumerate(pts):
             row = path_distances(times, stopped, times[i], stopped[i])
