@@ -73,24 +73,23 @@ _SETTINGS = {
                          "rule; one panel per grid step between the point and "
                          "its anchor (default: 3 where the z-rule is exact, "
                          "d = 1, and 2 otherwise)"),
-    "s_max": dict(type=float, default=QuadratureConfig.s_max),
     "lam": dict(type=float, default=0.5),
     "delta": dict(type=_floats, default=(0.1, 0.05, 0.025),
                   help="comma-separated perturbation weights"),
 }
 
 _Z = ("z_rule", "z_nodes", "z_samples")
-_S = ("s_nodes", "s_max")
+_QUAD = (*_Z, "s_nodes")
 
 # The settings each subcommand reads; it accepts no others.
 _READS = {
     "solve": ("horizon", "steps", "terminal", "n_samples"),
     "pde-check": ("horizon", "steps", *_Z),
-    "gauge-check": ("d", "horizon", "steps", *_Z, *_S),
+    "gauge-check": ("d", "horizon", "steps", *_QUAD),
     "ito-check": ("horizon",),
-    "vp-run": ("horizon", "steps", *_Z, *_S),
+    "vp-run": ("horizon", "steps", *_QUAD),
     "approx": ("horizon", "steps"),
-    "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta", *_Z, *_S),
+    "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta", *_QUAD),
 }
 
 # The largest grid these subcommands accept, which is also their default.
@@ -140,7 +139,7 @@ def _config_hash(args: argparse.Namespace) -> str:
 def _quadrature(args: argparse.Namespace) -> QuadratureConfig:
     """The z- and s-rule settings the subcommand reads, defaults for the rest."""
     return QuadratureConfig(**{k: v for k, v in vars(args).items()
-                               if k in _Z + _S})
+                               if k in _QUAD})
 
 
 def _write_csv(args: argparse.Namespace, name: str, header: list[str],

@@ -16,9 +16,9 @@ escape branch and is reported as such, consistent with the theory.
 
 G is exp(lambda t) (u - v_n), with v_n the solution for the Fejer-smoothed
 terminal: one Monte-Carlo estimate on draws common to both sides, with no
-factor solution.  The same draws estimate the smoothing modulus
-E ||Y - F_n Y||_inf, which bounds u - v_n for a terminal Lipschitz in the
-sup norm.
+factor solution.  The smoothing modulus E ||Y - F_n Y||_inf at the start
+point, which bounds u - v_n there for a terminal Lipschitz in the sup norm,
+is one more estimate on the start point's draws.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments)
 from .ito import SEMIMARTINGALE_PRESETS, ito_verify
 from .quadrature import QuadratureConfig
-from .solver import MCConfig, build_terminal, candidate_solution
+from .solver import (MCConfig, TerminalFunctional, build_terminal,
+                     candidate_solution)
 from .streams import StreamKind, substream
 from .varprinciple import SearchSpace, smooth_variational_principle
 
@@ -56,6 +57,16 @@ _log = logging.getLogger(__name__)
 
 # comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
 SUBSOLUTION_OFFSET = 0.25
+
+
+def _smoothing_modulus(smoothing) -> TerminalFunctional:
+    """The terminal v -> ||v - S v||_inf, the largest Euclidean norm over the
+    nodes, of a linear smoothing S of paths."""
+    def batch(values, grid):
+        gap = values - smoothing(values)
+        return np.sqrt(np.max(np.einsum("nmd,nmd->nm", gap, gap), axis=1))
+
+    return TerminalFunctional(name="smoothing_modulus", batch=batch)
 
 
 def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int) -> SearchSpace:
@@ -189,9 +200,11 @@ def comparison_demo(grid: TimeGrid, seed: int,
     G = exp(lam t) (u - v_n), less exp(lam t) ``SUBSOLUTION_OFFSET`` in
     subsolution mode.  ``stat_allowance`` = 3 lam max exp(lam t)
     stderr(u - v_n) is a bound per point, since each point's estimate
-    equals that of the point alone.  The same draws estimate
-    m(p0) = E ||Y - F_n Y||_inf at the start point, the bound behind
-    :attr:`ComparisonReport.contradiction_exhibited`.  ``deltas`` must be
+    equals that of the point alone.  m(p0) = E ||Y - F_n Y||_inf, the bound
+    behind :attr:`ComparisonReport.contradiction_exhibited`, is one more
+    :func:`candidate_solution` call, of the terminal ||v - F_n v||_inf on
+    p0's path alone under the seed of p0's time: sample i is a pure function
+    of (seed, i), so it reads the draws of p0's u - v_n.  ``deltas`` must be
     finite, positive and strictly decreasing, as the vanishing-delta
     estimate and the monotone right side assume; anything else raises
     :class:`InputError` before any Monte-Carlo work.  Progress goes to this
@@ -225,16 +238,17 @@ def comparison_demo(grid: TimeGrid, seed: int,
     # Step II: exponential scaling of u - v_n, one Monte-Carlo call per time
     # on draws common to the time's points and to both sides.
     times = np.array([p.t for p in pts])
-    ests = [None] * len(pts)  # (u - v_n, modulus) per point
+    ests = [None] * len(pts)
     # not np.unique: numpy 2.4's imports numpy.ma on its first call
-    for j, t in enumerate(sorted(set(times.tolist()))):
+    cfgs = {t: MCConfig(n_samples=n_mc, seed=seed + 101 + j)
+            for j, t in enumerate(sorted(set(times.tolist())))}
+    for t, cfg in cfgs.items():
         at_t = np.flatnonzero(times == t)
         for i, est in zip(at_t, candidate_solution(
-                xi, t, [pts[i].path for i in at_t],
-                MCConfig(n_samples=n_mc, seed=seed + 101 + j), smoothing)):
+                xi, t, [pts[i].path for i in at_t], cfg, smoothing)):
             ests[i] = est
-    gap = np.array([diff.mean for diff, _ in ests])
-    gap_err = np.array([diff.stderr for diff, _ in ests])
+    gap = np.array([est.mean for est in ests])
+    gap_err = np.array([est.stderr for est in ests])
     if mode == "subsolution":
         gap = gap - SUBSOLUTION_OFFSET
     scale = np.exp(lam * times)
@@ -244,7 +258,8 @@ def comparison_demo(grid: TimeGrid, seed: int,
     sup_g = float(np.max(g_vals))
     eps = max(sup_g - g_vals[0], 1e-9) * (1.0 + 1e-9) + 1e-12
     stat = float(lam * 3.0 * np.max(scale * gap_err))
-    m0 = ests[0][1]
+    m0 = candidate_solution(_smoothing_modulus(smoothing), pts[0].t,
+                            pts[0].path, cfgs[pts[0].t])
     bias_bound = (None if xi.lipschitz is None else float(
         xi.lipschitz * scale[0] * (m0.mean + 3.0 * m0.stderr)))
     bounds = perturbation_bounds(grid.horizon)

@@ -429,8 +429,8 @@ def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
     The profile at t' = tau + s is smooth between grid nodes and constant
     from the anchor time t0 on.  A rule is composite Gauss-Legendre in
     u = sqrt(s), with a panel edge at sqrt(t_k - tau) for each grid node t_k
-    in (tau, t0], up to s_end = min(t0 - tau, s_max).  The last point carries
-    the closed-form kernel mass and derivative beyond s_end; for tau >= t0 it
+    in (tau, t0], up to s_end = t0 - tau.  The last point, t0, carries the
+    closed-form kernel mass and derivative beyond s_end; for tau >= t0 it
     is the only point, with weights 1 and 0.  A start tau later than the
     node kt moves the smoothing off the grid with the path still stopped at
     t_k, which is what a sub-grid difference quotient in time needs.  The
@@ -438,7 +438,7 @@ def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
     weight is the one the group's rule alone has.
     """
     t0 = k0 * grid.horizon / grid.steps
-    s_end = np.minimum(t0 - tau, config.s_max)
+    s_end = t0 - tau
     live = s_end > 0.0
     # the nodes t_k strictly between tau and tau + s_end
     n_in = np.where(live, np.maximum(k0 - kt - 1, 0), 0)
@@ -474,7 +474,7 @@ def _s_rules(grid: TimeGrid, kt: np.ndarray, k0: np.ndarray, tau: np.ndarray,
     pts[body] = np.repeat(tau, sizes - 1) + ss
     wv[body] = gw * 2.0 * ss * base
     wh[body] = gw * (1.0 - ss) * base
-    pts[tail] = np.where(live, np.where(s_end < config.s_max, t0, tau + s_end), tau)
+    pts[tail] = np.where(live, t0, tau)
     wv[tail], wh[tail] = 1.0, 0.0
     wv[tail[live]] = [1.0 - horizontal_kernel_mass(s) for s in s_end[live].tolist()]
     wh[tail[live]] = -horizontal_kernel(s_end[live])
@@ -541,9 +541,8 @@ class _AnchorGroups:
                 raise DomainError("point and anchor must share a time grid")
             if p.path.values.shape[1] != d:
                 raise DomainError("dimension mismatch between point and anchor")
-        # points sit on nodes, so t / dt rounds to their node index
         times = np.array([p.t for p in points])
-        kt = np.minimum(np.rint(times / grid.dt), grid.steps).astype(int)
+        kt = np.array([p.node_index for p in points])
         anchor_index: dict = {}
         key = kt + (grid.steps + 1) * np.array(
             [anchor_index.setdefault(id(a), len(anchor_index)) for a in anchors])

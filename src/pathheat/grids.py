@@ -12,7 +12,7 @@ it, so that equality of stopped representatives is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -134,14 +134,14 @@ class PathPoint:
 
     t: float
     path: GridPath
+    # the node of t, set once from t
+    node_index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         grid = self.path.grid
-        object.__setattr__(self, "t", grid.node(grid.index_of(self.t)))
-
-    @property
-    def node_index(self) -> int:
-        return self.path.grid.index_of(self.t)
+        k = grid.index_of(self.t)
+        object.__setattr__(self, "node_index", k)
+        object.__setattr__(self, "t", grid.node(k))
 
     def present_value(self) -> np.ndarray:
         return self.path.values[self.node_index].copy()

@@ -45,7 +45,7 @@ class QuadratureConfig:
     u = sqrt(s), which removes the kernel's square-root kink.  Its panels end
     at the grid nodes between t and the anchor time t0, where the integrand
     has kinks, and ``s_nodes`` counts the nodes of one panel.  The constant
-    integrand beyond min(s_max, t0 - t) is integrated in closed form; for
+    integrand beyond t0 - t is integrated in closed form; for
     t >= t0 that is the whole integral, one evaluation.  A kink inside a
     panel, where a max switches, still converges only algebraically, which
     is why the gauge's error is estimated by refinement (``refined`` doubles
@@ -63,12 +63,9 @@ class QuadratureConfig:
     z_nodes: int = 21
     z_samples: int = 100_000
     z_seed: int = 20210
-    s_max: float = 40.0
     s_nodes: Optional[int] = None  # Gauss-Legendre nodes per s-rule panel
 
     def __post_init__(self):
-        if self.s_max < 20.0:
-            raise DomainError("s_max must be >= 20 (kernel tail certification)")
         if self.z_nodes <= 0 or (self.s_nodes is not None and self.s_nodes <= 0):
             raise DomainError("node counts must be positive")
         _antithetic_half(self.z_samples)
@@ -100,7 +97,6 @@ class QuadratureConfig:
         as :meth:`resolve_s` resolves it in ``dimension``."""
         return QuadratureConfig(z_rule=self.z_rule, z_nodes=2 * self.z_nodes + 1,
                                 z_samples=2 * self.z_samples, z_seed=self.z_seed,
-                                s_max=self.s_max,
                                 s_nodes=2 * self.resolve_s(dimension))
 
 

@@ -10,8 +10,8 @@ running max over as many equally spaced nodes, whose mean Spitzer's
 identity gives (:func:`candidate_solution`, one estimate per path, all
 paths at one time on common draws; :func:`control_nodes` picks the nodes,
 more of them as n grows).  Given a linear smoothing S of paths,
-the same draws also estimate E[xi(Y) - xi(S Y)] and E ||Y - S Y||_inf,
-which is how comparison-demo takes u - v_n.  For cylinder functionals the
+the same draws estimate E[xi(Y) - xi(S Y)] instead, which is how
+comparison-demo takes u - v_n.  For cylinder functionals the
 solution is also a finite-dimensional Gaussian average of g at the
 coordinates z(t, x) (:func:`finite_dim_solution`, one average per
 coordinate row, all rows at one time; its callers are pde-check and the
@@ -239,7 +239,7 @@ def control_nodes(grid: TimeGrid, t: float, cfg: MCConfig, d: int) -> np.ndarray
 def candidate_solution(xi: TerminalFunctional, t: float,
                        x: GridPath | Sequence[GridPath], cfg: MCConfig,
                        smoothing: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                       ) -> MCEstimate | tuple:
+                       ) -> MCEstimate | tuple[MCEstimate, ...]:
     """Control-variate Monte-Carlo mean of xi over Brownian extensions from
     (t, x), with t a node of the grid of x.
 
@@ -290,10 +290,8 @@ def candidate_solution(xi: TerminalFunctional, t: float,
 
     ``smoothing`` is a linear map S of path values (..., M+1, d) that maps
     each path of a stack bit for bit as it maps that path alone, such as
-    :func:`cylinders.fejer_smoothing`.  Given it, the estimate of each path
-    becomes a pair on the same draws: the difference xi(Y) - xi(S Y) and
-    the modulus ||Y - S Y||_inf (the largest Euclidean norm over the
-    nodes), each with its own control-variate fit on the same controls.  The
+    :func:`cylinders.fejer_smoothing`.  Given it, each path's one estimate
+    is the fit of the difference xi(Y) - xi(S Y) on the same controls; the
     non-finite check reads the difference, and a declared bound b of xi
     bounds it by 2 b.  By linearity S Y is S(x stopped at t) + S(walk),
     with the walk zero up to node k: the walk is smoothed once per chunk
@@ -328,7 +326,6 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     if h:
         control_means = np.concatenate(
             [control_means, np.full(d, _spaced_max_mean(count, h * grid.dt))])
-    n_fits = 1 if smoothing is None else 2
     moments = [None] * len(paths)
     # even, at least one antithetic pair
     chunk = min(_CHUNK, max(2, _WALK_FLOATS // ((grid.steps + 1) * d) // 2 * 2))
@@ -358,21 +355,15 @@ def candidate_solution(xi: TerminalFunctional, t: float,
             vals[:, : k + 1] = path.values[: k + 1]
             np.add(steps, x_t, out=vals[:, k + 1:])
             out = xi.evaluate_batch(vals, grid)
-            ys = out[:, None]
             if smoothing is not None:
-                smooth = smooth_walk + smooth_stopped[j]
-                out = out - xi.evaluate_batch(smooth, grid)
-                np.subtract(vals, smooth, out=smooth)
-                modulus = np.sqrt(np.max(np.einsum("nmd,nmd->nm", smooth, smooth),
-                                         axis=1))
-                ys = np.stack([out, modulus], axis=1)
+                out = out - xi.evaluate_batch(smooth_walk + smooth_stopped[j], grid)
             if not np.all(np.isfinite(out)):
                 bad = int(idx[np.flatnonzero(~np.isfinite(out))[0]])
                 raise NumericError(f"terminal functional non-finite at sample "
                                    f"{bad} of path {j}")
             # the walk at the control nodes, node by node; none at t = T
             walk_at = (vals[:, nodes] - x_t).reshape(idx.size, -1)
-            cols = [np.maximum(walk_at, 0.0), *spitzer, ys]
+            cols = [np.maximum(walk_at, 0.0), *spitzer, out[:, None]]
             if not cfg.antithetic:
                 cols.insert(0, walk_at)
             # the controls, then the fitted units
@@ -384,18 +375,15 @@ def candidate_solution(xi: TerminalFunctional, t: float,
     c = n_controls
     ests = []
     for _, mean, cross in moments:
-        betas = np.linalg.lstsq(cross[:c, :c], cross[:c, c:], rcond=None)[0]
-        fits = []
-        for col, beta in zip(range(c, c + n_fits), betas.T):
-            ybar, syy, sxy = mean[col], cross[col, col], cross[:c, col]
-            rss = max(syy - sxy @ beta, _RSS_FLOOR * (syy + units * ybar**2))
-            fits.append(MCEstimate(
-                mean=float(ybar - beta @ (mean[:c] - control_means)),
-                stderr=float(math.sqrt(rss / (units - p) / units)),
-                n_samples=n, seed=cfg.seed))
-        if bound is not None and abs(fits[0].mean) > bound + 1e-12:
+        beta = np.linalg.lstsq(cross[:c, :c], cross[:c, c], rcond=None)[0]
+        ybar, syy, sxy = mean[c], cross[c, c], cross[:c, c]
+        rss = max(syy - sxy @ beta, _RSS_FLOOR * (syy + units * ybar**2))
+        est = MCEstimate(mean=float(ybar - beta @ (mean[:c] - control_means)),
+                         stderr=float(math.sqrt(rss / (units - p) / units)),
+                         n_samples=n, seed=cfg.seed)
+        if bound is not None and abs(est.mean) > bound + 1e-12:
             raise NumericError("mean escaped the declared bound of the functional")
-        ests.append(fits[0] if smoothing is None else tuple(fits))
+        ests.append(est)
     return ests[0] if isinstance(x, GridPath) else tuple(ests)
 
 

@@ -19,7 +19,8 @@ Stream families (``kind``), all keyed by the master seed:
   stream j).  Every path of one ``candidate_solution`` call extends with
   the same sample i; so the points of ``experiments.comparison_demo`` at
   its j-th time, in increasing order, all read streams
-  (seed + 101 + j, i), for both sides u and v_n.
+  (seed + 101 + j, i), for both sides u and v_n; its smoothing modulus
+  m(p0) opens the streams of p0's time once more, and so reads p0's draws.
 * :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
   jump draws of ``sampling.random_lift_points`` (LIFT_POINTS),
   ``sampling.random_pairs`` (PAIRS) and

@@ -43,7 +43,7 @@ class TestConfig:
 # The shared settings each subcommand reads, and a valid value of each.
 # A subcommand accepts no other shared setting, as a flag or a config key.
 Z = ("z_rule", "z_nodes", "z_samples")
-S = ("s_nodes", "s_max")
+S = ("s_nodes",)
 READS = {
     "solve": {"horizon", "steps", "terminal", "n_samples"},
     "pde-check": {"horizon", "steps", *Z},
@@ -55,7 +55,7 @@ READS = {
 }
 VALUES = {"d": "1", "horizon": "1.0", "steps": "8", "terminal": "running_max",
           "n_samples": "16", "z_rule": "auto", "z_nodes": "5",
-          "z_samples": "8", "s_nodes": "3", "s_max": "40", "lam": "0.5",
+          "z_samples": "8", "s_nodes": "3", "lam": "0.5",
           "delta": "0.1,0.05"}
 
 
@@ -335,6 +335,16 @@ class TestEntryPoint:
         rows = (tmp_path / "gauge_check.csv").read_text().splitlines()
         assert any(r.startswith("calibrated_lower,") and r.endswith(",FAIL")
                    for r in rows)
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_gauge_check_passes_at_a_long_horizon(self, d, tmp_path, capsys):
+        # at T = 50 some of the audits' time-smoothing integrals run past
+        # s = 40 (to 40.6 at d = 1, 45.3 at d = 2), and the s-rule
+        # integrates each of them to the anchor time
+        argv = ["gauge-check", "--seed", "1", "--d", d, "--horizon", "50",
+                "--steps", "32", "--n-tuples", "60", "--out", str(tmp_path)]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "gauge-check: pass"
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")

@@ -66,15 +66,18 @@ class TestComparisonGap:
                         seed=self.SEED + 101 + times.index(p.t))
 
     def test_each_gap_equals_that_point_alone(self, monkeypatch):
-        # every point's (u - v_n, modulus) pair equals a one-path call, and
-        # the start, point 0, reports G(p0) = exp(lam t0) (u - v_n)
+        # every point's u - v_n equals a one-path call, the start, point 0,
+        # reports G(p0) = exp(lam t0) (u - v_n), and m(p0) is a one-path call
+        # of the modulus terminal at p0
         xi = build_terminal("running_max", GRID)
         points = self._points()
         smoothing = fejer_smoothing(SMALL["order"], GRID)
         got = {}
 
-        def spy(xi, t, paths, cfg, smoothing):
+        def spy(xi, t, paths, cfg, smoothing=None):
             ests = candidate_solution(xi, t, paths, cfg, smoothing)
+            if smoothing is None:
+                return ests
             for path, est in zip(paths, ests):
                 got[next(i for i, p in enumerate(points) if p.t == t and
                          np.array_equal(p.path.values, path.values))] = est
@@ -86,7 +89,10 @@ class TestComparisonGap:
         for i, p in enumerate(points):
             assert got[i] == candidate_solution(xi, p.t, p.path,
                                                 self._cfg(p, points), smoothing)
-        diff, modulus = got[0]
+        diff = got[0]
+        modulus = candidate_solution(experiments._smoothing_modulus(smoothing),
+                                     points[0].t, points[0].path,
+                                     self._cfg(points[0], points))
         scale = np.exp(self.LAM * points[0].t)
         assert report.start_value == float(scale * diff.mean)
         assert report.modulus == modulus.mean
@@ -110,7 +116,7 @@ class TestComparisonGap:
             vn = finite_dim_solution(spec, p.t,
                                      cylinder_coordinates(spec, p.t, [p.path]),
                                      config, derivatives=False)
-            diff, _ = candidate_solution(xi, p.t, p.path, cfg, smoothing)
+            diff = candidate_solution(xi, p.t, p.path, cfg, smoothing)
             combined = math.sqrt(diff.stderr**2 + u.stderr**2
                                  + vn.value_stderr[0]**2)
             assert abs(diff.mean - (u.mean - vn.value[0])) <= 4 * combined
@@ -150,13 +156,15 @@ class TestComparisonGap:
 class TestComparisonMonteCarlo:
     def test_one_stream_per_sample_and_time(self, opened):
         # 5 points at 3 times: one Monte-Carlo call per time, n_mc streams
-        # each, under the seed of the time
+        # each, under the seed of the time; then m(p0), on the streams of
+        # p0's time once more
         seed = 3
         comparison_demo(GRID, seed, **SMALL)
         points = brownian_search_space(GRID, SMALL["n_paths"], seed).points
-        n_times = len({p.t for p in points})
-        assert n_times == 3
-        assert opened == [(seed + 101 + j, i) for j in range(n_times)
+        times = sorted({p.t for p in points})
+        assert len(times) == 3
+        j0 = times.index(points[0].t)
+        assert opened == [(seed + 101 + j, i) for j in (*range(len(times)), j0)
                           for i in range(SMALL["n_mc"])]
 
 

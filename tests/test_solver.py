@@ -15,6 +15,7 @@ from pathheat.grids import (GridPath, TimeGrid, brownian_increments,
 from pathheat.quadrature import (QuadratureConfig, gaussian_rule,
                                  monte_carlo_gaussian_rule)
 from pathheat import solver
+from pathheat.experiments import _smoothing_modulus
 from pathheat.solver import (MCConfig, MCEstimate, build_terminal,
                              candidate_solution, control_nodes,
                              cylinder_pathwise_derivs,
@@ -614,12 +615,8 @@ class TestCandidateBatch:
             assert isinstance(batch, tuple) and len(batch) == len(paths)
             for est, path in zip(batch, paths):
                 alone = candidate_solution(_PRODUCT_MAX, t, path, cfg, smoothing)
-                if smoothing is None:
-                    assert isinstance(alone, MCEstimate)
-                else:
-                    # (difference, modulus)
-                    assert len(alone) == 2
-                    assert all(isinstance(e, MCEstimate) for e in alone)
+                # one estimate per path, with or without the smoothing
+                assert isinstance(alone, MCEstimate)
                 assert est == alone  # mean and stderr exactly, seed and count
 
     @pytest.mark.parametrize("antithetic,d,t", CASES)
@@ -677,7 +674,8 @@ class TestSmoothedDifference:
         for t in (0.0, 0.375, 1.0)])
     def test_linear_form_matches_direct_smoothing(self, antithetic, d, t):
         # F_n Y = F_n(x stopped at t) + F_n(walk) against fejer_smooth of
-        # each extension, sample by sample, and both fits on the direct form
+        # each extension, sample by sample, and the fit on the direct form;
+        # the modulus terminal, on the same draws, against the direct form
         seen = []
 
         def batch(values, grid):
@@ -687,8 +685,9 @@ class TestSmoothedDifference:
         xi = solver.TerminalFunctional(name="recorded", batch=batch)
         x = make_brownian(self.GRID, seed=7, dimension=d, start=0.2)
         cfg = MCConfig(n_samples=24, seed=9, antithetic=antithetic)
-        diff, modulus = candidate_solution(xi, t, x, cfg,
-                                           fejer_smoothing(self.ORDER, self.GRID))
+        smoothing = fejer_smoothing(self.ORDER, self.GRID)
+        diff = candidate_solution(xi, t, x, cfg, smoothing)
+        modulus = candidate_solution(_smoothing_modulus(smoothing), t, x, cfg)
         extensions, smoothed = seen
 
         def direct(vals):
@@ -721,7 +720,7 @@ class TestSmoothedDifference:
                                         bound=0.4)
         with pytest.raises(NumericError, match="declared bound"):
             candidate_solution(one, 0.0, x, cfg)
-        diff, _ = candidate_solution(one, 0.0, x, cfg, smoothing)
+        diff = candidate_solution(one, 0.0, x, cfg, smoothing)
         assert diff.mean == 0.0
         # xi infinite on the extensions of x, which are 0 up to t = 0.375,
         # and finite on their smoothings
@@ -736,9 +735,10 @@ class TestSmoothedDifference:
         grid = TimeGrid(1.0, 50)
         xi = build_terminal("running_max", grid)
         assert xi.lipschitz == 1.0
-        diff, modulus = candidate_solution(xi, 0.3, make_brownian(grid, seed=4),
-                                           MCConfig(n_samples=400, seed=2),
-                                           fejer_smoothing(4, grid))
+        x, cfg = make_brownian(grid, seed=4), MCConfig(n_samples=400, seed=2)
+        smoothing = fejer_smoothing(4, grid)
+        diff = candidate_solution(xi, 0.3, x, cfg, smoothing)
+        modulus = candidate_solution(_smoothing_modulus(smoothing), 0.3, x, cfg)
         assert modulus.stderr > 0
         assert abs(diff.mean) <= modulus.mean + 4 * modulus.stderr
 
