@@ -72,7 +72,8 @@ _SETTINGS = {
                     help="Gauss-Legendre nodes per panel of the time-smoothing "
                          "rule; one panel per grid step between the point and "
                          "its anchor (default: 3 where the z-rule is exact, "
-                         "d = 1, and 2 otherwise)"),
+                         "d = 1, 1 where it is Gauss-Hermite, d = 2, and 2 "
+                         "where it is not)"),
     "lam": dict(type=float, default=0.5),
     "delta": dict(type=_floats, default=(0.1, 0.05, 0.025),
                   help="comma-separated perturbation weights"),
@@ -150,7 +151,7 @@ def _write_csv(args: argparse.Namespace, name: str, header: list[str],
     path = Path(args.out) / name
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={_config_hash(args)} seed={args.seed}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     print(f"wrote {path}")
@@ -214,6 +215,8 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_gauge_check(args) -> int:
+    if args.d < 1:
+        raise InputError(f"--d must be at least 1, not {args.d}")
     if args.n_tuples < 1:
         raise InputError(f"--n-tuples must be at least 1, not {args.n_tuples}")
     grid = TimeGrid(args.horizon, args.steps)

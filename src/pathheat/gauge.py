@@ -45,8 +45,9 @@ derivative is exactly 0.  A switch of the max inside a panel is still a
 kink, where the rule converges only algebraically; the refinement estimate
 of ``audit.estimate_gauge_quadrature_error`` measures what that costs.  A
 panel has 3 nodes where the z-rule is exact (d = 1), where the s-rule sets
-the error, and 2 where it is not (d >= 2), where the z-rule's error is
-orders of magnitude larger (``QuadratureConfig.resolve_s``).  In d >= 2
+the error; 1 where it is tensor Gauss-Hermite (d = 2), whose error is
+orders of magnitude larger; and 2 where it is not (Monte Carlo, d >= 3)
+(``QuadratureConfig.resolve_s``).  In d >= 2
 the shifted times meet the z-rule in bounded blocks: values are
 bit-identical to a per-time loop, derivatives move at the 1e-14 level.
 
@@ -103,8 +104,8 @@ from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
 from .grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
                     stopped_sup_distances)
-from .quadrature import (QuadratureConfig, composite_legendre_rule,
-                         gaussian_rule, legendre_rule)
+from .quadrature import (_GAUGE_GH_MAX_DIM, QuadratureConfig,
+                         composite_legendre_rule, gaussian_rule, legendre_rule)
 
 __all__ = [
     "QuadratureConfig",
@@ -187,10 +188,6 @@ def horizontal_kernel_mass(s: float) -> float:
     return 2.0 * cdf - 2.0 * a * phi - 1.0
 
 
-# Tensor Gauss-Hermite is used for the gauge only up to dimension 2; the
-# anchored integrands are kinked, so higher dimensions switch to the
-# antithetic Monte-Carlo rule.
-_GAUGE_GH_MAX_DIM = 2
 # Floats (shifted-time rows x z nodes of one chunk) per d >= 2 profile block.
 _PROFILE_BLOCK = 1 << 15
 # Floats per array of a z chunk of a d >= 2 profile, 2 MiB: a chunk has

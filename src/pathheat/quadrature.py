@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+# Tensor Gauss-Hermite is used for the gauge only up to dimension 2; the
+# anchored integrands are kinked, so higher dimensions switch to the
+# antithetic Monte-Carlo rule.
+_GAUGE_GH_MAX_DIM = 2
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Rules for Gaussian (z) integrals and the time-kernel (s) integral.
@@ -38,7 +44,7 @@ class QuadratureConfig:
     ``z_rule``: "auto" picks the exact piecewise rule in dimension 1 (the
     gauge only), then tensor Gauss-Hermite up to a caller's limit and
     antithetic Monte Carlo beyond it.  The limit is dimension 2 for the
-    gauge (``gauge._GAUGE_GH_MAX_DIM``) and 3 for the factor solution of the
+    gauge (``_GAUGE_GH_MAX_DIM``) and 3 for the factor solution of the
     solver.  A forced "exact" raises where no exact rule exists, and
     ``z_samples`` counts antithetic pairs twice, so it is even and >= 4.
     The s-integral is composite Gauss-Legendre in the substituted variable
@@ -51,12 +57,13 @@ class QuadratureConfig:
     is why the gauge's error is estimated by refinement (``refined`` doubles
     every node count).
 
-    ``s_nodes=None`` sizes the s-rule to the z-rule, per dimension, as
-    ``z_rule="auto"`` resolves (:meth:`resolve_s`): 3 nodes per panel where
-    the z-rule is exact (the gauge in d = 1), where the s-rule sets the
-    error, and 2 where it is not (d >= 2), where the z-rule's error is
-    orders of magnitude larger than the s-rule's.  A count set by the
-    caller keeps its meaning in every dimension.
+    ``s_nodes=None`` sizes the s-rule to the gauge's z-rule, per dimension
+    (:meth:`resolve_s`): 3 nodes per panel where the z-rule is exact (d = 1),
+    where the s-rule sets the error; 1 where it is tensor Gauss-Hermite (the
+    d = 2 default, or forced), whose error of about 1e-2 is orders of
+    magnitude above the s-rule's; and 2 where it is not (Monte Carlo,
+    d >= 3), whose error is small enough that one node per panel would set
+    it.  A count set by the caller keeps its meaning in every dimension.
     """
 
     z_rule: str = "auto"
@@ -87,10 +94,12 @@ class QuadratureConfig:
     def resolve_s(self, dimension: int) -> int:
         """Gauss-Legendre nodes per s-rule panel of the gauge in
         ``dimension``: ``s_nodes`` if set, else 3 where the gauge's z-rule
-        resolves to exact and 2 where it does not."""
+        resolves to exact, 1 where it resolves to tensor Gauss-Hermite and
+        2 where it is not (Monte Carlo)."""
         if self.s_nodes is not None:
             return self.s_nodes
-        return 3 if self.resolve_z(dimension) == "exact" else 2
+        kind = self.resolve_z(dimension, gh_max_dim=_GAUGE_GH_MAX_DIM)
+        return {"exact": 3, "gauss-hermite": 1}.get(kind, 2)
 
     def refined(self, dimension: int) -> "QuadratureConfig":
         """Every node count doubled (``z_nodes`` to 2n + 1), the s-rule's

@@ -294,6 +294,8 @@ class TestEntryPoint:
         ["gauge-check", "--n-tuples", "0"],
         ["gauge-check", "--n-tuples", "-2"],
         ["pde-check", "--n-points", "0"],
+        ["gauge-check", "--d", "0"],
+        ["gauge-check", "--d", "-1"],
     ])
     def test_check_of_nothing_exits_2(self, tmp_path, capsys, argv):
         # a check over no samples observes nothing and must not pass
@@ -556,6 +558,8 @@ class TestSubcommandSmoke:
                              ids=[c.removesuffix(".csv") for _, c in SMOKE])
     def test_exits_0_and_writes_csv(self, tmp_path, argv, csv_name):
         assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+        # one line ending, the provenance line's, throughout
+        assert b"\r" not in (tmp_path / csv_name).read_bytes()
         lines = (tmp_path / csv_name).read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert len(lines) >= 3  # provenance, header, at least one row
@@ -581,7 +585,7 @@ class TestSubcommandSmoke:
         assert cli.run(["approx", "--seed", "1", *extra, "--out", str(tmp_path)]) == 0
         body = (tmp_path / "approx.csv").read_bytes().split(b"\n", 1)[1]
         expected = ["order,sup_error,coefficient_gap", *rows]
-        assert body == "".join(f"{row}\r\n" for row in expected).encode()
+        assert body == "".join(f"{row}\n" for row in expected).encode()
 
     @pytest.mark.parametrize("n,count", [(1023, 1), (1024, 2), (20000, 8)])
     def test_solve_reports_control_times(self, tmp_path, capsys, n, count):

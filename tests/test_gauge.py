@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,18 +415,19 @@ def _rule_width(dim, config, grid):
 
 
 class TestSNodeDefault:
-    """s_nodes=None sizes the s-rule to the z-rule: 3 nodes per panel where
-    the z-rule is exact, 2 where it is not."""
+    """s_nodes=None sizes the s-rule to the gauge's z-rule: 3 nodes per panel
+    where the z-rule is exact, 1 where it is tensor Gauss-Hermite and 2
+    where it is not (Monte Carlo)."""
 
     @pytest.mark.parametrize("dim,config,nodes", [
         (1, QuadratureConfig(), 3),
-        (2, QuadratureConfig(), 2),
+        (2, QuadratureConfig(), 1),
         (3, QuadratureConfig(), 2),
-        (1, QuadratureConfig(z_rule="gauss-hermite"), 2),
+        (1, QuadratureConfig(z_rule="gauss-hermite"), 1),
         (2, QuadratureConfig(s_nodes=3), 3),
         (1, QuadratureConfig(s_nodes=1), 1),
         (1, QuadratureConfig().refined(1), 6),
-        (2, QuadratureConfig().refined(2), 4),
+        (2, QuadratureConfig().refined(2), 2),
         (2, QuadratureConfig(s_nodes=3).refined(2), 6),
     ], ids=["d1", "d2", "d3", "d1-gh", "d2-explicit", "d1-explicit",
             "d1-refined", "d2-refined", "d2-explicit-refined"])
@@ -438,15 +440,34 @@ class TestSNodeDefault:
                 QuadratureConfig(s_nodes=nodes)
 
     def test_s_error_far_below_z_error_in_d2(self, grid64):
-        # the balance behind the default: on the estimator's default probes,
-        # doubling the s-rule moves every family by at most 1% of what the
-        # refined z-rule (21 -> 43 nodes per axis) moves it
+        # on the estimator's default probes, doubling a 2-node s-rule moves
+        # every family by at most 1% of what the refined z-rule (21 -> 43
+        # nodes per axis) moves it
         rows = _lift_rows(list(random_lift_points(grid64, 2, 16, 5)))
-        _, base = _smoothed_rows(*rows, QuadratureConfig())
+        _, base = _smoothed_rows(*rows, QuadratureConfig(s_nodes=2))
         _, s_only = _smoothed_rows(*rows, QuadratureConfig(s_nodes=4))
         _, z_only = _smoothed_rows(*rows, QuadratureConfig(z_nodes=43, s_nodes=2))
         for b, s, z in zip(base, s_only, z_only):
             assert np.max(np.abs(s - b)) <= 0.01 * np.max(np.abs(z - b))
+
+    @pytest.mark.parametrize("dim,steps,seed", [
+        (2, 128, 5), (2, 128, 6), (2, 128, 7), (1, 64, 5)],
+        ids=["d2-seed5", "d2-seed6", "d2-seed7", "d1-gh"])
+    def test_one_node_s_error_below_z_error(self, dim, steps, seed):
+        # the balance behind the one-node default of a Gauss-Hermite z-rule:
+        # doubling the s-rule moves every family by at most 1/4 of what the
+        # refined z-rule moves it.  Measured at d = 2 on the gauge-check
+        # grid: 0.009 for the value, 0.133 for the horizontal and 0.005 for
+        # the vertical families; forced in d = 1, an s-error of at most
+        # 1.1e-4 against a z-error of at least 4.4e-4
+        gh = QuadratureConfig(z_rule="gauss-hermite")
+        grid = TimeGrid(1.0, steps)
+        rows = _lift_rows(list(random_lift_points(grid, dim, 16, seed)))
+        _, base = _smoothed_rows(*rows, gh)
+        _, s_only = _smoothed_rows(*rows, replace(gh, s_nodes=2))
+        _, z_only = _smoothed_rows(*rows, replace(gh, z_nodes=43, s_nodes=1))
+        for b, s, z in zip(base, s_only, z_only):
+            assert np.max(np.abs(s - b)) <= 0.25 * np.max(np.abs(z - b))
 
 
 class TestSmoothGauge:

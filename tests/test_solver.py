@@ -278,12 +278,27 @@ class TestEstimators:
                             MCConfig(n_samples=diffs.size, seed=seed), n_inner)
         assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
-    def test_running_max_exact_matches_continuum(self):
-        # E sup_{[0,1]} W = sqrt(2/pi), however coarse the grid
+    @pytest.mark.parametrize("t,path", [
+        (0.0, lambda t: 0.0 * t),
+        (0.5, lambda t: 0.5 * np.sin(2.0 * np.pi * t)),
+    ], ids=["t0-zero", "t05-past-max-above"])
+    def test_running_max_exact_matches_continuum(self, t, path):
+        # the reflection principle, however coarse the grid: with m = max x
+        # on [0, t], y = m - x(t), tau = T - t and a = y / sqrt(tau),
+        # u(t, x) = x(t) + y (2 Phi(a) - 1) + 2 sqrt(tau) phi(a); from zero
+        # at t = 0 that is E sup_[0,1] W = sqrt(2/pi), and the path at
+        # t = 0.5 has y = 0.5
         grid = TimeGrid(1.0, 16)
-        est = running_max_exact_solution(0.0, GridPath.zero(grid),
-                                         MCConfig(n_samples=4000, seed=2))
-        assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4 * est.stderr
+        x = GridPath.from_function(grid, path)
+        k = grid.index_of(t)
+        x_t = float(x.values[k, 0])
+        y = float(np.max(x.values[:k + 1, 0])) - x_t
+        root = math.sqrt(grid.horizon - t)
+        a = y / root
+        exact = (x_t + y * (2.0 * ndtr(a) - 1.0)
+                 + 2.0 * root * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+        est = running_max_exact_solution(t, x, MCConfig(n_samples=4000, seed=2))
+        assert abs(est.mean - exact) <= 4 * est.stderr
 
 
 def _lstsq_fit(xi, t, x, cfg, sample=None):
