@@ -75,8 +75,7 @@ def estimate_gauge_quadrature_error(dimension: int, grid: TimeGrid,
 
 
 def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
-                           seed: int, config: QuadratureConfig = QuadratureConfig()
-                           ) -> list[BoundCheck]:
+                           seed: int) -> list[BoundCheck]:
     """Observed maxima of all smoothing-stage derivatives vs their constants.
 
     Audits, over random (anchor, t, x, y) tuples: the mollified distance
@@ -86,6 +85,7 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
     tuples at all tuple points.  Tolerances are ``_AUDIT_TOL`` plus the
     refinement-based quadrature error on probes of seed ``seed + 1``.
     """
+    config = QuadratureConfig()
     qe = estimate_gauge_quadrature_error(dimension, grid, config, seed=seed + 1)
     tuples = list(random_lift_points(grid, dimension, n_tuples, seed))
     anchors, points, y = _lift_rows(tuples)
@@ -113,7 +113,6 @@ def derivative_bound_audit(dimension: int, grid: TimeGrid, n_tuples: int,
 
 
 def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
-                   config: QuadratureConfig = QuadratureConfig(),
                    alpha: GaugeDiagnostics | None = None) -> list[BoundCheck]:
     """Two-sided comparisons of the smoothed distances with the raw stopped
     distance D at every sample.
@@ -131,7 +130,8 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
     czeta = mean_gaussian_norm(dimension)
     pairs = list(random_pairs(grid, dimension, n_samples, seed))
     anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
-    (values, _, _), (saturated, _, _, _) = _smoothed_rows(anchors, points, None, config)
+    (values, _, _), (saturated, _, _, _) = _smoothed_rows(anchors, points, None,
+                                                          QuadratureConfig())
     dist = stopped_sup_distances(points, anchors)
     sides = {"upper": values - dist, "lower2": (dist - 2 * czeta) - values,
              "lower1": (dist - czeta) - values, "neg": -values,
@@ -157,9 +157,8 @@ def sandwich_audit(dimension: int, grid: TimeGrid, n_samples: int, seed: int,
 
 
 def validate_alpha(diag: GaugeDiagnostics, grid: TimeGrid, n_samples: int,
-                   seed: int, config: QuadratureConfig = QuadratureConfig()
-                   ) -> list[BoundCheck]:
+                   seed: int) -> list[BoundCheck]:
     """Run the calibrated lower bounds against a fresh sample set."""
     return [c for c in sandwich_audit(diag.dimension, grid, n_samples, seed,
-                                      config, alpha=diag)
+                                      alpha=diag)
             if c.name.startswith("calibrated")]

@@ -2,7 +2,10 @@
 pde-check, gauge-check, ito-check, vp-run, approx and comparison-demo.
 
 Each subcommand accepts only the settings it reads, as flags or as keys of
-a flat key=value config file that the flags override.  gauge-check and
+a flat key=value config file that the flags override.  The quadrature
+rules of the gauge and of the factor solution are the package's, chosen per
+dimension (:class:`quadrature.QuadratureConfig`): no subcommand sets them,
+and gauge-check's tolerances include their refinement error.  gauge-check and
 vp-run take at most 128 grid steps, comparison-demo 200, and default to the
 cap.  Every CSV starts with a comment line carrying the master seed and a
 hash of the subcommand and all parsed arguments but ``--out`` and
@@ -38,7 +41,6 @@ from .gauge import ALPHA_SHRINK, calibrate_alpha
 from .grids import (GridPath, PathPoint, TimeGrid,
                     brownian_increments, extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
-from .quadrature import QuadratureConfig
 from .sampling import random_pairs
 from .solver import (MCConfig, build_terminal, candidate_solution,
                      control_nodes, pde_residual, terminal_names)
@@ -64,33 +66,20 @@ _SETTINGS = {
     "terminal": dict(default="running_max", help="terminal functional "
                      f"({', '.join(terminal_names())})"),
     "n_samples": dict(type=int, default=10_000),
-    "z_rule": dict(default=QuadratureConfig.z_rule,
-                   choices=["auto", "exact", "gauss-hermite", "monte-carlo"]),
-    "z_nodes": dict(type=int, default=QuadratureConfig.z_nodes),
-    "z_samples": dict(type=int, default=QuadratureConfig.z_samples),
-    "s_nodes": dict(type=int, default=QuadratureConfig.s_nodes,
-                    help="Gauss-Legendre nodes per panel of the time-smoothing "
-                         "rule; one panel per grid step between the point and "
-                         "its anchor (default: 3 where the z-rule is exact, "
-                         "d = 1, 1 where it is Gauss-Hermite, d = 2, and 2 "
-                         "where it is not)"),
     "lam": dict(type=float, default=0.5),
     "delta": dict(type=_floats, default=(0.1, 0.05, 0.025),
                   help="comma-separated perturbation weights"),
 }
 
-_Z = ("z_rule", "z_nodes", "z_samples")
-_QUAD = (*_Z, "s_nodes")
-
 # The settings each subcommand reads; it accepts no others.
 _READS = {
     "solve": ("horizon", "steps", "terminal", "n_samples"),
-    "pde-check": ("horizon", "steps", *_Z),
-    "gauge-check": ("d", "horizon", "steps", *_QUAD),
+    "pde-check": ("horizon", "steps"),
+    "gauge-check": ("d", "horizon", "steps"),
     "ito-check": ("horizon",),
-    "vp-run": ("horizon", "steps", *_QUAD),
+    "vp-run": ("horizon", "steps"),
     "approx": ("horizon", "steps"),
-    "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta", *_QUAD),
+    "comparison-demo": ("horizon", "steps", "terminal", "lam", "delta"),
 }
 
 # The largest grid these subcommands accept, which is also their default.
@@ -135,12 +124,6 @@ def _config_hash(args: argparse.Namespace) -> str:
                    if k not in ("out", "config", "func"))
     blob = ";".join(f"{k}={v}" for k, v in items)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _quadrature(args: argparse.Namespace) -> QuadratureConfig:
-    """The z- and s-rule settings the subcommand reads, defaults for the rest."""
-    return QuadratureConfig(**{k: v for k, v in vars(args).items()
-                               if k in _QUAD})
 
 
 def _write_csv(args: argparse.Namespace, name: str, header: list[str],
@@ -189,7 +172,6 @@ def _cmd_pde_check(args) -> int:
     if args.n_points < 1:
         raise InputError(f"--n-points must be at least 1, not {args.n_points}")
     grid = TimeGrid(args.horizon, args.steps)
-    quad = _quadrature(args)
     names = [name.strip() for name in args.spec.split(",")] if args.spec else [
         "cyl:linear", "cyl:quadratic", "cyl:exponential", "cyl:trig2"]
     terminals = [build_terminal(name, grid) for name in names]
@@ -204,7 +186,7 @@ def _cmd_pde_check(args) -> int:
             t = grid.node(int(rng.integers(0, grid.steps)))
             x = GridPath(grid, extend_with_increments(
                 0.0, zero, brownian_increments(grid, 0, 1, rng)))
-            res = float(pde_residual(xi.cylinder, t, [x], quad)[0])
+            res = float(pde_residual(xi.cylinder, t, [x])[0])
             rows.append([name, s, f"{t:.6g}", f"{res:.6e}",
                          "pass" if abs(res) <= args.tol else "FAIL"])
     _write_csv(args, "pde_check.csv",
@@ -220,13 +202,12 @@ def _cmd_gauge_check(args) -> int:
     if args.n_tuples < 1:
         raise InputError(f"--n-tuples must be at least 1, not {args.n_tuples}")
     grid = TimeGrid(args.horizon, args.steps)
-    quad = _quadrature(args)
-    checks = derivative_bound_audit(args.d, grid, args.n_tuples, args.seed, quad)
-    checks += sandwich_audit(args.d, grid, args.n_tuples, args.seed + 1, quad)
+    checks = derivative_bound_audit(args.d, grid, args.n_tuples, args.seed)
+    checks += sandwich_audit(args.d, grid, args.n_tuples, args.seed + 1)
     if args.calibrate:
         diag = calibrate_alpha(
-            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2), quad)
-        checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3, quad)
+            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2))
+        checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3)
         print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")
     _write_csv(args, "gauge_check.csv",
@@ -264,7 +245,6 @@ def _cmd_ito_check(args) -> int:
 
 
 def _cmd_vp_run(args) -> int:
-    quad = _quadrature(args)
     if args.paths:
         if args.n_points is not None:
             raise InputError("--n-points sizes the Brownian search space, "
@@ -288,8 +268,7 @@ def _cmd_vp_run(args) -> int:
     values = coeffs[0] * v + coeffs[1] * np.sin(t) + coeffs[2] * v * v / 4
     start = space.points[int(np.argmin(values))]
     eps = max(values.max() - values.min(), 1e-9) * 1.001
-    res = smooth_variational_principle(values, eps, args.vp_delta, start, space,
-                                       quad)
+    res = smooth_variational_principle(values, eps, args.vp_delta, start, space)
     rows = []
     for r in res.item_i:
         rows.append(["item_i", r.index, f"{r.gauge_limit_to_anchor:.6e}",
@@ -326,7 +305,7 @@ def _cmd_comparison(args) -> int:
     report = comparison_demo(grid, args.seed, terminal=args.terminal,
                              order=args.order, n_paths=args.n_points,
                              n_mc=args.n_mc, lam=args.lam, deltas=args.delta,
-                             mode=args.mode, gauge_config=_quadrature(args))
+                             mode=args.mode)
     _write_csv(args, "comparison_demo.csv",
                ["delta", "limit_time", "interior", "chain_left", "chain_mid",
                 "chain_right", "phi_at_limit", "operator_phi", "items_ok",
@@ -362,6 +341,14 @@ _COMPARISON_DESCRIPTION = (
     "(running_max, terminal_value) can exhibit a contradiction: the endpoint "
     "fails and the start gap exceeds exp(lam t0) (m + 3 stderr) by more "
     "than the allowance.")
+
+_GAUGE_CHECK_DESCRIPTION = (
+    "Audits of the gauge's derivative bounds and of its two-sided comparison "
+    "with the stopped distance, on random tuples.  The gauge's z-rule is exact "
+    "at d = 1, 21-node-per-axis Gauss-Hermite at d = 2 and 100000-sample "
+    "Monte Carlo beyond; its time-smoothing rule has one Gauss-Legendre panel "
+    "per grid step between point and anchor, of 3, 1 and 2 nodes in turn.  "
+    "Every derivative tolerance includes the refinement error of these rules.")
 
 _SOLVE_DESCRIPTION = (
     "Monte-Carlo solution value at (t, path), with control variates; t must "
@@ -426,7 +413,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--tol", type=float, default=1e-3)
 
     p = _add_command(sub, "gauge-check", _cmd_gauge_check,
-                     "derivative-bound and sandwich audits")
+                     "derivative-bound and sandwich audits",
+                     _GAUGE_CHECK_DESCRIPTION)
     p.add_argument("--n-tuples", type=int, default=200, dest="n_tuples")
     p.add_argument("--calibrate", action="store_true",
                    help="also calibrate and validate the lower-bound constant")

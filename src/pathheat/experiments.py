@@ -37,7 +37,6 @@ from .gauge import perturbation_bounds
 from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments)
 from .ito import SEMIMARTINGALE_PRESETS, ito_verify
-from .quadrature import QuadratureConfig
 from .solver import (MCConfig, TerminalFunctional, build_terminal,
                      candidate_solution)
 from .streams import StreamKind, substream
@@ -95,7 +94,6 @@ class DeltaRow:
     chain_right: float
     phi_at_limit: float
     operator_phi: float
-    operator_bound: float
     items_ok: bool
     exact_link_ok: bool
     operator_ok: bool
@@ -129,12 +127,7 @@ class ComparisonReport:
 
     mode: str
     lam: float
-    eps: float
-    order: int
-    coordinates: int
-    n_points: int
     start_value: float
-    sup_value: float
     stat_allowance: float
     modulus: float
     modulus_stderr: float
@@ -182,9 +175,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
                     n_mc: int = 2000,
                     lam: float = 0.5,
                     deltas: tuple[float, ...] = (0.1, 0.05, 0.025),
-                    mode: str = "candidate",
-                    gauge_config: QuadratureConfig = QuadratureConfig()
-                    ) -> ComparisonReport:
+                    mode: str = "candidate") -> ComparisonReport:
     """Run the comparison machinery end to end on a finite space, from its
     first point p0 = (t0, x).
 
@@ -265,17 +256,14 @@ def comparison_demo(grid: TimeGrid, seed: int,
     bounds = perturbation_bounds(grid.horizon)
     op_bound = bounds["horizontal"] + 0.5 * bounds["vertical2"]
 
-    report = ComparisonReport(mode=mode, lam=lam, eps=eps, order=order,
-                              coordinates=n_coords, n_points=len(pts),
-                              start_value=float(g_vals[0]),
-                              sup_value=sup_g, stat_allowance=stat,
+    report = ComparisonReport(mode=mode, lam=lam, start_value=float(g_vals[0]),
+                              stat_allowance=stat,
                               modulus=m0.mean, modulus_stderr=m0.stderr,
                               bias_bound=bias_bound)
 
     # Steps III-V per delta.
     for delta in deltas:
-        res = smooth_variational_principle(g_vals, eps, delta, pts[0], space,
-                                           gauge_config)
+        res = smooth_variational_principle(g_vals, eps, delta, pts[0], space)
         phi = float(res.phi.value[res.limit_index])
         lphi = float(res.phi.derivs.heat_operator()[res.limit_index])
         interior = bool(res.limit.t < grid.horizon - 1e-12)
@@ -286,7 +274,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
         report.rows.append(DeltaRow(
             delta=delta, limit_time=res.limit.t, interior=interior,
             chain_left=chain_left, chain_mid=chain_mid, chain_right=chain_right,
-            phi_at_limit=phi, operator_phi=lphi, operator_bound=op_bound,
+            phi_at_limit=phi, operator_phi=lphi,
             items_ok=bool(res.all_items_ok()),
             exact_link_ok=bool(chain_left <= chain_mid + 1e-9),
             operator_ok=bool(abs(lphi) <= op_bound + 1e-6),

@@ -945,8 +945,7 @@ def _lower_bound_scale(dist: np.ndarray, d: int) -> np.ndarray:
     return np.minimum([x ** (d + 1) for x in dist.tolist()], dist)
 
 
-def calibrate_alpha(dimension: int, samples,
-                    config: QuadratureConfig = QuadratureConfig()) -> GaugeDiagnostics:
+def calibrate_alpha(dimension: int, samples) -> GaugeDiagnostics:
     """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
     infimum of value / min(D^{d+1}, D) over the samples, for the stopped
     distance D and the mollified distance value.
@@ -963,7 +962,8 @@ def calibrate_alpha(dimension: int, samples,
     czeta = mean_gaussian_norm(dimension)
     if pairs:
         anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
-        (values, _, _), _ = _smoothed_rows(anchors, points, None, config)
+        (values, _, _), _ = _smoothed_rows(anchors, points, None,
+                                           QuadratureConfig())
         dist = stopped_sup_distances(points, anchors)
         far = dist >= 1e-9
         if far.any():

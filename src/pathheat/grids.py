@@ -189,14 +189,9 @@ def path_distances(times: np.ndarray, stopped: np.ndarray, t: float,
     return np.abs(times - t) + _sup_gap(stopped, x_stopped)
 
 
-def stopped_sup_distance(p: PathPoint, q: PathPoint) -> float:
-    """sup-norm distance between the stopped representatives of two points."""
-    return float(stopped_sup_distances((p,), (q,))[0])
-
-
 def stopped_sup_distances(points, others) -> np.ndarray:
-    """:func:`stopped_sup_distance` of each pair (points[i], others[i]), in
-    one array call; every value equals that of the pair alone."""
+    """Sup-norm distance of the stopped representatives of each pair
+    (points[i], others[i]), in one array call; each equals the pair's alone."""
     n = len(points)
     _, stopped = stack_points((*points, *others))
     return _sup_gap(stopped[:n], stopped[n:])
@@ -306,13 +301,16 @@ def read_path_csv(source) -> GridPath:
     header = source.readline().strip().split(",")
     if header[0] != "t":
         raise DomainError("path CSV must start with a 't' column")
-    data = np.loadtxt(source, delimiter=",", ndmin=2)
+    rows = [line for line in source if line.split("#", 1)[0].strip()]
+    if len(rows) < 2:
+        raise DomainError(f"path CSV needs at least 2 data rows, not {len(rows)}")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if not np.all(np.isfinite(data)):
         row = int(np.argmin(np.all(np.isfinite(data), axis=1))) + 1
         raise DomainError(f"path CSV holds a non-finite value in data row {row}")
     t = data[:, 0]
     dts = np.diff(t)
-    if len(dts) == 0 or not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
+    if not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
         raise DomainError("path CSV nodes are not a uniform grid")
     if t[0] != 0.0:
         raise DomainError(f"path CSV times must start at 0, not {t[0]:g}")

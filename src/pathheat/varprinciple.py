@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
-from .gauge import GaugeResult, QuadratureConfig, completed_sum, smooth_gauge
+from .gauge import GaugeResult, completed_sum, smooth_gauge
 from .grids import PathPoint, path_distance, stack_points
 
 __all__ = ["SearchSpace", "VPResult", "smooth_variational_principle"]
@@ -96,8 +96,6 @@ class VPResult:
     anchor_indices: list[int]
     limit: PathPoint
     limit_index: int
-    eps: float
-    delta: float
     iterations: int
     item_i: list[ItemRecord]
     item_ii_lhs: float
@@ -122,9 +120,7 @@ class VPResult:
 
 
 def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
-                                 start: PathPoint, space: SearchSpace,
-                                 config: QuadratureConfig = QuadratureConfig()
-                                 ) -> VPResult:
+                                 start: PathPoint, space: SearchSpace) -> VPResult:
     """Perturbed maximization with smooth gauge terms on a finite space.
 
     ``values`` holds the objective G on ``space``, one finite value per
@@ -148,7 +144,7 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
 
     # gauge columns: gauge(p, anchor) for every p in the space, per anchor
     anchor_indices = [start_idx]
-    columns = [smooth_gauge(pts, pts[start_idx], config)]
+    columns = [smooth_gauge(pts, pts[start_idx])]
     perturbed = values - delta * columns[0].value
     current = start_idx
     iterations = 0
@@ -161,7 +157,7 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
             break
         current = nxt
         anchor_indices.append(current)
-        columns.append(smooth_gauge(pts, pts[current], config))
+        columns.append(smooth_gauge(pts, pts[current]))
         perturbed = (perturbed - delta * 2.0 ** (-(len(anchor_indices) - 1))
                      * columns[-1].value)
 
@@ -186,8 +182,7 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
     margin = float(score[limit_idx] - np.max(others)) if others.size else np.inf
 
     return VPResult(anchors=anchors, anchor_indices=anchor_indices, limit=limit,
-                    limit_index=limit_idx, eps=eps, delta=delta,
-                    iterations=iterations, item_i=item_i,
+                    limit_index=limit_idx, iterations=iterations, item_i=item_i,
                     item_ii_lhs=item_ii_lhs, item_ii_rhs=item_ii_rhs,
                     item_iii_margin=margin, phi=phi)
 

@@ -10,7 +10,7 @@ from pathheat.errors import DomainError
 from pathheat.gauge import (horizontal_smoothed_distance, mean_gaussian_norm,
                             perturbation_sum, vertical_smoothed_distance)
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
-                            stopped_sup_distance)
+                            stopped_sup_distances)
 from pathheat.sampling import random_lift_points, random_pairs
 
 
@@ -218,7 +218,7 @@ def sandwich_maxima_loop(dimension, grid, n_samples, seed, config) -> list[float
         y = point.present_value()
         val = vertical_smoothed_distance(anchor, point.t, point.path, y, config).value
         sat, _ = horizontal_smoothed_distance(anchor, point.t, point.path, y, config)
-        dist = stopped_sup_distance(point, anchor)
+        dist = stopped_sup_distances((point,), (anchor,))[0]
         sides = (val - dist, (dist - 2 * czeta) - val, (dist - czeta) - val, -val,
                  sat - min(dist, 1.0))
         worst = [max(w, side) for w, side in zip(worst, sides)]

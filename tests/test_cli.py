@@ -41,22 +41,26 @@ class TestConfig:
 
 
 # The shared settings each subcommand reads, and a valid value of each.
-# A subcommand accepts no other shared setting, as a flag or a config key.
-Z = ("z_rule", "z_nodes", "z_samples")
-S = ("s_nodes",)
+# A subcommand accepts no other shared setting, as a flag or a config key:
+# the quadrature rules among them are the package's, settable by no
+# subcommand.
 READS = {
     "solve": {"horizon", "steps", "terminal", "n_samples"},
-    "pde-check": {"horizon", "steps", *Z},
-    "gauge-check": {"d", "horizon", "steps", *Z, *S},
+    "pde-check": {"horizon", "steps"},
+    "gauge-check": {"d", "horizon", "steps"},
     "ito-check": {"horizon"},
-    "vp-run": {"horizon", "steps", *Z, *S},
+    "vp-run": {"horizon", "steps"},
     "approx": {"horizon", "steps"},
-    "comparison-demo": {"horizon", "steps", "terminal", "lam", "delta", *Z, *S},
+    "comparison-demo": {"horizon", "steps", "terminal", "lam", "delta"},
 }
 VALUES = {"d": "1", "horizon": "1.0", "steps": "8", "terminal": "running_max",
           "n_samples": "16", "z_rule": "auto", "z_nodes": "5",
           "z_samples": "8", "s_nodes": "3", "lam": "0.5",
           "delta": "0.1,0.05"}
+# A second valid value of each setting read, away from the SMOKE configs'.
+ALTERNATE = {"d": "2", "horizon": "2.0", "steps": "40",
+             "terminal": "terminal_value", "n_samples": "32", "lam": "1.0",
+             "delta": "0.2,0.1"}
 
 
 def _flag(key):
@@ -86,6 +90,20 @@ class TestSettings:
             cfg = _write(tmp_path, f"seed = 1\n{key} = {VALUES[key]}\n")
             with pytest.raises(InputError, match=f"'{key}'"):
                 cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command in sorted(READS)
+        for key in sorted(READS[command])])
+    def test_every_setting_read_moves_a_row(self, tmp_path, command, key):
+        # a setting that changes no row is one the subcommand ignores;
+        # comparison-demo may exit 1 on a right side that is not monotone
+        argv, csv_name = next((a, n) for a, n in SMOKE if a[0] == command)
+        bodies = []
+        for extra in ([], [_flag(key), ALTERNATE[key]]):
+            out = tmp_path / str(len(bodies))
+            assert cli.run(argv + extra + ["--out", str(out)]) in (0, 1)
+            bodies.append((out / csv_name).read_text().split("\n", 1)[1])
+        assert bodies[0] != bodies[1]
 
     @pytest.mark.parametrize("command,cap", [
         ("gauge-check", 128), ("vp-run", 128), ("comparison-demo", 200)])
@@ -215,12 +233,6 @@ class TestEntryPoint:
         assert err.startswith("pathheat: error: ") and "'eps'" in err
         assert err.count("\n") == 1
 
-    def test_forced_exact_rule_in_factor_integral_exits_2(self, tmp_path):
-        argv = ["pde-check", "--seed", "1", "--steps", "16", "--n-points", "2",
-                "--z-rule", "exact", "--out", str(tmp_path)]
-        assert cli.run(argv) == 2
-        assert not (tmp_path / "pde_check.csv").exists()
-
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
         # the reader is gone before the command writes its first line
         proc = subprocess.Popen(
@@ -248,20 +260,6 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "space of" not in proc.stdout
-
-    @pytest.mark.parametrize("by", ["flag", "config"])
-    def test_zero_s_nodes_exits_2(self, tmp_path, capsys, by):
-        # no dimension resolves an explicit count away, d = 2 included
-        argv = ["gauge-check", "--d", "2", "--seed", "1", "--steps", "8",
-                "--n-tuples", "2", "--out", str(tmp_path)]
-        if by == "flag":
-            argv += ["--s-nodes", "0"]
-        else:
-            argv += ["--config", _write(tmp_path, "s_nodes = 0\n")]
-        assert cli.run(argv) == 2
-        assert capsys.readouterr().err == (
-            "pathheat: error: node counts must be positive\n")
-        assert not (tmp_path / "gauge_check.csv").exists()
 
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "0.1,0.2"])
     def test_bad_delta_exits_2(self, tmp_path, capsys, caplog, delta):
@@ -399,10 +397,13 @@ class TestEntryPoint:
     @pytest.mark.parametrize("text,message", [
         ("t,x1\n0.5,0\n1,0.25\n1.5,0.5\n", "path CSV times must start at 0, not 0.5"),
         ("t,x1\n0,0\n0.5,nan\n1,1\n", "path CSV holds a non-finite value in data row 2"),
-    ], ids=["late_start", "nan_at_t"])
+        ("t,x1\n", "path CSV needs at least 2 data rows, not 0"),
+        ("t,x1\n0,0\n", "path CSV needs at least 2 data rows, not 1"),
+    ], ids=["late_start", "nan_at_t", "header_only", "one_row"])
     def test_bad_solve_path_exits_2(self, tmp_path, capsys, text, message):
-        # a late start would shift the grid to [0, 1.5], and a nan at the
-        # evaluation node would reach the Monte-Carlo checks
+        # a late start would shift the grid to [0, 1.5], a nan at the
+        # evaluation node would reach the Monte-Carlo checks, and fewer than
+        # two nodes make no grid
         path = tmp_path / "f.csv"
         path.write_text(text)
         argv = ["solve", "--seed", "1", "--path", str(path), "--t", "0.5",

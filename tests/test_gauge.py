@@ -19,7 +19,7 @@ from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorGroups,
                             mean_gaussian_norm_quadrature,
                             perturbation_sum, smooth_gauge,
                             vertical_smoothed_distance)
-from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distance
+from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distances
 from pathheat.quadrature import QuadratureConfig, legendre_rule
 from pathheat.sampling import random_lift_points, random_pairs
 
@@ -147,7 +147,7 @@ class TestVerticalSmoothedDistance:
         for anchor, point in random_pairs(grid64, dim, 60, seed=5):
             v = vertical_smoothed_distance(anchor, point.t, point.path,
                                            point.present_value()).value
-            dist = stopped_sup_distance(point, anchor)
+            dist = stopped_sup_distances((point,), (anchor,))[0]
             assert v <= dist + 1e-10
             assert v >= dist - czeta - 1e-10    # sharper one-constant offset
             assert v >= dist - 2 * czeta - 1e-10
@@ -268,7 +268,7 @@ class TestHorizontalSmoothedDistance:
         for anchor, point in random_pairs(grid64, 1, 60, seed=6):
             val, _ = horizontal_smoothed_distance(anchor, point.t, point.path,
                                                   point.present_value())
-            dist = stopped_sup_distance(point, anchor)
+            dist = stopped_sup_distances((point,), (anchor,))[0]
             assert val <= min(dist, 1.0) + 1e-10
 
     def test_time_derivative_matches_fd(self, grid64):
@@ -795,12 +795,12 @@ class TestAudits:
     def test_calibration_and_validation_equal_per_pair_loop(self, grid64, dim):
         # the stopped distances of all pairs come from one array call
         config = QuadratureConfig()
-        diag = calibrate_alpha(dim, random_pairs(grid64, dim, 30, seed=5), config)
+        diag = calibrate_alpha(dim, random_pairs(grid64, dim, 30, seed=5))
         ratio, item3 = np.inf, -np.inf
         for anchor, point in random_pairs(grid64, dim, 30, seed=5):
             val = vertical_smoothed_distance(anchor, point.t, point.path,
                                              point.present_value(), config).value
-            dist = stopped_sup_distance(point, anchor)
+            dist = stopped_sup_distances((point,), (anchor,))[0]
             if dist >= 1e-9:
                 ratio = min(ratio, val / min(dist ** (dim + 1), dist))
             item3 = max(item3, (dist - val) / mean_gaussian_norm(dim))
@@ -813,11 +813,11 @@ class TestAudits:
                                              config).value
             sat, _ = horizontal_smoothed_distance(anchor, point.t, point.path, y,
                                                   config)
-            dist = stopped_sup_distance(point, anchor)
+            dist = stopped_sup_distances((point,), (anchor,))[0]
             floor = diag.alpha * min(dist ** (dim + 1), dist)
             worst = [max(worst[0], floor - val),
                      max(worst[1], floor / (1.0 + dist) - sat)]
-        checks = validate_alpha(diag, grid64, 20, seed=6, config=config)
+        checks = validate_alpha(diag, grid64, 20, seed=6)
         assert [c.observed for c in checks] == worst
 
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):

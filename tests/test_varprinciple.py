@@ -193,8 +193,7 @@ class TestVariationalPrinciple:
         values = coeffs[0] * v + coeffs[1] * v * v
         start = space.points[int(np.argmin(values))]
         eps = (max(values) - min(values)) * 1.001
-        res = smooth_variational_principle(values, eps, delta, start, space,
-                                           config)
+        res = smooth_variational_principle(values, eps, delta, start, space)
         assert res.anchor_indices[-1] == res.limit_index
         assert len(res.item_i) == len(res.anchors) == res.iterations == 2
         for r, a in zip(res.item_i, res.anchors):
@@ -211,8 +210,7 @@ class TestVariationalPrinciple:
         values = [p.present_value()[0] for p in space]
         start = space.points[int(np.argmin(values))]
         eps = (max(values) - min(values)) * 1.001
-        res = smooth_variational_principle(values, eps, 0.05, start, space,
-                                           config)
+        res = smooth_variational_principle(values, eps, 0.05, start, space)
         assert len(res.anchors) >= 2
         want = perturbation_sum(res.anchors, space.points, config)
         assert np.array_equal(res.phi.value, want.value)
