@@ -264,8 +264,9 @@ def comparison_demo(grid: TimeGrid, seed: int,
     # Steps III-V per delta.
     for delta in deltas:
         res = smooth_variational_principle(g_vals, eps, delta, pts[0], space)
-        phi = float(res.phi.value[res.limit_index])
-        lphi = float(res.phi.derivs.heat_operator()[res.limit_index])
+        at_limit = res.limit_phi
+        phi = float(at_limit.value[0])
+        lphi = float(at_limit.derivs.heat_operator()[0])
         interior = bool(res.limit.t < grid.horizon - 1e-12)
         chain_left = lam * float(g_vals[0])
         chain_mid = lam * float(g_vals[res.limit_index] - delta * phi)

@@ -294,7 +294,9 @@ def euler_paths(spec: SemimartingaleSpec, grid: TimeGrid, dW: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 def read_path_csv(source) -> GridPath:
-    """Header "t,x1,...,xd", then finite rows on a uniform grid from t = 0."""
+    """Header "t,x1,...,xd", then finite rows of as many values on a uniform
+    grid from t = 0.  A row of another width or with a value that is not a
+    number raises :class:`DomainError` naming the data row, counted from 1."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             return read_path_csv(fh)
@@ -304,7 +306,17 @@ def read_path_csv(source) -> GridPath:
     rows = [line for line in source if line.split("#", 1)[0].strip()]
     if len(rows) < 2:
         raise DomainError(f"path CSV needs at least 2 data rows, not {len(rows)}")
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    data = np.empty((len(rows), len(header)))
+    for n, line in enumerate(rows, 1):
+        fields = line.split("#", 1)[0].split(",")
+        if len(fields) != len(header):
+            raise DomainError(f"path CSV data row {n} has {len(fields)} values, "
+                              f"not the header's {len(header)}")
+        try:
+            data[n - 1] = [float(v) for v in fields]
+        except ValueError:
+            raise DomainError(f"path CSV data row {n} holds a value that is not "
+                              "a number") from None
     if not np.all(np.isfinite(data)):
         row = int(np.argmin(np.all(np.isfinite(data), axis=1))) + 1
         raise DomainError(f"path CSV holds a non-finite value in data row {row}")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,15 @@ class TestImportFootprint:
                 if not set(mods) <= allowed] == []
 
 
+# Path CSVs whose data rows the reader refuses, with the error line.
+BAD_PATH_ROWS = [
+    ("t,x1\n0,0\n1,1,2\n", "path CSV data row 2 has 3 values, not the header's 2"),
+    ("t,x1\n0,a\n1,1\n", "path CSV data row 1 holds a value that is not a number"),
+    ("t,x1,x2\n0,0\n1,1\n", "path CSV data row 1 has 2 values, not the header's 3"),
+]
+BAD_PATH_ROW_IDS = ["ragged", "not_a_number", "header_wider"]
+
+
 class TestEntryPoint:
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path):
         proc = _fresh_python(
@@ -399,11 +409,13 @@ class TestEntryPoint:
         ("t,x1\n0,0\n0.5,nan\n1,1\n", "path CSV holds a non-finite value in data row 2"),
         ("t,x1\n", "path CSV needs at least 2 data rows, not 0"),
         ("t,x1\n0,0\n", "path CSV needs at least 2 data rows, not 1"),
-    ], ids=["late_start", "nan_at_t", "header_only", "one_row"])
+        *BAD_PATH_ROWS,
+    ], ids=["late_start", "nan_at_t", "header_only", "one_row", *BAD_PATH_ROW_IDS])
     def test_bad_solve_path_exits_2(self, tmp_path, capsys, text, message):
         # a late start would shift the grid to [0, 1.5], a nan at the
-        # evaluation node would reach the Monte-Carlo checks, and fewer than
-        # two nodes make no grid
+        # evaluation node would reach the Monte-Carlo checks, fewer than
+        # two nodes make no grid, and a header wider than its rows would be
+        # read as a path of fewer components
         path = tmp_path / "f.csv"
         path.write_text(text)
         argv = ["solve", "--seed", "1", "--path", str(path), "--t", "0.5",
@@ -412,6 +424,41 @@ class TestEntryPoint:
         assert cli.run(argv) == 2
         assert capsys.readouterr().err == f"pathheat: error: {message}\n"
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("text,message", BAD_PATH_ROWS, ids=BAD_PATH_ROW_IDS)
+    def test_bad_vp_run_paths_exit_2(self, tmp_path, capsys, text, message):
+        # the seed comes from a config key, the file from the flag
+        paths = tmp_path / "p.csv"
+        paths.write_text(text)
+        cfg = _write(tmp_path, "seed = 1\n")
+        argv = ["vp-run", "--config", cfg, "--paths", str(paths), "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == f"pathheat: error: {message}\n"
+        assert not (tmp_path / "vp_run.csv").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_vp_run_non_finite_delta_weight_exits_2(self, tmp_path, capsys, delta):
+        argv = ["vp-run", "--seed", "1", "--n-points", "12", "--delta-weight",
+                delta, "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"pathheat: error: delta must be finite and "
+                                f"positive, not {delta}\n")
+        assert not (tmp_path / "vp_run.csv").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_config_key_exits_2(self, tmp_path, capsys, delta):
+        cfg = _write(tmp_path, f"seed = 1\ndelta = 0.1,{delta}\n")
+        argv = ["comparison-demo", "--config", cfg, "--steps", "50", "--order",
+                "8", "--n-points", "5", "--n-mc", "100", "--out", str(tmp_path)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("pathheat: error: every perturbation weight delta must be "
+                       f"finite and positive, got {delta}\n")
+        assert not (tmp_path / "comparison_demo.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["approx", "--seed", "1", "--orders", "4,x"],

@@ -230,3 +230,18 @@ class TestCsvRoundTrip:
     def test_rejects_non_finite_values(self, row):
         with pytest.raises(DomainError, match="non-finite value in data row 2"):
             read_path_csv(io.StringIO(f"t,x1\n0,0\n{row}\n1,1\n"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,x1\n0,0\n0.5,1,2\n1,1\n", "data row 2 has 3 values, not the header's 2"),
+        ("t,x1,x2\n0,0\n1,1\n", "data row 1 has 2 values, not the header's 3"),
+        ("t,x1\n0,0\n0.5,a\n1,1\n", "data row 2 holds a value that is not a number"),
+        ("t,x1\n0,0\n# a comment line\n0.5,\n1,1\n",
+         "data row 2 holds a value that is not a number"),
+    ])
+    def test_rejects_a_bad_row_by_its_number(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            read_path_csv(io.StringIO(text))
+
+    def test_trailing_comment_is_not_a_value(self):
+        y = read_path_csv(io.StringIO("t,x1\n0,0 # start, x1\n1,0.5 # end\n"))
+        assert y.values.tolist() == [[0.0], [0.5]]

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import make_brownian, stop_path
+from pathheat import varprinciple
 from pathheat.errors import DomainError
 from pathheat.experiments import brownian_search_space
 from pathheat.gauge import perturbation_sum, smooth_gauge
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, path_distance,
                             path_distances, stack_points)
 from pathheat.quadrature import QuadratureConfig
-from pathheat.varprinciple import SearchSpace, smooth_variational_principle
+from pathheat.varprinciple import (GAUGE_SLACK, SUM_ROUNDING, ItemRecord,
+                                   SearchSpace, smooth_variational_principle)
 
 
 def reference_distance(p, q):
@@ -238,3 +240,217 @@ class TestVariationalPrinciple:
         space = brownian_search_space(TimeGrid(1.0, 32), 8, seed=4)
         with pytest.raises(DomainError, match="8 finite numbers"):
             smooth_variational_principle(values, 1.0, 0.05, space.points[0], space)
+
+
+def reference_vp(values, eps, delta, start, space):
+    """The iteration with every gauge column on the whole space: anchor
+    indices, iterations and the items (i)-(iii), each as the pruned VP
+    reports it."""
+    pts = list(space.points)
+    start_idx = next(i for i, q in enumerate(pts) if path_distance(start, q) == 0.0)
+    anchors = [start_idx]
+    columns = [smooth_gauge(pts, pts[start_idx]).value]
+    perturbed = values - delta * columns[0]
+    iterations = 1
+    while (nxt := int(np.argmax(perturbed))) != anchors[-1]:
+        iterations += 1
+        anchors.append(nxt)
+        columns.append(smooth_gauge(pts, pts[nxt]).value)
+        perturbed = perturbed - delta * 2.0 ** (-(len(anchors) - 1)) * columns[-1]
+    limit = anchors[-1]
+    weights = [2.0 ** (-i) for i in range(len(columns))]
+    weights[-1] *= 2.0
+    phi = np.zeros(len(pts))
+    for w, col in zip(weights, columns):
+        phi += w * col
+    items = [ItemRecord(index=i, gauge_limit_to_anchor=float(col[limit]),
+                        gauge_anchor_to_limit=float(columns[-1][a]),
+                        bound=eps / (2.0 ** i * delta))
+             for i, (a, col) in enumerate(zip(anchors, columns))]
+    score = values - delta * phi
+    others = np.delete(score, limit)
+    margin = float(score[limit] - np.max(others)) if others.size else np.inf
+    return dict(anchor_indices=anchors, limit_index=limit, iterations=iterations,
+                item_i=items, item_ii_lhs=float(values[start_idx]),
+                item_ii_rhs=float(values[limit] - delta * phi[limit]),
+                item_iii_margin=margin)
+
+
+def assert_matches_reference(values, eps, delta, start, space):
+    """Run the pruned VP, check it bit for bit against the full-column
+    reference, and return it."""
+    values = np.asarray(values, dtype=float)
+    res = smooth_variational_principle(values, eps, delta, start, space)
+    want = reference_vp(values, eps, delta, start, space)
+    assert {k: getattr(res, k) for k in want} == want
+    assert res.limit is space.points[res.limit_index]
+    assert all(a is space.points[i] for a, i in zip(res.anchors, res.anchor_indices))
+    return res
+
+
+def cut_of(values, delta, horizon):
+    """The smallest G of a live point other than the start, as documented."""
+    second = float(np.sort(values)[-2])
+    reach = 2.0 * delta * (horizon * horizon + 1.0 + 2.0 * GAUGE_SLACK)
+    return second - reach - SUM_ROUNDING * (abs(second) + reach)
+
+
+def cubic_values(space, seed):
+    """A spread-out objective: most points fall below the live cut."""
+    coeffs = np.random.default_rng(seed).standard_normal(3)
+    v = np.array([p.present_value()[0] for p in space])
+    t = np.array([p.t for p in space])
+    return 3.0 * (coeffs[0] * v + coeffs[1] * np.sin(t) + coeffs[2] * v ** 3)
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("delta", [0.05, 2.0])
+    def test_matches_full_columns(self, seed, delta):
+        space = brownian_search_space(TimeGrid(1.0, 32), 40, seed=seed)
+        values = cubic_values(space, seed)
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = assert_matches_reference(values, eps, delta, start, space)
+        cut = cut_of(values, delta, 1.0)
+        want = set(np.flatnonzero(values >= cut)) | {int(np.argmin(values))}
+        assert res.live.tolist() == sorted(want)
+        if delta == 0.05:
+            assert len(res.live) < len(space)
+
+    def test_every_point_live(self):
+        space = brownian_search_space(TimeGrid(1.0, 32), 24, seed=6)
+        values = 1e-3 * cubic_values(space, 6)
+        start = space.points[int(np.argmin(values))]
+        res = assert_matches_reference(values, 1.0, 0.05, start, space)
+        assert res.live.tolist() == list(range(len(space)))
+
+    def test_one_point_space(self):
+        space = brownian_search_space(TimeGrid(1.0, 32), 1, seed=2)
+        res = assert_matches_reference([0.5], 1.0, 0.05, space.points[0], space)
+        assert res.live.tolist() == [0] and res.item_iii_margin == np.inf
+
+    @pytest.mark.parametrize("delta", [0.05, 2.0])
+    def test_start_below_the_cut(self, delta):
+        space = brownian_search_space(TimeGrid(1.0, 32), 30, seed=8)
+        values = cubic_values(space, 8)
+        low = int(np.argmin(values))
+        values[low] = cut_of(values, delta, 1.0) - 1.0
+        eps = (max(values) - min(values)) * 1.001
+        res = assert_matches_reference(values, eps, delta, space.points[low], space)
+        assert low in res.live and res.anchor_indices[0] == low
+        assert res.anchor_indices[-1] != low
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_points_at_the_cut(self, seed):
+        # the cut is inclusive: a point at it is live, one an ulp below is not
+        delta = 0.05
+        space = brownian_search_space(TimeGrid(1.0, 32), 24, seed=seed)
+        values = cubic_values(space, seed)
+        top = np.argsort(values)[-2:]
+        rest = [i for i in range(len(space)) if i not in top]
+        values[rest] = values.min() - 10.0
+        cut = cut_of(values, delta, 1.0)
+        values[rest[:4]] = cut
+        values[rest[4:8]] = np.nextafter(cut, -np.inf)
+        start = int(rest[-1])
+        eps = (max(values) - min(values)) * 1.001
+        res = assert_matches_reference(values, eps, delta, space.points[start], space)
+        assert res.live.tolist() == sorted([*top, *rest[:4], start])
+
+    def test_runner_up_is_not_the_second_value(self):
+        # item (iii)'s runner-up is a live point below G_(2): the point of
+        # G_(2) sits far from the limit, where the perturbation is largest;
+        # two more points sit at the cut and one an ulp below it
+        grid = TimeGrid(1.0, 32)
+        far = np.full(33, 50.0)
+        far[0] = 0.0
+        zero = GridPath.zero(grid)
+        pts = (PathPoint(1.0, zero), PathPoint(1.0, GridPath(grid, far)),
+               PathPoint(0.96875, zero), PathPoint(0.5, zero),
+               PathPoint(0.25, zero), PathPoint(0.75, GridPath(grid, far)))
+        space = SearchSpace(pts)
+        delta = 0.05
+        values = np.array([1.0, 0.99, 0.95, 0.0, 0.0, 0.0])
+        cut = cut_of(values, delta, 1.0)
+        values[3] = values[4] = cut
+        values[5] = np.nextafter(cut, -np.inf)
+        eps = (max(values) - min(values)) * 1.001
+        res = assert_matches_reference(values, eps, delta, pts[3], space)
+        assert res.live.tolist() == [0, 1, 2, 3, 4]
+        assert res.limit_index == 0
+        score = values - delta * res.phi.value
+        assert int(np.argmax(score[1:])) + 1 == 2
+        assert res.item_iii_margin == score[0] - score[2]
+
+    def test_two_dimensional_space(self):
+        grid = TimeGrid(1.0, 16)
+        pts = tuple(PathPoint(t, make_brownian(grid, seed=s, dimension=2))
+                    for s, t in enumerate([0.25, 0.5, 0.75] * 5))
+        space = SearchSpace(pts)
+        x = np.array([p.present_value() for p in space])
+        values = x[:, 0] - 2.0 * x[:, 1] ** 2
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = assert_matches_reference(values, eps, 0.05, start, space)
+        assert len(res.live) < len(space)
+
+    def test_smooth_gauge_gets_only_the_live_rows(self, monkeypatch):
+        seen = []
+
+        def spy(points, anchor, *args):
+            seen.append((tuple(points), anchor))
+            return smooth_gauge(points, anchor, *args)
+
+        monkeypatch.setattr(varprinciple, "smooth_gauge", spy)
+        space = brownian_search_space(TimeGrid(1.0, 32), 40, seed=3)
+        values = cubic_values(space, 3)
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = smooth_variational_principle(values, eps, 0.05, start, space)
+        live = tuple(space.points[i] for i in res.live)
+        assert len(live) < len(space)
+        assert len(seen) == len(res.anchors)
+        for (points, anchor), want in zip(seen, res.anchors):
+            assert len(points) == len(live)
+            assert all(a is b for a, b in zip(points, live)) and anchor is want
+
+    def test_limit_phi_reads_the_live_rows(self):
+        space = brownian_search_space(TimeGrid(1.0, 32), 40, seed=2)
+        values = cubic_values(space, 2)
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = smooth_variational_principle(values, eps, 0.05, start, space)
+        at_limit = res.limit_phi
+        assert "phi" not in vars(res)  # not filled yet
+        assert len(res.live) < len(space)
+        assert at_limit.value[0] == res.phi.value[res.limit_index]
+        assert (at_limit.derivs.heat_operator()[0]
+                == res.phi.derivs.heat_operator()[res.limit_index])
+        assert res.item_ii_rhs == values[res.limit_index] - 0.05 * at_limit.value[0]
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_gauge_bounds_hold_to_the_slack(self, dimension):
+        # the premise of the cut: 0 <= gauge <= T^2 + 1 up to GAUGE_SLACK,
+        # at the farthest times and at distances that saturate
+        grid = TimeGrid(2.0, 16)
+        far = np.full((17, dimension), 1e6)
+        far[0] = 0.0
+        paths = [GridPath.zero(grid, dimension), GridPath(grid, far),
+                 make_brownian(grid, seed=4, dimension=dimension)]
+        pts = [PathPoint(t, x) for x in paths for t in (0.0, 1.0, 2.0)]
+        for anchor in pts:
+            value = smooth_gauge(pts, anchor).value
+            assert value.min() >= -GAUGE_SLACK
+            assert value.max() <= 2.0 ** 2 + 1.0 + GAUGE_SLACK
+        assert smooth_gauge([pts[5]], pts[0]).value[0] > 4.0 + 1.0 - 1e-5
+
+    @pytest.mark.parametrize("name,eps,delta", [
+        ("delta", 1.0, np.nan), ("delta", 1.0, np.inf), ("delta", 1.0, 0.0),
+        ("delta", 1.0, -0.05), ("eps", np.nan, 0.05), ("eps", np.inf, 0.05),
+        ("eps", 0.0, 0.05)])
+    def test_eps_and_delta_finite_and_positive(self, name, eps, delta):
+        space = brownian_search_space(TimeGrid(1.0, 32), 4, seed=1)
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+            smooth_variational_principle(np.zeros(4), eps, delta, space.points[0],
+                                         space)
