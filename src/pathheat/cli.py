@@ -206,7 +206,7 @@ def _cmd_gauge_check(args) -> int:
     checks += sandwich_audit(args.d, grid, args.n_tuples, args.seed + 1)
     if args.calibrate:
         diag = calibrate_alpha(
-            args.d, random_pairs(grid, args.d, args.n_tuples, args.seed + 2))
+            random_pairs(grid, args.d, args.n_tuples, args.seed + 2))
         checks += validate_alpha(diag, grid, args.n_tuples, args.seed + 3)
         print(f"calibrated alpha_{args.d} = {diag.alpha:.6g} "
               f"(item-3 constant {diag.item3_constant:.6g})")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .cylinders import (fejer_coefficient, fejer_coefficient_quadrature,
                         fejer_smoothing)
-from .errors import InputError
+from .errors import DomainError, InputError
 from .gauge import perturbation_bounds
 from .grids import (GridPath, PathPoint, TimeGrid, brownian_increments,
                     extend_with_increments)
@@ -57,6 +58,9 @@ _log = logging.getLogger(__name__)
 # comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
 SUBSOLUTION_OFFSET = 0.25
 
+# the largest x with exp(x) finite in double precision, about 709.78
+_MAX_EXP = math.log(sys.float_info.max)
+
 
 def _smoothing_modulus(smoothing) -> TerminalFunctional:
     """The terminal v -> ||v - S v||_inf, the largest Euclidean norm over the
@@ -74,8 +78,12 @@ def brownian_search_space(grid: TimeGrid, n_paths: int, seed: int) -> SearchSpac
 
     That node is round(q M / 4) for M steps, rounded half to even: 0.2, 0.5
     and 0.8 at M = 10, 0.24, 0.5 and 0.76 at M = 50, and the quarters
-    themselves when 4 divides M.
+    themselves when 4 divides M.  Fewer than one path raises
+    :class:`DomainError`.
     """
+    if n_paths < 1:
+        raise DomainError("the search space needs at least one path, "
+                          f"not {n_paths}")
     rng = substream(seed, StreamKind.SEARCH_SPACE, 0)
     times = [grid.node(round(q * grid.steps / 4)) for q in (1, 2, 3)]
     vals = extend_with_increments(0.0, GridPath.zero(grid),
@@ -195,16 +203,21 @@ def comparison_demo(grid: TimeGrid, seed: int,
     behind :attr:`ComparisonReport.contradiction_exhibited`, is one more
     :func:`candidate_solution` call, of the terminal ||v - F_n v||_inf on
     p0's path alone under the seed of p0's time: sample i is a pure function
-    of (seed, i), so it reads the draws of p0's u - v_n.  ``deltas`` must be
-    finite, positive and strictly decreasing, as the vanishing-delta
-    estimate and the monotone right side assume; anything else raises
-    :class:`InputError` before any Monte-Carlo work.  Progress goes to this
-    module's logger at INFO.
+    of (seed, i), so it reads the draws of p0's u - v_n.  ``lam`` must be
+    finite and positive with exp(lam T) finite on the horizon T, and
+    ``deltas`` finite, positive and strictly decreasing, as the
+    vanishing-delta estimate and the monotone right side assume; anything
+    else raises :class:`InputError` before any Monte-Carlo work.  Progress
+    goes to this module's logger at INFO.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
-    if not lam > 0:
-        raise InputError(f"the scaling rate lam must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise InputError(f"the scaling rate lam must be finite and positive, "
+                         f"got {lam}")
+    if lam * grid.horizon > _MAX_EXP:
+        raise InputError(f"the scaling rate lam = {lam} overflows exp(lam T) "
+                         f"on the horizon T = {grid.horizon}")
     if not deltas:
         raise InputError("the perturbation weights deltas must not be empty")
     for delta in deltas:

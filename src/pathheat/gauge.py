@@ -108,7 +108,6 @@ from .quadrature import (_GAUGE_GH_MAX_DIM, QuadratureConfig,
                          composite_legendre_rule, gaussian_rule, legendre_rule)
 
 __all__ = [
-    "QuadratureConfig",
     "GaugeDiagnostics",
     "ALPHA_SHRINK",
     "calibrate_alpha",
@@ -945,33 +944,33 @@ def _lower_bound_scale(dist: np.ndarray, d: int) -> np.ndarray:
     return np.minimum([x ** (d + 1) for x in dist.tolist()], dist)
 
 
-def calibrate_alpha(dimension: int, samples) -> GaugeDiagnostics:
+def calibrate_alpha(samples) -> GaugeDiagnostics:
     """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
     infimum of value / min(D^{d+1}, D) over the samples, for the stopped
     distance D and the mollified distance value.
 
     ``samples`` is an iterable of (anchor, point) pairs, evaluated as the
     rows of one kernel call, with their stopped distances from one array
-    call; a pair at D = 0 does not constrain alpha.  Only
-    existence of a positive constant is guaranteed in general, so the value
-    is empirical and should be validated on fresh samples before use.
+    call; a pair at D = 0 does not constrain alpha.  The dimension d is
+    that of the samples' paths.  Only existence of a positive constant is
+    guaranteed in general, so the value is empirical and should be
+    validated on fresh samples before use.
     """
     pairs = list(samples)
     ratio_min = np.inf
-    item3 = -np.inf
-    czeta = mean_gaussian_norm(dimension)
     if pairs:
         anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
+        dimension = points[0].path.dimension
         (values, _, _), _ = _smoothed_rows(anchors, points, None,
                                            QuadratureConfig())
         dist = stopped_sup_distances(points, anchors)
         far = dist >= 1e-9
         if far.any():
-            scale = _lower_bound_scale(dist[far], points[0].path.dimension)
+            scale = _lower_bound_scale(dist[far], dimension)
             ratio_min = float(np.min(values[far] / scale))
-        item3 = float(np.max((dist - values) / czeta))
     if not np.isfinite(ratio_min):
         raise DomainError("calibration needs samples at positive distance")
+    item3 = float(np.max((dist - values) / mean_gaussian_norm(dimension)))
     alpha = min(ALPHA_SHRINK * ratio_min, 1.0)
     return GaugeDiagnostics(dimension=dimension, alpha=alpha,
                             item3_constant=item3, n_samples=len(pairs))

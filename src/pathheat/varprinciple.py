@@ -25,19 +25,19 @@ and items are bit for bit those of columns on the whole space.  The cut
 lies lower by a margin for rounding: the two bounds of the gauge hold at
 the rule level up to ``GAUGE_SLACK`` each (the rounding allowance of the
 audits), and the perturbed sums round at a relative ``SUM_ROUNDING``.
+The result keeps phi at the limit only, the one point item (ii) reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .cylinders import PathwiseDerivs
 from .errors import ConvergenceError, DomainError, InputError
-from .gauge import GaugeResult, completed_sum, perturbation_sum, smooth_gauge
+from .gauge import GaugeResult, completed_sum, smooth_gauge
 from .grids import PathPoint, path_distance, stack_points
 
 __all__ = ["SearchSpace", "VPResult", "smooth_variational_principle"]
@@ -116,7 +116,7 @@ class ItemRecord:
 class VPResult:
     """Anchors, limit and the checks of the three conclusions.  ``live``
     holds the indices, ascending, of the points the gauge columns were
-    built on, and ``live_phi`` the perturbation on them, row for row."""
+    built on; phi is kept at the limit only, ``limit_phi`` its one row."""
 
     anchors: list[PathPoint]
     anchor_indices: list[int]
@@ -127,9 +127,8 @@ class VPResult:
     item_ii_lhs: float
     item_ii_rhs: float
     item_iii_margin: float
-    space: SearchSpace = field(repr=False)
     live: np.ndarray = field(repr=False)
-    live_phi: GaugeResult = field(repr=False)
+    limit_phi: GaugeResult = field(repr=False)
 
     @property
     def item_i_ok(self) -> bool:
@@ -146,40 +145,6 @@ class VPResult:
     def all_items_ok(self) -> bool:
         return self.item_i_ok and self.item_ii_ok and self.item_iii_ok
 
-    @property
-    def limit_phi(self) -> GaugeResult:
-        """The perturbation at the limit alone, one row, from the live rows."""
-        row = [int(np.searchsorted(self.live, self.limit_index))]
-        d = self.live_phi.derivs
-        return GaugeResult(value=self.live_phi.value[row], derivs=PathwiseDerivs(
-            horizontal=d.horizontal[row], vertical=d.vertical[row],
-            vertical2=d.vertical2[row]))
-
-    @cached_property
-    def phi(self) -> GaugeResult:
-        """The perturbation on every point of the space, in space order: the
-        completed sum of the anchors' gauge columns.  Filled on first read,
-        the rows off the live set by one :func:`perturbation_sum` call: each
-        value is bit for bit that of a column of its own, derivatives agree
-        to within 1e-13."""
-        n = len(self.space)
-        rest = np.setdiff1d(np.arange(n), self.live)
-        if not rest.size:
-            return self.live_phi
-        other = perturbation_sum(self.anchors,
-                                 [self.space.points[i] for i in rest])
-
-        def merge(live, off):
-            out = np.empty((n,) + live.shape[1:])
-            out[self.live], out[rest] = live, off
-            return out
-
-        a, b = self.live_phi, other
-        return GaugeResult(value=merge(a.value, b.value), derivs=PathwiseDerivs(
-            horizontal=merge(a.derivs.horizontal, b.derivs.horizontal),
-            vertical=merge(a.derivs.vertical, b.derivs.vertical),
-            vertical2=merge(a.derivs.vertical2, b.derivs.vertical2)))
-
 
 def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
                                  start: PathPoint, space: SearchSpace) -> VPResult:
@@ -188,9 +153,10 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
     ``values`` holds the objective G on ``space``, one finite value per
     point in space order; any other length or a non-finite entry raises
     :class:`DomainError`, as do an ``eps`` or ``delta`` that is not finite
-    and positive.  Requires G(start) >= max G - eps.  Anchor weights follow
-    the geometric schedule delta / 2^n.  Ties in the argmax are broken by
-    the lowest index for determinism.
+    and positive and a ``delta`` so small that eps / delta overflows.
+    Requires G(start) >= max G - eps.  Anchor weights follow the geometric
+    schedule delta / 2^n.  Ties in the argmax are broken by the lowest index
+    for determinism.
 
     The live rows are the start and every point with G at or above
     G_(2) - r - SUM_ROUNDING (|G_(2)| + r), r = 2 delta (T^2 + 1 +
@@ -202,6 +168,10 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
     for name, x in (("eps", eps), ("delta", delta)):
         if not (math.isfinite(x) and x > 0):
             raise DomainError(f"{name} must be finite and positive, not {x:g}")
+    # item (i)'s bounds are eps / (2^i delta), at most eps / delta
+    if not math.isfinite(float(eps) / float(delta)):
+        raise DomainError(f"delta {delta:g} is too small for eps {eps:g}: "
+                          "the bound eps/delta overflows")
     values = np.asarray(values, dtype=float)
     if values.shape != (len(space),) or not np.isfinite(values).all():
         raise DomainError(f"values must be {len(space)} finite numbers, one per "
@@ -256,11 +226,15 @@ def smooth_variational_principle(values: np.ndarray, eps: float, delta: float,
     others = np.delete(score, limit_pos)
     margin = float(score[limit_pos] - np.max(others)) if others.size else np.inf
 
+    row = [limit_pos]
+    limit_phi = GaugeResult(value=phi.value[row], derivs=PathwiseDerivs(
+        horizontal=phi.derivs.horizontal[row], vertical=phi.derivs.vertical[row],
+        vertical2=phi.derivs.vertical2[row]))
     return VPResult(anchors=[pts[i] for i in anchor_pos],
                     anchor_indices=anchor_indices, limit=pts[limit_pos],
                     limit_index=int(live[limit_pos]), iterations=iterations,
                     item_i=item_i, item_ii_lhs=item_ii_lhs, item_ii_rhs=item_ii_rhs,
-                    item_iii_margin=margin, space=space, live=live, live_phi=phi)
+                    item_iii_margin=margin, live=live, limit_phi=limit_phi)
 
 
 def _live_rows(values: np.ndarray, delta: float, horizon: float,

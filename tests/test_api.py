@@ -1,10 +1,12 @@
 """The public surface of the package resolves: every name a module lists in
-``__all__`` exists, every name the package imports is the module's own and
-listed in that module's ``__all__``, and no module imports a name it does
-not use."""
+``__all__`` exists, and every class or function there is defined in that
+module, not re-exported; every name the package imports is the module's
+own and listed in that module's ``__all__``, and no module imports a name
+it does not use."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -32,6 +34,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"pathheat.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_no_re_export(name):
+    module = importlib.import_module(f"pathheat.{name}")
+    foreign = [n for n in getattr(module, "__all__", ())
+               if (inspect.isclass(obj := getattr(module, n))
+                   or inspect.isfunction(obj))
+               and obj.__module__ != module.__name__]
+    assert foreign == []
 
 
 def test_package_imports_resolve():

@@ -160,6 +160,11 @@ class TestSeedContract:
             cli.main(argv + ["--seed", "-5", "--out", str(tmp_path)])
 
 
+# comparison-demo at the smoke size of the tests below, less its point count
+SMALL_COMPARISON = ("comparison-demo", "--steps", "50", "--order", "8",
+                    "--n-mc", "100")
+
+
 def _fresh_env() -> dict:
     """The environment of a fresh process that imports this package."""
     src = str(Path(pathheat.__file__).resolve().parents[1])
@@ -448,6 +453,41 @@ class TestEntryPoint:
         assert captured.err == (f"pathheat: error: delta must be finite and "
                                 f"positive, not {delta}\n")
         assert not (tmp_path / "vp_run.csv").exists()
+
+    @pytest.mark.parametrize("argv,csv_name,message", [
+        (["vp-run", "--n-points", "20", "--delta-weight", "1e-320"], "vp_run.csv",
+         "delta 9.99989e-321 is too small for eps 3.15329: the bound "
+         "eps/delta overflows"),
+        (["vp-run", "--n-points", "-1"], "vp_run.csv",
+         "the search space needs at least one path, not -1"),
+        (["vp-run", "--n-points", "0"], "vp_run.csv",
+         "the search space needs at least one path, not 0"),
+        ([*SMALL_COMPARISON, "--n-points", "-1"], "comparison_demo.csv",
+         "the search space needs at least one path, not -1"),
+        ([*SMALL_COMPARISON, "--n-points", "5", "--delta", "1e-320"],
+         "comparison_demo.csv", "delta 9.99989e-321 is too small for eps "
+         "0.140566: the bound eps/delta overflows"),
+        ([*SMALL_COMPARISON, "--n-points", "5", "--lam", "inf"],
+         "comparison_demo.csv",
+         "the scaling rate lam must be finite and positive, got inf"),
+        ([*SMALL_COMPARISON, "--n-points", "5", "--lam", "nan"],
+         "comparison_demo.csv",
+         "the scaling rate lam must be finite and positive, got nan"),
+        ([*SMALL_COMPARISON, "--n-points", "5", "--lam", "1e300"],
+         "comparison_demo.csv", "the scaling rate lam = 1e+300 overflows "
+         "exp(lam T) on the horizon T = 1.0"),
+    ], ids=["vp-tiny-delta", "vp-negative-points", "vp-no-points",
+            "comparison-negative-points", "comparison-tiny-delta",
+            "lam-inf", "lam-nan", "lam-1e300"])
+    def test_setting_out_of_range_exits_2_without_warning(
+            self, tmp_path, capsys, argv, csv_name, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pathheat: error: {message}\n"
+        assert not (tmp_path / csv_name).exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_config_key_exits_2(self, tmp_path, capsys, delta):

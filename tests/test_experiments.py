@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from pathheat import experiments, solver
 from pathheat.cylinders import (cylinder_approx, cylinder_coordinates,
                                 fejer_smoothing)
-from pathheat.errors import InputError
+from pathheat.errors import DomainError, InputError
 from pathheat.experiments import brownian_search_space, comparison_demo
 from pathheat.grids import TimeGrid
 from pathheat.quadrature import QuadratureConfig
@@ -38,6 +41,34 @@ class TestComparisonInput:
     def test_non_positive_rate(self, lam):
         with pytest.raises(InputError, match="lam"):
             comparison_demo(GRID, 1, lam=lam, **SMALL)
+
+    @pytest.mark.parametrize("lam,named", [
+        (math.inf, "lam must be finite and positive, got inf"),
+        (math.nan, "lam must be finite and positive, got nan"),
+        (1e300, "lam = 1e+300 overflows"), (709.8, "lam = 709.8 overflows")])
+    def test_rate_without_a_finite_scale_rejected_before_any_mc(
+            self, lam, named, opened):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(named)):
+                comparison_demo(GRID, 1, lam=lam, **SMALL)
+        assert opened == []
+
+    def test_rate_at_the_largest_finite_scale_is_accepted(self):
+        # exp(lam T) is finite up to lam T = log(max float), about 709.78;
+        # on 10 steps the search space is rejected next, by its own check
+        grid = TimeGrid(2.0, 10)
+        lam = math.log(sys.float_info.max) / grid.horizon
+        assert math.isfinite(math.exp(lam * grid.horizon))
+        with pytest.raises(DomainError, match="at least one path, not 0"):
+            comparison_demo(grid, 1, lam=lam, order=8, n_paths=0, n_mc=100)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_search_space_needs_a_path(self, n_paths):
+        with pytest.raises(DomainError,
+                           match=f"^the search space needs at least one path, "
+                                 f"not {n_paths}$"):
+            brownian_search_space(GRID, n_paths, 1)
 
     def test_no_deltas(self):
         with pytest.raises(InputError, match="deltas"):

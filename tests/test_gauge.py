@@ -795,7 +795,8 @@ class TestAudits:
     def test_calibration_and_validation_equal_per_pair_loop(self, grid64, dim):
         # the stopped distances of all pairs come from one array call
         config = QuadratureConfig()
-        diag = calibrate_alpha(dim, random_pairs(grid64, dim, 30, seed=5))
+        diag = calibrate_alpha(random_pairs(grid64, dim, 30, seed=5))
+        assert diag.dimension == dim
         ratio, item3 = np.inf, -np.inf
         for anchor, point in random_pairs(grid64, dim, 30, seed=5):
             val = vertical_smoothed_distance(anchor, point.t, point.path,
@@ -820,8 +821,25 @@ class TestAudits:
         checks = validate_alpha(diag, grid64, 20, seed=6)
         assert [c.observed for c in checks] == worst
 
+    def test_calibration_takes_the_dimension_of_its_samples(self):
+        # E|Z| of item 3 is that of the samples' dimension: 2 here
+        pairs = list(random_pairs(TimeGrid(1.0, 32), 2, 20, 3))
+        diag = calibrate_alpha(pairs)
+        dist = stopped_sup_distances([p for _, p in pairs], [a for a, _ in pairs])
+        values = np.array([vertical_smoothed_distance(a, p.t, p.path,
+                                                      p.present_value()).value
+                           for a, p in pairs])
+        assert diag.dimension == 2 and diag.n_samples == 20
+        assert diag.item3_constant == pytest.approx(
+            np.max(dist - values) / mean_gaussian_norm(2), rel=1e-12)
+        assert diag.item3_constant == pytest.approx(0.754, abs=1e-3)
+
+    def test_calibration_of_no_samples(self):
+        with pytest.raises(DomainError, match="positive distance"):
+            calibrate_alpha([])
+
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):
-        diag = calibrate_alpha(1, random_pairs(grid64, 1, 300, seed=5))
+        diag = calibrate_alpha(random_pairs(grid64, 1, 300, seed=5))
         assert 0.0 < diag.alpha <= 1.0
         checks = validate_alpha(diag, grid64, 300, seed=6)
         assert all(c.passed for c in checks)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,14 +218,21 @@ class TestVariationalPrinciple:
         res = smooth_variational_principle(values, eps, 0.05, start, space)
         assert len(res.anchors) >= 2
         want = perturbation_sum(res.anchors, space.points, config)
-        assert np.array_equal(res.phi.value, want.value)
+        at = [res.limit_index]
+        assert res.limit_phi.value.shape == (1,)
+        assert res.limit_phi.value[0] == want.value[res.limit_index]
         for name in ("horizontal", "vertical", "vertical2"):
-            got, ref = getattr(res.phi.derivs, name), getattr(want.derivs, name)
+            got = getattr(res.limit_phi.derivs, name)
+            ref = getattr(want.derivs, name)[at]
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13
         # the completed sum at the limit: item (ii)'s right side
         assert res.item_ii_rhs == (values[res.limit_index]
-                                   - 0.05 * res.phi.value[res.limit_index])
+                                   - 0.05 * want.value[res.limit_index])
+        # item (iii): the limit beats every other point of the whole space
+        score = np.asarray(values) - 0.05 * want.value
+        assert res.item_iii_margin == (score[res.limit_index]
+                                       - np.max(np.delete(score, at)))
 
     def test_start_at_the_maximizer_stops_at_once(self):
         grid = TimeGrid(1.0, 32)
@@ -379,7 +389,7 @@ class TestLiveRows:
         res = assert_matches_reference(values, eps, delta, pts[3], space)
         assert res.live.tolist() == [0, 1, 2, 3, 4]
         assert res.limit_index == 0
-        score = values - delta * res.phi.value
+        score = values - delta * perturbation_sum(res.anchors, space.points).value
         assert int(np.argmax(score[1:])) + 1 == 2
         assert res.item_iii_margin == score[0] - score[2]
 
@@ -422,12 +432,24 @@ class TestLiveRows:
         eps = (max(values) - min(values)) * 1.001
         res = smooth_variational_principle(values, eps, 0.05, start, space)
         at_limit = res.limit_phi
-        assert "phi" not in vars(res)  # not filled yet
         assert len(res.live) < len(space)
-        assert at_limit.value[0] == res.phi.value[res.limit_index]
-        assert (at_limit.derivs.heat_operator()[0]
-                == res.phi.derivs.heat_operator()[res.limit_index])
+        live = perturbation_sum(res.anchors, [space.points[i] for i in res.live])
+        row = int(np.searchsorted(res.live, res.limit_index))
+        assert at_limit.value[0] == live.value[row]
+        assert (abs(at_limit.derivs.heat_operator()[0]
+                    - live.derivs.heat_operator()[row]) <= 1e-13)
         assert res.item_ii_rhs == values[res.limit_index] - 0.05 * at_limit.value[0]
+
+    def test_result_keeps_phi_at_the_limit_only(self):
+        space = brownian_search_space(TimeGrid(1.0, 32), 40, seed=2)
+        values = cubic_values(space, 2)
+        start = space.points[int(np.argmin(values))]
+        eps = (max(values) - min(values)) * 1.001
+        res = smooth_variational_principle(values, eps, 0.05, start, space)
+        assert not any(hasattr(res, name) for name in ("phi", "space", "live_phi"))
+        d = res.limit_phi.derivs
+        assert (res.limit_phi.value.shape, d.horizontal.shape, d.vertical.shape,
+                d.vertical2.shape) == ((1,), (1,), (1, 1), (1, 1, 1))
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_gauge_bounds_hold_to_the_slack(self, dimension):
@@ -454,3 +476,24 @@ class TestLiveRows:
         with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
             smooth_variational_principle(np.zeros(4), eps, delta, space.points[0],
                                          space)
+
+    @pytest.mark.parametrize("eps,delta", [
+        (1.0, 1e-320), (np.float64(1.0), 1e-320), (1e300, 1e-10),
+        (np.float64(2.0), np.float64(5e-324))])
+    def test_delta_too_small_for_eps(self, eps, delta):
+        # item (i)'s bound eps / delta would overflow to inf
+        space = brownian_search_space(TimeGrid(1.0, 32), 4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"delta {delta:g} is too small for eps {eps:g}")):
+                smooth_variational_principle(np.zeros(4), eps, delta,
+                                             space.points[0], space)
+
+    def test_tiny_delta_with_a_finite_bound_runs(self):
+        space = brownian_search_space(TimeGrid(1.0, 32), 4, seed=1)
+        values = np.arange(4.0)
+        res = smooth_variational_principle(values, 3.0, 1e-300, space.points[0],
+                                           space)
+        assert all(np.isfinite(r.bound) for r in res.item_i)
+        assert res.item_i[0].bound == 3e300
