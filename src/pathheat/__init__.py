@@ -19,9 +19,10 @@ from .regularization import forward_integral
 from .cylinders import (CylinderSpec, PathwiseDerivs, cylinder_approx,
                         fejer_coefficient)
 from .quadrature import QuadratureConfig
-from .gauge import (GaugeDiagnostics, calibrate_alpha, horizontal_kernel,
-                    horizontal_smoothed_distance, mean_gaussian_norm,
-                    perturbation_sum, smooth_gauge, vertical_smoothed_distance)
+from .gauge import (horizontal_kernel, horizontal_smoothed_distance,
+                    mean_gaussian_norm, perturbation_sum, smooth_gauge,
+                    vertical_smoothed_distance)
+from .audit import GaugeDiagnostics, calibrate_alpha
 from .varprinciple import SearchSpace, VPResult, smooth_variational_principle
 from .solver import (FiniteDimSolution, MCConfig, MCEstimate,
                      TerminalFunctional, build_terminal, candidate_solution,

@@ -33,15 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from .audit import derivative_bound_audit, sandwich_audit, validate_alpha
+from .audit import (ALPHA_SHRINK, calibrate_alpha, derivative_bound_audit,
+                    random_pairs, sandwich_audit, validate_alpha)
 from .errors import DomainError, InputError
 from .experiments import (brownian_search_space, comparison_demo,
                           dt_convergence_rows, tn_convergence_rows)
-from .gauge import ALPHA_SHRINK, calibrate_alpha
 from .grids import (GridPath, PathPoint, TimeGrid,
                     brownian_increments, extend_with_increments, read_path_csv)
 from .ito import SEMIMARTINGALE_PRESETS
-from .sampling import random_pairs
 from .solver import (MCConfig, build_terminal, candidate_solution,
                      control_nodes, pde_residual, terminal_names)
 from .streams import sample_stream

@@ -59,7 +59,7 @@ at t' = t, evaluated as one more shifted time with weight 0 in the sums,
 and its time-smoothed saturation with all derivatives.  ``smooth_gauge``
 makes a column of rows against one anchor, ``perturbation_sum`` the rows
 of all its anchors at once, the one-point stages a row of their own, and
-the audits and ``calibrate_alpha`` all their tuples in one or two calls.
+the audits and ``audit.calibrate_alpha`` all their tuples in one or two calls.
 
 The rows with one anchor and one stopping node form a group.  A group
 shares its s-rule (it depends on the node, the anchor's node and tau = t
@@ -102,15 +102,11 @@ import numpy as np
 
 from .cylinders import PathwiseDerivs
 from .errors import DomainError, NumericError
-from .grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
-                    stopped_sup_distances)
+from .grids import GridPath, PathPoint, TimeGrid, _stopped_values
 from .quadrature import (_GAUGE_GH_MAX_DIM, QuadratureConfig,
                          composite_legendre_rule, gaussian_rule, legendre_rule)
 
 __all__ = [
-    "GaugeDiagnostics",
-    "ALPHA_SHRINK",
-    "calibrate_alpha",
     "mean_gaussian_norm",
     "mean_gaussian_norm_quadrature",
     "horizontal_kernel",
@@ -913,64 +909,3 @@ def perturbation_sum(anchors: Sequence[PathPoint], points: Sequence[PathPoint],
     one kernel call."""
     return completed_sum(_gauge_columns(tuple(anchors), points, config))
 
-
-# ---------------------------------------------------------------------------
-# Calibration of the polynomial lower-bound constant
-# ---------------------------------------------------------------------------
-
-# Factor by which the calibrated alpha shrinks the empirical infimum ratio;
-# fixed, whatever the calibration sample size.
-ALPHA_SHRINK = 0.9
-
-
-@dataclass
-class GaugeDiagnostics:
-    """Empirically calibrated constants for one dimension."""
-
-    dimension: int
-    alpha: float
-    item3_constant: float
-    n_samples: int
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError("alpha must lie in (0, 1]")
-
-
-def _lower_bound_scale(dist: np.ndarray, d: int) -> np.ndarray:
-    """min(D^{d+1}, D) per stopped distance D in dimension d.  The powers
-    are taken in Python floats, whose pow rounds otherwise than numpy's
-    vectorized one, so each value is the one a scalar evaluation gives."""
-    return np.minimum([x ** (d + 1) for x in dist.tolist()], dist)
-
-
-def calibrate_alpha(samples) -> GaugeDiagnostics:
-    """Estimate the lower-bound constant as ``ALPHA_SHRINK`` times the
-    infimum of value / min(D^{d+1}, D) over the samples, for the stopped
-    distance D and the mollified distance value.
-
-    ``samples`` is an iterable of (anchor, point) pairs, evaluated as the
-    rows of one kernel call, with their stopped distances from one array
-    call; a pair at D = 0 does not constrain alpha.  The dimension d is
-    that of the samples' paths.  Only existence of a positive constant is
-    guaranteed in general, so the value is empirical and should be
-    validated on fresh samples before use.
-    """
-    pairs = list(samples)
-    ratio_min = np.inf
-    if pairs:
-        anchors, points = [a for a, _ in pairs], [p for _, p in pairs]
-        dimension = points[0].path.dimension
-        (values, _, _), _ = _smoothed_rows(anchors, points, None,
-                                           QuadratureConfig())
-        dist = stopped_sup_distances(points, anchors)
-        far = dist >= 1e-9
-        if far.any():
-            scale = _lower_bound_scale(dist[far], dimension)
-            ratio_min = float(np.min(values[far] / scale))
-    if not np.isfinite(ratio_min):
-        raise DomainError("calibration needs samples at positive distance")
-    item3 = float(np.max((dist - values) / mean_gaussian_norm(dimension)))
-    alpha = min(ALPHA_SHRINK * ratio_min, 1.0)
-    return GaugeDiagnostics(dimension=dimension, alpha=alpha,
-                            item3_constant=item3, n_samples=len(pairs))

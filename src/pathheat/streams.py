@@ -22,8 +22,8 @@ Stream families (``kind``), all keyed by the master seed:
   (seed + 101 + j, i), for both sides u and v_n; its smoothing modulus
   m(p0) opens the streams of p0's time once more, and so reads p0's draws.
 * :class:`StreamKind`, through :func:`substream` (seed, kind, i): the
-  jump draws of ``sampling.random_lift_points`` (LIFT_POINTS),
-  ``sampling.random_pairs`` (PAIRS) and
+  jump draws of ``audit.random_lift_points`` (LIFT_POINTS),
+  ``audit.random_pairs`` (PAIRS) and
   ``experiments.brownian_search_space`` (SEARCH_SPACE).  Only test oracles
   draw FLOW_INNER (the inner restarts of the flow-identity residual) and
   BRIDGE (the bridge maxima of the exact running-max estimator); the kinds

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathheat.audit import _AUDIT_ANCHORS
+from pathheat.audit import _AUDIT_ANCHORS, random_lift_points, random_pairs
 from pathheat.cylinders import (PathwiseDerivs, basis_value, fejer_coefficient,
                                 fejer_weights)
 from pathheat.errors import DomainError
@@ -11,7 +11,6 @@ from pathheat.gauge import (horizontal_smoothed_distance, mean_gaussian_norm,
                             perturbation_sum, vertical_smoothed_distance)
 from pathheat.grids import (GridPath, PathPoint, TimeGrid, _stopped_values,
                             stopped_sup_distances)
-from pathheat.sampling import random_lift_points, random_pairs
 
 
 @pytest.fixture(scope="session")

@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathheat.audit import (_lift_rows, derivative_bound_audit,
-                            estimate_gauge_quadrature_error, sandwich_audit,
-                            validate_alpha)
+import pathheat.audit as audit
+from pathheat.audit import (_lift_rows, calibrate_alpha, derivative_bound_audit,
+                            estimate_gauge_quadrature_error, random_lift_points,
+                            random_pairs, sandwich_audit, validate_alpha)
 from pathheat.cylinders import PathwiseDerivs
 from pathheat.errors import DomainError, NumericError
 import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorGroups,
                             _exact_profile_1d, _locate, _prefix_floor,
                             _s_rules, _smoothed_groups, _smoothed_rows,
-                            _z_profile, _z_rule, calibrate_alpha,
+                            _z_profile, _z_rule,
                             horizontal_kernel, horizontal_kernel_mass,
                             horizontal_smoothed_distance, mean_gaussian_norm,
                             mean_gaussian_norm_quadrature,
@@ -21,7 +22,6 @@ from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorGroups,
                             vertical_smoothed_distance)
 from pathheat.grids import GridPath, PathPoint, TimeGrid, stopped_sup_distances
 from pathheat.quadrature import QuadratureConfig, legendre_rule
-from pathheat.sampling import random_lift_points, random_pairs
 
 from conftest import (audit_maxima_loop, fd_pathwise_derivs, make_brownian,
                       nearest_index, sandwich_maxima_loop, traced_peak)
@@ -805,7 +805,7 @@ class TestAudits:
             if dist >= 1e-9:
                 ratio = min(ratio, val / min(dist ** (dim + 1), dist))
             item3 = max(item3, (dist - val) / mean_gaussian_norm(dim))
-        assert diag.alpha == min(gauge.ALPHA_SHRINK * ratio, 1.0)
+        assert diag.alpha == min(audit.ALPHA_SHRINK * ratio, 1.0)
         assert diag.item3_constant == item3
         worst = [-np.inf, -np.inf]
         for anchor, point in random_pairs(grid64, dim, 20, seed=6):
