@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pathheat
-from pathheat import cli
+from pathheat import audit, cli
 from pathheat.errors import DomainError, InputError
 from pathheat.grids import GridPath, TimeGrid
 
@@ -360,6 +360,30 @@ class TestEntryPoint:
                 "--steps", "32", "--n-tuples", "60", "--out", str(tmp_path)]
         assert cli.run(argv) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "gauge-check: pass"
+
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_gauge_check_roles_share_no_pair(self, tmp_path, monkeypatch,
+                                             calibrate):
+        # each role of a run audits pairs of its own; only the calibration
+        # re-reads the estimator's 16 probes, which audit nothing
+        draws = []
+        random_pairs = audit.random_pairs
+
+        def spy(grid, dimension, n, seed):
+            pairs = list(random_pairs(grid, dimension, n, seed))
+            draws.append({(a.t, a.path.values.tobytes(), p.t,
+                           p.path.values.tobytes()) for a, p in pairs})
+            return iter(pairs)
+
+        monkeypatch.setattr(audit, "random_pairs", spy)
+        monkeypatch.setattr(cli, "random_pairs", spy)
+        argv = ["gauge-check", "--seed", "1", "--d", "1", "--n-tuples", "40",
+                "--out", str(tmp_path)]
+        assert cli.run(argv + ["--calibrate"] * calibrate) == 0
+        assert [len(d) for d in draws] == [16, 40, 40] + [40, 40] * calibrate
+        shared = [len(a & b) for i, a in enumerate(draws) for b in draws[i + 1:]
+                  if a & b]
+        assert shared == [16] * calibrate
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
