@@ -838,6 +838,38 @@ class TestAudits:
         with pytest.raises(DomainError, match="positive distance"):
             calibrate_alpha([])
 
+    # negative controls: a kernel or a constant that breaks its bound by a
+    # little fails the audit of that bound, and nothing else
+    def test_bound_audit_fails_a_hessian_5_percent_too_large(self, grid64,
+                                                             monkeypatch):
+        def kernel(*rows):
+            (values, grad, hess), saturated = _smoothed_rows(*rows)
+            return (values, grad, 1.05 * hess), saturated
+
+        monkeypatch.setattr(audit, "_smoothed_rows", kernel)
+        checks = derivative_bound_audit(1, grid64, 60, seed=1)
+        assert [c.name for c in checks if not c.passed] == ["distance_hessian"]
+
+    @pytest.mark.parametrize("dim,n", [(1, 60), (2, 20)])
+    def test_sandwich_audit_fails_values_above_the_distance(self, grid64,
+                                                            monkeypatch, dim, n):
+        def kernel(*rows):
+            (values, grad, hess), saturated = _smoothed_rows(*rows)
+            return (values + 1e-6, grad, hess), saturated
+
+        assert all(c.passed for c in sandwich_audit(dim, grid64, n, seed=1))
+        monkeypatch.setattr(audit, "_smoothed_rows", kernel)
+        checks = sandwich_audit(dim, grid64, n, seed=1)
+        assert [c.name for c in checks if not c.passed] == ["distance_upper"]
+
+    def test_validation_fails_an_alpha_ten_times_too_large(self, grid64):
+        diag = calibrate_alpha(random_pairs(grid64, 1, 60, seed=3))
+        assert all(c.passed for c in validate_alpha(diag, grid64, 60, seed=4))
+        large = replace(diag, alpha=min(10 * diag.alpha, 1.0))
+        checks = validate_alpha(large, grid64, 60, seed=4)
+        assert [c.name for c in checks if not c.passed] == [
+            "calibrated_lower", "calibrated_lower_saturated"]
+
     def test_calibrated_alpha_validates_on_fresh_samples(self, grid64):
         diag = calibrate_alpha(random_pairs(grid64, 1, 300, seed=5))
         assert 0.0 < diag.alpha <= 1.0
