@@ -58,6 +58,9 @@ _log = logging.getLogger(__name__)
 # comparison-demo's "subsolution" mode takes u = solution - SUBSOLUTION_OFFSET
 SUBSOLUTION_OFFSET = 0.25
 
+# comparison-demo's eps is at least this, whatever its estimates
+_EPS_FLOOR = 1e-9
+
 # the largest x with exp(x) finite in double precision, about 709.78
 _MAX_EXP = math.log(sys.float_info.max)
 
@@ -206,9 +209,13 @@ def comparison_demo(grid: TimeGrid, seed: int,
     of (seed, i), so it reads the draws of p0's u - v_n.  ``lam`` must be
     finite and positive with exp(lam T) finite on the horizon T, and
     ``deltas`` finite, positive and strictly decreasing, as the
-    vanishing-delta estimate and the monotone right side assume; anything
-    else raises :class:`InputError` before any Monte-Carlo work.  Progress
-    goes to this module's logger at INFO.
+    vanishing-delta estimate and the monotone right side assume, and none so
+    small that ``_EPS_FLOOR`` / delta overflows, as eps / delta then does
+    for every eps; anything else raises :class:`InputError` before any
+    Monte-Carlo work.  A delta from about 5.6e-318 up to eps / 1.8e308,
+    where eps comes from the estimates, still fails after them, at the
+    variational principle's check of eps / delta.  Progress goes to this
+    module's logger at INFO.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")
@@ -224,6 +231,10 @@ def comparison_demo(grid: TimeGrid, seed: int,
         if not (math.isfinite(delta) and delta > 0):
             raise InputError(f"every perturbation weight delta must be finite "
                              f"and positive, got {delta}")
+        if not math.isfinite(_EPS_FLOOR / delta):
+            raise InputError(f"delta {delta:g} is too small for any eps: eps "
+                             f"is at least {_EPS_FLOOR:g}, and eps/delta "
+                             "overflows")
     for a, b in zip(deltas, deltas[1:]):
         if not b < a:
             raise InputError(f"the perturbation weights deltas must strictly "
@@ -260,7 +271,7 @@ def comparison_demo(grid: TimeGrid, seed: int,
     _log.info("u - v_n estimated on the space")
 
     sup_g = float(np.max(g_vals))
-    eps = max(sup_g - g_vals[0], 1e-9) * (1.0 + 1e-9) + 1e-12
+    eps = max(sup_g - g_vals[0], _EPS_FLOOR) * (1.0 + 1e-9) + 1e-12
     stat = float(lam * 3.0 * np.max(scale * gap_err))
     m0 = candidate_solution(_smoothing_modulus(smoothing), pts[0].t,
                             pts[0].path, cfgs[pts[0].t])

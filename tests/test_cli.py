@@ -489,8 +489,8 @@ class TestEntryPoint:
         ([*SMALL_COMPARISON, "--n-points", "-1"], "comparison_demo.csv",
          "the search space needs at least one path, not -1"),
         ([*SMALL_COMPARISON, "--n-points", "5", "--delta", "1e-320"],
-         "comparison_demo.csv", "delta 9.99989e-321 is too small for eps "
-         "0.140566: the bound eps/delta overflows"),
+         "comparison_demo.csv", "delta 9.99989e-321 is too small for any eps: "
+         "eps is at least 1e-09, and eps/delta overflows"),
         ([*SMALL_COMPARISON, "--n-points", "5", "--lam", "inf"],
          "comparison_demo.csv",
          "the scaling rate lam must be finite and positive, got inf"),

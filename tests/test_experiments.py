@@ -83,6 +83,21 @@ class TestComparisonInput:
             comparison_demo(GRID, 1, deltas=deltas, **SMALL)
         assert opened == []
 
+    @pytest.mark.parametrize("deltas", [(1e-320,), (0.1, 5e-318)])
+    def test_delta_too_small_for_any_eps_rejected_before_any_mc(
+            self, monkeypatch, deltas):
+        # eps is at least 1e-9, so eps/delta overflows for every eps
+        def never(*args, **kwargs):
+            raise AssertionError("candidate_solution was called")
+
+        monkeypatch.setattr(experiments, "candidate_solution", never)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(
+                    f"delta {deltas[-1]:g} is too small for any eps: eps is "
+                    "at least 1e-09")):
+                comparison_demo(GRID, 1, deltas=deltas, **SMALL)
+
 
 class TestComparisonGap:
     SEED, LAM = 3, 0.5
