@@ -8,12 +8,12 @@ and near-diagonal pairs.  Every audit evaluates its tuples as the rows of one
 or two calls of the gauge kernel (``gauge._smoothed_rows``), each row with
 its own anchor: a row gives both the mollified distance and its saturation.
 
-Each role of a ``gauge-check`` run at seed s reads its own stream of pairs
-(``random_pairs`` at a seed, StreamKind.PAIRS): the sandwich audit s, the
-derivative audit s + 1 (its y from LIFT_POINTS at s), the estimator's probes
-s + 2 (y from LIFT_POINTS at s + 1), the calibration s + 2 and the
-validation s + 3.  So the calibration's first 16 pairs are the estimator's
-16 probes, which audit nothing.
+Each role of a ``gauge-check`` run at seed s reads ``random_pairs`` (stream
+kind PAIRS) at one seed: the sandwich audit s, the derivative audit s + 1
+(its y from LIFT_POINTS at s), the estimator's probes s + 2 (y from
+LIFT_POINTS at s + 1), the calibration s + 2 and the validation s + 3.  Only
+the calibration shares a stream: its first 16 pairs are the estimator's 16
+probes, which audit nothing.
 """
 
 from __future__ import annotations

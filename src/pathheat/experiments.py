@@ -210,12 +210,11 @@ def comparison_demo(grid: TimeGrid, seed: int,
     finite and positive with exp(lam T) finite on the horizon T, and
     ``deltas`` finite, positive and strictly decreasing, as the
     vanishing-delta estimate and the monotone right side assume, and none so
-    small that ``_EPS_FLOOR`` / delta overflows, as eps / delta then does
-    for every eps; anything else raises :class:`InputError` before any
-    Monte-Carlo work.  A delta from about 5.6e-318 up to eps / 1.8e308,
-    where eps comes from the estimates, still fails after them, at the
-    variational principle's check of eps / delta.  Progress goes to this
-    module's logger at INFO.
+    small that eps / delta overflows for every eps >= ``_EPS_FLOOR``;
+    anything else raises :class:`InputError` before any Monte-Carlo work.
+    A delta from about 5.6e-318 up to eps / 1.8e308, eps from the estimates,
+    still fails after them, at the variational principle's check.  Progress
+    goes to this module's logger at INFO.
     """
     if mode not in ("candidate", "subsolution"):
         raise InputError("mode must be 'candidate' or 'subsolution'")

@@ -14,8 +14,8 @@ import pathheat.gauge as gauge
 from pathheat.gauge import (HORIZONTAL_BOUND, _AnchorGroups,
                             _exact_profile_1d, _locate, _prefix_floor,
                             _s_rules, _smoothed_groups, _smoothed_rows,
-                            _z_profile, _z_rule,
-                            horizontal_kernel, horizontal_kernel_mass,
+                            _z_profile, _z_rule, horizontal_kernel,
+                            horizontal_kernel_mass,
                             horizontal_smoothed_distance, mean_gaussian_norm,
                             mean_gaussian_norm_quadrature,
                             perturbation_sum, smooth_gauge,
